@@ -354,7 +354,7 @@ def main(argv=None):
         return 2
     try:
         DISPATCH[args.command](cp)
-    except (ValidationError,) as e:
+    except (ValidationError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except (NonConvergence, SolveError) as e:

@@ -18,7 +18,11 @@ import scipy.sparse.linalg as spla
 
 from .grids import GridFunction, Scheme
 
-__all__ = ["IterationControl", "RhsProblem", "RhsReport", "solve_rhs", "sup_norm"]
+__all__ = ["IterationControl", "RhsProblem", "RhsReport", "SolveError",
+           "solve_rhs", "sup_norm"]
+
+class SolveError(RuntimeError):
+    pass
 
 
 @dataclass
@@ -27,7 +31,9 @@ class IterationControl:
     tolerance: float = 1e-8
     max_steps: int = 1_000_000
     safety: float = 0.9
-    method: str = "auto"     # auto | explicit | direct
+    method: str = "auto"     # auto | explicit | direct; selects the path in
+                             # solve_rhs and solve: the sparse-matrix path
+                             # (gamma = 0, linear trace) or relaxation
     zero_floor: float = 1e-16   # relative; reaction solves flush u below
                                 # zero_floor * sup(u) to exact zero
     debug: bool = False
@@ -37,6 +43,8 @@ class IterationControl:
             raise ValueError("tolerance must be positive")
         if not 0 < self.safety <= 1:
             raise ValueError("safety factor must lie in (0, 1]")
+        if self.method not in ("auto", "explicit", "direct"):
+            raise ValueError("unknown method %r" % self.method)
 
 
 @dataclass
@@ -67,8 +75,17 @@ def sup_norm(u):
     return float(np.max(np.abs(v)))
 
 
-def _direct_applicable(p):
-    return p.gamma == 0.0 and p.spec.variant == "linear_trace"
+def _use_matrix_path(method, gamma, spec):
+    """Whether a solve takes the sparse-matrix path for this operator.
+
+    The discrete operator is the linear matrix of _interior_trace_matrix
+    exactly when gamma = 0 and F is a linear trace.  method='direct'
+    outside that class raises ValueError.
+    """
+    linear = gamma == 0.0 and spec.variant == "linear_trace"
+    if method == "direct" and not linear:
+        raise ValueError("direct method needs gamma = 0 and a trace operator")
+    return method == "direct" or (method == "auto" and linear)
 
 
 def _interior_trace_matrix(scheme):
@@ -110,12 +127,11 @@ def solve_rhs(p, ctl=None, u0=None):
     """Solve |Du|^gamma F(x, D^2 u) = f with zero Dirichlet data.
 
     `u0` seeds the relaxation (warm starts for nested iterations).  On
-    step exhaustion the partial solution is returned with converged=False.
+    step exhaustion the partial solution is returned with converged=False;
+    a non-finite residual raises SolveError naming the step.
     """
     ctl = ctl or IterationControl()
-    if ctl.method == "direct" or (ctl.method == "auto" and _direct_applicable(p)):
-        if not _direct_applicable(p):
-            raise ValueError("direct method needs gamma = 0 and a trace operator")
+    if _use_matrix_path(ctl.method, p.gamma, p.spec):
         return _solve_direct(p, ctl)
 
     grid = p.grid
@@ -148,6 +164,8 @@ def solve_rhs(p, ctl=None, u0=None):
             Fv = scheme.F(vals)
             r = g * Fv - f_int
         rsup = float(np.max(np.abs(r)))
+        if not np.isfinite(rsup):
+            raise SolveError("non-finite residual at step %d" % steps)
         if rsup <= ctl.tolerance:
             return RhsReport(GridFunction(grid, vals, dirichlet=False),
                              rsup, steps, True)

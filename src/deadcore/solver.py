@@ -3,18 +3,27 @@
 The existence construction is mirrored discretely: a subsolution
 eps * phi+(ball) supported on a ball inside {a > 0}, a supersolution
 k * psi built from the Dirichlet problem with right-hand side -||a||_inf,
-and pseudo-time relaxation in between.  The reaction is split a = a+ - a-
-and the damping part a- u^q is treated semi-implicitly (the q - 1 power
-makes the explicit form stiff near u = 0); iterates are clamped at 0,
-which is itself a solution.
+and an iteration in between.  The reaction is split a = a+ - a-.  For
+gamma = 0 and a linear trace F the discrete operator is a sparse matrix
+L, and `solve` runs Sattinger's monotone iteration
+-L u_{k+1} + a- u_{k+1}^q = a+ u_k^q with Newton inner solves; its step
+count does not grow with the grid.  Otherwise (or with
+IterationControl(method='explicit')) it runs pseudo-time relaxation, with
+the damping part a- u^q treated implicitly (the q - 1 power makes the
+explicit form stiff near u = 0).  Iterates are clamped at 0, which is
+itself a solution.
 """
 
 from dataclasses import dataclass
 import threading
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .grids import Grid, GridFunction, WeightField, Scheme, residual_field
-from .dirichlet import IterationControl, RhsProblem, RhsReport, solve_rhs, sup_norm
+from .dirichlet import (IterationControl, RhsProblem, RhsReport, SolveError,
+                        solve_rhs, sup_norm, _use_matrix_path,
+                        _interior_trace_matrix)
 from .eigen import EigenControl, principal_eigenpair
 
 __all__ = [
@@ -22,10 +31,6 @@ __all__ = [
     "build_subsolution", "build_supersolution", "solve", "residual",
     "ball_eigenpair",
 ]
-
-
-class SolveError(RuntimeError):
-    pass
 
 
 class SubsolutionError(SolveError):
@@ -276,11 +281,6 @@ def _implicit_damping(w, c, q):
     za, ca, wa = z[active], np.asarray(c, dtype=float), w[active]
     if np.ndim(c):
         ca = ca[active]
-    if q == 0.5:
-        # quadratic in sqrt(z): closed form
-        s = 0.5 * (np.sqrt(ca * ca + 4.0 * wa) - ca)
-        z[active] = s * s
-        return z
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         beta = ca * za ** (q - 1.0)
         za = za * (1.0 + beta) ** (-1.0 / q)
@@ -295,51 +295,98 @@ def _implicit_damping(w, c, q):
     return z
 
 
-def solve(problem, init="zero", ctl=None, ball=None, u0=None,
-          sub_tol=1e-8):
-    """Relax the reaction problem to a nonnegative steady state.
+# Newton steps allowed per outer step of the monotone iteration
+INNER_CAP = 30
 
-    init is one of 'zero', 'subsolution' (requires ball), 'given'
-    (requires u0 with 0 <= u0), or 'supersolution'.  Iterates are clamped
-    at zero each step; with init='subsolution' the report carries the
-    (subsolution, supersolution) bracket and, in debug mode, ordering is
-    asserted every step.
+
+def _newton_inner(A, a_minus, b, z, q, zeta, tol):
+    """Solve A z + a- z^q = b (A = -L, an M-matrix) for z >= 0 by Newton.
+
+    The map is concave in z, so its tangent at any anchor t > 0 lies above
+    it, and the linear solve of  A y + a- (t^q + q t^(q-1) (y - t)) = b
+    gives, clamped at 0, a subsolution.  Once the iterate is a subsolution
+    (within 10 * tol), so is its nodewise (Jacobi) update, and the next
+    iterate is the pointwise max of the two and the linear solve: it stays
+    a subsolution and never decreases.  The anchor is the Jacobi value
+    there (the current value before that); where it is 0 the anchor is
+    zeta, the value at which the slope of a- z^q is a tenth of diag(A),
+    so the zero set ahead of a front can turn positive in one step rather
+    than one layer per step.  Stops at tol, when the residual stops
+    decreasing (the floating-point floor of A z), or after INNER_CAP steps.
     """
-    ctl = ctl or IterationControl()
-    grid = problem.grid
-    scheme = Scheme(grid, problem.operator, problem.gamma)
+    Ad = A.diagonal()
+    prev = np.inf
+    for _ in range(INNER_CAP):
+        Az = A @ z
+        g = Az + a_minus * z ** q - b
+        rho = float(np.max(np.abs(g)))
+        if rho <= tol or rho >= prev:
+            break
+        prev = rho
+        if np.max(g) <= 10.0 * tol:
+            low = np.maximum(_implicit_damping(
+                np.maximum(b - Az + Ad * z, 0.0) / Ad, a_minus / Ad, q), z)
+            t = low
+        else:
+            low, t = 0.0, z
+        t = np.maximum(np.where(t > 0.0, t, zeta), 1e-300)
+        d = a_minus * q * t ** (q - 1.0)
+        y = spla.spsolve(A + sp.diags(d, format="csc"),
+                         b - a_minus * (1.0 - q) * t ** q)
+        z = np.maximum(y, low)
+    return z
+
+
+def _relax_monotone(problem, scheme, vals, ctl, bracket):
+    """Sattinger's monotone iteration for gamma = 0 and a linear trace F.
+
+    Outer step k solves  -L u_{k+1} + a- u_{k+1}^q = a+ u_k^q  (L the
+    interior matrix of the scheme) by _newton_inner, warm-started from
+    u_k, to 0.1 * tolerance; it stops once the interior residual
+    L u + a u^q is at most ctl.tolerance, or at a floating-point fixed
+    point.  An inner subsolution above u_k is a subsolution of the
+    reaction problem, so from the subsolution the outer iterates increase
+    inside the (subsolution, supersolution) bracket whether or not an
+    inner solve finished.  At most INNER_CAP = 30 Newton steps (one sparse
+    solve each) per outer step.
+    Updates vals in place; returns the number of outer steps.
+    """
+    grid, q = problem.grid, problem.q
+    A = (-_interior_trace_matrix(scheme)).tocsc()
+    a_int = grid.interior(problem.weight.samples)
+    a_plus = grid.interior(problem.weight.a_plus).ravel()
+    a_minus = grid.interior(problem.weight.a_minus).ravel()
+    zeta = (10.0 * q * a_minus / A.diagonal()) ** (1.0 / (1.0 - q))
+    u_int = grid.interior(vals)
+
+    steps = 0
+    for steps in range(1, ctl.max_steps + 1):
+        rsup = float(np.max(np.abs(scheme.residual_interior(vals, a_int, q))))
+        if not np.isfinite(rsup):
+            raise SolveError("non-finite residual at step %d" % steps)
+        if rsup <= ctl.tolerance:
+            break
+        u = u_int.ravel()
+        z = _newton_inner(A, a_minus, a_plus * u ** q, u, q, zeta,
+                          0.1 * ctl.tolerance)
+        if np.array_equal(z, u):
+            break
+        u_int[...] = z.reshape(u_int.shape)
+        if ctl.debug and bracket is not None:
+            assert np.all(vals >= bracket[0].values - 1e-12)
+            assert np.all(vals <= bracket[1].values + 1e-12)
+    return steps
+
+
+def _relax_explicit(problem, scheme, vals, ctl, bracket, blow_up):
+    """Explicit pseudo-time relaxation under the per-node CFL bound.
+
+    The damping part a- u^q takes an exact backward substep.  Updates vals
+    in place; returns (steps, residual of the last step, blew_up).
+    """
+    grid, q, gamma = problem.grid, problem.q, problem.gamma
     a_plus = grid.interior(problem.weight.a_plus)
     a_minus = grid.interior(problem.weight.a_minus)
-    q, gamma = problem.q, problem.gamma
-
-    bracket = None
-    super_u = None
-    if init == "zero":
-        vals = np.zeros(grid.shape)
-    elif init == "subsolution":
-        if ball is None:
-            raise ValueError("init='subsolution' needs a ball")
-        sub = build_subsolution(problem, ball, tol=sub_tol)
-        super_u = build_supersolution(problem, ctl)
-        bracket = (sub, super_u)
-        vals = sub.values.copy()
-    elif init == "supersolution":
-        super_u = build_supersolution(problem, ctl)
-        vals = super_u.values.copy()
-    elif init == "given":
-        if u0 is None:
-            raise ValueError("init='given' needs u0")
-        vals = np.array(u0.values if isinstance(u0, GridFunction) else u0,
-                        dtype=float)
-        if np.min(vals) < -1e-15:
-            raise ValueError("initialization must be nonnegative")
-        vals = np.maximum(vals, 0.0)
-    else:
-        raise ValueError("unknown init %r" % init)
-
-    blow_up = 10.0 * sup_norm(super_u) if super_u is not None else \
-        100.0 * max(1.0, float(np.max(vals)))
-
     u_int = grid.interior(vals)
     dim, Lam = grid.dim, problem.operator.Lam
     hmin = min(grid.h)
@@ -370,6 +417,8 @@ def solve(problem, init="zero", ctl=None, ball=None, u0=None,
         uq = np.sqrt(u_int) if closed_form else u_int ** q
         r = gF + a_int * uq
         rsup = float(np.abs(r).max())
+        if not np.isfinite(rsup):
+            raise SolveError("non-finite residual at step %d" % steps)
         if rsup <= ctl.tolerance:
             break
         if dt_const is not None:
@@ -402,12 +451,69 @@ def solve(problem, init="zero", ctl=None, ball=None, u0=None,
                 u_new[_deep_zeros(near)] = 0.0
             if sup > blow_up:
                 u_int[...] = u_new
-                return SolveReport(GridFunction(grid, vals, dirichlet=False),
-                                   rsup, steps, False, init)
+                return steps, rsup, True
         u_int[...] = u_new
         if ctl.debug and bracket is not None:
             assert np.all(vals >= bracket[0].values - 1e-12)
             assert np.all(vals <= bracket[1].values + 1e-12)
+    return steps, rsup, False
+
+
+def solve(problem, init="zero", ctl=None, ball=None, u0=None,
+          sub_tol=1e-8):
+    """Solve the reaction problem for a nonnegative steady state.
+
+    init is one of 'zero', 'subsolution' (requires ball), 'given'
+    (requires u0 with 0 <= u0), or 'supersolution'.  Iterates are clamped
+    at zero; with init='subsolution' the report carries the
+    (subsolution, supersolution) bracket and, in debug mode, ordering is
+    asserted every step.  ctl.method picks the iteration: for gamma = 0
+    and a linear trace F, 'auto' (or 'direct') runs the monotone
+    Sattinger-Newton iteration of _relax_monotone, whose step count does
+    not grow with the grid; 'explicit', and every other problem, runs
+    explicit pseudo-time relaxation.  A non-finite residual raises
+    SolveError naming the step.
+    """
+    ctl = ctl or IterationControl()
+    grid = problem.grid
+    monotone = _use_matrix_path(ctl.method, problem.gamma, problem.operator)
+    scheme = Scheme(grid, problem.operator, problem.gamma)
+
+    bracket = None
+    super_u = None
+    if init == "zero":
+        vals = np.zeros(grid.shape)
+    elif init == "subsolution":
+        if ball is None:
+            raise ValueError("init='subsolution' needs a ball")
+        sub = build_subsolution(problem, ball, tol=sub_tol)
+        super_u = build_supersolution(problem, ctl)
+        bracket = (sub, super_u)
+        vals = sub.values.copy()
+    elif init == "supersolution":
+        super_u = build_supersolution(problem, ctl)
+        vals = super_u.values.copy()
+    elif init == "given":
+        if u0 is None:
+            raise ValueError("init='given' needs u0")
+        vals = np.array(u0.values if isinstance(u0, GridFunction) else u0,
+                        dtype=float)
+        if np.min(vals) < -1e-15:
+            raise ValueError("initialization must be nonnegative")
+        vals = np.maximum(vals, 0.0)
+    else:
+        raise ValueError("unknown init %r" % init)
+
+    if monotone:
+        steps = _relax_monotone(problem, scheme, vals, ctl, bracket)
+    else:
+        blow_up = 10.0 * sup_norm(super_u) if super_u is not None else \
+            100.0 * max(1.0, float(np.max(vals)))
+        steps, rsup, blew_up = _relax_explicit(problem, scheme, vals, ctl,
+                                               bracket, blow_up)
+        if blew_up:
+            return SolveReport(GridFunction(grid, vals, dirichlet=False),
+                               rsup, steps, False, init)
 
     u = GridFunction(grid, vals, dirichlet=False)
     rfield = residual(problem, u)

@@ -121,17 +121,24 @@ def test_criterion_5_scaling_equivariance(capsys):
     assert base.converged
     power = 1.0 / (1.0 + p.gamma - p.q)
     results = []
-    for c in (0.25, 4.0, 16.0):
+    # the residual of t * u is t times that of u, so a solve from
+    # init='given' meets its tolerance at the first check; c = 3 (t = 9,
+    # non-dyadic) is also solved from its own subsolution, which runs the
+    # whole iteration
+    cases = [(c, "given") for c in (0.25, 4.0, 16.0, 3.0)]
+    cases.append((3.0, "subsolution"))
+    for c, init in cases:
         t = c ** power
         pc = ProblemSpec(p.grid, p.operator, p.gamma, p.q, p.weight.scaled(c))
         u0 = GridFunction(p.grid, t * base.solution.values, dirichlet=False)
-        rep = solve(pc, init="given", u0=u0,
+        rep = solve(pc, init=init, u0=u0, ball=BALL,
                     ctl=IterationControl(tolerance=tol * max(1.0, t)))
         diff = float(np.max(np.abs(rep.solution.values - t * base.solution.values)))
-        results.append((c, rep.converged, diff, 2 * tol * max(1.0, t)))
+        results.append(("%g %s" % (c, init), rep.converged, diff,
+                        2 * tol * max(1.0, t)))
     ok = all(conv and d <= lim for _, conv, d, lim in results)
     _report(capsys, "5 scaling equivariance", ok,
-            "; ".join("c=%g diff %.1e <= %.1e" % (c, d, lim)
+            "; ".join("c=%s diff %.1e <= %.1e" % (c, d, lim)
                       for c, _, d, lim in results))
 
 

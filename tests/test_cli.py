@@ -60,6 +60,15 @@ def test_solve_validation_exit_2(tmp_path, capsys):
     assert "q < gamma+1" in err
 
 
+def test_ball_outside_domain_exit_2(tmp_path, monkeypatch, capsys):
+    # the ball is checked during dispatch, not by the up-front validation
+    cfg = _write(tmp_path / "ball.ini",
+                 BASE_SOLVE.replace("ball = 0.2,0.8", "ball = 1.5,2.5"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--config", cfg]) == 2
+    assert "not inside the domain" in capsys.readouterr().err
+
+
 def test_missing_config_exit_2(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.ini")]) == 2
 

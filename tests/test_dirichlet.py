@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from deadcore import (Grid, GridFunction, OperatorSpec, IterationControl,
-                      RhsProblem, solve_rhs, sup_norm)
+                      RhsProblem, SolveError, solve_rhs, sup_norm)
 
 
 def _const_rhs(grid, c):
@@ -112,3 +112,16 @@ def test_control_validation():
         IterationControl(tolerance=0.0)
     with pytest.raises(ValueError):
         IterationControl(safety=1.5)
+    with pytest.raises(ValueError):
+        IterationControl(method="implicit")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_residual_stops_at_once():
+    # the update overflows within a few steps; the loop must name the step
+    # instead of relaxing NaN until max_steps
+    g = Grid.interval(0.0, 1.0, 49)
+    p = RhsProblem(g, OperatorSpec.linear_trace(np.eye(1)), 1.0,
+                   _const_rhs(g, -1e300))
+    with pytest.raises(SolveError, match="non-finite residual at step"):
+        solve_rhs(p, IterationControl(max_steps=20_000))

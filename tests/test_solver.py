@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from deadcore import (Grid, GridFunction, WeightField, OperatorSpec,
-                      IterationControl, ProblemSpec, SubsolutionError,
-                      build_subsolution, build_supersolution, solve,
-                      residual, sup_norm)
+                      IterationControl, ProblemSpec, SolveError,
+                      SubsolutionError, build_subsolution,
+                      build_supersolution, solve, residual, sup_norm)
 
 SPEC1 = OperatorSpec.linear_trace(np.eye(1))
 
@@ -145,3 +145,94 @@ def test_solve_generic_q_newton_damping():
     assert np.all(rep.solution.values >= 0.0)
     r = residual(p, rep.solution)
     assert float(np.max(np.abs(g.interior(r.values)))) <= 1e-7
+
+
+# --- monotone (Sattinger-Newton) path for gamma = 0, linear trace ----------
+
+def _parity(p, ball, tol=1e-8):
+    """The monotone path against the explicit reference loop."""
+    from deadcore import classify
+    reps = [solve(p, init="subsolution", ball=ball,
+                  ctl=IterationControl(tolerance=tol, method=m))
+            for m in ("auto", "explicit")]
+    assert all(r.converged for r in reps)
+    verdicts = [classify(r.solution).verdict for r in reps]
+    assert verdicts[0] == verdicts[1]
+    diff = np.max(np.abs(reps[0].solution.values - reps[1].solution.values))
+    assert diff <= 2 * tol
+    # the explicit loop needs O(n^2) steps, the monotone one a few dozen
+    assert reps[0].steps < 100 < reps[1].steps
+    return verdicts[0]
+
+
+def test_monotone_parity_1d_positive():
+    g = Grid.interval(0.0, 2.0, 79)
+    p = _problem(g, WeightField.sinsplit(g, 0.3).scaled(30.0))
+    assert _parity(p, (0.2, 0.8)) == "positivity_cone"
+
+
+def test_monotone_parity_1d_dead_core():
+    g = Grid.interval(0.0, 2.0, 79)
+    p = _problem(g, WeightField.sinsplit(g, 2.5).scaled(30.0))
+    assert _parity(p, (0.2, 0.8)) == "dead_core"
+
+
+def test_monotone_parity_2d_rectangle():
+    g = Grid.rectangle(0.0, 2.0, 0.0, 1.0, 39, 19)
+    p = _problem(g, WeightField.sinsplit(g, 0.3).scaled(30.0),
+                 spec=OperatorSpec.linear_trace(np.eye(2)))
+    _parity(p, ((0.2, 0.8), (0.2, 0.8)))
+
+
+@pytest.mark.parametrize("s", [0.2, 2.5])
+def test_monotone_steps_mesh_independent(s):
+    steps = []
+    for n in (99, 199, 399):
+        g = Grid.interval(0.0, 2.0, n)
+        rep = solve(_problem(g, WeightField.sinsplit(g, s).scaled(30.0)),
+                    init="subsolution", ball=(0.1, 0.9))
+        assert rep.converged
+        steps.append(rep.steps)
+    assert max(steps) - min(steps) <= 3
+
+
+def test_direct_method_outside_linear_class_raises():
+    g = Grid.interval(0.0, 2.0, 39)
+    w = WeightField.sinsplit(g, 0.3).scaled(30.0)
+    direct = IterationControl(method="direct")
+    with pytest.raises(ValueError, match="direct method"):
+        solve(_problem(g, w, spec=OperatorSpec.pucci_minus(1.0, 2.0)),
+              init="subsolution", ball=(0.2, 0.8), ctl=direct)
+    with pytest.raises(ValueError, match="direct method"):
+        solve(_problem(g, w, gamma=1.0), init="zero", ctl=direct)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("method", ["auto", "explicit"])
+def test_solve_non_finite_residual_raises(method):
+    # a weight near the float range overflows u^q within a few steps
+    g = Grid.interval(0.0, 1.0, 19)
+    p = _problem(g, WeightField.constant(g, 1e300))
+    with pytest.raises(SolveError, match="non-finite residual at step"):
+        solve(p, init="given", u0=np.ones(g.shape),
+              ctl=IterationControl(method=method, max_steps=20_000))
+
+
+def test_monotone_inner_work_is_capped(monkeypatch):
+    # n = 799 puts the floating-point floor of L u near the tolerance; the
+    # inner Newton must not spin there
+    import deadcore.solver as solver_mod
+    calls = []
+    spsolve = solver_mod.spla.spsolve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return spsolve(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod.spla, "spsolve", counting)
+    g = Grid.interval(0.0, 2.0, 799)
+    p = _problem(g, WeightField.sinsplit(g, 0.2).scaled(30.0))
+    sub = build_subsolution(p, (0.1, 0.9))
+    rep = solve(p, init="given", u0=sub)
+    assert rep.converged
+    assert len(calls) <= solver_mod.INNER_CAP * rep.steps
