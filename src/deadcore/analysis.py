@@ -305,7 +305,9 @@ def estimate_threshold(family, parameter, bracket, ball, ctl=None,
     seeded on `ball` and classifies the result.  The initial `probes`
     equispaced verdicts are recorded (and checked for monotonicity), then
     the flip interval is bisected at least `bisect_steps` times.  If the
-    endpoint verdicts agree a 'no_threshold' report is returned.
+    endpoint verdicts agree a 'no_threshold' report is returned.  A probe
+    whose subsolution cannot be built counts as 'trivial' and adds an
+    `anomalies` entry naming the value and the error.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
@@ -321,7 +323,9 @@ def estimate_threshold(family, parameter, bracket, ball, ctl=None,
             cls = classify(rep.solution, tol_zero=tol_zero)
             return ProbeRecord(val, cls.verdict, rep.residual_sup,
                                cls.interior_min, cls.hopf_margin)
-        except SubsolutionError:
+        except SubsolutionError as exc:
+            report.anomalies.append("%s = %.17g: SubsolutionError: %s"
+                                    % (parameter, val, exc))
             return ProbeRecord(val, "trivial", np.nan, 0.0, 0.0)
 
     values = np.linspace(lo, hi, probes)

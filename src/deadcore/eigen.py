@@ -61,7 +61,8 @@ def principal_eigenpair(grid, spec, gamma, ctl=None):
 
     Initialization is the normalized distance-to-boundary function
     (positive and boundary compatible).  Raises RuntimeError if the
-    iterate collapses to zero; returns converged=False on exhaustion.
+    iterate collapses to zero; returns converged=False on exhaustion and
+    when any inner Dirichlet solve reported converged=False.
     """
     ctl = ctl or EigenControl()
     scheme = Scheme(grid, spec, gamma)
@@ -72,10 +73,12 @@ def principal_eigenpair(grid, spec, gamma, ctl=None):
     u_prev = None
     lam = None
     power = gamma + 1.0
+    inner_ok = True
 
     for it in range(1, ctl.max_outer + 1):
         f = GridFunction(grid, -(phi ** power), dirichlet=False)
         rep = solve_rhs(RhsProblem(grid, spec, gamma, f), ctl.inner, u0=u_prev)
+        inner_ok = inner_ok and rep.converged
         u = rep.solution.values
         usup = float(np.max(u))
         if not usup > 0:
@@ -99,7 +102,7 @@ def principal_eigenpair(grid, spec, gamma, ctl=None):
 
     pair_phi = GridFunction(grid, phi, dirichlet=False)
     res = eigen_residual(lam, pair_phi, spec, gamma, delta=scheme.delta)
-    converged = bool(lam_ok and res <= ctl.tol_residual)
+    converged = bool(inner_ok and lam_ok and res <= ctl.tol_residual)
     if lam <= 0:
         raise RuntimeError("principal eigenvalue came out nonpositive")
     return EigenPair(lam, pair_phi, res, it, converged)

@@ -261,6 +261,14 @@ def discrete_hessian(u, node, directions=None):
     return out
 
 
+# envelope operators: how F reduces its candidate stencils, and how the
+# active one is picked (the first on ties)
+ENVELOPES = {
+    "hjb_inf": (np.minimum, np.argmin), "pucci_minus": (np.minimum, np.argmin),
+    "hjb_sup": (np.maximum, np.argmax), "pucci_plus": (np.maximum, np.argmax),
+}
+
+
 class Scheme:
     """Vectorized interior-node evaluation of the monotone discretization.
 
@@ -288,6 +296,12 @@ class Scheme:
             self._tables = tuple(self._sample_diag(c) for c in spec.family)
         else:
             self._tables = ()
+        # stencil directions of the policy weights (see policy)
+        names = tuple(name for name, _ in _direction_set(grid.dim))
+        self.directions = names if v in ("pucci_plus", "pucci_minus") \
+            else names[:grid.dim]
+        if v == "linear_trace":
+            self._fixed_policy = dict(zip(self.directions, self._tables[0]))
 
     def _sample_diag(self, coeff):
         """Per-axis diagonal coefficient samples at interior nodes.
@@ -406,28 +420,11 @@ class Scheme:
             if self.dim == 2:
                 out = out + d[1] * k["y"]
             return out
-        if var in ("hjb_inf", "hjb_sup"):
-            vals = []
-            for d in self._tables:
-                t = d[0] * k["x"]
-                if self.dim == 2:
-                    t = t + d[1] * k["y"]
-                vals.append(t)
-            red = np.minimum.reduce if var == "hjb_inf" else np.maximum.reduce
-            return red(vals)
-        if var in ("pucci_plus", "pucci_minus"):
-            lam, Lam = self.spec.lam, self.spec.Lam
-            if var == "pucci_plus":
-                def env(c):
-                    return Lam * np.maximum(c, 0.0) - lam * np.maximum(-c, 0.0)
-                red = np.maximum
-            else:
-                def env(c):
-                    return lam * np.maximum(c, 0.0) - Lam * np.maximum(-c, 0.0)
-                red = np.minimum
-            if self.dim == 1:
-                return env(k["x"])
-            return red(env(k["x"]) + env(k["y"]), env(k["d1"]) + env(k["d2"]))
+        if var in ENVELOPES:
+            _, values = self._candidates(k)
+            if len(values) == 1:
+                return values[0]
+            return ENVELOPES[var][0].reduce(values)
         if var == "p_laplacian":
             p = self.spec.p
             if self.dim == 1:
@@ -441,6 +438,58 @@ class Scheme:
                 out = np.where(n2 > 0, tr + (p - 2.0) * quad / np.where(n2 > 0, n2, 1.0), tr)
             return out
         raise TypeError("operator variant %r has no grid scheme" % var)
+
+    def _candidates(self, k):
+        """The linear stencils an envelope picks from, at curvatures k.
+
+        Returns (weights, values): per candidate a dict of interior
+        weights by direction and its value sum_d w_d k_d.  A Bellman
+        candidate is a family member.  A Pucci candidate takes, per
+        direction, the slope Lam or lam of its envelope on the sign of k_d
+        (k_d <= 0 gets the slope of the negative side); in 2-D the axis
+        pair and the diagonal pair are the two candidates.
+        """
+        var = self.spec.variant
+        if var in ("hjb_inf", "hjb_sup"):
+            weights = [dict(zip(self.directions, d)) for d in self._tables]
+        else:
+            lam, Lam = self.spec.lam, self.spec.Lam
+            up, down = (Lam, lam) if var == "pucci_plus" else (lam, Lam)
+            w = {name: np.where(k[name] > 0.0, up, down) for name in k}
+            weights = [w] if self.dim == 1 else \
+                [{"x": w["x"], "y": w["y"]}, {"d1": w["d1"], "d2": w["d2"]}]
+        values = []
+        for w in weights:
+            names = iter(w)
+            first = next(names)
+            t = w[first] * k[first]
+            for name in names:
+                t = t + w[name] * k[name]
+            values.append(t)
+        return weights, values
+
+    def policy(self, v):
+        """Active policy at v: interior weights w_d per stencil direction.
+
+        F(v) == sum_d w_d * k_d exactly, with k_d the second differences
+        along self.directions: the candidate of _candidates that attains
+        the envelope, the others weighing 0.  That is the arg-min
+        (hjb_inf, pucci_minus) or arg-max (hjb_sup, pucci_plus); ties go
+        to the first candidate (the first family member, the axis pair).
+        A linear trace has one policy, returned as the same object on
+        every call.
+        """
+        var = self.spec.variant
+        if var == "linear_trace":
+            return self._fixed_policy
+        if var not in ENVELOPES:
+            raise TypeError("operator variant %r has no policy form" % var)
+        weights, values = self._candidates(self.second_differences(v))
+        if len(weights) == 1:
+            return weights[0]
+        pick = ENVELOPES[var][1](values, axis=0)
+        return {name: np.choose(pick, [w.get(name, 0.0) for w in weights])
+                for name in self.directions}
 
     def residual_interior(self, v, a_int, q):
         """g * F_h + a u^q at interior nodes (v must be >= 0 there)."""

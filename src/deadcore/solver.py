@@ -4,10 +4,11 @@ The existence construction is mirrored discretely: a subsolution
 eps * phi+(ball) supported on a ball inside {a > 0}, a supersolution
 k * psi built from the Dirichlet problem with right-hand side -||a||_inf,
 and an iteration in between.  The reaction is split a = a+ - a-.  For
-gamma = 0 and a linear trace F the discrete operator is a sparse matrix
-L, and `solve` runs Sattinger's monotone iteration
--L u_{k+1} + a- u_{k+1}^q = a+ u_k^q with Newton inner solves; its step
-count does not grow with the grid.  Otherwise (or with
+gamma = 0 and a linear trace, Pucci or Bellman F the discrete operator is
+F_h(u) = L_alpha(u) u over sparse policy matrices, and `solve` runs
+Sattinger's monotone iteration -F_h(u_{k+1}) + a- u_{k+1}^q = a+ u_k^q
+with Howard policy iteration around Newton inner solves; its step count
+does not grow with the grid.  Otherwise (gamma > 0, the p-Laplacian, or
 IterationControl(method='explicit')) it runs pseudo-time relaxation, with
 the damping part a- u^q treated implicitly (the q - 1 power makes the
 explicit form stiff near u = 0).  Iterates are clamped at 0, which is
@@ -17,13 +18,12 @@ itself a solution.
 from dataclasses import dataclass
 import threading
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grids import Grid, GridFunction, WeightField, Scheme, residual_field
 from .dirichlet import (IterationControl, RhsProblem, RhsReport, SolveError,
-                        solve_rhs, sup_norm, _use_matrix_path,
-                        _interior_trace_matrix)
+                        PolicyMatrix, PERMC, solve_rhs, sup_norm,
+                        _same_policy, _use_matrix_path)
 from .eigen import EigenControl, principal_eigenpair
 
 __all__ = [
@@ -151,23 +151,18 @@ def _ball_mask(grid, ball):
 
 
 def extend_ball_function(grid, ball_pair, ball):
-    """Interpolate a ball eigenfunction onto the host grid, 0 outside."""
+    """Inject a ball eigenfunction into the host grid, 0 outside.
+
+    The ball sub-grid is snapped to host nodes (_ball_grid), so the
+    transfer is a slice copy of the sub-grid values, clamped at 0.
+    """
     _norm_ball(grid, ball)
     sub = ball_pair.phi_plus.grid
+    start = [int(round((lo - glo) / hk)) for (lo, _), (glo, _), hk
+             in zip(sub.bounds, grid.bounds, grid.h)]
     vals = np.zeros(grid.shape)
-    # mask with the snapped sub-grid bounds: node-exact transfer
-    mask = _ball_mask(grid, sub.bounds)
-    if grid.dim == 1:
-        x = grid.axis(0)
-        vals[mask] = np.interp(x[mask], sub.axis(0), ball_pair.phi_plus.values)
-    else:
-        from scipy.interpolate import RegularGridInterpolator
-        interp = RegularGridInterpolator((sub.axis(0), sub.axis(1)),
-                                         ball_pair.phi_plus.values)
-        X, Y = grid.coords()
-        pts = np.column_stack([X[mask], Y[mask]])
-        vals[mask] = interp(pts)
-    vals = np.maximum(vals, 0.0)
+    vals[tuple(slice(i, i + m) for i, m in zip(start, sub.shape))] = \
+        np.maximum(ball_pair.phi_plus.values, 0.0)
     return GridFunction(grid, vals)
 
 
@@ -295,28 +290,31 @@ def _implicit_damping(w, c, q):
     return z
 
 
-# Newton steps allowed per outer step of the monotone iteration
+# sparse solves allowed per outer step of the monotone iteration
 INNER_CAP = 30
 
 
-def _newton_inner(A, a_minus, b, z, q, zeta, tol):
-    """Solve A z + a- z^q = b (A = -L, an M-matrix) for z >= 0 by Newton.
+def _newton_inner(op, a_minus, b, z, q, tol, cap):
+    """Solve A z + a- z^q = b (A = op.A = -L_alpha, an M-matrix) for z >= 0.
 
-    The map is concave in z, so its tangent at any anchor t > 0 lies above
-    it, and the linear solve of  A y + a- (t^q + q t^(q-1) (y - t)) = b
-    gives, clamped at 0, a subsolution.  Once the iterate is a subsolution
-    (within 10 * tol), so is its nodewise (Jacobi) update, and the next
-    iterate is the pointwise max of the two and the linear solve: it stays
-    a subsolution and never decreases.  The anchor is the Jacobi value
-    there (the current value before that); where it is 0 the anchor is
-    zeta, the value at which the slope of a- z^q is a tenth of diag(A),
-    so the zero set ahead of a front can turn positive in one step rather
-    than one layer per step.  Stops at tol, when the residual stops
-    decreasing (the floating-point floor of A z), or after INNER_CAP steps.
+    Newton's method: the map is concave in z, so its tangent at any anchor
+    t > 0 lies above it, and the linear solve of
+    A y + a- (t^q + q t^(q-1) (y - t)) = b gives, clamped at 0, a
+    subsolution.  Once the iterate is a subsolution (within 10 * tol), so
+    is its nodewise (Jacobi) update, and the next iterate is the pointwise
+    max of the two and the linear solve: it stays a subsolution and never
+    decreases.  The anchor is the Jacobi value there (the current value
+    before that); where it is 0 the anchor is zeta, the value at which the
+    slope of a- z^q is a tenth of diag(A), so the zero set ahead of a
+    front can turn positive in one step rather than one layer per step.
+    Stops at tol, when the residual stops decreasing (the floating-point
+    floor of A z), or after cap sparse solves.  Returns (z, solves).
     """
-    Ad = A.diagonal()
+    A, Ad = op.A, op.diagonal()
+    zeta = (10.0 * q * a_minus / Ad) ** (1.0 / (1.0 - q))
     prev = np.inf
-    for _ in range(INNER_CAP):
+    solves = 0
+    while solves < cap:
         Az = A @ z
         g = Az + a_minus * z ** q - b
         rho = float(np.max(np.abs(g)))
@@ -331,33 +329,59 @@ def _newton_inner(A, a_minus, b, z, q, zeta, tol):
             low, t = 0.0, z
         t = np.maximum(np.where(t > 0.0, t, zeta), 1e-300)
         d = a_minus * q * t ** (q - 1.0)
-        y = spla.spsolve(A + sp.diags(d, format="csc"),
-                         b - a_minus * (1.0 - q) * t ** q)
+        y = spla.spsolve(op.shifted(d), b - a_minus * (1.0 - q) * t ** q,
+                         permc_spec=PERMC)
+        solves += 1
         z = np.maximum(y, low)
-    return z
+    return z, solves
+
+
+def _howard_inner(op, scheme, a_minus, b, v, q, tol):
+    """Solve -F_h(z) + a- z^q = b by policy iteration, z in v's interior.
+
+    The policy is fixed at the active one of the current z (F_h(z) =
+    L_alpha z exactly there) and -L_alpha z + a- z^q = b is solved by
+    _newton_inner; this repeats until the policy repeats, Newton has
+    nothing left to do at the new policy (the residual there is the true
+    one), or INNER_CAP sparse solves in all.  A linear trace has one
+    policy, so it takes a single round.  Updates v in place.
+    """
+    z_int = scheme.grid.interior(v)
+    budget = INNER_CAP
+    w = scheme.policy(v)
+    while budget > 0:
+        op.set_policy(w)
+        z, solves = _newton_inner(op, a_minus, b, z_int.ravel(), q, tol, budget)
+        if solves == 0:
+            break
+        budget -= solves
+        z_int[...] = z.reshape(z_int.shape)
+        w_next = scheme.policy(v)
+        if _same_policy(w_next, w):
+            break
+        w = w_next
 
 
 def _relax_monotone(problem, scheme, vals, ctl, bracket):
-    """Sattinger's monotone iteration for gamma = 0 and a linear trace F.
+    """Sattinger's monotone iteration for gamma = 0 and a policy-form F.
 
-    Outer step k solves  -L u_{k+1} + a- u_{k+1}^q = a+ u_k^q  (L the
-    interior matrix of the scheme) by _newton_inner, warm-started from
-    u_k, to 0.1 * tolerance; it stops once the interior residual
-    L u + a u^q is at most ctl.tolerance, or at a floating-point fixed
-    point.  An inner subsolution above u_k is a subsolution of the
-    reaction problem, so from the subsolution the outer iterates increase
-    inside the (subsolution, supersolution) bracket whether or not an
-    inner solve finished.  At most INNER_CAP = 30 Newton steps (one sparse
-    solve each) per outer step.
+    Outer step k solves  -F_h(u_{k+1}) + a- u_{k+1}^q = a+ u_k^q  by
+    _howard_inner (Howard's policy iteration around Newton), warm-started
+    from u_k, to 0.1 * tolerance; it stops once the interior residual
+    F_h(u) + a u^q is at most ctl.tolerance, or at a floating-point fixed
+    point.  Every policy matrix is an M-matrix, so the inner map stays
+    strictly monotone and, from the subsolution, the outer iterates
+    increase inside the (subsolution, supersolution) bracket.  At most
+    INNER_CAP = 30 sparse solves per outer step.
     Updates vals in place; returns the number of outer steps.
     """
     grid, q = problem.grid, problem.q
-    A = (-_interior_trace_matrix(scheme)).tocsc()
+    op = PolicyMatrix(scheme)
     a_int = grid.interior(problem.weight.samples)
     a_plus = grid.interior(problem.weight.a_plus).ravel()
     a_minus = grid.interior(problem.weight.a_minus).ravel()
-    zeta = (10.0 * q * a_minus / A.diagonal()) ** (1.0 / (1.0 - q))
     u_int = grid.interior(vals)
+    work = vals.copy()
 
     steps = 0
     for steps in range(1, ctl.max_steps + 1):
@@ -366,12 +390,12 @@ def _relax_monotone(problem, scheme, vals, ctl, bracket):
             raise SolveError("non-finite residual at step %d" % steps)
         if rsup <= ctl.tolerance:
             break
-        u = u_int.ravel()
-        z = _newton_inner(A, a_minus, a_plus * u ** q, u, q, zeta,
-                          0.1 * ctl.tolerance)
-        if np.array_equal(z, u):
+        work[...] = vals
+        _howard_inner(op, scheme, a_minus, a_plus * u_int.ravel() ** q, work,
+                      q, 0.1 * ctl.tolerance)
+        if np.array_equal(work, vals):
             break
-        u_int[...] = z.reshape(u_int.shape)
+        vals[...] = work
         if ctl.debug and bracket is not None:
             assert np.all(vals >= bracket[0].values - 1e-12)
             assert np.all(vals <= bracket[1].values + 1e-12)
@@ -468,11 +492,11 @@ def solve(problem, init="zero", ctl=None, ball=None, u0=None,
     at zero; with init='subsolution' the report carries the
     (subsolution, supersolution) bracket and, in debug mode, ordering is
     asserted every step.  ctl.method picks the iteration: for gamma = 0
-    and a linear trace F, 'auto' (or 'direct') runs the monotone
-    Sattinger-Newton iteration of _relax_monotone, whose step count does
-    not grow with the grid; 'explicit', and every other problem, runs
-    explicit pseudo-time relaxation.  A non-finite residual raises
-    SolveError naming the step.
+    and a linear trace, Pucci or Bellman F, 'auto' runs the monotone
+    Sattinger-Howard-Newton iteration of _relax_monotone, whose step count
+    does not grow with the grid ('direct' does so for a linear trace
+    only); 'explicit', and every other problem, runs explicit pseudo-time
+    relaxation.  A non-finite residual raises SolveError naming the step.
     """
     ctl = ctl or IterationControl()
     grid = problem.grid

@@ -192,3 +192,23 @@ def test_threshold_no_flip_report():
     assert rep.estimate is None
     assert all(r.verdict in ("positive_interior", "positivity_cone")
                for r in rep.probes)
+
+
+def test_threshold_subsolution_error_is_an_anomaly():
+    # a constant weight c has no subsolution for c <= 0: those probes
+    # stay 'trivial' and each one is named in the anomalies
+    g = Grid.interval(0.0, 1.0, 39)
+
+    def family(c):
+        return ProblemSpec(g, SPEC1, 0.0, 0.5, WeightField.constant(g, c))
+
+    rep = estimate_threshold(family, "c", (-1.0, 1.0), (0.2, 0.8),
+                             ctl=IterationControl(tolerance=1e-6), probes=4,
+                             bisect_steps=1)
+    failed = [r for r in rep.probes if r.value <= 0]
+    assert failed and all(r.verdict == "trivial" for r in failed)
+    errors = [a for a in rep.anomalies if "SubsolutionError" in a]
+    assert len(errors) == len(failed)
+    for r, a in zip(failed, errors):
+        assert a.startswith("c = %.17g: " % r.value)
+        assert "positive set of the weight" in a

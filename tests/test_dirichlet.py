@@ -5,6 +5,8 @@ import pytest
 
 from deadcore import (Grid, GridFunction, OperatorSpec, IterationControl,
                       RhsProblem, SolveError, solve_rhs, sup_norm)
+from deadcore.dirichlet import PolicyMatrix
+from deadcore.grids import Scheme
 
 
 def _const_rhs(grid, c):
@@ -125,3 +127,98 @@ def test_non_finite_residual_stops_at_once():
                    _const_rhs(g, -1e300))
     with pytest.raises(SolveError, match="non-finite residual at step"):
         solve_rhs(p, IterationControl(max_steps=20_000))
+
+
+# --- Howard policy iteration (gamma = 0, trace / Pucci / Bellman) ----------
+
+def _policy_specs(dim):
+    fam = (np.eye(dim), 2.0 * np.eye(dim))
+    return (OperatorSpec.pucci_plus(1.0, 2.0), OperatorSpec.pucci_minus(1.0, 2.0),
+            OperatorSpec.hjb_inf(fam, 1.0, 2.0), OperatorSpec.hjb_sup(fam, 1.0, 2.0))
+
+
+def _grid(dim):
+    return Grid.interval(0.0, 2.0, 39) if dim == 1 else \
+        Grid.rectangle(0.0, 2.0, 0.0, 1.0, 19, 9)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_policy_matrix_is_the_scheme(dim):
+    # -A u == F_h(u) at the active policy of u, up to round-off
+    rng = np.random.default_rng(41)
+    g = _grid(dim)
+    for spec in _policy_specs(dim) + (OperatorSpec.linear_trace(np.eye(dim)),):
+        sch = Scheme(g, spec, 0.0)
+        op = PolicyMatrix(sch)
+        for _ in range(3):
+            v = GridFunction(g, rng.standard_normal(g.shape)).values
+            A = op.set_policy(sch.policy(v))
+            F = sch.F(v)
+            got = -(A @ g.interior(v).ravel()).reshape(F.shape)
+            assert np.max(np.abs(got - F)) <= 1e-13 * np.max(np.abs(F))
+            d = rng.random(A.shape[0])
+            M = op.shifted(d)
+            assert np.array_equal(M.diagonal(), A.diagonal() + d)
+            off = [X.toarray() for X in (M, A)]
+            for X in off:
+                np.fill_diagonal(X, 0.0)
+            assert np.array_equal(off[0], off[1])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_howard_solve_rhs_parity(dim):
+    # Howard against the explicit loop: same solution within 2 * tol, in a
+    # handful of policy evaluations
+    g = _grid(dim)
+    rng = np.random.default_rng(43)
+    f = GridFunction(g, -np.abs(rng.standard_normal(g.shape)) + 0.3,
+                     dirichlet=False)
+    tol = 1e-9
+    for spec in _policy_specs(dim):
+        p = RhsProblem(g, spec, 0.0, f)
+        howard = solve_rhs(p, IterationControl(tolerance=tol))
+        explicit = solve_rhs(p, IterationControl(tolerance=tol, method="explicit"))
+        assert howard.converged and explicit.converged
+        assert howard.residual_sup <= tol
+        assert howard.steps <= 8 < explicit.steps
+        diff = np.max(np.abs(howard.solution.values - explicit.solution.values))
+        assert diff <= 2 * tol
+
+
+def test_howard_policy_evaluations_capped():
+    # a dozen policy evaluations at most (the explicit loop takes O(n^2)
+    # steps), and u0 seeds the first policy
+    for spec in _policy_specs(2):
+        steps = []
+        for n in (19, 39, 79):
+            g = Grid.rectangle(0.0, 2.0, 0.0, 1.0, n, n // 2)
+            rep = solve_rhs(RhsProblem(g, spec, 0.0, _const_rhs(g, -1.0)))
+            assert rep.converged
+            steps.append(rep.steps)
+        assert max(steps) <= 12
+        warm = solve_rhs(RhsProblem(g, spec, 0.0, _const_rhs(g, -1.0)),
+                         u0=rep.solution)
+        assert warm.converged and warm.steps == 1
+
+
+def test_howard_comparison_property():
+    # f1 <= f2 gives u1 >= u2 on the policy path (2-D wide stencil)
+    rng = np.random.default_rng(47)
+    g = Grid.rectangle(0.0, 2.0, 0.0, 1.0, 23, 11)
+    ctl = IterationControl(tolerance=1e-10)
+    for spec in _policy_specs(2):
+        base = -np.abs(rng.standard_normal(g.shape)) - 0.1
+        f1 = GridFunction(g, base, dirichlet=False)
+        f2 = GridFunction(g, base + np.abs(rng.standard_normal(g.shape)),
+                          dirichlet=False)
+        u1 = solve_rhs(RhsProblem(g, spec, 0.0, f1), ctl).solution
+        u2 = solve_rhs(RhsProblem(g, spec, 0.0, f2), ctl).solution
+        assert np.all(u1.values >= u2.values - 2e-10)
+
+
+def test_howard_max_steps_partial_report():
+    g = Grid.rectangle(0.0, 2.0, 0.0, 1.0, 19, 9)
+    p = RhsProblem(g, OperatorSpec.pucci_plus(1.0, 2.0), 0.0, _const_rhs(g, 1.0))
+    rep = solve_rhs(p, IterationControl(max_steps=1))
+    assert not rep.converged and rep.steps == 1
+    assert np.all(np.isfinite(rep.solution.values))

@@ -112,3 +112,15 @@ def test_refinement_cauchy_property():
         g = g.refine()
     diffs = [abs(lams[i] - lams[i + 1]) for i in range(3)]
     assert diffs[0] > diffs[1] > diffs[2]
+
+
+def test_inner_failure_reported():
+    # the lambda fit settles even though no inner solve reaches its
+    # tolerance in 5 steps; the pair must not claim convergence
+    g = Grid.interval(0.0, 1.0, 19)
+    ctl = EigenControl(tol_lambda=1e-4, tol_residual=np.inf,
+                       inner=IterationControl(tolerance=1e-8, max_steps=5))
+    pair = principal_eigenpair(g, SPEC1, 1.0, ctl)
+    assert not pair.converged
+    ctl.inner = IterationControl(tolerance=1e-8, max_steps=400_000)
+    assert principal_eigenpair(g, SPEC1, 1.0, ctl).converged

@@ -143,6 +143,34 @@ def test_scheme_degenerate_ellipticity_randomized():
             assert bumped >= base - 1e-12
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_scheme_policy_reproduces_F(dim):
+    # F(v) == sum_d w_d k_d exactly at the active policy, and the policy
+    # is deterministic (an all-tied field gets the same weights twice)
+    rng = np.random.default_rng(22)
+    g = Grid.interval(0.0, 1.0, 9) if dim == 1 else \
+        Grid.rectangle(0.0, 1.0, 0.0, 1.0, 7, 7)
+    fam = (np.eye(dim), np.diag([2.0, 1.0][:dim]), 1.5 * np.eye(dim))
+    specs = (OperatorSpec.pucci_plus(0.5, 2.0),
+             OperatorSpec.pucci_minus(0.5, 2.0),
+             OperatorSpec.linear_trace(np.eye(dim)),
+             OperatorSpec.hjb_inf(fam, 1.0, 2.0),
+             OperatorSpec.hjb_sup(fam, 1.0, 2.0))
+    for spec in specs:
+        sch = Scheme(g, spec, 0.0)
+        for v in [rng.standard_normal(g.shape) for _ in range(10)] + \
+                [np.zeros(g.shape)]:
+            w = sch.policy(v)
+            assert set(w) == set(sch.directions)
+            k = sch.second_differences(v)
+            total = w["x"] * k["x"]
+            for name in sch.directions[1:]:
+                total = total + w[name] * k[name]
+            assert np.array_equal(total, sch.F(v))
+        w0, w1 = sch.policy(np.zeros(g.shape)), sch.policy(np.zeros(g.shape))
+        assert all(np.array_equal(w0[d], w1[d]) for d in w0)
+
+
 def test_residual_zero_field():
     g = Grid.interval(0.0, 1.0, 9)
     w = WeightField.sinsplit(g, 1.0)

@@ -53,6 +53,25 @@ def test_eigenvalues_orthogonal_invariance():
                            eigenvalues(Y).eigenvalues, atol=1e-12 * X.frobenius() + 1e-13)
 
 
+def test_eigenvalues_known_spectra():
+    # 1x1, repeated eigenvalues and a rotated 3x3 with a double root
+    assert np.array_equal(eigenvalues(SymMatrix([[-2.5]])).eigenvalues, [-2.5])
+    assert np.allclose(eigenvalues(SymMatrix.identity(3) * 4.0).eigenvalues,
+                       [4.0, 4.0, 4.0], rtol=0, atol=1e-15)
+    e = eigenvalues(SymMatrix([[2.0, 1.0], [1.0, 2.0]])).eigenvalues
+    assert np.allclose(e, [1.0, 3.0], rtol=0, atol=1e-14)
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    for spec in ([-1.0, 2.0, 2.0], [-3.0, -3.0, 0.5], [0.0, 0.0, 1.0]):
+        X = SymMatrix(Q @ np.diag(spec) @ Q.T)
+        e = eigenvalues(X).eigenvalues
+        assert np.all(np.diff(e) >= 0)
+        assert np.allclose(e, sorted(spec), rtol=0, atol=1e-14)
+    e = eigenvalues(SymMatrix([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0],
+                               [0.0, 0.0, 3.0]])).eigenvalues
+    assert np.allclose(e, [-1.0, 3.0, 3.0], rtol=0, atol=1e-14)
+
+
 # --- Pucci extremes ------------------------------------------------------
 
 def test_pucci_identity():

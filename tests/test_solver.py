@@ -5,8 +5,9 @@ import pytest
 
 from deadcore import (Grid, GridFunction, WeightField, OperatorSpec,
                       IterationControl, ProblemSpec, SolveError,
-                      SubsolutionError, build_subsolution,
+                      SubsolutionError, ball_eigenpair, build_subsolution,
                       build_supersolution, solve, residual, sup_norm)
+from deadcore.solver import extend_ball_function
 
 SPEC1 = OperatorSpec.linear_trace(np.eye(1))
 
@@ -131,6 +132,13 @@ def test_solve_bracket_ordering_debug_mode():
     rep = solve(p, init="subsolution", ball=(0.2, 0.8),
                 ctl=IterationControl(tolerance=1e-6, debug=True))
     assert rep.converged
+    # the Howard path keeps the order too (2-D wide stencil)
+    g = Grid.rectangle(0.0, 2.0, 0.0, 1.0, 19, 9)
+    p = _problem(g, WeightField.sinsplit(g, 0.3).scaled(30.0),
+                 spec=OperatorSpec.pucci_plus(1.0, 2.0))
+    rep = solve(p, init="subsolution", ball=((0.2, 0.8), (0.2, 0.8)),
+                ctl=IterationControl(tolerance=1e-6, debug=True))
+    assert rep.converged
 
 
 def test_solve_generic_q_newton_damping():
@@ -165,6 +173,30 @@ def _parity(p, ball, tol=1e-8):
     return verdicts[0]
 
 
+def _policy_specs(dim):
+    fam = (np.eye(dim), 2.0 * np.eye(dim))
+    return (OperatorSpec.pucci_plus(1.0, 2.0), OperatorSpec.pucci_minus(1.0, 2.0),
+            OperatorSpec.hjb_inf(fam, 1.0, 2.0), OperatorSpec.hjb_sup(fam, 1.0, 2.0))
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_howard_parity_1d(index):
+    spec = _policy_specs(1)[index]
+    g = Grid.interval(0.0, 2.0, 39)
+    s = (0.3, 2.5)[index % 2]
+    _parity(_problem(g, WeightField.sinsplit(g, s).scaled(30.0), spec=spec),
+            (0.2, 0.8))
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_howard_parity_2d(index):
+    spec = _policy_specs(2)[index]
+    g = Grid.rectangle(0.0, 2.0, 0.0, 1.0, 19, 9)
+    s = (2.5, 0.3)[index % 2]
+    _parity(_problem(g, WeightField.sinsplit(g, s).scaled(30.0), spec=spec),
+            ((0.2, 0.8), (0.2, 0.8)))
+
+
 def test_monotone_parity_1d_positive():
     g = Grid.interval(0.0, 2.0, 79)
     p = _problem(g, WeightField.sinsplit(g, 0.3).scaled(30.0))
@@ -182,6 +214,30 @@ def test_monotone_parity_2d_rectangle():
     p = _problem(g, WeightField.sinsplit(g, 0.3).scaled(30.0),
                  spec=OperatorSpec.linear_trace(np.eye(2)))
     _parity(p, ((0.2, 0.8), (0.2, 0.8)))
+
+
+def test_extend_ball_function_is_injection():
+    # ball edges off the host nodes: phi+ lands on the snapped nodes
+    # unchanged, and everything else is 0
+    cases = ((Grid.interval(0.0, 2.0, 79), (0.23, 0.81)),
+             (Grid.rectangle(0.0, 2.0, 0.0, 1.0, 39, 19),
+              ((0.21, 0.79), (0.17, 0.83))))
+    for g, ball in cases:
+        p = _problem(g, WeightField.constant(g, 1.0),
+                     spec=OperatorSpec.linear_trace(np.eye(g.dim)))
+        pair = ball_eigenpair(p, ball)
+        phi = extend_ball_function(g, pair, ball).values
+        sub = pair.phi_plus.grid
+        idx = []
+        for k in range(g.dim):
+            x = g.axis(k)
+            lo, hi = sub.bounds[k]
+            idx.append(np.nonzero((x >= lo - 1e-12) & (x <= hi + 1e-12))[0])
+        on = np.ix_(*idx)
+        assert np.array_equal(phi[on], pair.phi_plus.values)
+        rest = np.ones(g.shape, dtype=bool)
+        rest[on] = False
+        assert np.all(phi[rest] == 0.0)
 
 
 @pytest.mark.parametrize("s", [0.2, 2.5])
@@ -233,6 +289,15 @@ def test_monotone_inner_work_is_capped(monkeypatch):
     g = Grid.interval(0.0, 2.0, 799)
     p = _problem(g, WeightField.sinsplit(g, 0.2).scaled(30.0))
     sub = build_subsolution(p, (0.1, 0.9))
+    rep = solve(p, init="given", u0=sub)
+    assert rep.converged
+    assert len(calls) <= solver_mod.INNER_CAP * rep.steps
+    # Howard rounds share the same budget
+    g = Grid.rectangle(0.0, 2.0, 0.0, 1.0, 39, 19)
+    p = _problem(g, WeightField.sinsplit(g, 0.3).scaled(30.0),
+                 spec=OperatorSpec.pucci_plus(1.0, 2.0))
+    sub = build_subsolution(p, ((0.2, 0.8), (0.2, 0.8)))
+    calls.clear()
     rep = solve(p, init="given", u0=sub)
     assert rep.converged
     assert len(calls) <= solver_mod.INNER_CAP * rep.steps
