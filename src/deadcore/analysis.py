@@ -294,6 +294,7 @@ class ThresholdReport:
         if self.final_bracket is not None:
             lines.append("final_bracket = %.17g,%.17g" % self.final_bracket)
             lines.append("estimate = %.17g" % self.estimate)
+        lines += ["anomaly = %s" % a for a in self.anomalies]
         return "\n".join(lines) + "\n"
 
 
@@ -304,7 +305,7 @@ def estimate_threshold(family, parameter, bracket, ball, ctl=None,
     `family(value) -> ProblemSpec`; each probe solves from the subsolution
     seeded on `ball` and classifies the result.  The initial `probes`
     equispaced verdicts are recorded (and checked for monotonicity), then
-    the flip interval is bisected at least `bisect_steps` times.  If the
+    the flip interval is bisected `bisect_steps` times.  If the
     endpoint verdicts agree a 'no_threshold' report is returned.  A probe
     whose subsolution cannot be built counts as 'trivial' and adds an
     `anomalies` entry naming the value and the error.
@@ -314,6 +315,8 @@ def estimate_threshold(family, parameter, bracket, ball, ctl=None,
         raise ValueError("degenerate bracket")
     if probes < 2:
         raise ValueError("need at least 2 probes")
+    if bisect_steps < 0:
+        raise ValueError("bisect_steps must be >= 0")
     report = ThresholdReport(parameter, (lo, hi))
 
     def probe(val):
@@ -348,7 +351,7 @@ def estimate_threshold(family, parameter, bracket, ball, ctl=None,
     blo, bhi = float(values[i]), float(values[i + 1])
     flo = flags[i]
 
-    for _ in range(max(bisect_steps, 8)):
+    for _ in range(bisect_steps):
         mid = 0.5 * (blo + bhi)
         rec = probe(mid)
         report.probes.append(rec)

@@ -1,13 +1,16 @@
 """Auxiliary Dirichlet problems |Du|^gamma F(x, D^2 u) = f, u = 0 on the boundary.
 
-For gamma = 0 and a linear trace, Pucci or Bellman F the scheme is a min
-or max over linear stencils, F_h(u) = L_alpha(u) u with the active policy
-alpha(u) of Scheme.policy, and every L_alpha is minus an M-matrix
-(PolicyMatrix).  solve_rhs runs Howard's policy iteration on it: solve
-L_alpha u = f by a sparse factorization, update the policy, repeat.  A
-linear trace is the one-policy case and takes one solve.  Every other
-problem (gamma > 0, the p-Laplacian, or IterationControl(method=
-'explicit')) is relaxed in explicit pseudo time under the CFL bound
+For a linear trace, Pucci or Bellman F the scheme is a min or max over
+linear stencils, F_h(u) = L_alpha(u) u with the active policy alpha(u) of
+Scheme.policy, and every L_alpha is minus an M-matrix (PolicyMatrix).
+solve_rhs runs Newton's method with Howard's policy step on
+g(u) F_h(u) = f, g the gradient factor, for every gamma >= 0: linearize
+at the policy active at the last iterate, solve the Jacobian system by a
+sparse factorization, repeat.  At gamma = 0 (g = 1) this is Howard's
+policy iteration, and a linear trace takes one solve.  When Newton stops
+decreasing the residual, and for every other problem (the p-Laplacian,
+or IterationControl(method='explicit')), the equation is relaxed in
+explicit pseudo time under the CFL bound
 
     dt <= safety * h^2 / (2 N Lam * max(g, h^gamma)),   g = |grad_h u|_delta^gamma,
 
@@ -16,7 +19,7 @@ degenerate regime.  Convergence is declared on the equation residual, not
 on the update size.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -38,10 +41,11 @@ class IterationControl:
     safety: float = 0.9
     method: str = "auto"     # auto | explicit | direct; selects the path in
                              # solve_rhs and solve: auto takes the policy-
-                             # matrix path (gamma = 0; trace, Pucci or
-                             # Bellman F) where it applies, direct demands
-                             # it for a linear trace only, explicit forces
-                             # relaxation
+                             # matrix path (trace, Pucci or Bellman F; any
+                             # gamma in solve_rhs, gamma = 0 in solve)
+                             # where it applies, direct demands it for
+                             # gamma = 0 and a linear trace only, explicit
+                             # forces relaxation
     zero_floor: float = 1e-16   # relative; reaction solves flush u below
                                 # zero_floor * sup(u) to exact zero
     debug: bool = False
@@ -95,15 +99,16 @@ PERMC = "MMD_AT_PLUS_A"
 def _use_matrix_path(method, gamma, spec):
     """Whether a solve takes the policy-matrix path for this operator.
 
-    For gamma = 0 and a trace, Pucci or Bellman F the discrete operator is
+    For a trace, Pucci or Bellman F the discrete operator is
     F_h(u) = L_alpha(u) u, the matrix of PolicyMatrix at the active policy
-    (one policy for a linear trace).  method='direct' keeps its meaning,
-    a linear trace only, and raises ValueError outside that class.
+    (one policy for a linear trace), for every gamma.  method='direct'
+    keeps its meaning, gamma = 0 and a linear trace only, and raises
+    ValueError outside that class.
     """
     if method == "direct" and not (gamma == 0.0
                                    and spec.variant == "linear_trace"):
         raise ValueError("direct method needs gamma = 0 and a trace operator")
-    return method == "direct" or (method == "auto" and gamma == 0.0
+    return method == "direct" or (method == "auto"
                                   and spec.variant in POLICY_VARIANTS)
 
 
@@ -138,22 +143,31 @@ class PolicyMatrix:
             cols[:, j] = nb.T @ strides
         # stored entries in CSR order: their row and stencil offset
         self._rows, slot = np.nonzero(inside)
-        center = next(j for j, o in enumerate(offs) if not o.any())
+        offs_list = [o.tolist() for o in offs]
+        center = offs_list.index([0] * g.dim)
         self._diag = np.nonzero(slot == center)[0]
         self._coef = {}
         for name, step in steps.items():
             he2 = float(sum((s * hk) ** 2 for s, hk in zip(step, g.h)))
             pair = (step.tolist(), (-step).tolist())
-            c = np.array([1.0 / he2 if o.tolist() in pair else 0.0
-                          for o in offs])
+            c = np.array([1.0 / he2 if o in pair else 0.0 for o in offs_list])
             c[center] = -2.0 / he2
             self._coef[name] = c[slot]
         indptr = np.concatenate(([0], np.cumsum(inside.sum(axis=1))))
         pattern = (cols[inside], indptr.astype(np.intc))
         self.A = sp.csr_matrix((np.zeros(len(slot)),) + pattern,
                                shape=(size, size))
-        self._shifted = sp.csr_matrix((np.zeros(len(slot)),) + pattern,
-                                      shape=(size, size))
+        self._work = sp.csr_matrix((np.zeros(len(slot)),) + pattern,
+                                   shape=(size, size))
+        # per axis: the stored entries at the +e_k and -e_k slots, their
+        # rows, and h_k (the derivative of the gradient factor lives there)
+        self._axes = []
+        for k, hk in enumerate(g.h):
+            e = np.eye(g.dim, dtype=int)[k].tolist()
+            plus = np.nonzero(slot == offs_list.index(e))[0]
+            minus = np.nonzero(slot == offs_list.index([-i for i in e]))[0]
+            self._axes.append((plus, self._rows[plus], minus,
+                               self._rows[minus], hk))
         self._w = None
 
     def set_policy(self, w):
@@ -171,26 +185,56 @@ class PolicyMatrix:
 
     def shifted(self, d):
         """A + diag(d), written into a second matrix (A is kept)."""
-        self._shifted.data[...] = self.A.data
-        self._shifted.data[self._diag] += d
-        return self._shifted
+        self._work.data[...] = self.A.data
+        self._work.data[self._diag] += d
+        return self._work
+
+    def newton(self, g, cF, slopes):
+        """-J = diag(g) A - diag(cF) D, written into the second matrix.
+
+        J is the Jacobian of g(u) F_h(u) at the policy set in A, where
+        F_h(u) = -A u and g = grad_factor(u); (g, c, slopes) come from
+        Scheme.grad_factor_parts, cF = c * F_h(u), and D is the derivative
+        of the summed squared one-sided slopes: f_k / h_k at the +e_k slot,
+        -b_k / h_k at the -e_k slot and sum_k (b_k - f_k) / h_k at the
+        centre.  When g = 1 and cF = 0 the result is A bit for bit.
+        """
+        data = self._work.data
+        np.multiply(self.A.data, g.ravel()[self._rows], out=data)
+        cF = cF.ravel()
+        centre = 0.0
+        for (plus, prow, minus, mrow, hk), (f, b) in zip(self._axes, slopes):
+            up = cF * f.ravel() / hk
+            down = cF * b.ravel() / hk
+            data[plus] -= up[prow]
+            data[minus] += down[mrow]
+            centre = centre + (down - up)
+        data[self._diag] -= centre
+        return self._work
 
 
 def _same_policy(w1, w2):
     return w1 is w2 or all(np.array_equal(w1[k], w2[k]) for k in w1)
 
 
-def _solve_howard(p, ctl, u0):
-    """Howard's policy iteration for F_h(u) = f, gamma = 0.
+def _solve_newton(p, ctl, u0):
+    """Newton-Howard iteration for G(u) = g(u) F_h(u) - f = 0, any gamma.
 
-    Each step solves L_alpha u = f at the policy alpha active at the last
-    iterate (at u0 first, or at 0).  It stops once the residual F_h(u) - f
-    is at most ctl.tolerance; tied policies may still flip there, so the
-    policy repeating is not the test.  A repeated policy above the
-    tolerance is a floating-point fixed point: converged=False.
+    Each step linearizes G at the last iterate u_k (u0 first, or 0): the
+    active policy alpha fixes F_h = L_alpha exactly there, and with
+    Dg = d grad_factor / du the Jacobian is J = diag(g) L_alpha +
+    diag(F_h) Dg (PolicyMatrix.newton).  The step solves
+    J u_{k+1} = f + F_h(u_k) (Dg u_k).  For gamma = 0 (g = 1, Dg = 0) this
+    is Howard's policy iteration, L_alpha u_{k+1} = f.  `steps` counts
+    the sparse solves; the loop stops once |G(u)| <= ctl.tolerance, at a
+    floating-point fixed point (the step returns u_k itself; converged
+    then says whether u_k meets the tolerance), or, when max|G| stops
+    decreasing from one step to the next, hands the iterate to the
+    explicit loop for the remaining steps.  The first step is exempt:
+    from 0 it overshoots by about delta^-gamma.
     """
     grid = p.grid
-    scheme = Scheme(grid, p.spec, 0.0)
+    scheme = Scheme(grid, p.spec, p.gamma)
     op = PolicyMatrix(scheme)
     vals = np.zeros(grid.shape)
     u_int = grid.interior(vals)
@@ -198,38 +242,56 @@ def _solve_howard(p, ctl, u0):
         u_int[...] = grid.interior(u0.values if isinstance(u0, GridFunction)
                                    else np.asarray(u0, dtype=float))
     f_int = grid.interior(p.f.values)
-    w = scheme.policy(vals)
-    steps, rsup = 0, np.inf
+    g, c, slopes = scheme.grad_factor_parts(vals)
+    F = scheme.F(vals)
+    rsup = float(np.abs(g * F - f_int).max())
+    steps, prev = 0, np.inf
     for steps in range(1, ctl.max_steps + 1):
-        u_int[...] = spla.spsolve(op.set_policy(w), -f_int.ravel(),
-                                  permc_spec=PERMC).reshape(u_int.shape)
-        rsup = float(np.max(np.abs(scheme.F(vals) - f_int)))
+        cF = c * F
+        dgu = sum(f * f + b * b for f, b in slopes)   # (Dg u_k) / c
+        op.set_policy(scheme.policy(vals))
+        new = spla.spsolve(op.newton(g, cF, slopes), -(f_int + cF * dgu).ravel(),
+                           permc_spec=PERMC).reshape(u_int.shape)
+        if np.array_equal(new, u_int):
+            break
+        u_int[...] = new
+        g, c, slopes = scheme.grad_factor_parts(vals)
+        F = scheme.F(vals)
+        rsup = float(np.abs(g * F - f_int).max())
         if not np.isfinite(rsup):
             raise SolveError("non-finite residual at step %d" % steps)
         if rsup <= ctl.tolerance:
             return RhsReport(GridFunction(grid, vals, dirichlet=False),
                              rsup, steps, True)
-        w_next = scheme.policy(vals)
-        if _same_policy(w_next, w):
-            break
-        w = w_next
+        if rsup >= prev and steps < ctl.max_steps:
+            rest = _relax_rhs(p, replace(ctl, max_steps=ctl.max_steps - steps),
+                              vals)
+            rest.steps += steps
+            return rest
+        prev = rsup
     return RhsReport(GridFunction(grid, vals, dirichlet=False),
-                     rsup, steps, False)
+                     rsup, steps, rsup <= ctl.tolerance)
 
 
 def solve_rhs(p, ctl=None, u0=None):
     """Solve |Du|^gamma F(x, D^2 u) = f with zero Dirichlet data.
 
-    `u0` seeds the relaxation, or on the policy path the first policy
-    (warm starts for nested iterations).  `steps` counts relaxation steps
-    or policy evaluations.  On step exhaustion the partial solution is
-    returned with converged=False; a non-finite residual raises
-    SolveError naming the step.
+    For a linear trace, Pucci or Bellman F (any gamma >= 0) this runs the
+    Newton-Howard iteration of _solve_newton; otherwise, or with
+    IterationControl(method='explicit'), explicit relaxation.  `u0` seeds
+    the iteration (warm starts for nested iterations).  `steps` counts
+    sparse solves and relaxation steps.  On step exhaustion the partial
+    solution is returned with converged=False; a non-finite residual
+    raises SolveError naming the step.
     """
     ctl = ctl or IterationControl()
     if _use_matrix_path(ctl.method, p.gamma, p.spec):
-        return _solve_howard(p, ctl, u0)
+        return _solve_newton(p, ctl, u0)
+    return _relax_rhs(p, ctl, u0)
 
+
+def _relax_rhs(p, ctl, u0):
+    """Explicit pseudo-time relaxation of solve_rhs from u0 (or 0)."""
     grid = p.grid
     scheme = Scheme(grid, p.spec, p.gamma)
     vals = np.zeros(grid.shape) if u0 is None else np.array(

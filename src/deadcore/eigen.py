@@ -1,7 +1,9 @@
 """Principal eigenpair of |D phi|^gamma F(x, D^2 phi) = -lambda phi^(gamma+1).
 
 Normalized inverse-power iteration: given phi_k with sup norm 1, solve the
-Dirichlet problem with right-hand side -(phi_k)^(gamma+1), fit lambda by
+Dirichlet problem with right-hand side -(phi_k)^(gamma+1) (solve_rhs,
+warm-started from the last solution: Newton-Howard for a trace, Pucci or
+Bellman F at every gamma, a few sparse solves each), fit lambda by
 least squares of -|grad u|^gamma F_h(u) against u^(gamma+1) over interior
 nodes (robust where u^(gamma+1) is tiny), and renormalize.  Iteration
 stops when lambda is relatively stationary and the eigen-residual meets

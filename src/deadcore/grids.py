@@ -381,17 +381,16 @@ class Scheme:
         removes it and, being smooth in the data, does not chatter under
         relaxation the way a hard one-sided max does.
         """
+        return tuple(0.5 * (f * f + b * b) for f, b in self.one_sided(v))
+
+    def one_sided(self, v):
+        """Per-axis (forward, backward) difference quotients at interior nodes."""
         h = self.h
         if self.dim == 1:
-            fwd = (v[2:] - v[1:-1]) / h[0]
-            bwd = (v[1:-1] - v[:-2]) / h[0]
-            return (0.5 * (fwd * fwd + bwd * bwd),)
+            return (((v[2:] - v[1:-1]) / h[0], (v[1:-1] - v[:-2]) / h[0]),)
         c = v[1:-1, 1:-1]
-        fx = (v[2:, 1:-1] - c) / h[0]
-        bx = (c - v[:-2, 1:-1]) / h[0]
-        fy = (v[1:-1, 2:] - c) / h[1]
-        by = (c - v[1:-1, :-2]) / h[1]
-        return (0.5 * (fx * fx + bx * bx), 0.5 * (fy * fy + by * by))
+        return (((v[2:, 1:-1] - c) / h[0], (c - v[:-2, 1:-1]) / h[0]),
+                ((v[1:-1, 2:] - c) / h[1], (c - v[1:-1, :-2]) / h[1]))
 
     def grad_factor(self, v, delta=None):
         """(|grad_h u|^2 + delta^2)^(gamma/2); exactly 1 when gamma = 0.
@@ -407,6 +406,26 @@ class Scheme:
         for mk in m2[1:]:
             n2 = n2 + mk
         return (n2 + d * d) ** (self.gamma / 2.0)
+
+    def grad_factor_parts(self, v):
+        """g = grad_factor(v) as an interior array, with its derivative.
+
+        Returns (g, c, slopes), slopes the per-axis one_sided quotients
+        (f_k, b_k) and c = (gamma / 2) s2^(gamma/2 - 1), s2 = |grad|^2 +
+        delta^2: dg_i / du_{i+e_k} = c f_k / h_k, dg_i / du_{i-e_k} =
+        -c b_k / h_k, and dg_i / du_i is minus the sum of those (g sees
+        differences only).  When gamma = 0, g = 1 and c = 0 exactly and
+        the slopes are zero arrays.
+        """
+        shape = tuple(n - 2 for n in v.shape)
+        if self.gamma == 0.0:
+            zero = np.zeros(shape)
+            return np.ones(shape), 0.0, ((zero, zero),) * self.dim
+        slopes = self.one_sided(v)
+        s2 = sum(0.5 * (f * f + b * b) for f, b in slopes) \
+            + self.delta * self.delta
+        return (s2 ** (self.gamma / 2.0),
+                0.5 * self.gamma * s2 ** (self.gamma / 2.0 - 1.0), slopes)
 
     # -- operator -------------------------------------------------------
 

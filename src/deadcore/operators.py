@@ -183,15 +183,18 @@ class OperatorSpec:
         return self.p - 2.0 if self.variant == "p_laplacian" else 0.0
 
     def key(self):
-        """Structural hash key (used to cache eigenpairs per operator)."""
+        """Structural hash key (used to cache eigenpairs per operator).
+
+        A callable enters the key itself, not its id(): the key keeps it
+        alive, so a later callable can never reuse its id and pick up this
+        operator's cache entries.
+        """
         def one(c):
-            if c is None:
-                return None
-            if callable(c):
-                return id(c)
+            if c is None or callable(c):
+                return c
             return np.asarray(c, dtype=float).tobytes()
         return (self.variant, self.lam, self.Lam, self.p, one(self.coeff),
-                tuple(one(c) for c in self.family), id(self.func) if self.func else None)
+                tuple(one(c) for c in self.family), one(self.func))
 
 
 def coeff_at(coeff, x):

@@ -12,7 +12,10 @@ does not grow with the grid.  Otherwise (gamma > 0, the p-Laplacian, or
 IterationControl(method='explicit')) it runs pseudo-time relaxation, with
 the damping part a- u^q treated implicitly (the q - 1 power makes the
 explicit form stiff near u = 0).  Iterates are clamped at 0, which is
-itself a solution.
+itself a solution.  The supersolution's Dirichlet problem and the ball
+eigenpair go through solve_rhs, which is Newton-Howard for a trace,
+Pucci or Bellman F at every gamma, so for gamma > 0 only the reaction
+loop itself is explicit.
 """
 
 from dataclasses import dataclass
@@ -260,6 +263,9 @@ def _deep_zeros(near):
     return m
 
 
+_FLOAT_MAX = np.finfo(float).max
+
+
 def _implicit_damping(w, c, q):
     """Solve z + c z^q = w (z >= 0) nodewise; the damping a- u^q backward step.
 
@@ -268,25 +274,40 @@ def _implicit_damping(w, c, q):
     iterate limit-cycles at extinction fronts).  Newton from
     z0 = w (1 + c w^(q-1))^(-1/q), which provably starts on the concave
     under side, so the iteration increases monotonically to the root.
+    The caller (solve) ignores divide, overflow and invalid floating-point
+    errors around its whole loop; non-finite roots come out as 0 (NaN) or
+    the largest float (+inf).
     """
     z = np.maximum(w, 0.0)
-    active = (z > 0.0) & (c > 0.0)
-    if not np.any(active):
+    idx = np.flatnonzero((z > 0.0) & (c > 0.0))
+    if not idx.size:
         return z
-    za, ca, wa = z[active], np.asarray(c, dtype=float), w[active]
-    if np.ndim(c):
-        ca = ca[active]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        beta = ca * za ** (q - 1.0)
-        za = za * (1.0 + beta) ** (-1.0 / q)
-        scale = 1e-16 * max(1.0, float(np.max(wa)))
-        for _ in range(30):
-            zq = za ** q
-            f = za + ca * zq - wa
-            za = za - f / (1.0 + ca * q * zq / za)
-            if np.max(np.abs(f)) <= scale:
-                break
-    z[active] = np.maximum(np.nan_to_num(za), 0.0)
+    zf = z.reshape(-1)
+    za, wa = zf[idx], w.reshape(-1)[idx]
+    ca = np.asarray(c, dtype=float)
+    if ca.ndim:
+        ca = ca.reshape(-1)[idx]
+    beta = ca * za ** (q - 1.0)
+    za = za * (1.0 + beta) ** (-1.0 / q)
+    scale = 1e-16 * max(1.0, float(wa.max()))
+    # Newton on za + ca za^q - wa in preallocated buffers; each line keeps
+    # the rounding of the plain expression (IEEE + is commutative)
+    caq = ca * q
+    zq, f, t = np.empty_like(za), np.empty_like(za), np.empty_like(za)
+    for _ in range(30):
+        np.power(za, q, out=zq)
+        np.multiply(ca, zq, out=f)
+        f += za
+        f -= wa                                 # f = za + ca zq - wa
+        np.multiply(caq, zq, out=t)
+        t /= za
+        t += 1.0
+        np.divide(f, t, out=t)
+        za -= t                                 # za - f / (1 + ca q zq / za)
+        if np.abs(f, out=t).max() <= scale:
+            break
+    # fmax drops NaN; + 0.0 turns -0.0 into +0.0, as np.maximum does
+    zf[idx] = np.minimum(np.fmax(za, 0.0), _FLOAT_MAX) + 0.0
     return z
 
 
@@ -500,7 +521,8 @@ def solve(problem, init="zero", ctl=None, ball=None, u0=None,
     """
     ctl = ctl or IterationControl()
     grid = problem.grid
-    monotone = _use_matrix_path(ctl.method, problem.gamma, problem.operator)
+    monotone = (_use_matrix_path(ctl.method, problem.gamma, problem.operator)
+                and problem.gamma == 0.0)
     scheme = Scheme(grid, problem.operator, problem.gamma)
 
     bracket = None
@@ -528,16 +550,18 @@ def solve(problem, init="zero", ctl=None, ball=None, u0=None,
     else:
         raise ValueError("unknown init %r" % init)
 
-    if monotone:
-        steps = _relax_monotone(problem, scheme, vals, ctl, bracket)
-    else:
-        blow_up = 10.0 * sup_norm(super_u) if super_u is not None else \
-            100.0 * max(1.0, float(np.max(vals)))
-        steps, rsup, blew_up = _relax_explicit(problem, scheme, vals, ctl,
-                                               bracket, blow_up)
-        if blew_up:
-            return SolveReport(GridFunction(grid, vals, dirichlet=False),
-                               rsup, steps, False, init)
+    # one error state for the whole loop (_implicit_damping relies on it)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if monotone:
+            steps = _relax_monotone(problem, scheme, vals, ctl, bracket)
+        else:
+            blow_up = 10.0 * sup_norm(super_u) if super_u is not None else \
+                100.0 * max(1.0, float(np.max(vals)))
+            steps, rsup, blew_up = _relax_explicit(problem, scheme, vals, ctl,
+                                                   bracket, blow_up)
+            if blew_up:
+                return SolveReport(GridFunction(grid, vals, dirichlet=False),
+                                   rsup, steps, False, init)
 
     u = GridFunction(grid, vals, dirichlet=False)
     rfield = residual(problem, u)

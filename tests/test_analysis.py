@@ -7,7 +7,7 @@ from deadcore import (Grid, GridFunction, WeightField, OperatorSpec,
                       IterationControl, ProblemSpec, classify, hopf_bound,
                       to_w, from_w, w_residual, barrier_check,
                       estimate_threshold, example_instance, solve,
-                      ball_eigenpair)
+                      ball_eigenpair, ThresholdReport)
 
 SPEC1 = OperatorSpec.linear_trace(np.eye(1))
 
@@ -212,3 +212,30 @@ def test_threshold_subsolution_error_is_an_anomaly():
     for r, a in zip(failed, errors):
         assert a.startswith("c = %.17g: " % r.value)
         assert "positive set of the weight" in a
+    # report.txt carries one line per anomaly, after the fixed fields
+    lines = rep.to_text().splitlines()
+    assert lines[-len(rep.anomalies):] == ["anomaly = %s" % a
+                                           for a in rep.anomalies]
+    clean = ThresholdReport("s", (0.0, 1.0), (0.25, 0.5), 0.375)
+    assert clean.to_text() == ("parameter = s\nbracket = 0,1\nstatus = ok\n"
+                               "monotone = True\nfinal_bracket = 0.25,0.5\n"
+                               "estimate = 0.375\n")
+
+
+def test_threshold_bisect_steps_exact():
+    # bisect_steps bisections exactly, no hidden minimum; negative raises
+    g = Grid.interval(0.0, 1.0, 39)
+
+    def family(c):
+        return ProblemSpec(g, SPEC1, 0.0, 0.5, WeightField.constant(g, c))
+
+    rep = estimate_threshold(family, "c", (-1.0, 1.0), (0.2, 0.8),
+                             ctl=IterationControl(tolerance=1e-6), probes=4,
+                             bisect_steps=3)
+    assert len(rep.probes) == 4 + 3
+    lo, hi = rep.final_bracket
+    assert hi - lo == pytest.approx((2.0 / 3.0) / 2 ** 3)
+    assert -1.0 / 3.0 <= lo < hi <= 1.0 / 3.0   # inside the flip interval
+    with pytest.raises(ValueError, match="bisect_steps"):
+        estimate_threshold(family, "c", (-1.0, 1.0), (0.2, 0.8), probes=4,
+                           bisect_steps=-1)

@@ -138,6 +138,18 @@ bracket = 1,1
     assert main(["sweep", "--config", cfg]) == 2
 
 
+def test_sweep_negative_bisect_steps_exit_2(tmp_path, monkeypatch, capsys):
+    cfg = _write(tmp_path / "sweep.ini", BASE_SOLVE + """
+[sweep]
+parameter = s
+bracket = 0,2
+bisect_steps = -1
+""")
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", cfg]) == 2
+    assert "bisect_steps" in capsys.readouterr().err
+
+
 def test_sweep_no_threshold_exit_3(tmp_path, monkeypatch):
     cfg = _write(tmp_path / "sweep.ini", BASE_SOLVE + """
 [sweep]

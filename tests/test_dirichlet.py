@@ -5,6 +5,7 @@ import pytest
 
 from deadcore import (Grid, GridFunction, OperatorSpec, IterationControl,
                       RhsProblem, SolveError, solve_rhs, sup_norm)
+from deadcore import dirichlet
 from deadcore.dirichlet import PolicyMatrix
 from deadcore.grids import Scheme
 
@@ -96,8 +97,9 @@ def test_homogeneity_transfer():
 def test_max_steps_partial_report():
     g = Grid.interval(0.0, 1.0, 49)
     p = RhsProblem(g, OperatorSpec.pucci_plus(1.0, 1.0), 1.0, _const_rhs(g, -1.0))
-    rep = solve_rhs(p, IterationControl(tolerance=1e-12, max_steps=10))
-    assert not rep.converged and rep.steps == 10
+    # Newton reaches 1e-13 in 10 steps here; 5 leave it short
+    rep = solve_rhs(p, IterationControl(tolerance=1e-12, max_steps=5))
+    assert not rep.converged and rep.steps == 5
     assert np.all(np.isfinite(rep.solution.values))
 
 
@@ -222,3 +224,74 @@ def test_howard_max_steps_partial_report():
     rep = solve_rhs(p, IterationControl(max_steps=1))
     assert not rep.converged and rep.steps == 1
     assert np.all(np.isfinite(rep.solution.values))
+
+
+# --- Newton-Howard for gamma > 0 -------------------------------------------
+
+def _newton_specs(dim):
+    fam = (np.eye(dim), 2.0 * np.eye(dim))
+    return (OperatorSpec.linear_trace(np.eye(dim)),
+            OperatorSpec.pucci_plus(1.0, 2.0), OperatorSpec.hjb_inf(fam, 1.0, 2.0))
+
+
+@pytest.mark.parametrize("dim,gamma", [(1, 0.5), (1, 1.0), (1, 2.0), (2, 1.0)])
+def test_newton_solve_rhs_parity(dim, gamma):
+    # Newton against the explicit loop on a sign-changing right-hand side:
+    # the same root within 2 * tol, in a few dozen sparse solves at most
+    g = Grid.interval(0.0, 2.0, 49) if dim == 1 else _grid(2)
+    rng = np.random.default_rng(53)
+    f = GridFunction(g, -np.abs(rng.standard_normal(g.shape)) + 0.3,
+                     dirichlet=False)
+    tol = 1e-9
+    for spec in _newton_specs(dim):
+        p = RhsProblem(g, spec, gamma, f)
+        newton = solve_rhs(p, IterationControl(tolerance=tol))
+        explicit = solve_rhs(p, IterationControl(tolerance=tol, method="explicit"))
+        assert newton.converged and explicit.converged
+        assert newton.residual_sup <= tol
+        assert newton.steps <= 25 < explicit.steps
+        diff = np.max(np.abs(newton.solution.values - explicit.solution.values))
+        assert diff <= 2 * tol
+
+
+def test_newton_steps_do_not_follow_the_grid():
+    # the first step from 0 overshoots by about delta^-gamma, so the count
+    # grows like log n, not like the explicit loop's n^2
+    for spec in _newton_specs(1):
+        for n in (49, 99, 199, 399, 799):
+            g = Grid.interval(0.0, 2.0, n)
+            rep = solve_rhs(RhsProblem(g, spec, 1.0, _const_rhs(g, -1.0)))
+            assert rep.converged and rep.steps <= 20
+
+
+def test_newton_comparison_property():
+    # f1 <= f2 <= 0 gives u1 >= u2 at gamma = 1
+    rng = np.random.default_rng(59)
+    ctl = IterationControl(tolerance=1e-10)
+    for g in (Grid.interval(0.0, 1.0, 49), _grid(2)):
+        for spec in _newton_specs(g.dim):
+            base = -np.abs(rng.standard_normal(g.shape)) - 0.1
+            f2 = np.minimum(base + np.abs(rng.standard_normal(g.shape)), 0.0)
+            u1, u2 = (solve_rhs(RhsProblem(g, spec, 1.0,
+                                           GridFunction(g, f, dirichlet=False)),
+                                ctl).solution for f in (base, f2))
+            assert np.all(u1.values >= u2.values - 2e-10)
+
+
+def test_newton_stall_hands_over_to_explicit(monkeypatch):
+    # a tolerance below the floating-point floor: Newton stops decreasing
+    # and the explicit loop spends the rest of the budget
+    budgets = []
+    relax = dirichlet._relax_rhs
+
+    def spy(p, ctl, u0):
+        budgets.append(ctl.max_steps)
+        return relax(p, ctl, u0)
+
+    monkeypatch.setattr(dirichlet, "_relax_rhs", spy)
+    g = Grid.interval(0.0, 1.0, 49)
+    p = RhsProblem(g, OperatorSpec.pucci_plus(1.0, 1.0), 1.0, _const_rhs(g, -1.0))
+    rep = solve_rhs(p, IterationControl(tolerance=1e-30, max_steps=40))
+    assert not rep.converged and rep.steps == 40
+    assert len(budgets) == 1 and 10 <= 40 - budgets[0] <= 20
+    assert rep.residual_sup <= 1e-12

@@ -1,5 +1,8 @@
 """Operator evaluation and structural-axiom checks."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -200,3 +203,18 @@ def test_axioms_strict_homogeneity_fails_for_pucci():
                        strict_homogeneity=True)
     assert not rep.passed
     assert rep.counterexample["axiom"] == "strict_homogeneity"
+
+
+def test_key_keeps_callables_alive():
+    # the key holds the coefficient itself: while a cached key exists its
+    # callable cannot be collected and its id() handed to another one
+    def coeff(x):
+        return np.eye(1)
+
+    ref = weakref.ref(coeff)
+    key = OperatorSpec.linear_trace(coeff, 1.0, 1.0).key()
+    del coeff
+    gc.collect()
+    assert ref() is not None and ref() in key
+    assert key == OperatorSpec.linear_trace(ref(), 1.0, 1.0).key()
+    assert key != OperatorSpec.linear_trace(lambda x: np.eye(1), 1.0, 1.0).key()

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from deadcore import (Grid, GridFunction, WeightField, OperatorSpec,
-                      IterationControl, ProblemSpec, SolveError,
+                      EigenControl, IterationControl, ProblemSpec, SolveError,
                       SubsolutionError, ball_eigenpair, build_subsolution,
-                      build_supersolution, solve, residual, sup_norm)
-from deadcore.solver import extend_ball_function
+                      build_supersolution, classify, example_instance,
+                      principal_eigenpair, solve, residual, sup_norm)
+from deadcore.solver import _implicit_damping, extend_ball_function
 
 SPEC1 = OperatorSpec.linear_trace(np.eye(1))
 
@@ -301,3 +302,70 @@ def test_monotone_inner_work_is_capped(monkeypatch):
     rep = solve(p, init="given", u0=sub)
     assert rep.converged
     assert len(calls) <= solver_mod.INNER_CAP * rep.steps
+
+
+def test_degenerate_example_auto_matches_explicit():
+    # gamma = 1: the supersolution and the ball eigenpair come from Newton
+    # solves under 'auto'; the reaction answer must not move
+    inst = example_instance(1.0, 0.8)
+    g = Grid.interval(*inst.domain, 79)
+    p = ProblemSpec(g, SPEC1, inst.gamma, inst.q, inst.weight_on(g))
+    tol = 1e-8
+    reps = [solve(p, init="subsolution", ball=(1.15, 1.95),
+                  ctl=IterationControl(tolerance=tol, method=m))
+            for m in ("auto", "explicit")]
+    assert all(r.converged for r in reps)
+    assert classify(reps[0].solution).verdict == \
+        classify(reps[1].solution).verdict == "dead_core"
+    assert np.max(np.abs(reps[0].solution.values
+                         - reps[1].solution.values)) <= 2 * tol
+    # the ball eigenpair itself, Newton against explicit inner solves
+    sub = Grid.interval(1.15, 1.95, 19)
+    pairs = [principal_eigenpair(sub, SPEC1, inst.gamma, EigenControl(
+        tol_lambda=1e-7, tol_residual=np.inf,
+        inner=IterationControl(tolerance=1e-8, max_steps=400_000, method=m)))
+        for m in ("auto", "explicit")]
+    assert pairs[0].lambda_plus == pytest.approx(pairs[1].lambda_plus, rel=1e-7)
+    assert np.max(np.abs(pairs[0].phi_plus.values
+                         - pairs[1].phi_plus.values)) <= 1e-7
+
+
+def _damping_reference(w, c, q):
+    # the formula _implicit_damping had before its per-call overhead was
+    # trimmed; the trimmed one must return the same bits
+    z = np.maximum(w, 0.0)
+    active = (z > 0.0) & (c > 0.0)
+    if not np.any(active):
+        return z
+    za, ca, wa = z[active], np.asarray(c, dtype=float), w[active]
+    if np.ndim(c):
+        ca = ca[active]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        beta = ca * za ** (q - 1.0)
+        za = za * (1.0 + beta) ** (-1.0 / q)
+        scale = 1e-16 * max(1.0, float(np.max(wa)))
+        for _ in range(30):
+            zq = za ** q
+            f = za + ca * zq - wa
+            za = za - f / (1.0 + ca * q * zq / za)
+            if np.max(np.abs(f)) <= scale:
+                break
+    z[active] = np.maximum(np.nan_to_num(za), 0.0)
+    return z
+
+
+def test_implicit_damping_bit_identical():
+    rng = np.random.default_rng(61)
+    odd = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, 1e300])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for trial in range(200):
+            shape = (37,) if trial % 2 else (9, 7)
+            w = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8)
+            c = np.abs(rng.standard_normal(shape)) * 10.0 ** rng.integers(-8, 8)
+            if trial % 3 == 0:
+                w.flat[rng.integers(0, w.size, 4)] = rng.choice(odd, 4)
+                c.flat[rng.integers(0, c.size, 4)] = rng.choice(odd, 4)
+            q = rng.choice([0.3, 0.5, 0.8, 0.95])
+            cc = c if trial % 5 else float(c.flat[0])
+            got = _implicit_damping(w, cc, q)
+            assert got.tobytes() == _damping_reference(w, cc, q).tobytes()
