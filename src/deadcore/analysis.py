@@ -17,10 +17,8 @@ from dataclasses import dataclass, field
 from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
-from .grids import GridFunction, Scheme
-from .dirichlet import sup_norm
-from .solver import (ProblemSpec, ball_eigenpair, build_subsolution,
-                     extend_ball_function, _ball_mask, _norm_ball, solve,
+from .grids import GridFunction, Scheme, _stencil_all_below
+from .solver import (extend_ball_function, _ball_mask, _norm_ball, solve,
                      SubsolutionError)
 from .operators import SymMatrix, evaluate_operator
 
@@ -46,22 +44,6 @@ class ClassificationReport:
                 "hopf_margin = %.6e\n" % (self.verdict,
                                           int(np.sum(self.dead_core_nodes)),
                                           self.interior_min, self.hopf_margin))
-
-
-def _stencil_all_below(near):
-    """Interior nodes whose full stencil (self + neighbors) is near zero."""
-    if near.ndim == 1:
-        ok = near[1:-1] & near[:-2] & near[2:]
-        out = np.zeros_like(near)
-        out[1:-1] = ok
-        return out
-    c = near[1:-1, 1:-1]
-    ok = (c & near[:-2, 1:-1] & near[2:, 1:-1]
-          & near[1:-1, :-2] & near[1:-1, 2:]
-          & near[:-2, :-2] & near[2:, 2:] & near[:-2, 2:] & near[2:, :-2])
-    out = np.zeros_like(near)
-    out[1:-1, 1:-1] = ok
-    return out
 
 
 def _boundary_margin(u):

@@ -19,14 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import Grid, GridFunction, WeightField, read_csv, write_csv
+from .grids import Grid, WeightField, read_csv, residual_field, write_csv
 from .dirichlet import IterationControl
 from .eigen import EigenControl, principal_eigenpair
 from .solver import ProblemSpec, SolveError, solve
 from .analysis import classify, estimate_threshold
-from .operators import OperatorSpec, check_axioms
+from .operators import OperatorSpec
 from .oracle import example_instance
-from .grids import residual_field
 
 COMMANDS = ("solve", "eigen", "classify", "sweep", "oracle-check")
 

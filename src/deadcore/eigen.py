@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridFunction, Scheme
-from .dirichlet import IterationControl, RhsProblem, solve_rhs, sup_norm
+from .dirichlet import IterationControl, RhsProblem, solve_rhs
 
 __all__ = ["EigenControl", "EigenPair", "principal_eigenpair", "eigen_residual"]
 

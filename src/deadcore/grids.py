@@ -524,6 +524,28 @@ def discrete_F(spec, u, node, gamma=0.0):
     return float(F[idx])
 
 
+def _stencil_all_below(near):
+    """Interior nodes whose whole 3^dim neighbourhood (diagonals included)
+    is True; boundary nodes are False.
+
+    The one neighbourhood AND of the package: classify's dead-core test,
+    and the explicit loop's zero flush on the interior padded with True
+    (boundary nodes are 0, hence below any floor).
+    """
+    if near.ndim == 1:
+        ok = near[1:-1] & near[:-2] & near[2:]
+        out = np.zeros_like(near)
+        out[1:-1] = ok
+        return out
+    c = near[1:-1, 1:-1]
+    ok = (c & near[:-2, 1:-1] & near[2:, 1:-1]
+          & near[1:-1, :-2] & near[1:-1, 2:]
+          & near[:-2, :-2] & near[2:, 2:] & near[:-2, 2:] & near[2:, :-2])
+    out = np.zeros_like(near)
+    out[1:-1, 1:-1] = ok
+    return out
+
+
 def residual_field(u, spec, gamma, q, weight):
     """Pointwise residual of |Du|^gamma F + a u^q as a GridFunction.
 

@@ -18,15 +18,16 @@ Pucci or Bellman F at every gamma, so for gamma > 0 only the reaction
 loop itself is explicit.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 import threading
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .grids import Grid, GridFunction, WeightField, Scheme, residual_field
-from .dirichlet import (IterationControl, RhsProblem, RhsReport, SolveError,
-                        PolicyMatrix, PERMC, solve_rhs, sup_norm,
-                        _same_policy, _use_matrix_path)
+from .grids import (Grid, GridFunction, WeightField, Scheme, residual_field,
+                    _stencil_all_below)
+from .dirichlet import (IterationControl, RhsProblem, SolveError, PolicyMatrix,
+                        PERMC, solve_rhs, sup_norm, _same_policy,
+                        _use_matrix_path)
 from .eigen import EigenControl, principal_eigenpair
 
 __all__ = [
@@ -113,19 +114,23 @@ def _ball_grid(grid, ball):
 
 
 def ball_eigenpair(problem, ball, eigen_ctl=None):
-    """Principal eigenpair of the problem's operator on a sub-ball (cached)."""
+    """Principal eigenpair of the problem's operator on a sub-ball.
+
+    Cached by grid, ball, gamma, operator and the fields of eigen_ctl, so
+    a call under other controls computes its own pair.
+    """
     ball = _norm_ball(problem.grid, ball)
+    if eigen_ctl is None:
+        eigen_ctl = EigenControl(tol_lambda=1e-7, tol_residual=np.inf,
+                                 inner=IterationControl(tolerance=1e-8,
+                                                        max_steps=400_000))
     key = (problem.grid.bounds, problem.grid.n, ball, problem.gamma,
-           problem.operator.key())
+           problem.operator.key(), astuple(eigen_ctl))
     with _eig_lock:
         hit = _eig_cache.get(key)
     if hit is not None:
         return hit
     sub = _ball_grid(problem.grid, ball)
-    if eigen_ctl is None:
-        eigen_ctl = EigenControl(tol_lambda=1e-7, tol_residual=np.inf,
-                                 inner=IterationControl(tolerance=1e-8,
-                                                        max_steps=400_000))
     pair = principal_eigenpair(sub, problem.operator, problem.gamma, eigen_ctl)
     with _eig_lock:
         _eig_cache[key] = pair
@@ -241,39 +246,28 @@ def build_supersolution(problem, ctl=None, margin=0.05, tol=1e-8):
     raise SolveError("could not verify the supersolution inequality")
 
 
-def _deep_zeros(near):
-    """Nodes whose whole neighborhood (incl. diagonals) is below the floor.
-
-    Missing neighbors at the interior edge are boundary nodes (value 0),
-    which count as below-floor, hence the unconstrained edges.
-    """
-    m = near.copy()
-    if near.ndim == 1:
-        m[1:] &= near[:-1]
-        m[:-1] &= near[1:]
-        return m
-    m[1:, :] &= near[:-1, :]
-    m[:-1, :] &= near[1:, :]
-    m[:, 1:] &= near[:, :-1]
-    m[:, :-1] &= near[:, 1:]
-    m[1:, 1:] &= near[:-1, :-1]
-    m[:-1, :-1] &= near[1:, 1:]
-    m[1:, :-1] &= near[:-1, 1:]
-    m[:-1, 1:] &= near[1:, :-1]
-    return m
-
-
 _FLOAT_MAX = np.finfo(float).max
+# Newton steps per _implicit_damping call
+DAMPING_ITERS = 30
 
 
-def _implicit_damping(w, c, q):
+def _implicit_damping(w, c, q, u=None, uq=None):
     """Solve z + c z^q = w (z >= 0) nodewise; the damping a- u^q backward step.
 
     Exact implicitness makes the time map's fixed point coincide with the
     zero-residual state (a semi-implicit factor evaluated at the old
     iterate limit-cycles at extinction fronts).  Newton from
-    z0 = w (1 + c w^(q-1))^(-1/q), which provably starts on the concave
-    under side, so the iteration increases monotonically to the root.
+    z0 = w (1 + c w^(q-1))^(-1/q), which for q < 1 provably starts on the
+    concave under side, so the iteration increases monotonically to the
+    root.  Where z0 underflows to 0 (a subnormal w next to a front) the
+    root is at the underflow threshold too, and the node is set to 0 up
+    front: Newton would turn 0/0 into NaN there, which came out as 0 only
+    after holding every node of the call at the step cap.  Given the last
+    iterate u and uq = u^q (q < 1), the start is max(z0, z1) with z1 one
+    Newton step from u, which costs no power: by concavity z1 lies on the
+    under side from either side of the root, and close to it when u is,
+    which saves Newton steps on a slowly moving iterate.  Stops once
+    max|z + c z^q - w| <= 1e-16 max(1, w) or after DAMPING_ITERS steps.
     The caller (solve) ignores divide, overflow and invalid floating-point
     errors around its whole loop; non-finite roots come out as 0 (NaN) or
     the largest float (+inf).
@@ -289,12 +283,26 @@ def _implicit_damping(w, c, q):
         ca = ca.reshape(-1)[idx]
     beta = ca * za ** (q - 1.0)
     za = za * (1.0 + beta) ** (-1.0 / q)
+    live = za > 0.0
+    if not live.all():
+        zf[idx[~live]] = 0.0
+        idx, za, wa = idx[live], za[live], wa[live]
+        if ca.ndim:
+            ca = ca[live]
+        if not idx.size:
+            return z
+    caq = ca * q
+    if u is not None and q < 1.0:
+        # one Newton step from u with the caller's u^q; fmax skips the
+        # NaN that 0/0 gives where u = 0
+        ua, uqa = u.reshape(-1)[idx], uq.reshape(-1)[idx]
+        np.fmax(za, ua - (ua + ca * uqa - wa) / (1.0 + caq * uqa / ua),
+                out=za)
     scale = 1e-16 * max(1.0, float(wa.max()))
     # Newton on za + ca za^q - wa in preallocated buffers; each line keeps
     # the rounding of the plain expression (IEEE + is commutative)
-    caq = ca * q
     zq, f, t = np.empty_like(za), np.empty_like(za), np.empty_like(za)
-    for _ in range(30):
+    for _ in range(DAMPING_ITERS):
         np.power(za, q, out=zq)
         np.multiply(ca, zq, out=f)
         f += za
@@ -426,7 +434,13 @@ def _relax_monotone(problem, scheme, vals, ctl, bracket):
 def _relax_explicit(problem, scheme, vals, ctl, bracket, blow_up):
     """Explicit pseudo-time relaxation under the per-node CFL bound.
 
-    The damping part a- u^q takes an exact backward substep.  Updates vals
+    The damping part a- u^q takes an exact backward substep
+    (_implicit_damping, warm-started from the current iterate).  Every 16
+    steps round-off-scale deep zeros are flushed to 0 and the iterate is
+    compared with the one 16 steps before: if they are equal the map has
+    entered a cycle, no later step can meet the tolerance (it is below the
+    floating-point floor of the residual), and the loop stops there with
+    the state max_steps would give for any multiple of 16.  Updates vals
     in place; returns (steps, residual of the last step, blew_up).
     """
     grid, q, gamma = problem.grid, problem.q, problem.gamma
@@ -447,6 +461,7 @@ def _relax_explicit(problem, scheme, vals, ctl, bracket, blow_up):
 
     steps = 0
     rsup = 0.0
+    snapshot = u_int.tobytes()
     for steps in range(1, ctl.max_steps + 1):
         if dt_const is not None:
             gF = scheme.F(vals)
@@ -482,7 +497,7 @@ def _relax_explicit(problem, scheme, vals, ctl, bracket, blow_up):
             s = 0.5 * (np.sqrt(c * c + 4.0 * np.maximum(w, 0.0)) - c)
             u_new = s * s
         else:
-            u_new = _implicit_damping(w, c, q)
+            u_new = _implicit_damping(w, c, q, u_int, uq)
         # flush round-off-scale values to exact zero: u = 0 is an unstable
         # solution wherever a > 0, and sub-floor seepage across a dead band
         # would re-seed it from values far below scheme accuracy.  Only
@@ -492,11 +507,13 @@ def _relax_explicit(problem, scheme, vals, ctl, bracket, blow_up):
         if steps % 16 == 0:
             sup = float(u_new.max())
             if ctl.zero_floor > 0.0:
-                near = u_new < ctl.zero_floor * sup
-                u_new[_deep_zeros(near)] = 0.0
-            if sup > blow_up:
+                near = np.pad(u_new < ctl.zero_floor * sup, 1,
+                              constant_values=True)
+                u_new[grid.interior(_stencil_all_below(near))] = 0.0
+            if sup > blow_up or u_new.tobytes() == snapshot:
                 u_int[...] = u_new
-                return steps, rsup, True
+                return steps, rsup, sup > blow_up
+            snapshot = u_new.tobytes()
         u_int[...] = u_new
         if ctl.debug and bracket is not None:
             assert np.all(vals >= bracket[0].values - 1e-12)

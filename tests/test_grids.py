@@ -6,7 +6,7 @@ import pytest
 from deadcore import (Grid, GridFunction, WeightField, OperatorSpec,
                       gradient, discrete_hessian, discrete_F,
                       residual_field, write_csv, read_csv)
-from deadcore.grids import Scheme
+from deadcore.grids import Scheme, _stencil_all_below
 
 
 def test_grid_spacing_exact():
@@ -209,6 +209,37 @@ def test_residual_reflection_symmetry():
     w = WeightField.from_callable(g, lambda x: np.cos(np.pi * (x - 1.0)))
     r = residual_field(u, OperatorSpec.pucci_plus(1.0, 2.0), 1.0, 0.5, w)
     assert np.allclose(r.values, r.values[::-1], atol=1e-12)
+
+
+def _deep_zeros(near):
+    # the explicit loop's former flush mask on interior arrays: missing
+    # neighbours at the edge are boundary nodes, which count as near zero
+    m = near.copy()
+    if near.ndim == 1:
+        m[1:] &= near[:-1]
+        m[:-1] &= near[1:]
+        return m
+    m[1:, :] &= near[:-1, :]
+    m[:-1, :] &= near[1:, :]
+    m[:, 1:] &= near[:, :-1]
+    m[:, :-1] &= near[:, 1:]
+    m[1:, 1:] &= near[:-1, :-1]
+    m[:-1, :-1] &= near[1:, 1:]
+    m[1:, :-1] &= near[:-1, 1:]
+    m[:-1, 1:] &= near[1:, :-1]
+    return m
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (17,), (1, 1), (2, 5), (9, 7)])
+def test_stencil_all_below_on_padded_interior(shape):
+    rng = np.random.default_rng(sum(shape))
+    for density in (0.5, 0.8, 0.95, 1.0):
+        near = rng.random(shape) < density
+        padded = np.pad(near, 1, constant_values=True)
+        out = _stencil_all_below(padded)
+        inner = out[1:-1] if near.ndim == 1 else out[1:-1, 1:-1]
+        assert np.array_equal(inner, _deep_zeros(near))
+        assert not (out & ~np.pad(np.ones(shape, bool), 1)).any()
 
 
 def test_weight_decomposition():

@@ -332,7 +332,7 @@ def test_degenerate_example_auto_matches_explicit():
 
 def _damping_reference(w, c, q):
     # the formula _implicit_damping had before its per-call overhead was
-    # trimmed; the trimmed one must return the same bits
+    # trimmed and before underflowed starts were settled up front
     z = np.maximum(w, 0.0)
     active = (z > 0.0) & (c > 0.0)
     if not np.any(active):
@@ -354,9 +354,22 @@ def _damping_reference(w, c, q):
     return z
 
 
-def test_implicit_damping_bit_identical():
+def _underflowed_starts(w, c, q):
+    # active nodes whose Newton start w (1 + c w^(q-1))^(-1/q) is not > 0
+    c = np.broadcast_to(np.asarray(c, dtype=float), w.shape)
+    active = (w > 0.0) & (c > 0.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z0 = w * (1.0 + c * w ** (q - 1.0)) ** (-1.0 / q)
+    return active & ~(z0 > 0.0)
+
+
+def test_implicit_damping_matches_reference():
+    # bit for bit where no start underflows; an underflowed start is 0, as
+    # the reference's 0/0 = NaN iterate came out, and the other nodes of
+    # that call stop with the convergence test instead of at the cap
     rng = np.random.default_rng(61)
     odd = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, 1e300])
+    underflows = 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for trial in range(200):
             shape = (37,) if trial % 2 else (9, 7)
@@ -368,4 +381,109 @@ def test_implicit_damping_bit_identical():
             q = rng.choice([0.3, 0.5, 0.8, 0.95])
             cc = c if trial % 5 else float(c.flat[0])
             got = _implicit_damping(w, cc, q)
-            assert got.tobytes() == _damping_reference(w, cc, q).tobytes()
+            ref = _damping_reference(w, cc, q)
+            low = _underflowed_starts(w, cc, q)
+            if not low.any():
+                assert got.tobytes() == ref.tobytes()
+                continue
+            underflows += 1
+            assert np.all(got[low] == 0.0)
+            # NaN entries of w are not active; the convergence test scales
+            # with the largest of the others
+            np.testing.assert_allclose(
+                got[~low], ref[~low], rtol=0.0,
+                atol=2e-16 * max(1.0, float(np.nanmax(w))))
+    assert underflows > 0
+
+
+def test_implicit_damping_warm_start(monkeypatch):
+    # with DAMPING_ITERS = k the result is the k-th Newton iterate; the
+    # warm start (k = 0) is max(z0, z1) with z1 one Newton step from u,
+    # which lies on the under side of the concave map from either side of
+    # the root; from there the iterates rise to the cold-start root, except
+    # for a rounding-level step back from an iterate whose f = z + c z^q - w
+    # is already within the convergence test or the rounding of w
+    import deadcore.solver as solver_mod
+    rng = np.random.default_rng(62)
+    q = 0.8
+    for trial in range(50):
+        w = np.abs(rng.standard_normal(41)) * 10.0 ** rng.integers(-6, 3)
+        c = np.abs(rng.standard_normal(41)) * 10.0 ** rng.integers(-4, 2)
+        root = _implicit_damping(w, c, q)
+        u = root * rng.uniform(0.5, 1.5, 41)
+        uq = u ** q
+        under = u + c * uq - w <= 0.0
+        assert under.any() and not under.all()
+        z1 = u - (u + c * uq - w) / (1.0 + c * q * uq / u)
+        iterates = []
+        for k in range(8):
+            monkeypatch.setattr(solver_mod, "DAMPING_ITERS", k)
+            iterates.append(_implicit_damping(w, c, q, u, uq))
+        monkeypatch.setattr(solver_mod, "DAMPING_ITERS", 0)
+        z0 = _implicit_damping(w, c, q)
+        monkeypatch.undo()
+        scale = 1e-16 * max(1.0, w.max())
+        rounding = np.maximum(scale, 2.0 * np.spacing(w))
+        start = iterates[0]
+        assert np.all(start == np.maximum(z0, z1))
+        assert np.all(start + c * start ** q - w <= rounding)
+        assert np.all(np.abs(start - root) <= np.abs(z0 - root))
+        for a, b in zip(iterates, iterates[1:]):
+            f = a + c * a ** q - w
+            assert np.all((b >= a) | (np.abs(f) <= rounding))
+        got = _implicit_damping(w, c, q, u, uq)
+        assert np.all(np.abs(got - root) <= 2 * scale)
+
+
+def test_degenerate_example_reference_damping(monkeypatch):
+    # the gamma = 1 reaction loop with the reference damping (cold start,
+    # no underflow settling) against the warm-started one
+    import deadcore.solver as solver_mod
+    inst = example_instance(1.0, 0.8)
+    g = Grid.interval(*inst.domain, 79)
+    p = ProblemSpec(g, SPEC1, inst.gamma, inst.q, inst.weight_on(g))
+    new = solve(p, init="subsolution", ball=(1.15, 1.95))
+    monkeypatch.setattr(solver_mod, "_implicit_damping",
+                        lambda w, c, q, u=None, uq=None:
+                        _damping_reference(w, c, q))
+    old = solve(p, init="subsolution", ball=(1.15, 1.95))
+    assert new.converged and old.converged
+    assert new.steps == old.steps
+    assert np.max(np.abs(new.solution.values - old.solution.values)) \
+        <= 1e-12 * sup_norm(old.solution)
+
+
+def test_explicit_stops_on_cycle():
+    # tolerance below the floating-point floor of the residual (sup u is
+    # about 6e6): the explicit map settles into an exact 16-step cycle
+    g = Grid.interval(0.0, 2.0, 199)
+    p = _problem(g, WeightField.sinsplit(g, 0.3).scaled(30.0), q=0.9)
+    auto = solve(p, init="subsolution", ball=(0.2, 0.8))
+    explicit = IterationControl(method="explicit")
+    rep = solve(p, init="given", u0=auto.solution, ctl=explicit)
+    assert not rep.converged and rep.residual_sup > explicit.tolerance
+    assert rep.steps % 16 == 0 and rep.steps <= 64
+    again = solve(p, init="given", u0=rep.solution, ctl=explicit)
+    assert again.steps == 16 and not again.converged
+    assert again.solution.values.tobytes() == rep.solution.values.tobytes()
+    # the state 16 steps earlier is the same, so any max_steps that is a
+    # multiple of 16 would have returned this answer
+    earlier = solve(p, init="given", u0=auto.solution, ctl=IterationControl(
+        method="explicit", max_steps=rep.steps - 16))
+    assert earlier.steps == rep.steps - 16
+    assert earlier.solution.values.tobytes() == rep.solution.values.tobytes()
+
+
+def test_ball_eigenpair_keyed_by_control():
+    g = Grid.interval(0.0, 1.0, 41)
+    p = _problem(g, WeightField.constant(g, 1.0), gamma=1.0)
+    ctl = [EigenControl(tol_lambda=tl, tol_residual=np.inf,
+                        inner=IterationControl(tolerance=1e-8))
+           for tl in (1e-2, 1e-9)]
+    loose = ball_eigenpair(p, (0.1, 0.9), ctl[0])
+    tight = ball_eigenpair(p, (0.1, 0.9), ctl[1])
+    assert tight is not loose
+    assert tight.iterations > loose.iterations
+    assert ball_eigenpair(p, (0.1, 0.9), EigenControl(
+        tol_lambda=1e-9, tol_residual=np.inf,
+        inner=IterationControl(tolerance=1e-8))) is tight
