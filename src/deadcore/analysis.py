@@ -14,13 +14,11 @@ scale s or the exponent q.
 """
 
 from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .grids import GridFunction, Scheme, _stencil_all_below
 from .solver import (extend_ball_function, _ball_mask, _norm_ball, solve,
                      SubsolutionError)
-from .operators import SymMatrix, evaluate_operator
 
 __all__ = [
     "ClassificationReport", "ThresholdReport", "BarrierResult", "ProbeRecord",
@@ -135,61 +133,34 @@ def w_residual(w, problem):
     gfac = scheme.grad_factor(w.values)
     a_int = g.interior(problem.weight.samples)
 
+    M = {"x": k["x"] + c * grads[0] ** 2 / wi}
     if g.dim == 1:
-        M = k["x"] + c * grads[0] ** 2 / wi
-        Fv = _F_on_matrix_1d(spec, g, M)
+        Fv = scheme.F_of(M)
     else:
-        Mxx = k["x"] + c * grads[0] ** 2 / wi
-        Myy = k["y"] + c * grads[1] ** 2 / wi
+        M["y"] = k["y"] + c * grads[1] ** 2 / wi
         Mxy = scheme.cross_difference(w.values) + c * grads[0] * grads[1] / wi
-        Fv = _F_on_matrix_2d(spec, g, Mxx, Myy, Mxy, grads)
+        if spec.variant in ("pucci_plus", "pucci_minus"):
+            Fv = _pucci_2d(spec, M["x"], M["y"], Mxy)
+        else:
+            Fv = scheme.F_of(M, Mxy, grads)
     out = np.zeros(g.shape)
     g.interior(out)[...] = gfac * Fv + a_int
     return GridFunction(g, out, dirichlet=False)
 
 
-def _F_on_matrix_1d(spec, g, M):
-    v = spec.variant
-    if v == "linear_trace":
-        return Scheme(g, spec, 0.0)._tables[0][0] * M
-    if v == "pucci_plus":
-        return spec.Lam * np.maximum(M, 0) - spec.lam * np.maximum(-M, 0)
-    if v == "pucci_minus":
-        return spec.lam * np.maximum(M, 0) - spec.Lam * np.maximum(-M, 0)
-    if v == "p_laplacian":
-        return (spec.p - 1.0) * M
-    # generic pointwise fallback
-    x = g.axis(0)[1:-1]
-    return np.array([evaluate_operator(spec, xi, SymMatrix([[m]]))
-                     for xi, m in zip(x, M)])
+def _pucci_2d(spec, Mxx, Myy, Mxy):
+    """Pucci envelope of the symmetric 2x2 matrix field by its eigenvalues.
 
-
-def _F_on_matrix_2d(spec, g, Mxx, Myy, Mxy, grads):
-    v = spec.variant
-    if v in ("linear_trace", "hjb_inf", "hjb_sup"):
-        tabs = Scheme(g, spec, 0.0)._tables
-        vals = [d[0] * Mxx + d[1] * Myy for d in tabs]
-        if v == "linear_trace":
-            return vals[0]
-        red = np.minimum.reduce if v == "hjb_inf" else np.maximum.reduce
-        return red(vals)
-    if v in ("pucci_plus", "pucci_minus"):
-        mean = 0.5 * (Mxx + Myy)
-        rad = np.sqrt((0.5 * (Mxx - Myy)) ** 2 + Mxy ** 2)
-        e1, e2 = mean - rad, mean + rad
-        lam, Lam = spec.lam, spec.Lam
-        if v == "pucci_plus":
-            return (Lam * (np.maximum(e1, 0) + np.maximum(e2, 0))
-                    - lam * (np.maximum(-e1, 0) + np.maximum(-e2, 0)))
-        return (lam * (np.maximum(e1, 0) + np.maximum(e2, 0))
-                - Lam * (np.maximum(-e1, 0) + np.maximum(-e2, 0)))
-    if v == "p_laplacian":
-        gx, gy = grads
-        n2 = gx ** 2 + gy ** 2
-        quad = Mxx * gx ** 2 + 2 * Mxy * gx * gy + Myy * gy ** 2
-        tr = Mxx + Myy
-        return np.where(n2 > 0, tr + (spec.p - 2.0) * quad / np.where(n2 > 0, n2, 1.0), tr)
-    raise TypeError("unsupported operator for w-residual: %r" % v)
+    The continuum operator: the scheme's wide stencil sees only the axis
+    and diagonal curvatures, not the matrix field the w-residual builds.
+    """
+    mean = 0.5 * (Mxx + Myy)
+    rad = np.sqrt((0.5 * (Mxx - Myy)) ** 2 + Mxy ** 2)
+    e1, e2 = mean - rad, mean + rad
+    up, down = (spec.Lam, spec.lam) if spec.variant == "pucci_plus" \
+        else (spec.lam, spec.Lam)
+    return (up * (np.maximum(e1, 0) + np.maximum(e2, 0))
+            - down * (np.maximum(-e1, 0) + np.maximum(-e2, 0)))
 
 
 def w_residual_sup(w, problem, margin=None):
@@ -281,13 +252,15 @@ class ThresholdReport:
 
 
 def estimate_threshold(family, parameter, bracket, ball, ctl=None,
-                       probes=16, bisect_steps=8, workers=1, tol_zero=None):
+                       probes=16, bisect_steps=8):
     """Bisection on the solver verdict across a monotone parameter family.
 
     `family(value) -> ProblemSpec`; each probe solves from the subsolution
     seeded on `ball` and classifies the result.  The initial `probes`
     equispaced verdicts are recorded (and checked for monotonicity), then
-    the flip interval is bisected `bisect_steps` times.  If the
+    the flip interval is bisected `bisect_steps` times.  Probes run one
+    after another, and a family with one grid, operator and gamma shares
+    one ball eigenpair (see ball_eigenpair).  If the
     endpoint verdicts agree a 'no_threshold' report is returned.  A probe
     whose subsolution cannot be built counts as 'trivial' and adds an
     `anomalies` entry naming the value and the error.
@@ -305,7 +278,7 @@ def estimate_threshold(family, parameter, bracket, ball, ctl=None,
         p = family(val)
         try:
             rep = solve(p, init="subsolution", ball=ball, ctl=ctl)
-            cls = classify(rep.solution, tol_zero=tol_zero)
+            cls = classify(rep.solution)
             return ProbeRecord(val, cls.verdict, rep.residual_sup,
                                cls.interior_min, cls.hopf_margin)
         except SubsolutionError as exc:
@@ -314,11 +287,7 @@ def estimate_threshold(family, parameter, bracket, ball, ctl=None,
             return ProbeRecord(val, "trivial", np.nan, 0.0, 0.0)
 
     values = np.linspace(lo, hi, probes)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            records = list(ex.map(probe, values))
-    else:
-        records = [probe(v) for v in values]
+    records = [probe(v) for v in values]
     report.probes.extend(records)
 
     flags = [r.verdict in POSITIVE_VERDICTS for r in records]

@@ -5,15 +5,15 @@
 Commands: solve, eigen, classify, sweep, oracle-check.  Configuration is
 an INI-style file with [problem], [control], [sweep] and [output]
 sections; every artifact embeds the config hash and seed in a comment
-header.  Exit codes: 0 success, 2 validation error, 3 solver
-non-convergence / no threshold, 4 internal error.  DEADCORE_WORKERS caps
-the sweep probe concurrency.
+header.  Option names are case-insensitive, so the ellipticity bounds are
+problem.lam and problem.lam_upper (both default 1), and problem.dim is 1
+or 2.  Exit codes: 0 success, 2 validation error, 3 solver
+non-convergence / no threshold, 4 internal error.
 """
 
 import argparse
 import configparser
 import hashlib
-import os
 import sys
 from pathlib import Path
 
@@ -66,9 +66,16 @@ def config_hash(cp):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
+def _dim(prob):
+    dim = prob.getint("dim", 1)
+    if dim not in (1, 2):
+        raise ValidationError("problem.dim must be 1 or 2, got %d" % dim)
+    return dim
+
+
 def _build_grid(cp):
     prob = cp["problem"]
-    dim = prob.getint("dim", 1)
+    dim = _dim(prob)
     domain = _parse_floats(prob.get("domain", "0,1"))
     ns = tuple(int(t) for t in prob.get("n", "100").split(","))
     if dim == 1:
@@ -85,9 +92,10 @@ def _build_grid(cp):
 def _build_operator(cp):
     prob = cp["problem"]
     name = prob.get("operator", "linear_trace")
+    # configparser lowercases option names: "Lam" would read "lam"
     lam = prob.getfloat("lam", 1.0)
-    Lam = prob.getfloat("lam_upper", prob.getfloat("Lam", 1.0))
-    dim = prob.getint("dim", 1)
+    Lam = prob.getfloat("lam_upper", 1.0)
+    dim = _dim(prob)
     if name == "linear_trace":
         return OperatorSpec.linear_trace(np.eye(dim) if lam == Lam == 1.0
                                          else np.diag([lam] + [Lam] * (dim - 1)),
@@ -149,8 +157,7 @@ def _control(cp):
     ctl = cp["control"] if cp.has_section("control") else {}
     return IterationControl(
         tolerance=float(ctl.get("tolerance", 1e-8)) if ctl else 1e-8,
-        max_steps=int(float(ctl.get("max_steps", 1_000_000))) if ctl else 1_000_000,
-        safety=float(ctl.get("safety", 0.9)) if ctl else 0.9)
+        max_steps=int(float(ctl.get("max_steps", 1_000_000))) if ctl else 1_000_000)
 
 
 def _seed(cp):
@@ -269,10 +276,8 @@ def cmd_sweep(cp):
             return ProblemSpec(base.grid, base.operator, base.gamma, qv,
                                base.weight)
 
-    workers = int(os.environ.get("DEADCORE_WORKERS", "1"))
     rep = estimate_threshold(family, parameter, bracket, ball, ctl=ctl,
-                             probes=probes, bisect_steps=bisect_steps,
-                             workers=workers)
+                             probes=probes, bisect_steps=bisect_steps)
     out = _outdir(cp)
     with open(out / "sweep.csv", "w") as fh:
         for line in _headers(cp):

@@ -12,7 +12,7 @@ decreasing the residual, and for every other problem (the p-Laplacian,
 or IterationControl(method='explicit')), the equation is relaxed in
 explicit pseudo time under the CFL bound
 
-    dt <= safety * h^2 / (2 N Lam * max(g, h^gamma)),   g = |grad_h u|_delta^gamma,
+    dt <= SAFETY * h^2 / (2 N Lam * max(g, h^gamma)),   g = |grad_h u|_delta^gamma,
 
 applied per node, which is unconditionally monotone and robust in the
 degenerate regime.  Convergence is declared on the equation residual, not
@@ -33,29 +33,26 @@ class SolveError(RuntimeError):
     pass
 
 
+# fraction of the explicit stability bound each relaxation step takes
+SAFETY = 0.9
+
+
 @dataclass
 class IterationControl:
-    """Knobs for the relaxation loop."""
+    """Tolerance, step budget and path of an iterative solve."""
     tolerance: float = 1e-8
     max_steps: int = 1_000_000
-    safety: float = 0.9
-    method: str = "auto"     # auto | explicit | direct; selects the path in
-                             # solve_rhs and solve: auto takes the policy-
-                             # matrix path (trace, Pucci or Bellman F; any
-                             # gamma in solve_rhs, gamma = 0 in solve)
-                             # where it applies, direct demands it for
-                             # gamma = 0 and a linear trace only, explicit
-                             # forces relaxation
-    zero_floor: float = 1e-16   # relative; reaction solves flush u below
-                                # zero_floor * sup(u) to exact zero
+    method: str = "auto"     # auto | explicit; selects the path in solve_rhs
+                             # and solve: auto takes the policy-matrix path
+                             # (trace, Pucci or Bellman F; any gamma in
+                             # solve_rhs, gamma = 0 in solve) where it
+                             # applies, explicit forces relaxation
     debug: bool = False
 
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if not 0 < self.safety <= 1:
-            raise ValueError("safety factor must lie in (0, 1]")
-        if self.method not in ("auto", "explicit", "direct"):
+        if self.method not in ("auto", "explicit"):
             raise ValueError("unknown method %r" % self.method)
 
 
@@ -96,20 +93,14 @@ POLICY_VARIANTS = ("linear_trace",) + tuple(ENVELOPES)
 PERMC = "MMD_AT_PLUS_A"
 
 
-def _use_matrix_path(method, gamma, spec):
+def _use_matrix_path(method, spec):
     """Whether a solve takes the policy-matrix path for this operator.
 
     For a trace, Pucci or Bellman F the discrete operator is
     F_h(u) = L_alpha(u) u, the matrix of PolicyMatrix at the active policy
-    (one policy for a linear trace), for every gamma.  method='direct'
-    keeps its meaning, gamma = 0 and a linear trace only, and raises
-    ValueError outside that class.
+    (one policy for a linear trace), for every gamma.
     """
-    if method == "direct" and not (gamma == 0.0
-                                   and spec.variant == "linear_trace"):
-        raise ValueError("direct method needs gamma = 0 and a trace operator")
-    return method == "direct" or (method == "auto"
-                                  and spec.variant in POLICY_VARIANTS)
+    return method == "auto" and spec.variant in POLICY_VARIANTS
 
 
 class PolicyMatrix:
@@ -285,7 +276,7 @@ def solve_rhs(p, ctl=None, u0=None):
     raises SolveError naming the step.
     """
     ctl = ctl or IterationControl()
-    if _use_matrix_path(ctl.method, p.gamma, p.spec):
+    if _use_matrix_path(ctl.method, p.spec):
         return _solve_newton(p, ctl, u0)
     return _relax_rhs(p, ctl, u0)
 
@@ -303,7 +294,7 @@ def _relax_rhs(p, ctl, u0):
     h2 = hmin ** 2
     dt_const = None
     if p.gamma == 0.0:
-        dt_const = ctl.safety * h2 / (2.0 * dim * Lam)
+        dt_const = SAFETY * h2 / (2.0 * dim * Lam)
     dfloor = scheme.delta ** p.gamma
     d2 = scheme.delta ** 2
 
@@ -313,11 +304,7 @@ def _relax_rhs(p, ctl, u0):
         if dt_const is not None:
             r = scheme.F(vals) - f_int
         else:
-            m2 = scheme.upwind_mag2(vals)
-            n2 = m2[0]
-            for mk in m2[1:]:
-                n2 = n2 + mk
-            s2 = n2 + d2
+            s2 = sum(scheme.upwind_mag2(vals)) + d2
             g = s2 ** (p.gamma / 2.0)
             Fv = scheme.F(vals)
             r = g * Fv - f_int
@@ -334,6 +321,6 @@ def _relax_rhs(p, ctl, u0):
             # sensitivity of the gradient factor itself, |F| d g / d u
             stiff = 2.0 * dim * Lam * np.maximum(g, dfloor) / h2 \
                 + 2.0 * p.gamma * np.abs(Fv) * s2 ** ((p.gamma - 1.0) / 2.0) / hmin
-            u_int += (ctl.safety / stiff) * r
+            u_int += (SAFETY / stiff) * r
     return RhsReport(GridFunction(grid, vals, dirichlet=False),
                      rsup, steps, False)

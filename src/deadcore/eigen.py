@@ -19,11 +19,14 @@ from .dirichlet import IterationControl, RhsProblem, solve_rhs
 __all__ = ["EigenControl", "EigenPair", "principal_eigenpair", "eigen_residual"]
 
 
+# inverse-power steps per eigensolve
+MAX_OUTER = 200
+
+
 @dataclass
 class EigenControl:
     tol_lambda: float = 1e-8
     tol_residual: float = 1e-6
-    max_outer: int = 200
     inner: IterationControl = field(
         default_factory=lambda: IterationControl(tolerance=1e-10))
 
@@ -47,13 +50,8 @@ def eigen_residual(lam, phi, spec, gamma, delta=0.0):
         lam, phi = lam.lambda_plus, lam.phi_plus
     grid = phi.grid
     scheme = Scheme(grid, spec, gamma)
-    if gamma == 0.0:
-        g = 1.0
-    elif delta == 0.0:
-        n2 = sum(scheme.upwind_mag2(phi.values))
-        g = n2 ** (gamma / 2.0)
-    else:
-        g = scheme.grad_factor(phi.values, delta=delta)
+    g = 1.0 if gamma == 0.0 else \
+        (sum(scheme.upwind_mag2(phi.values)) + delta * delta) ** (gamma / 2.0)
     r = g * scheme.F(phi.values) + lam * grid.interior(phi.values) ** (gamma + 1.0)
     return float(np.max(np.abs(r)))
 
@@ -77,7 +75,7 @@ def principal_eigenpair(grid, spec, gamma, ctl=None):
     power = gamma + 1.0
     inner_ok = True
 
-    for it in range(1, ctl.max_outer + 1):
+    for it in range(1, MAX_OUTER + 1):
         f = GridFunction(grid, -(phi ** power), dirichlet=False)
         rep = solve_rhs(RhsProblem(grid, spec, gamma, f), ctl.inner, u0=u_prev)
         inner_ok = inner_ok and rep.converged

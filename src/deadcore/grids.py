@@ -392,7 +392,7 @@ class Scheme:
         return (((v[2:, 1:-1] - c) / h[0], (c - v[:-2, 1:-1]) / h[0]),
                 ((v[1:-1, 2:] - c) / h[1], (c - v[1:-1, :-2]) / h[1]))
 
-    def grad_factor(self, v, delta=None):
+    def grad_factor(self, v):
         """(|grad_h u|^2 + delta^2)^(gamma/2); exactly 1 when gamma = 0.
 
         The squared gradient magnitude is the one-sided mean-square form
@@ -400,12 +400,8 @@ class Scheme:
         """
         if self.gamma == 0.0:
             return 1.0
-        d = self.delta if delta is None else delta
-        m2 = self.upwind_mag2(v)
-        n2 = m2[0]
-        for mk in m2[1:]:
-            n2 = n2 + mk
-        return (n2 + d * d) ** (self.gamma / 2.0)
+        return (sum(self.upwind_mag2(v)) + self.delta * self.delta) \
+            ** (self.gamma / 2.0)
 
     def grad_factor_parts(self, v):
         """g = grad_factor(v) as an interior array, with its derivative.
@@ -432,6 +428,19 @@ class Scheme:
     def F(self, v):
         """discrete F at all interior nodes (degenerate elliptic form)."""
         k = self.second_differences(v)
+        if self.spec.variant == "p_laplacian" and self.dim == 2:
+            return self.F_of(k, self.cross_difference(v), self.grad(v))
+        return self.F_of(k)
+
+    def F_of(self, k, cross=None, grads=None):
+        """F at interior nodes from the curvatures k (dict keyed by direction).
+
+        F(v) passes the second differences of v.  Every variant but the 2-D
+        Pucci stencil (which reads the diagonals d1, d2) reads only k['x']
+        and k['y'], so the w-residual passes the diagonal of its matrix
+        field there; the 2-D p-Laplacian also reads the off-diagonal entry
+        `cross` and the centred gradient `grads`.
+        """
         var = self.spec.variant
         if var == "linear_trace":
             d = self._tables[0]
@@ -448,10 +457,9 @@ class Scheme:
             p = self.spec.p
             if self.dim == 1:
                 return (p - 1.0) * k["x"]
-            gx, gy = self.grad(v)
+            gx, gy = grads
             n2 = gx ** 2 + gy ** 2
-            quad = k["x"] * gx ** 2 + 2 * self.cross_difference(v) * gx * gy \
-                + k["y"] * gy ** 2
+            quad = k["x"] * gx ** 2 + 2 * cross * gx * gy + k["y"] * gy ** 2
             tr = k["x"] + k["y"]
             with np.errstate(invalid="ignore", divide="ignore"):
                 out = np.where(n2 > 0, tr + (p - 2.0) * quad / np.where(n2 > 0, n2, 1.0), tr)

@@ -176,12 +176,6 @@ class OperatorSpec:
     def custom(cls, func, lam=1.0, Lam=1.0):
         return cls("custom", lam=lam, Lam=Lam, func=func)
 
-    @property
-    def effective_gamma(self):
-        """Gradient exponent the operator carries intrinsically (p-2 for
-        the p-Laplacian, 0 otherwise)."""
-        return self.p - 2.0 if self.variant == "p_laplacian" else 0.0
-
     def key(self):
         """Structural hash key (used to cache eigenpairs per operator).
 

@@ -19,14 +19,13 @@ loop itself is explicit.
 """
 
 from dataclasses import astuple, dataclass
-import threading
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from .grids import (Grid, GridFunction, WeightField, Scheme, residual_field,
                     _stencil_all_below)
 from .dirichlet import (IterationControl, RhsProblem, SolveError, PolicyMatrix,
-                        PERMC, solve_rhs, sup_norm, _same_policy,
+                        PERMC, SAFETY, solve_rhs, sup_norm, _same_policy,
                         _use_matrix_path)
 from .eigen import EigenControl, principal_eigenpair
 
@@ -86,10 +85,9 @@ def residual(problem, u):
                           problem.weight)
 
 
-# --- eigenpair cache for repeated subsolution builds ---------------------
-
-_eig_cache = {}
-_eig_lock = threading.Lock()
+# the last ball eigenpair as (key, pair): every probe of a parameter sweep
+# asks for the same one, so one entry serves the whole sweep
+_eig_memo = (None, None)
 
 
 def _ball_grid(grid, ball):
@@ -116,9 +114,11 @@ def _ball_grid(grid, ball):
 def ball_eigenpair(problem, ball, eigen_ctl=None):
     """Principal eigenpair of the problem's operator on a sub-ball.
 
-    Cached by grid, ball, gamma, operator and the fields of eigen_ctl, so
-    a call under other controls computes its own pair.
+    The last pair is kept, keyed by grid, ball, gamma, operator and the
+    fields of eigen_ctl; a call with any other key computes its own pair
+    and replaces it.
     """
+    global _eig_memo
     ball = _norm_ball(problem.grid, ball)
     if eigen_ctl is None:
         eigen_ctl = EigenControl(tol_lambda=1e-7, tol_residual=np.inf,
@@ -126,14 +126,12 @@ def ball_eigenpair(problem, ball, eigen_ctl=None):
                                                         max_steps=400_000))
     key = (problem.grid.bounds, problem.grid.n, ball, problem.gamma,
            problem.operator.key(), astuple(eigen_ctl))
-    with _eig_lock:
-        hit = _eig_cache.get(key)
-    if hit is not None:
-        return hit
+    last_key, last_pair = _eig_memo   # one read: key and pair match
+    if last_key == key:
+        return last_pair
     sub = _ball_grid(problem.grid, ball)
     pair = principal_eigenpair(sub, problem.operator, problem.gamma, eigen_ctl)
-    with _eig_lock:
-        _eig_cache[key] = pair
+    _eig_memo = (key, pair)
     return pair
 
 
@@ -174,14 +172,18 @@ def extend_ball_function(grid, ball_pair, ball):
     return GridFunction(grid, vals)
 
 
-def build_subsolution(problem, ball, tol=1e-8, eigen_ctl=None):
+# slack of the discrete sub- and supersolution inequalities
+BRACKET_TOL = 1e-8
+
+
+def build_subsolution(problem, ball):
     """eps * phi+(ball) extended by zero, with eps fixed by dyadic search.
 
     eps starts at the analytic admissibility bound from
     lam+ eps^(1+gamma-q) phi^(1-q) <= a and halves until the discrete
-    subsolution inequality (residual >= -tol) holds at every interior
-    node.  Raises SubsolutionError naming the violated node when no
-    admissible eps exists.
+    subsolution inequality (residual >= -BRACKET_TOL) holds at every
+    interior node.  Raises SubsolutionError naming the violated node when
+    no admissible eps exists.
     """
     ball = _norm_ball(problem.grid, ball)
     grid = problem.grid
@@ -191,7 +193,7 @@ def build_subsolution(problem, ball, tol=1e-8, eigen_ctl=None):
         raise SubsolutionError(
             "ball %r is not contained in the positive set of the weight" % (ball,))
 
-    pair = ball_eigenpair(problem, ball, eigen_ctl)
+    pair = ball_eigenpair(problem, ball)
     phi = extend_ball_function(grid, pair, ball)
     gamma, q = problem.gamma, problem.q
 
@@ -208,7 +210,7 @@ def build_subsolution(problem, ball, tol=1e-8, eigen_ctl=None):
         r = residual(problem, u)
         rint = grid.interior(r.values)
         worst = float(np.min(rint))
-        if worst >= -tol:
+        if worst >= -BRACKET_TOL:
             return u
         last_bad = (eps, np.unravel_index(np.argmin(rint), rint.shape), worst)
         eps *= 0.5
@@ -217,11 +219,11 @@ def build_subsolution(problem, ball, tol=1e-8, eigen_ctl=None):
         % (eps_max, last_bad[2], last_bad[1], last_bad[0]))
 
 
-def build_supersolution(problem, ctl=None, margin=0.05, tol=1e-8):
+def build_supersolution(problem, ctl=None):
     """k * psi with psi solving the -||a||_inf Dirichlet problem.
 
-    k = (||psi||_inf^q + 1)^(1/(1+gamma-q)) * (1+margin), doubled while the
-    discrete supersolution inequality (residual <= tol) fails; the
+    k = (||psi||_inf^q + 1)^(1/(1+gamma-q)) * 1.05, doubled while the
+    discrete supersolution inequality (residual <= BRACKET_TOL) fails; the
     inequality only improves with k since q < gamma+1.
     """
     grid = problem.grid
@@ -236,11 +238,11 @@ def build_supersolution(problem, ctl=None, margin=0.05, tol=1e-8):
                          "(residual %.3e)" % rep.residual_sup)
     psi = rep.solution
     gamma, q = problem.gamma, problem.q
-    k = (sup_norm(psi) ** q + 1.0) ** (1.0 / (1.0 + gamma - q)) * (1.0 + margin)
+    k = (sup_norm(psi) ** q + 1.0) ** (1.0 / (1.0 + gamma - q)) * 1.05
     for _ in range(12):
         u = GridFunction(grid, np.maximum(k * psi.values, 0.0))
         r = residual(problem, u)
-        if float(np.max(grid.interior(r.values))) <= tol:
+        if float(np.max(grid.interior(r.values))) <= BRACKET_TOL:
             return u
         k *= 2.0
     raise SolveError("could not verify the supersolution inequality")
@@ -249,6 +251,8 @@ def build_supersolution(problem, ctl=None, margin=0.05, tol=1e-8):
 _FLOAT_MAX = np.finfo(float).max
 # Newton steps per _implicit_damping call
 DAMPING_ITERS = 30
+# the explicit reaction loop flushes u below ZERO_FLOOR * sup(u) to 0
+ZERO_FLOOR = 1e-16
 
 
 def _implicit_damping(w, c, q, u=None, uq=None):
@@ -452,7 +456,7 @@ def _relax_explicit(problem, scheme, vals, ctl, bracket, blow_up):
     h2 = hmin ** 2
     dfloor = scheme.delta ** gamma
     d2 = scheme.delta ** 2
-    dt_const = ctl.safety * h2 / (2.0 * dim * Lam) if gamma == 0.0 else None
+    dt_const = SAFETY * h2 / (2.0 * dim * Lam) if gamma == 0.0 else None
 
     a_int = a_plus - a_minus
     closed_form = (q == 0.5)
@@ -489,7 +493,7 @@ def _relax_explicit(problem, scheme, vals, ctl, bracket, blow_up):
             # sensitivity |F| d g / d u (see solve_rhs)
             stiff = 2.0 * dim * Lam * np.maximum(g, dfloor) / h2 \
                 + 2.0 * gamma * np.abs(Fv) * s2 ** ((gamma - 1.0) / 2.0) / hmin
-            dt = ctl.safety / stiff
+            dt = SAFETY / stiff
             w = u_int + dt * (gF + a_plus * uq)
             c = dt * a_minus
         if closed_form:
@@ -506,10 +510,8 @@ def _relax_explicit(problem, scheme, vals, ctl, bracket, blow_up):
         # cadence is enough since fronts advance one node per step.
         if steps % 16 == 0:
             sup = float(u_new.max())
-            if ctl.zero_floor > 0.0:
-                near = np.pad(u_new < ctl.zero_floor * sup, 1,
-                              constant_values=True)
-                u_new[grid.interior(_stencil_all_below(near))] = 0.0
+            near = np.pad(u_new < ZERO_FLOOR * sup, 1, constant_values=True)
+            u_new[grid.interior(_stencil_all_below(near))] = 0.0
             if sup > blow_up or u_new.tobytes() == snapshot:
                 u_int[...] = u_new
                 return steps, rsup, sup > blow_up
@@ -521,8 +523,7 @@ def _relax_explicit(problem, scheme, vals, ctl, bracket, blow_up):
     return steps, rsup, False
 
 
-def solve(problem, init="zero", ctl=None, ball=None, u0=None,
-          sub_tol=1e-8):
+def solve(problem, init="zero", ctl=None, ball=None, u0=None):
     """Solve the reaction problem for a nonnegative steady state.
 
     init is one of 'zero', 'subsolution' (requires ball), 'given'
@@ -532,13 +533,13 @@ def solve(problem, init="zero", ctl=None, ball=None, u0=None,
     asserted every step.  ctl.method picks the iteration: for gamma = 0
     and a linear trace, Pucci or Bellman F, 'auto' runs the monotone
     Sattinger-Howard-Newton iteration of _relax_monotone, whose step count
-    does not grow with the grid ('direct' does so for a linear trace
-    only); 'explicit', and every other problem, runs explicit pseudo-time
-    relaxation.  A non-finite residual raises SolveError naming the step.
+    does not grow with the grid; 'explicit', and every other problem, runs
+    explicit pseudo-time relaxation.  A non-finite residual raises
+    SolveError naming the step.
     """
     ctl = ctl or IterationControl()
     grid = problem.grid
-    monotone = (_use_matrix_path(ctl.method, problem.gamma, problem.operator)
+    monotone = (_use_matrix_path(ctl.method, problem.operator)
                 and problem.gamma == 0.0)
     scheme = Scheme(grid, problem.operator, problem.gamma)
 
@@ -549,7 +550,7 @@ def solve(problem, init="zero", ctl=None, ball=None, u0=None,
     elif init == "subsolution":
         if ball is None:
             raise ValueError("init='subsolution' needs a ball")
-        sub = build_subsolution(problem, ball, tol=sub_tol)
+        sub = build_subsolution(problem, ball)
         super_u = build_supersolution(problem, ctl)
         bracket = (sub, super_u)
         vals = sub.values.copy()

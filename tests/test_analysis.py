@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from deadcore import (Grid, GridFunction, WeightField, OperatorSpec,
-                      IterationControl, ProblemSpec, classify, hopf_bound,
-                      to_w, from_w, w_residual, barrier_check,
-                      estimate_threshold, example_instance, solve,
-                      ball_eigenpair, ThresholdReport)
+                      IterationControl, ProblemSpec, SymMatrix, classify,
+                      hopf_bound, to_w, from_w, w_residual, barrier_check,
+                      estimate_threshold, evaluate_operator, example_instance,
+                      solve, ball_eigenpair, ThresholdReport)
+from deadcore.operators import p_laplacian_matrix_part
 
 SPEC1 = OperatorSpec.linear_trace(np.eye(1))
 
@@ -129,6 +130,54 @@ def test_w_residual_constant_perturbation_bound():
     assert diff <= bound
 
 
+def _w_operators(dim):
+    fam = (np.eye(dim), 2.0 * np.eye(dim))
+    return [OperatorSpec.linear_trace(np.diag([1.0, 1.7][:dim]), lam=1.0, Lam=2.0),
+            OperatorSpec.pucci_plus(1.0, 2.0), OperatorSpec.pucci_minus(0.5, 3.0),
+            OperatorSpec.hjb_inf(fam, 1.0, 2.0), OperatorSpec.hjb_sup(fam, 1.0, 2.0),
+            OperatorSpec.p_laplacian(3.0)]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("index", range(6))
+def test_w_residual_is_the_pointwise_operator(dim, index):
+    # gamma = 0 and a = 0: the w-residual is F(x, M) at every interior node,
+    # M = D^2 w + c grad w (x) grad w / w from centred differences
+    spec = _w_operators(dim)[index]
+    if dim == 1:
+        g = Grid.interval(0.0, 2.0, 31)
+        w = GridFunction.from_callable(g, lambda x: 2.0 + np.sin(3.0 * x),
+                                       dirichlet=False)
+    else:
+        g = Grid.rectangle(0.0, 2.0, 0.0, 1.0, 15, 7)
+        w = GridFunction.from_callable(
+            g, lambda x, y: 2.0 + np.sin(3.0 * x) * np.cos(2.0 * y),
+            dirichlet=False)
+    p = ProblemSpec(g, spec, 0.0, 0.5, WeightField.constant(g, 0.0))
+    r = g.interior(w_residual(w, p).values)
+    c = p.q / (1.0 + p.gamma - p.q)
+    v, h = w.values, g.h
+    ref = np.empty(r.shape)
+    for node in np.ndindex(*r.shape):
+        i = tuple(k + 1 for k in node)
+        grad, M = np.empty(dim), np.empty((dim, dim))
+        for a in range(dim):
+            e = np.eye(dim, dtype=int)[a]
+            up, dn = tuple(np.add(i, e)), tuple(np.subtract(i, e))
+            grad[a] = (v[up] - v[dn]) / (2 * h[a])
+            M[a, a] = (v[up] - 2 * v[i] + v[dn]) / h[a] ** 2
+        if dim == 2:
+            M[0, 1] = M[1, 0] = (v[i[0] + 1, i[1] + 1] + v[i[0] - 1, i[1] - 1]
+                                 - v[i[0] + 1, i[1] - 1] - v[i[0] - 1, i[1] + 1]) \
+                / (4 * h[0] * h[1])
+        M += c * np.outer(grad, grad) / v[i]
+        x = [g.axis(a)[i[a]] for a in range(dim)]
+        ref[node] = (p_laplacian_matrix_part(grad, M, spec.p)
+                     if spec.variant == "p_laplacian"
+                     else evaluate_operator(spec, x, SymMatrix(M)))
+    assert np.max(np.abs(r - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 # --- barrier ---------------------------------------------------------------
 
 def test_barrier_eps_theta_values():
@@ -239,3 +288,26 @@ def test_threshold_bisect_steps_exact():
     with pytest.raises(ValueError, match="bisect_steps"):
         estimate_threshold(family, "c", (-1.0, 1.0), (0.2, 0.8), probes=4,
                            bisect_steps=-1)
+
+
+def test_threshold_sweep_computes_one_eigenpair(monkeypatch):
+    import deadcore.solver as solver_mod
+    calls = []
+    eigensolve = solver_mod.principal_eigenpair
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigensolve(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "principal_eigenpair", counting)
+    monkeypatch.setattr(solver_mod, "_eig_memo", (None, None))
+    g = Grid.interval(0.0, 2.0, 39)
+    base = WeightField.sinsplit(g, 1.0).scaled(30.0)
+
+    def family(s):
+        return ProblemSpec(g, SPEC1, 0.0, 0.5, base.with_negative_scale(s))
+
+    rep = estimate_threshold(family, "s", (0.5, 2.5), (0.2, 0.8), probes=4,
+                             bisect_steps=2)
+    assert len(rep.probes) == 6
+    assert len(calls) == 1

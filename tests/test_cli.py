@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from deadcore.cli import main, load_config, config_hash
+from deadcore.cli import main, load_config, config_hash, _build_operator
 from deadcore import Grid, GridFunction, write_csv
 
 
@@ -81,6 +81,36 @@ def test_set_override(tmp_path, monkeypatch, capsys):
     assert "q < gamma+1" in capsys.readouterr().err
     # malformed --set
     assert main(["solve", "--config", cfg, "--set", "q=0.5"]) == 2
+
+
+def test_ellipticity_bounds_keys(tmp_path, monkeypatch, capsys):
+    # option names are case-insensitive, so the upper bound is read from
+    # lam_upper only: "Lam" is the lower bound "lam"
+    def config(lines):
+        return _write(tmp_path / "op.ini", BASE_SOLVE.replace(
+            "operator = linear_trace", "operator = linear_trace\n" + lines))
+
+    def bounds(lines):
+        op = _build_operator(load_config(config(lines)))
+        return op.lam, op.Lam
+
+    assert bounds("lam = 0.5") == (0.5, 1.0)
+    assert bounds("lam = 0.5\nlam_upper = 2") == (0.5, 2.0)
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--config", config("Lam = 2")]) == 2
+    assert "lam <= Lam" in capsys.readouterr().err
+
+
+def test_dim_outside_1_2_exit_2(tmp_path, monkeypatch, capsys):
+    # a valid 2-D problem but for dim, which used to run as dim = 2
+    cfg = _write(tmp_path / "dim.ini", BASE_SOLVE.replace(
+        "dim = 1\ndomain = 0,2\nn = 79", "dim = 3\ndomain = 0,2;0,1\nn = 15,7")
+        .replace("linear_trace", "pucci_plus")
+        .replace("ball = 0.2,0.8", "ball = 0.2,0.8;0.2,0.8"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--config", cfg]) == 2
+    assert "problem.dim must be 1 or 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_hash_stability(tmp_path):

@@ -115,9 +115,9 @@ def test_control_validation():
     with pytest.raises(ValueError):
         IterationControl(tolerance=0.0)
     with pytest.raises(ValueError):
-        IterationControl(safety=1.5)
-    with pytest.raises(ValueError):
         IterationControl(method="implicit")
+    with pytest.raises(ValueError):
+        IterationControl(method="direct")
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -253,17 +253,6 @@ def test_monotone_steps_mesh_independent(s):
     assert max(steps) - min(steps) <= 3
 
 
-def test_direct_method_outside_linear_class_raises():
-    g = Grid.interval(0.0, 2.0, 39)
-    w = WeightField.sinsplit(g, 0.3).scaled(30.0)
-    direct = IterationControl(method="direct")
-    with pytest.raises(ValueError, match="direct method"):
-        solve(_problem(g, w, spec=OperatorSpec.pucci_minus(1.0, 2.0)),
-              init="subsolution", ball=(0.2, 0.8), ctl=direct)
-    with pytest.raises(ValueError, match="direct method"):
-        solve(_problem(g, w, gamma=1.0), init="zero", ctl=direct)
-
-
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("method", ["auto", "explicit"])
 def test_solve_non_finite_residual_raises(method):
@@ -487,3 +476,26 @@ def test_ball_eigenpair_keyed_by_control():
     assert ball_eigenpair(p, (0.1, 0.9), EigenControl(
         tol_lambda=1e-9, tol_residual=np.inf,
         inner=IterationControl(tolerance=1e-8))) is tight
+
+
+def test_ball_eigenpair_memo_holds_one_entry(monkeypatch):
+    import deadcore.solver as solver_mod
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return principal_eigenpair(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "principal_eigenpair", counting)
+    monkeypatch.setattr(solver_mod, "_eig_memo", (None, None))
+    g = Grid.interval(0.0, 1.0, 41)
+    p = _problem(g, WeightField.constant(g, 1.0))
+    a = ball_eigenpair(p, (0.1, 0.9))
+    assert ball_eigenpair(p, (0.1, 0.9)) is a
+    assert len(calls) == 1
+    b = ball_eigenpair(p, (0.2, 0.8))
+    assert b is not a and len(calls) == 2
+    # key B replaced key A, so A is computed again
+    again = ball_eigenpair(p, (0.1, 0.9))
+    assert again is not a and len(calls) == 3
+    assert again.lambda_plus == a.lambda_plus
