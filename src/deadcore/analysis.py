@@ -58,16 +58,16 @@ def _boundary_margin(u):
     return float(min(np.min(q) for q in quots))
 
 
-def classify(u, tol_zero=None):
+def classify(u):
     """Taxonomy of a nonnegative field (verdict scale-invariant).
 
     The near-zero test runs on u normalized by its sup norm, with
-    tol_zero defaulting to max(h)^2.
+    tol_zero = max(h)^2.
     """
     if np.min(u.values) < 0:
         raise ValueError("classification requires a nonnegative field")
     g = u.grid
-    tolz = max(g.h) ** 2 if tol_zero is None else float(tol_zero)
+    tolz = max(g.h) ** 2
     sup = u.sup_norm()
     if sup <= tolz:
         return ClassificationReport("trivial", np.zeros(g.shape, dtype=bool),

@@ -4,11 +4,12 @@
 
 Commands: solve, eigen, classify, sweep, oracle-check.  Configuration is
 an INI-style file with [problem], [control], [sweep] and [output]
-sections; every artifact embeds the config hash and seed in a comment
-header.  Option names are case-insensitive, so the ellipticity bounds are
-problem.lam and problem.lam_upper (both default 1), and problem.dim is 1
-or 2.  Exit codes: 0 success, 2 validation error, 3 solver
-non-convergence / no threshold, 4 internal error.
+sections and no other section or key (also from --set); every artifact
+embeds the config hash and seed in a comment header.  Option names are
+case-insensitive, so the ellipticity bounds are problem.lam and
+problem.lam_upper (both default 1); problem.dim is 1 or 2, with at most
+dim problem.n values.  Exit codes: 0 success, 2 validation error, 3
+solver non-convergence / no threshold, 4 internal error.
 """
 
 import argparse
@@ -42,6 +43,17 @@ def _parse_floats(s):
     return tuple(float(t) for t in str(s).replace(";", ",").split(","))
 
 
+# every option a command reads, by section
+KNOWN_KEYS = {
+    "problem": set("dim domain n gamma q operator lam lam_upper p weight "
+                   "weight_scale weight_value weight_s weight_path input".split()),
+    "control": set("tolerance max_steps seed init ball init_path "
+                   "eigen_residual".split()),
+    "sweep": {"parameter", "bracket", "probes", "bisect_steps"},
+    "output": {"directory"},
+}
+
+
 def load_config(path, overrides=()):
     cp = configparser.ConfigParser()
     read = cp.read(path)
@@ -55,6 +67,13 @@ def load_config(path, overrides=()):
         if not cp.has_section(section):
             cp.add_section(section)
         cp.set(section.strip(), option.strip(), value.strip())
+    for section in cp.sections():
+        if section not in KNOWN_KEYS:
+            raise ValidationError("unknown config section [%s]" % section)
+        unknown = ["%s.%s" % (section, key)
+                   for key in sorted(set(cp[section]) - KNOWN_KEYS[section])]
+        if unknown:
+            raise ValidationError("unknown config key %s" % ", ".join(unknown))
     return cp
 
 
@@ -78,6 +97,9 @@ def _build_grid(cp):
     dim = _dim(prob)
     domain = _parse_floats(prob.get("domain", "0,1"))
     ns = tuple(int(t) for t in prob.get("n", "100").split(","))
+    if len(ns) > dim:
+        raise ValidationError("problem.n has %d values for dim = %d"
+                              % (len(ns), dim))
     if dim == 1:
         if len(domain) != 2:
             raise ValidationError("1-D domain must be lo,hi")
@@ -161,14 +183,11 @@ def _control(cp):
 
 
 def _seed(cp):
-    if cp.has_section("control"):
-        return int(cp["control"].get("seed", 0))
-    return 0
+    return cp.getint("control", "seed", fallback=0)
 
 
 def _outdir(cp):
-    d = Path(cp["output"].get("directory", "out")
-             if cp.has_section("output") else "out")
+    d = Path(cp.get("output", "directory", fallback="out"))
     d.mkdir(parents=True, exist_ok=True)
     return d
 

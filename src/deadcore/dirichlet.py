@@ -1,16 +1,16 @@
 """Auxiliary Dirichlet problems |Du|^gamma F(x, D^2 u) = f, u = 0 on the boundary.
 
-For a linear trace, Pucci or Bellman F the scheme is a min or max over
-linear stencils, F_h(u) = L_alpha(u) u with the active policy alpha(u) of
-Scheme.policy, and every L_alpha is minus an M-matrix (PolicyMatrix).
+Every scheme the solvers accept (Scheme.require_policy) is a min or max
+over linear stencils, F_h(u) = L_alpha(u) u with the active policy alpha(u)
+of Scheme.policy, and every L_alpha is minus an M-matrix (PolicyMatrix):
+a linear trace, the p-Laplacian where it is linear, Pucci or Bellman F.
 solve_rhs runs Newton's method with Howard's policy step on
 g(u) F_h(u) = f, g the gradient factor, for every gamma >= 0: linearize
 at the policy active at the last iterate, solve the Jacobian system by a
 sparse factorization, repeat.  At gamma = 0 (g = 1) this is Howard's
-policy iteration, and a linear trace takes one solve.  When Newton stops
-decreasing the residual, and for every other problem (the p-Laplacian,
-or IterationControl(method='explicit')), the equation is relaxed in
-explicit pseudo time under the CFL bound
+policy iteration, and a linear F takes one solve.  When Newton stops
+decreasing the residual, the equation is relaxed in explicit pseudo time
+(_relax_rhs, also the tests' reference) under the CFL bound
 
     dt <= SAFETY * h^2 / (2 N Lam * max(g, h^gamma)),   g = |grad_h u|_delta^gamma,
 
@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grids import ENVELOPES, GridFunction, Scheme, _direction_set
+from .grids import GridFunction, Scheme, _direction_set
 
 __all__ = ["IterationControl", "RhsProblem", "RhsReport", "SolveError",
            "solve_rhs", "sup_norm"]
@@ -39,21 +39,14 @@ SAFETY = 0.9
 
 @dataclass
 class IterationControl:
-    """Tolerance, step budget and path of an iterative solve."""
+    """Tolerance and step budget of an iterative solve."""
     tolerance: float = 1e-8
     max_steps: int = 1_000_000
-    method: str = "auto"     # auto | explicit; selects the path in solve_rhs
-                             # and solve: auto takes the policy-matrix path
-                             # (trace, Pucci or Bellman F; any gamma in
-                             # solve_rhs, gamma = 0 in solve) where it
-                             # applies, explicit forces relaxation
     debug: bool = False
 
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.method not in ("auto", "explicit"):
-            raise ValueError("unknown method %r" % self.method)
 
 
 @dataclass
@@ -84,23 +77,10 @@ def sup_norm(u):
     return float(np.max(np.abs(v)))
 
 
-# operators whose gamma = 0 scheme is a min or max over linear stencils
-POLICY_VARIANTS = ("linear_trace",) + tuple(ENVELOPES)
-
 # column ordering of every sparse solve: minimum degree on A^T + A suits
 # the structurally symmetric stencil patterns (about 4 ms against 7 ms for
 # the default COLAMD on a 59x29 nine-point matrix)
 PERMC = "MMD_AT_PLUS_A"
-
-
-def _use_matrix_path(method, spec):
-    """Whether a solve takes the policy-matrix path for this operator.
-
-    For a trace, Pucci or Bellman F the discrete operator is
-    F_h(u) = L_alpha(u) u, the matrix of PolicyMatrix at the active policy
-    (one policy for a linear trace), for every gamma.
-    """
-    return method == "auto" and spec.variant in POLICY_VARIANTS
 
 
 class PolicyMatrix:
@@ -208,24 +188,30 @@ def _same_policy(w1, w2):
     return w1 is w2 or all(np.array_equal(w1[k], w2[k]) for k in w1)
 
 
-def _solve_newton(p, ctl, u0):
-    """Newton-Howard iteration for G(u) = g(u) F_h(u) - f = 0, any gamma.
+def solve_rhs(p, ctl=None, u0=None):
+    """Solve |Du|^gamma F(x, D^2 u) = f with zero Dirichlet data.
 
-    Each step linearizes G at the last iterate u_k (u0 first, or 0): the
-    active policy alpha fixes F_h = L_alpha exactly there, and with
-    Dg = d grad_factor / du the Jacobian is J = diag(g) L_alpha +
-    diag(F_h) Dg (PolicyMatrix.newton).  The step solves
-    J u_{k+1} = f + F_h(u_k) (Dg u_k).  For gamma = 0 (g = 1, Dg = 0) this
-    is Howard's policy iteration, L_alpha u_{k+1} = f.  `steps` counts
-    the sparse solves; the loop stops once |G(u)| <= ctl.tolerance, at a
-    floating-point fixed point (the step returns u_k itself; converged
-    then says whether u_k meets the tolerance), or, when max|G| stops
-    decreasing from one step to the next, hands the iterate to the
-    explicit loop for the remaining steps.  The first step is exempt:
-    from 0 it overshoots by about delta^-gamma.
+    Newton-Howard iteration for G(u) = g(u) F_h(u) - f = 0, any gamma >= 0.
+    Each step linearizes G at the last iterate u_k (u0 first, or 0; u0
+    warm-starts nested iterations): the active policy alpha fixes
+    F_h = L_alpha exactly there, and with Dg = d grad_factor / du the
+    Jacobian is J = diag(g) L_alpha + diag(F_h) Dg (PolicyMatrix.newton).
+    The step solves J u_{k+1} = f + F_h(u_k) (Dg u_k).  For gamma = 0
+    (g = 1, Dg = 0) this is Howard's policy iteration, L_alpha u_{k+1} = f.
+    The loop stops once |G(u)| <= ctl.tolerance, at a floating-point fixed
+    point (the step returns u_k itself; converged then says whether u_k
+    meets the tolerance), or, when max|G| stops decreasing from one step
+    to the next, hands the iterate to the explicit loop _relax_rhs for the
+    remaining steps.  The first step is exempt: from 0 it overshoots by
+    about delta^-gamma.  `steps` counts sparse solves and relaxation
+    steps.  On step exhaustion the partial solution is returned with
+    converged=False; a non-finite residual raises SolveError naming the
+    step.  Checks Scheme.require_policy before the first step.
     """
+    ctl = ctl or IterationControl()
     grid = p.grid
     scheme = Scheme(grid, p.spec, p.gamma)
+    scheme.require_policy()
     op = PolicyMatrix(scheme)
     vals = np.zeros(grid.shape)
     u_int = grid.interior(vals)
@@ -262,23 +248,6 @@ def _solve_newton(p, ctl, u0):
         prev = rsup
     return RhsReport(GridFunction(grid, vals, dirichlet=False),
                      rsup, steps, rsup <= ctl.tolerance)
-
-
-def solve_rhs(p, ctl=None, u0=None):
-    """Solve |Du|^gamma F(x, D^2 u) = f with zero Dirichlet data.
-
-    For a linear trace, Pucci or Bellman F (any gamma >= 0) this runs the
-    Newton-Howard iteration of _solve_newton; otherwise, or with
-    IterationControl(method='explicit'), explicit relaxation.  `u0` seeds
-    the iteration (warm starts for nested iterations).  `steps` counts
-    sparse solves and relaxation steps.  On step exhaustion the partial
-    solution is returned with converged=False; a non-finite residual
-    raises SolveError naming the step.
-    """
-    ctl = ctl or IterationControl()
-    if _use_matrix_path(ctl.method, p.spec):
-        return _solve_newton(p, ctl, u0)
-    return _relax_rhs(p, ctl, u0)
 
 
 def _relax_rhs(p, ctl, u0):

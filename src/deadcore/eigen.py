@@ -2,12 +2,11 @@
 
 Normalized inverse-power iteration: given phi_k with sup norm 1, solve the
 Dirichlet problem with right-hand side -(phi_k)^(gamma+1) (solve_rhs,
-warm-started from the last solution: Newton-Howard for a trace, Pucci or
-Bellman F at every gamma, a few sparse solves each), fit lambda by
-least squares of -|grad u|^gamma F_h(u) against u^(gamma+1) over interior
-nodes (robust where u^(gamma+1) is tiny), and renormalize.  Iteration
-stops when lambda is relatively stationary and the eigen-residual meets
-the declared tolerance.
+warm-started from the last solution: Newton-Howard at every gamma, a few
+sparse solves each), fit lambda by least squares of -|grad u|^gamma F_h(u)
+against u^(gamma+1) over interior nodes (robust where u^(gamma+1) is
+tiny), and renormalize.  Iteration stops when lambda is relatively
+stationary and the eigen-residual meets the declared tolerance.
 """
 
 from dataclasses import dataclass, field
@@ -62,10 +61,12 @@ def principal_eigenpair(grid, spec, gamma, ctl=None):
     Initialization is the normalized distance-to-boundary function
     (positive and boundary compatible).  Raises RuntimeError if the
     iterate collapses to zero; returns converged=False on exhaustion and
-    when any inner Dirichlet solve reported converged=False.
+    when any inner Dirichlet solve reported converged=False.  Checks
+    Scheme.require_policy before the first step.
     """
     ctl = ctl or EigenControl()
     scheme = Scheme(grid, spec, gamma)
+    scheme.require_policy()
 
     d = grid.distance_to_boundary()
     phi = d / np.max(d)

@@ -214,9 +214,8 @@ def _check_interior(grid, node):
     return node
 
 
-def gradient(u, node, one_sided=None):
-    """Centered gradient at an interior node; `one_sided` selects the
-    'forward' or 'backward' quotients instead (monotone variants)."""
+def gradient(u, node):
+    """Centered gradient at an interior node."""
     g = u.grid
     node = _check_interior(g, node)
     v, h = u.values, g.h
@@ -224,12 +223,7 @@ def gradient(u, node, one_sided=None):
     for k in range(g.dim):
         up = list(node); up[k] += 1
         dn = list(node); dn[k] -= 1
-        if one_sided == "forward":
-            out[k] = (v[tuple(up)] - v[node]) / h[k]
-        elif one_sided == "backward":
-            out[k] = (v[node] - v[tuple(dn)]) / h[k]
-        else:
-            out[k] = (v[tuple(up)] - v[tuple(dn)]) / (2 * h[k])
+        out[k] = (v[tuple(up)] - v[tuple(dn)]) / (2 * h[k])
     return out
 
 
@@ -239,21 +233,17 @@ def _direction_set(dim):
     return (("x", (1, 0)), ("y", (0, 1)), ("d1", (1, 1)), ("d2", (1, -1)))
 
 
-def discrete_hessian(u, node, directions=None):
+def discrete_hessian(u, node):
     """Directional second differences over the fixed stencil directions.
 
     Direction steps are single grid cells, so every interior node has a
-    full stencil (boundary values are part of the node array); the
-    clamped-stencil flag therefore never fires for this direction set.
+    full stencil (boundary values are part of the node array).
     """
     g = u.grid
     node = _check_interior(g, node)
     v, h = u.values, g.h
-    dirs = _direction_set(g.dim)
-    if directions is not None:
-        dirs = tuple(d for d in dirs if d[0] in directions)
     out = {}
-    for name, step in dirs:
+    for name, step in _direction_set(g.dim):
         up = tuple(i + s for i, s in zip(node, step))
         dn = tuple(i - s for i, s in zip(node, step))
         he2 = sum((s * hk) ** 2 for s, hk in zip(step, h))
@@ -300,8 +290,14 @@ class Scheme:
         names = tuple(name for name, _ in _direction_set(grid.dim))
         self.directions = names if v in ("pucci_plus", "pucci_minus") \
             else names[:grid.dim]
+        # the one policy of a linear F: a trace, or the p-Laplacian in 1-D
+        # and at p = 2, where it is (p - 1) times the Laplacian
+        self._fixed_policy = None
         if v == "linear_trace":
             self._fixed_policy = dict(zip(self.directions, self._tables[0]))
+        elif v == "p_laplacian" and (grid.dim == 1 or spec.p == 2.0):
+            self._fixed_policy = {name: np.full(tuple(grid.n), spec.p - 1.0)
+                                  for name in self.directions}
 
     def _sample_diag(self, coeff):
         """Per-axis diagonal coefficient samples at interior nodes.
@@ -503,20 +499,28 @@ class Scheme:
         the envelope, the others weighing 0.  That is the arg-min
         (hjb_inf, pucci_minus) or arg-max (hjb_sup, pucci_plus); ties go
         to the first candidate (the first family member, the axis pair).
-        A linear trace has one policy, returned as the same object on
-        every call.
+        A linear F (a trace, the 1-D p-Laplacian, the 2-D one at p = 2)
+        has one policy, returned as the same object on every call.
         """
-        var = self.spec.variant
-        if var == "linear_trace":
+        if self._fixed_policy is not None:
             return self._fixed_policy
-        if var not in ENVELOPES:
-            raise TypeError("operator variant %r has no policy form" % var)
+        self.require_policy()
         weights, values = self._candidates(self.second_differences(v))
         if len(weights) == 1:
             return weights[0]
-        pick = ENVELOPES[var][1](values, axis=0)
+        pick = ENVELOPES[self.spec.variant][1](values, axis=0)
         return {name: np.choose(pick, [w.get(name, 0.0) for w in weights])
                 for name in self.directions}
+
+    def require_policy(self):
+        """Raise ValueError unless F_h has a policy form, which every solver
+        iterates on.  The 2-D p-Laplacian at p != 2 has none: its centred
+        cross difference makes F_h fall when an anti-diagonal neighbour
+        rises.  F still evaluates it."""
+        if self._fixed_policy is None and self.spec.variant not in ENVELOPES:
+            raise ValueError("%s has no monotone %d-D scheme (the 2-D "
+                             "p-Laplacian is monotone only at p = 2)"
+                             % (self.spec.variant, self.dim))
 
     def residual_interior(self, v, a_int, q):
         """g * F_h + a u^q at interior nodes (v must be >= 0 there)."""

@@ -3,19 +3,17 @@
 The existence construction is mirrored discretely: a subsolution
 eps * phi+(ball) supported on a ball inside {a > 0}, a supersolution
 k * psi built from the Dirichlet problem with right-hand side -||a||_inf,
-and an iteration in between.  The reaction is split a = a+ - a-.  For
-gamma = 0 and a linear trace, Pucci or Bellman F the discrete operator is
-F_h(u) = L_alpha(u) u over sparse policy matrices, and `solve` runs
-Sattinger's monotone iteration -F_h(u_{k+1}) + a- u_{k+1}^q = a+ u_k^q
-with Howard policy iteration around Newton inner solves; its step count
-does not grow with the grid.  Otherwise (gamma > 0, the p-Laplacian, or
-IterationControl(method='explicit')) it runs pseudo-time relaxation, with
-the damping part a- u^q treated implicitly (the q - 1 power makes the
+and an iteration in between.  The reaction is split a = a+ - a-.  Every
+accepted F has a policy form F_h(u) = L_alpha(u) u over sparse policy
+matrices (Scheme.require_policy).  For gamma = 0 `solve` runs Sattinger's
+monotone iteration -F_h(u_{k+1}) + a- u_{k+1}^q = a+ u_k^q with Howard
+policy iteration around Newton inner solves; its step count does not grow
+with the grid.  For gamma > 0 it runs pseudo-time relaxation, with the
+damping part a- u^q treated implicitly (the q - 1 power makes the
 explicit form stiff near u = 0).  Iterates are clamped at 0, which is
 itself a solution.  The supersolution's Dirichlet problem and the ball
-eigenpair go through solve_rhs, which is Newton-Howard for a trace,
-Pucci or Bellman F at every gamma, so for gamma > 0 only the reaction
-loop itself is explicit.
+eigenpair go through solve_rhs, which is Newton-Howard at every gamma,
+so for gamma > 0 only the reaction loop itself is explicit.
 """
 
 from dataclasses import astuple, dataclass
@@ -25,8 +23,7 @@ import scipy.sparse.linalg as spla
 from .grids import (Grid, GridFunction, WeightField, Scheme, residual_field,
                     _stencil_all_below)
 from .dirichlet import (IterationControl, RhsProblem, SolveError, PolicyMatrix,
-                        PERMC, SAFETY, solve_rhs, sup_norm, _same_policy,
-                        _use_matrix_path)
+                        PERMC, SAFETY, solve_rhs, sup_norm, _same_policy)
 from .eigen import EigenControl, principal_eigenpair
 
 __all__ = [
@@ -395,7 +392,7 @@ def _howard_inner(op, scheme, a_minus, b, v, q, tol):
         w = w_next
 
 
-def _relax_monotone(problem, scheme, vals, ctl, bracket):
+def _relax_monotone(problem, scheme, vals, ctl, init, bracket):
     """Sattinger's monotone iteration for gamma = 0 and a policy-form F.
 
     Outer step k solves  -F_h(u_{k+1}) + a- u_{k+1}^q = a+ u_k^q  by
@@ -405,8 +402,8 @@ def _relax_monotone(problem, scheme, vals, ctl, bracket):
     point.  Every policy matrix is an M-matrix, so the inner map stays
     strictly monotone and, from the subsolution, the outer iterates
     increase inside the (subsolution, supersolution) bracket.  At most
-    INNER_CAP = 30 sparse solves per outer step.
-    Updates vals in place; returns the number of outer steps.
+    INNER_CAP = 30 sparse solves per outer step.  `steps` of the report
+    counts outer steps.
     """
     grid, q = problem.grid, problem.q
     op = PolicyMatrix(scheme)
@@ -432,10 +429,10 @@ def _relax_monotone(problem, scheme, vals, ctl, bracket):
         if ctl.debug and bracket is not None:
             assert np.all(vals >= bracket[0].values - 1e-12)
             assert np.all(vals <= bracket[1].values + 1e-12)
-    return steps
+    return _certified(problem, vals, steps, ctl, init, bracket)
 
 
-def _relax_explicit(problem, scheme, vals, ctl, bracket, blow_up):
+def _relax_explicit(problem, scheme, vals, ctl, init, bracket, super_u):
     """Explicit pseudo-time relaxation under the per-node CFL bound.
 
     The damping part a- u^q takes an exact backward substep
@@ -444,8 +441,9 @@ def _relax_explicit(problem, scheme, vals, ctl, bracket, blow_up):
     compared with the one 16 steps before: if they are equal the map has
     entered a cycle, no later step can meet the tolerance (it is below the
     floating-point floor of the residual), and the loop stops there with
-    the state max_steps would give for any multiple of 16.  Updates vals
-    in place; returns (steps, residual of the last step, blew_up).
+    the state max_steps would give for any multiple of 16.  Past
+    10 sup(super_u) (or 100 max(1, sup u0)) it reports a blow-up, with
+    the residual of its last step.  At gamma = 0 it is the tests' reference.
     """
     grid, q, gamma = problem.grid, problem.q, problem.gamma
     a_plus = grid.interior(problem.weight.a_plus)
@@ -457,6 +455,8 @@ def _relax_explicit(problem, scheme, vals, ctl, bracket, blow_up):
     dfloor = scheme.delta ** gamma
     d2 = scheme.delta ** 2
     dt_const = SAFETY * h2 / (2.0 * dim * Lam) if gamma == 0.0 else None
+    blow_up = 10.0 * sup_norm(super_u) if super_u is not None else \
+        100.0 * max(1.0, float(np.max(vals)))
 
     a_int = a_plus - a_minus
     closed_form = (q == 0.5)
@@ -512,37 +512,31 @@ def _relax_explicit(problem, scheme, vals, ctl, bracket, blow_up):
             sup = float(u_new.max())
             near = np.pad(u_new < ZERO_FLOOR * sup, 1, constant_values=True)
             u_new[grid.interior(_stencil_all_below(near))] = 0.0
-            if sup > blow_up or u_new.tobytes() == snapshot:
+            if sup > blow_up:
                 u_int[...] = u_new
-                return steps, rsup, sup > blow_up
+                return SolveReport(GridFunction(grid, vals, dirichlet=False),
+                                   rsup, steps, False, init)
+            if u_new.tobytes() == snapshot:
+                u_int[...] = u_new
+                break
             snapshot = u_new.tobytes()
         u_int[...] = u_new
         if ctl.debug and bracket is not None:
             assert np.all(vals >= bracket[0].values - 1e-12)
             assert np.all(vals <= bracket[1].values + 1e-12)
-    return steps, rsup, False
+    return _certified(problem, vals, steps, ctl, init, bracket)
 
 
-def solve(problem, init="zero", ctl=None, ball=None, u0=None):
-    """Solve the reaction problem for a nonnegative steady state.
+def _certified(problem, vals, steps, ctl, init, bracket):
+    """The report of a finished loop, certified by the recomputed residual."""
+    u = GridFunction(problem.grid, vals, dirichlet=False)
+    rsup = float(np.max(np.abs(problem.grid.interior(residual(problem, u).values))))
+    return SolveReport(u, rsup, steps, rsup <= ctl.tolerance, init, bracket)
 
-    init is one of 'zero', 'subsolution' (requires ball), 'given'
-    (requires u0 with 0 <= u0), or 'supersolution'.  Iterates are clamped
-    at zero; with init='subsolution' the report carries the
-    (subsolution, supersolution) bracket and, in debug mode, ordering is
-    asserted every step.  ctl.method picks the iteration: for gamma = 0
-    and a linear trace, Pucci or Bellman F, 'auto' runs the monotone
-    Sattinger-Howard-Newton iteration of _relax_monotone, whose step count
-    does not grow with the grid; 'explicit', and every other problem, runs
-    explicit pseudo-time relaxation.  A non-finite residual raises
-    SolveError naming the step.
-    """
-    ctl = ctl or IterationControl()
+
+def _start(problem, init, ctl, ball, u0):
+    """Initial values of solve: (vals, bracket, supersolution or None)."""
     grid = problem.grid
-    monotone = (_use_matrix_path(ctl.method, problem.operator)
-                and problem.gamma == 0.0)
-    scheme = Scheme(grid, problem.operator, problem.gamma)
-
     bracket = None
     super_u = None
     if init == "zero":
@@ -567,21 +561,30 @@ def solve(problem, init="zero", ctl=None, ball=None, u0=None):
         vals = np.maximum(vals, 0.0)
     else:
         raise ValueError("unknown init %r" % init)
+    return vals, bracket, super_u
 
+
+def solve(problem, init="zero", ctl=None, ball=None, u0=None):
+    """Solve the reaction problem for a nonnegative steady state.
+
+    init is one of 'zero', 'subsolution' (requires ball), 'given'
+    (requires u0 with 0 <= u0), or 'supersolution'.  Iterates are clamped
+    at zero; with init='subsolution' the report carries the
+    (subsolution, supersolution) bracket and, in debug mode, ordering is
+    asserted every step.  The problem picks the iteration: for gamma = 0
+    the monotone Sattinger-Howard-Newton iteration of _relax_monotone,
+    whose step count does not grow with the grid; for gamma > 0 explicit
+    pseudo-time relaxation (_relax_explicit).  Scheme.require_policy is
+    checked before any work; a non-finite residual raises SolveError
+    naming the step.
+    """
+    ctl = ctl or IterationControl()
+    scheme = Scheme(problem.grid, problem.operator, problem.gamma)
+    scheme.require_policy()
+    vals, bracket, super_u = _start(problem, init, ctl, ball, u0)
     # one error state for the whole loop (_implicit_damping relies on it)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if monotone:
-            steps = _relax_monotone(problem, scheme, vals, ctl, bracket)
-        else:
-            blow_up = 10.0 * sup_norm(super_u) if super_u is not None else \
-                100.0 * max(1.0, float(np.max(vals)))
-            steps, rsup, blew_up = _relax_explicit(problem, scheme, vals, ctl,
-                                                   bracket, blow_up)
-            if blew_up:
-                return SolveReport(GridFunction(grid, vals, dirichlet=False),
-                                   rsup, steps, False, init)
-
-    u = GridFunction(grid, vals, dirichlet=False)
-    rfield = residual(problem, u)
-    rsup = float(np.max(np.abs(grid.interior(rfield.values))))
-    return SolveReport(u, rsup, steps, rsup <= ctl.tolerance, init, bracket)
+        if problem.gamma == 0.0:
+            return _relax_monotone(problem, scheme, vals, ctl, init, bracket)
+        return _relax_explicit(problem, scheme, vals, ctl, init, bracket,
+                               super_u)

@@ -1,5 +1,8 @@
 """Command line front end: config parsing, artifacts, exit codes."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -111,6 +114,60 @@ def test_dim_outside_1_2_exit_2(tmp_path, monkeypatch, capsys):
     assert main(["solve", "--config", cfg]) == 2
     assert "problem.dim must be 1 or 2" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_surplus_grid_sizes_exit_2(tmp_path, monkeypatch, capsys):
+    # n = 39,7 with dim = 1 used to run n = 39
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path / "n.ini", BASE_SOLVE.replace("n = 79", "n = 39,7"))
+    assert main(["solve", "--config", cfg]) == 2
+    assert "problem.n has 2 values for dim = 1" in capsys.readouterr().err
+    cfg = _write(tmp_path / "n2.ini", BASE_SOLVE.replace(
+        "dim = 1\ndomain = 0,2\nn = 79", "dim = 2\ndomain = 0,2;0,1\nn = 15,7,3"))
+    assert main(["solve", "--config", cfg]) == 2
+    assert "problem.n has 3 values for dim = 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_config_keys_exit_2(tmp_path, monkeypatch, capsys):
+    # a misspelt or removed key used to run with the default and exit 0
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path / "typo.ini",
+                 BASE_SOLVE.replace("seed = 7", "seed = 7\nmethd = explicit"))
+    assert main(["solve", "--config", cfg]) == 2
+    assert "unknown config key control.methd" in capsys.readouterr().err
+    cfg = _write(tmp_path / "solve.ini", BASE_SOLVE)
+    for override, named in (("control.method=explicit", "control.method"),
+                            ("control.safety=5", "control.safety"),
+                            ("solver.tolerance=1", "section [solver]")):
+        assert main(["solve", "--config", cfg, "--set", override]) == 2
+        assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_benchmark_sweep_config_is_accepted(tmp_path):
+    # the sweep_s workload writes this config; every key must stay known
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cfg = _write(tmp_path / "sweep.ini",
+                 workloads.SWEEP_CONFIG % (0.5, 2.5, tmp_path / "out"))
+    assert load_config(cfg).getint("sweep", "probes") == 8
+
+
+def test_2d_p_laplacian_exit_2(tmp_path, monkeypatch, capsys):
+    # the solvers refuse the 2-D p-Laplacian at p != 2 before any step
+    cfg = _write(tmp_path / "plap.ini", BASE_SOLVE.replace(
+        "dim = 1\ndomain = 0,2\nn = 79", "dim = 2\ndomain = 0,2;0,1\nn = 19,9")
+        .replace("linear_trace", "p_laplacian\np = 3")
+        .replace("ball = 0.2,0.8", "ball = 0.2,0.8;0.2,0.8")
+        + "\n[sweep]\nparameter = s\nbracket = 0,2\n")
+    monkeypatch.chdir(tmp_path)
+    for command in ("solve", "eigen", "sweep"):
+        assert main([command, "--config", cfg]) == 2
+        assert "p_laplacian has no monotone 2-D scheme" \
+            in capsys.readouterr().err
 
 
 def test_config_hash_stability(tmp_path):

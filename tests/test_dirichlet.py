@@ -94,6 +94,22 @@ def test_homogeneity_transfer():
     assert defects[1] <= 0.5 * defects[0]
 
 
+def test_p_laplacian_where_linear():
+    # the 1-D p-Laplacian is (p - 1) u'' and the 2-D one at p = 2 the
+    # Laplacian: one policy, so Newton takes one sparse solve at gamma = 0
+    g = Grid.interval(0.0, 1.0, 49)
+    rep = solve_rhs(RhsProblem(g, OperatorSpec.p_laplacian(3.0), 0.0,
+                               _const_rhs(g, -1.0)), IterationControl(tolerance=1e-10))
+    assert rep.converged and rep.steps == 1
+    x = g.axis(0)
+    assert np.max(np.abs(rep.solution.values - x * (1.0 - x) / 4.0)) <= 1e-12
+    g = Grid.rectangle(0.0, 2.0, 0.0, 1.0, 19, 9)
+    for gamma in (0.0, 1.0):
+        rep = solve_rhs(RhsProblem(g, OperatorSpec.p_laplacian(2.0), gamma,
+                                   _const_rhs(g, -1.0)))
+        assert rep.converged and rep.steps <= (1 if gamma == 0.0 else 20)
+
+
 def test_max_steps_partial_report():
     g = Grid.interval(0.0, 1.0, 49)
     p = RhsProblem(g, OperatorSpec.pucci_plus(1.0, 1.0), 1.0, _const_rhs(g, -1.0))
@@ -114,10 +130,6 @@ def test_sup_norm_homogeneity():
 def test_control_validation():
     with pytest.raises(ValueError):
         IterationControl(tolerance=0.0)
-    with pytest.raises(ValueError):
-        IterationControl(method="implicit")
-    with pytest.raises(ValueError):
-        IterationControl(method="direct")
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -139,6 +151,13 @@ def _policy_specs(dim):
             OperatorSpec.hjb_inf(fam, 1.0, 2.0), OperatorSpec.hjb_sup(fam, 1.0, 2.0))
 
 
+def _accepted_specs(dim):
+    # every operator the solvers accept on a dim-D grid
+    specs = _policy_specs(dim) + (OperatorSpec.linear_trace(np.eye(dim)),
+                                  OperatorSpec.p_laplacian(2.0))
+    return specs + (OperatorSpec.p_laplacian(3.0),) if dim == 1 else specs
+
+
 def _grid(dim):
     return Grid.interval(0.0, 2.0, 39) if dim == 1 else \
         Grid.rectangle(0.0, 2.0, 0.0, 1.0, 19, 9)
@@ -149,7 +168,7 @@ def test_policy_matrix_is_the_scheme(dim):
     # -A u == F_h(u) at the active policy of u, up to round-off
     rng = np.random.default_rng(41)
     g = _grid(dim)
-    for spec in _policy_specs(dim) + (OperatorSpec.linear_trace(np.eye(dim)),):
+    for spec in _accepted_specs(dim):
         sch = Scheme(g, spec, 0.0)
         op = PolicyMatrix(sch)
         for _ in range(3):
@@ -168,6 +187,26 @@ def test_policy_matrix_is_the_scheme(dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
+def test_policy_matrices_are_m_matrices(dim):
+    # the monotonicity every solver relies on: at the active policy of a
+    # random field, diagonal > 0, off-diagonals <= 0 and row sums >= 0
+    # (0 up to the rounding of the summed diagonal away from the boundary)
+    rng = np.random.default_rng(67)
+    g = _grid(dim)
+    for spec in _accepted_specs(dim):
+        sch = Scheme(g, spec, 0.0)
+        sch.require_policy()
+        op = PolicyMatrix(sch)
+        for _ in range(5):
+            v = rng.standard_normal(g.shape) * 10.0 ** rng.integers(-3, 4)
+            A = op.set_policy(sch.policy(v)).toarray()
+            d = np.diag(A).copy()
+            np.fill_diagonal(A, 0.0)
+            assert np.all(d > 0) and np.all(A <= 0)
+            assert np.all(d + A.sum(axis=1) >= -4 * np.finfo(float).eps * d)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
 def test_howard_solve_rhs_parity(dim):
     # Howard against the explicit loop: same solution within 2 * tol, in a
     # handful of policy evaluations
@@ -179,7 +218,7 @@ def test_howard_solve_rhs_parity(dim):
     for spec in _policy_specs(dim):
         p = RhsProblem(g, spec, 0.0, f)
         howard = solve_rhs(p, IterationControl(tolerance=tol))
-        explicit = solve_rhs(p, IterationControl(tolerance=tol, method="explicit"))
+        explicit = dirichlet._relax_rhs(p, IterationControl(tolerance=tol), None)
         assert howard.converged and explicit.converged
         assert howard.residual_sup <= tol
         assert howard.steps <= 8 < explicit.steps
@@ -246,7 +285,7 @@ def test_newton_solve_rhs_parity(dim, gamma):
     for spec in _newton_specs(dim):
         p = RhsProblem(g, spec, gamma, f)
         newton = solve_rhs(p, IterationControl(tolerance=tol))
-        explicit = solve_rhs(p, IterationControl(tolerance=tol, method="explicit"))
+        explicit = dirichlet._relax_rhs(p, IterationControl(tolerance=tol), None)
         assert newton.converged and explicit.converged
         assert newton.residual_sup <= tol
         assert newton.steps <= 25 < explicit.steps

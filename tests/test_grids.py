@@ -126,7 +126,8 @@ def test_scheme_degenerate_ellipticity_randomized():
     specs = (OperatorSpec.pucci_plus(0.5, 2.0),
              OperatorSpec.pucci_minus(0.5, 2.0),
              OperatorSpec.linear_trace(np.eye(2)),
-             OperatorSpec.hjb_inf((np.eye(2), np.diag([2.0, 1.0])), 1.0, 2.0))
+             OperatorSpec.hjb_inf((np.eye(2), np.diag([2.0, 1.0])), 1.0, 2.0),
+             OperatorSpec.p_laplacian(2.0))
     for spec in specs:
         sch = Scheme(g, spec, 0.0)
         for _ in range(40):
@@ -143,6 +144,30 @@ def test_scheme_degenerate_ellipticity_randomized():
             assert bumped >= base - 1e-12
 
 
+def test_p_laplacian_2d_scheme_not_monotone():
+    # the reason the solvers refuse the 2-D p-Laplacian at p != 2: where
+    # gx * gy > 0 the centred cross difference makes F fall when the
+    # anti-diagonal neighbour (i+1, j-1) rises, by (p - 2) gx gy / (2 hx hy
+    # |g|^2) per unit; at p = 2 that term is gone
+    g = Grid.rectangle(0.0, 1.0, 0.0, 1.0, 7, 7)
+    v = GridFunction.from_callable(
+        g, lambda x, y: np.sin(2.0 * x + y) + x * y, dirichlet=False).values
+    i, j = 4, 4
+    eps = 1e-6
+    bumped = v.copy()
+    bumped[i + 1, j - 1] += eps
+    for p, sign in ((3.0, -1.0), (1.5, 1.0)):
+        sch = Scheme(g, OperatorSpec.p_laplacian(p), 0.0)
+        gx, gy = (d[i - 1, j - 1] for d in sch.grad(v))
+        assert gx * gy > 0
+        dF = (sch.F(bumped) - sch.F(v))[i - 1, j - 1] / eps
+        want = (p - 2.0) * gx * gy / (2.0 * g.h[0] * g.h[1] * (gx ** 2 + gy ** 2))
+        assert sign * dF > 0 and dF == pytest.approx(-want, rel=1e-6)
+        with pytest.raises(ValueError, match="p-Laplacian"):
+            sch.require_policy()
+    Scheme(g, OperatorSpec.p_laplacian(2.0), 0.0).require_policy()
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_scheme_policy_reproduces_F(dim):
     # F(v) == sum_d w_d k_d exactly at the active policy, and the policy
@@ -155,7 +180,10 @@ def test_scheme_policy_reproduces_F(dim):
              OperatorSpec.pucci_minus(0.5, 2.0),
              OperatorSpec.linear_trace(np.eye(dim)),
              OperatorSpec.hjb_inf(fam, 1.0, 2.0),
-             OperatorSpec.hjb_sup(fam, 1.0, 2.0))
+             OperatorSpec.hjb_sup(fam, 1.0, 2.0),
+             OperatorSpec.p_laplacian(2.0))
+    if dim == 1:
+        specs += (OperatorSpec.p_laplacian(3.0),)
     for spec in specs:
         sch = Scheme(g, spec, 0.0)
         for v in [rng.standard_normal(g.shape) for _ in range(10)] + \

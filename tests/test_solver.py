@@ -7,7 +7,10 @@ from deadcore import (Grid, GridFunction, WeightField, OperatorSpec,
                       EigenControl, IterationControl, ProblemSpec, SolveError,
                       SubsolutionError, ball_eigenpair, build_subsolution,
                       build_supersolution, classify, example_instance,
-                      principal_eigenpair, solve, residual, sup_norm)
+                      principal_eigenpair, solve, residual, sup_norm,
+                      RhsProblem, solve_rhs)
+from deadcore import dirichlet, eigen as eigen_mod, solver as solver_mod
+from deadcore.grids import Scheme
 from deadcore.solver import _implicit_damping, extend_ball_function
 
 SPEC1 = OperatorSpec.linear_trace(np.eye(1))
@@ -15,6 +18,20 @@ SPEC1 = OperatorSpec.linear_trace(np.eye(1))
 
 def _problem(grid, weight, gamma=0.0, q=0.5, spec=SPEC1):
     return ProblemSpec(grid, spec, gamma, q, weight)
+
+
+def _relax_rhs(p, ctl=None, u0=None):
+    """solve_rhs by the explicit reference loop alone."""
+    return dirichlet._relax_rhs(p, ctl or IterationControl(), u0)
+
+
+def _explicit_solve(p, init="zero", ctl=None, ball=None, u0=None):
+    """solve() with the explicit reference loop, at every gamma."""
+    ctl = ctl or IterationControl()
+    vals, bracket, super_u = solver_mod._start(p, init, ctl, ball, u0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return solver_mod._relax_explicit(p, Scheme(p.grid, p.operator, p.gamma),
+                                          vals, ctl, init, bracket, super_u)
 
 
 def test_problem_validation():
@@ -161,9 +178,9 @@ def test_solve_generic_q_newton_damping():
 def _parity(p, ball, tol=1e-8):
     """The monotone path against the explicit reference loop."""
     from deadcore import classify
-    reps = [solve(p, init="subsolution", ball=ball,
-                  ctl=IterationControl(tolerance=tol, method=m))
-            for m in ("auto", "explicit")]
+    reps = [run(p, init="subsolution", ball=ball,
+                ctl=IterationControl(tolerance=tol))
+            for run in (solve, _explicit_solve)]
     assert all(r.converged for r in reps)
     verdicts = [classify(r.solution).verdict for r in reps]
     assert verdicts[0] == verdicts[1]
@@ -217,6 +234,67 @@ def test_monotone_parity_2d_rectangle():
     _parity(p, ((0.2, 0.8), (0.2, 0.8)))
 
 
+@pytest.mark.parametrize("s,verdict", [(0.3, "positivity_cone"),
+                                       (2.5, "dead_core")])
+def test_p_laplacian_1d_monotone_parity(s, verdict):
+    # in 1-D the p-Laplacian is the trace (p - 1) u'' and takes the
+    # monotone path; the explicit loop it used to run is the reference
+    g = Grid.interval(0.0, 2.0, 79)
+    p = _problem(g, WeightField.sinsplit(g, s).scaled(30.0),
+                 spec=OperatorSpec.p_laplacian(3.0))
+    assert _parity(p, (0.2, 0.8)) == verdict
+
+
+def test_p_laplacian_1d_degenerate_matches_explicit(monkeypatch):
+    # gamma = 1: the supersolution and the ball eigenpair of the 1-D
+    # p-Laplacian are Newton solves now; against the explicit reference at
+    # every layer the reaction answer must not move
+    g = Grid.interval(0.0, 2.0, 79)
+    p = _problem(g, WeightField.sinsplit(g, 2.5).scaled(30.0), gamma=1.0, q=0.8,
+                 spec=OperatorSpec.p_laplacian(3.0))
+    tol = 1e-8
+    reps = [solve(p, init="subsolution", ball=(0.2, 0.8),
+                  ctl=IterationControl(tolerance=tol))]
+    with monkeypatch.context() as m:
+        m.setattr(solver_mod, "solve_rhs", _relax_rhs)
+        m.setattr(eigen_mod, "solve_rhs", _relax_rhs)
+        m.setattr(solver_mod, "_eig_memo", (None, None))
+        reps.append(_explicit_solve(p, init="subsolution", ball=(0.2, 0.8),
+                                    ctl=IterationControl(tolerance=tol)))
+    assert all(r.converged for r in reps)
+    assert classify(reps[0].solution).verdict == \
+        classify(reps[1].solution).verdict
+    assert np.max(np.abs(reps[0].solution.values
+                         - reps[1].solution.values)) <= 2 * tol
+
+
+def test_p_laplacian_2d_refused_before_any_step(monkeypatch):
+    # the 2-D scheme is monotone only at p = 2: every solver entry point
+    # refuses other p before it evaluates F or factors a matrix
+    def no_step(*args, **kwargs):
+        raise AssertionError("a solver step ran")
+
+    monkeypatch.setattr(Scheme, "F", no_step)
+    monkeypatch.setattr(dirichlet.spla, "spsolve", no_step)
+    g = Grid.rectangle(0.0, 2.0, 0.0, 1.0, 19, 9)
+    starts = (("zero", {}), ("supersolution", {}),
+              ("subsolution", {"ball": ((0.2, 0.8), (0.2, 0.8))}),
+              ("given", {"u0": np.zeros(g.shape)}))
+    f = GridFunction(g, -np.ones(g.shape), dirichlet=False)
+    for pval in (1.5, 3.0):
+        spec = OperatorSpec.p_laplacian(pval)
+        for gamma in (0.0, 1.0):
+            p = _problem(g, WeightField.sinsplit(g, 0.3).scaled(30.0),
+                         gamma=gamma, spec=spec)
+            for init, kwargs in starts:
+                with pytest.raises(ValueError, match="p-Laplacian"):
+                    solve(p, init=init, **kwargs)
+            with pytest.raises(ValueError, match="p-Laplacian"):
+                solve_rhs(RhsProblem(g, spec, gamma, f))
+            with pytest.raises(ValueError, match="p-Laplacian"):
+                principal_eigenpair(g, spec, gamma)
+
+
 def test_extend_ball_function_is_injection():
     # ball edges off the host nodes: phi+ lands on the snapped nodes
     # unchanged, and everything else is 0
@@ -259,15 +337,15 @@ def test_solve_non_finite_residual_raises(method):
     # a weight near the float range overflows u^q within a few steps
     g = Grid.interval(0.0, 1.0, 19)
     p = _problem(g, WeightField.constant(g, 1e300))
+    run = solve if method == "auto" else _explicit_solve
     with pytest.raises(SolveError, match="non-finite residual at step"):
-        solve(p, init="given", u0=np.ones(g.shape),
-              ctl=IterationControl(method=method, max_steps=20_000))
+        run(p, init="given", u0=np.ones(g.shape),
+            ctl=IterationControl(max_steps=20_000))
 
 
 def test_monotone_inner_work_is_capped(monkeypatch):
     # n = 799 puts the floating-point floor of L u near the tolerance; the
     # inner Newton must not spin there
-    import deadcore.solver as solver_mod
     calls = []
     spsolve = solver_mod.spla.spsolve
 
@@ -293,16 +371,20 @@ def test_monotone_inner_work_is_capped(monkeypatch):
     assert len(calls) <= solver_mod.INNER_CAP * rep.steps
 
 
-def test_degenerate_example_auto_matches_explicit():
+def test_degenerate_example_auto_matches_explicit(monkeypatch):
     # gamma = 1: the supersolution and the ball eigenpair come from Newton
-    # solves under 'auto'; the reaction answer must not move
+    # solves; the reaction answer must not move against the explicit
+    # reference, whose supersolution is relaxed explicitly too
     inst = example_instance(1.0, 0.8)
     g = Grid.interval(*inst.domain, 79)
     p = ProblemSpec(g, SPEC1, inst.gamma, inst.q, inst.weight_on(g))
     tol = 1e-8
     reps = [solve(p, init="subsolution", ball=(1.15, 1.95),
-                  ctl=IterationControl(tolerance=tol, method=m))
-            for m in ("auto", "explicit")]
+                  ctl=IterationControl(tolerance=tol))]
+    with monkeypatch.context() as m:
+        m.setattr(solver_mod, "solve_rhs", _relax_rhs)
+        reps.append(_explicit_solve(p, init="subsolution", ball=(1.15, 1.95),
+                                    ctl=IterationControl(tolerance=tol)))
     assert all(r.converged for r in reps)
     assert classify(reps[0].solution).verdict == \
         classify(reps[1].solution).verdict == "dead_core"
@@ -310,10 +392,12 @@ def test_degenerate_example_auto_matches_explicit():
                          - reps[1].solution.values)) <= 2 * tol
     # the ball eigenpair itself, Newton against explicit inner solves
     sub = Grid.interval(1.15, 1.95, 19)
-    pairs = [principal_eigenpair(sub, SPEC1, inst.gamma, EigenControl(
-        tol_lambda=1e-7, tol_residual=np.inf,
-        inner=IterationControl(tolerance=1e-8, max_steps=400_000, method=m)))
-        for m in ("auto", "explicit")]
+    ctl = EigenControl(tol_lambda=1e-7, tol_residual=np.inf,
+                       inner=IterationControl(tolerance=1e-8, max_steps=400_000))
+    pairs = [principal_eigenpair(sub, SPEC1, inst.gamma, ctl)]
+    with monkeypatch.context() as m:
+        m.setattr(eigen_mod, "solve_rhs", _relax_rhs)
+        pairs.append(principal_eigenpair(sub, SPEC1, inst.gamma, ctl))
     assert pairs[0].lambda_plus == pytest.approx(pairs[1].lambda_plus, rel=1e-7)
     assert np.max(np.abs(pairs[0].phi_plus.values
                          - pairs[1].phi_plus.values)) <= 1e-7
@@ -392,7 +476,6 @@ def test_implicit_damping_warm_start(monkeypatch):
     # the root; from there the iterates rise to the cold-start root, except
     # for a rounding-level step back from an iterate whose f = z + c z^q - w
     # is already within the convergence test or the rounding of w
-    import deadcore.solver as solver_mod
     rng = np.random.default_rng(62)
     q = 0.8
     for trial in range(50):
@@ -427,7 +510,6 @@ def test_implicit_damping_warm_start(monkeypatch):
 def test_degenerate_example_reference_damping(monkeypatch):
     # the gamma = 1 reaction loop with the reference damping (cold start,
     # no underflow settling) against the warm-started one
-    import deadcore.solver as solver_mod
     inst = example_instance(1.0, 0.8)
     g = Grid.interval(*inst.domain, 79)
     p = ProblemSpec(g, SPEC1, inst.gamma, inst.q, inst.weight_on(g))
@@ -448,17 +530,17 @@ def test_explicit_stops_on_cycle():
     g = Grid.interval(0.0, 2.0, 199)
     p = _problem(g, WeightField.sinsplit(g, 0.3).scaled(30.0), q=0.9)
     auto = solve(p, init="subsolution", ball=(0.2, 0.8))
-    explicit = IterationControl(method="explicit")
-    rep = solve(p, init="given", u0=auto.solution, ctl=explicit)
+    explicit = IterationControl()
+    rep = _explicit_solve(p, init="given", u0=auto.solution, ctl=explicit)
     assert not rep.converged and rep.residual_sup > explicit.tolerance
     assert rep.steps % 16 == 0 and rep.steps <= 64
-    again = solve(p, init="given", u0=rep.solution, ctl=explicit)
+    again = _explicit_solve(p, init="given", u0=rep.solution, ctl=explicit)
     assert again.steps == 16 and not again.converged
     assert again.solution.values.tobytes() == rep.solution.values.tobytes()
     # the state 16 steps earlier is the same, so any max_steps that is a
     # multiple of 16 would have returned this answer
-    earlier = solve(p, init="given", u0=auto.solution, ctl=IterationControl(
-        method="explicit", max_steps=rep.steps - 16))
+    earlier = _explicit_solve(p, init="given", u0=auto.solution,
+                              ctl=IterationControl(max_steps=rep.steps - 16))
     assert earlier.steps == rep.steps - 16
     assert earlier.solution.values.tobytes() == rep.solution.values.tobytes()
 
@@ -479,7 +561,6 @@ def test_ball_eigenpair_keyed_by_control():
 
 
 def test_ball_eigenpair_memo_holds_one_entry(monkeypatch):
-    import deadcore.solver as solver_mod
     calls = []
 
     def counting(*args, **kwargs):
