@@ -150,14 +150,25 @@ def _build_weight(cp, grid, gamma, q):
         if s != 1.0:
             w = w.with_negative_scale(s)
     elif kind == "tabulated":
-        path = prob.get("weight_path")
-        if not path:
-            raise ValidationError("tabulated weight needs weight_path")
-        gf = read_csv(path, grid=grid, dirichlet=False)
-        w = WeightField(grid, gf.values, "tabulated:%s" % path)
+        gf = _read_input(cp, "problem", "weight_path", "tabulated weight",
+                         grid=grid, dirichlet=False)
+        w = WeightField(grid, gf.values, "tabulated:%s" % prob["weight_path"])
     else:
         raise ValidationError("unknown weight family %r" % kind)
     return w.scaled(scale) if scale != 1.0 else w
+
+
+def _read_input(cp, section, key, needed_by, **kw):
+    """read_csv of the file named by section.key; a missing key or an
+    unreadable file is a validation error."""
+    path = cp[section].get(key, "")
+    if not path:
+        raise ValidationError("%s needs %s.%s" % (needed_by, section, key))
+    try:
+        return read_csv(path, **kw)
+    except OSError as e:
+        raise ValidationError("%s.%s: cannot read %r (%s)"
+                              % (section, key, path, e.strerror or e))
 
 
 def _build_problem(cp):
@@ -177,9 +188,8 @@ def _build_problem(cp):
 
 def _control(cp):
     ctl = cp["control"] if cp.has_section("control") else {}
-    return IterationControl(
-        tolerance=float(ctl.get("tolerance", 1e-8)) if ctl else 1e-8,
-        max_steps=int(float(ctl.get("max_steps", 1_000_000))) if ctl else 1_000_000)
+    return IterationControl(tolerance=float(ctl.get("tolerance", 1e-8)),
+                            max_steps=int(float(ctl.get("max_steps", 1_000_000))))
 
 
 def _seed(cp):
@@ -207,18 +217,14 @@ def cmd_solve(cp):
     p = _build_problem(cp)
     ctl = _control(cp)
     init = cp["control"].get("init", "zero") if cp.has_section("control") else "zero"
-    ball = None
-    u0 = None
+    ball = u0 = None
     if init == "subsolution":
         raw = cp["control"].get("ball", "")
         if not raw:
             raise ValidationError("init=subsolution needs control.ball")
         ball = _parse_floats(raw)
     elif init == "given":
-        path = cp["control"].get("init_path", "")
-        if not path:
-            raise ValidationError("init=given needs control.init_path")
-        u0 = read_csv(path, grid=p.grid)
+        u0 = _read_input(cp, "control", "init_path", "init=given", grid=p.grid)
     rep = solve(p, init=init, ctl=ctl, ball=ball, u0=u0)
     out = _outdir(cp)
     write_csv(rep.solution, out / "solution.csv", _headers(cp))
@@ -256,10 +262,7 @@ def cmd_eigen(cp):
 
 
 def cmd_classify(cp):
-    path = cp["problem"].get("input", "")
-    if not path:
-        raise ValidationError("classify needs problem.input (solution CSV)")
-    u = read_csv(path)
+    u = _read_input(cp, "problem", "input", "classify")
     cls = classify(u)
     out = _outdir(cp)
     _write_report(out / "report.txt", cp, cls.to_text())
@@ -268,6 +271,7 @@ def cmd_classify(cp):
 
 
 def cmd_sweep(cp):
+    base = _build_problem(cp)
     if not cp.has_section("sweep"):
         raise ValidationError("sweep command needs a [sweep] section")
     sw = cp["sweep"]
@@ -283,7 +287,6 @@ def cmd_sweep(cp):
     if not raw:
         raise ValidationError("sweep needs control.ball for the subsolution seed")
     ball = _parse_floats(raw)
-    base = _build_problem(cp)
     ctl = _control(cp)
 
     if parameter == "s":
@@ -369,14 +372,7 @@ def main(argv=None):
                     metavar="section.key=value")
     args = ap.parse_args(argv)
     try:
-        cp = load_config(args.config, args.overrides)
-        if args.command in ("solve", "sweep"):
-            _build_problem(cp)   # fail fast on validation before any work
-    except (ValidationError, ValueError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    try:
-        DISPATCH[args.command](cp)
+        DISPATCH[args.command](load_config(args.config, args.overrides))
     except (ValidationError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -10,13 +10,9 @@ at the policy active at the last iterate, solve the Jacobian system by a
 sparse factorization, repeat.  At gamma = 0 (g = 1) this is Howard's
 policy iteration, and a linear F takes one solve.  When Newton stops
 decreasing the residual, the equation is relaxed in explicit pseudo time
-(_relax_rhs, also the tests' reference) under the CFL bound
-
-    dt <= SAFETY * h^2 / (2 N Lam * max(g, h^gamma)),   g = |grad_h u|_delta^gamma,
-
-applied per node, which is unconditionally monotone and robust in the
-degenerate regime.  Convergence is declared on the equation residual, not
-on the update size.
+(_relax_rhs, also the tests' reference) with the per-node monotone step
+of Scheme.explicit_step.  Convergence is declared on the equation
+residual, not on the update size.
 """
 
 from dataclasses import dataclass, replace
@@ -31,10 +27,6 @@ __all__ = ["IterationControl", "RhsProblem", "RhsReport", "SolveError",
 
 class SolveError(RuntimeError):
     pass
-
-
-# fraction of the explicit stability bound each relaxation step takes
-SAFETY = 0.9
 
 
 @dataclass
@@ -258,38 +250,18 @@ def _relax_rhs(p, ctl, u0):
         u0.values if isinstance(u0, GridFunction) else u0, dtype=float)
     u_int = grid.interior(vals)
     f_int = grid.interior(p.f.values)
-    dim, Lam = grid.dim, p.spec.Lam
-    hmin = min(grid.h)
-    h2 = hmin ** 2
-    dt_const = None
-    if p.gamma == 0.0:
-        dt_const = SAFETY * h2 / (2.0 * dim * Lam)
-    dfloor = scheme.delta ** p.gamma
-    d2 = scheme.delta ** 2
 
     steps = 0
     rsup = np.inf
     for steps in range(1, ctl.max_steps + 1):
-        if dt_const is not None:
-            r = scheme.F(vals) - f_int
-        else:
-            s2 = sum(scheme.upwind_mag2(vals)) + d2
-            g = s2 ** (p.gamma / 2.0)
-            Fv = scheme.F(vals)
-            r = g * Fv - f_int
+        gF, dt = scheme.explicit_step(vals)
+        r = gF - f_int
         rsup = float(np.max(np.abs(r)))
         if not np.isfinite(rsup):
             raise SolveError("non-finite residual at step %d" % steps)
         if rsup <= ctl.tolerance:
             return RhsReport(GridFunction(grid, vals, dirichlet=False),
                              rsup, steps, True)
-        if dt_const is not None:
-            u_int += dt_const * r
-        else:
-            # per-node stiffness: the usual diffusion bound plus the
-            # sensitivity of the gradient factor itself, |F| d g / d u
-            stiff = 2.0 * dim * Lam * np.maximum(g, dfloor) / h2 \
-                + 2.0 * p.gamma * np.abs(Fv) * s2 ** ((p.gamma - 1.0) / 2.0) / hmin
-            u_int += (SAFETY / stiff) * r
+        u_int += dt * r
     return RhsReport(GridFunction(grid, vals, dirichlet=False),
                      rsup, steps, False)

@@ -9,7 +9,8 @@ pointwise residual of the reaction problem is
     r = (|grad_h u|^2 + delta^2)^(gamma/2) * F_h(u) + a(x) u^q,
 
 with the gradient regularization delta = max(h); boundary nodes carry the
-Dirichlet defect r = u.
+Dirichlet defect r = u.  Scheme also gives the monotone explicit step both
+relaxation loops take, and the pointwise helpers are entries of its arrays.
 """
 
 from dataclasses import dataclass
@@ -111,12 +112,7 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, grid, f, dirichlet=True):
-        if grid.dim == 1:
-            v = np.asarray(f(grid.axis(0)), dtype=float)
-        else:
-            X, Y = grid.coords()
-            v = np.asarray(f(X, Y), dtype=float)
-        return cls(grid, np.broadcast_to(v, grid.shape).copy(), dirichlet=dirichlet)
+        return cls(grid, _sample(grid, f), dirichlet=dirichlet)
 
     @property
     def interior(self):
@@ -127,6 +123,12 @@ class GridFunction:
 
     def sup_norm(self):
         return float(np.max(np.abs(self.values)))
+
+
+def _sample(grid, f):
+    """f at every node, f(x) in 1-D and f(X, Y) on the 'ij' mesh in 2-D."""
+    args = (grid.axis(0),) if grid.dim == 1 else grid.coords()
+    return np.broadcast_to(np.asarray(f(*args), dtype=float), grid.shape).copy()
 
 
 def _zero_boundary(v):
@@ -158,12 +160,7 @@ class WeightField:
 
     @classmethod
     def from_callable(cls, grid, f, source="callable"):
-        if grid.dim == 1:
-            s = np.asarray(f(grid.axis(0)), dtype=float)
-        else:
-            X, Y = grid.coords()
-            s = np.asarray(f(X, Y), dtype=float)
-        return cls(grid, np.broadcast_to(s, grid.shape).copy(), source)
+        return cls(grid, _sample(grid, f), source)
 
     @classmethod
     def constant(cls, grid, c):
@@ -202,30 +199,7 @@ class WeightField:
                            "%s[s=%g]" % (self.source, s))
 
 
-# --- pointwise discrete calculus ---------------------------------------
-
-def _check_interior(grid, node):
-    node = (node,) if np.isscalar(node) else tuple(node)
-    if len(node) != grid.dim:
-        raise ValueError("node index arity mismatch")
-    for i, ni in zip(node, grid.n):
-        if not 1 <= i <= ni:
-            raise ValueError("node %r is not interior" % (node,))
-    return node
-
-
-def gradient(u, node):
-    """Centered gradient at an interior node."""
-    g = u.grid
-    node = _check_interior(g, node)
-    v, h = u.values, g.h
-    out = np.empty(g.dim)
-    for k in range(g.dim):
-        up = list(node); up[k] += 1
-        dn = list(node); dn[k] -= 1
-        out[k] = (v[tuple(up)] - v[tuple(dn)]) / (2 * h[k])
-    return out
-
+# --- discrete calculus ---------------------------------------------------
 
 def _direction_set(dim):
     if dim == 1:
@@ -233,23 +207,67 @@ def _direction_set(dim):
     return (("x", (1, 0)), ("y", (0, 1)), ("d1", (1, 1)), ("d2", (1, -1)))
 
 
-def discrete_hessian(u, node):
-    """Directional second differences over the fixed stencil directions.
-
-    Direction steps are single grid cells, so every interior node has a
-    full stencil (boundary values are part of the node array).
-    """
-    g = u.grid
-    node = _check_interior(g, node)
-    v, h = u.values, g.h
-    out = {}
-    for name, step in _direction_set(g.dim):
-        up = tuple(i + s for i, s in zip(node, step))
-        dn = tuple(i - s for i, s in zip(node, step))
-        he2 = sum((s * hk) ** 2 for s, hk in zip(step, h))
-        out[name] = (v[up] - 2 * v[node] + v[dn]) / he2
+def _second_differences(v, h):
+    """Curvatures along _direction_set at interior nodes (dict by name)."""
+    if v.ndim == 1:
+        return {"x": (v[2:] - 2 * v[1:-1] + v[:-2]) / h[0] ** 2}
+    c = v[1:-1, 1:-1]
+    out = {
+        "x": (v[2:, 1:-1] - 2 * c + v[:-2, 1:-1]) / h[0] ** 2,
+        "y": (v[1:-1, 2:] - 2 * c + v[1:-1, :-2]) / h[1] ** 2,
+    }
+    hd2 = h[0] ** 2 + h[1] ** 2
+    out["d1"] = (v[2:, 2:] - 2 * c + v[:-2, :-2]) / hd2
+    out["d2"] = (v[2:, :-2] - 2 * c + v[:-2, 2:]) / hd2
     return out
 
+
+def _centred_grad(v, h):
+    """Per-axis centred difference quotients at interior nodes."""
+    if v.ndim == 1:
+        return ((v[2:] - v[:-2]) / (2 * h[0]),)
+    return ((v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * h[0]),
+            (v[1:-1, 2:] - v[1:-1, :-2]) / (2 * h[1]))
+
+
+def _mean_squares(slopes):
+    """Per-axis 0.5 (f^2 + b^2) of one-sided quotient pairs (f, b)."""
+    return tuple(0.5 * (f * f + b * b) for f, b in slopes)
+
+
+def _weighted(w, k):
+    """sum_d w_d k_d over the directions of w, in their order."""
+    items = iter(w.items())
+    name, wd = next(items)
+    total = wd * k[name]
+    for name, wd in items:
+        total = total + wd * k[name]
+    return total
+
+
+def _interior_index(grid, node):
+    """Index into interior-shaped arrays of an interior node."""
+    node = (node,) if np.isscalar(node) else tuple(node)
+    if len(node) != grid.dim or not all(1 <= i <= n for i, n in zip(node, grid.n)):
+        raise ValueError("%r is not an interior node of %r" % (node, grid.n))
+    return tuple(i - 1 for i in node)
+
+
+def gradient(u, node):
+    """Centered gradient at an interior node (an entry of Scheme.grad)."""
+    idx = _interior_index(u.grid, node)
+    return np.array([d[idx] for d in _centred_grad(u.values, u.grid.h)])
+
+
+def discrete_hessian(u, node):
+    """Second differences at an interior node along the stencil directions
+    (an entry of Scheme.second_differences; boundary values count)."""
+    idx = _interior_index(u.grid, node)
+    return {k: d[idx] for k, d in _second_differences(u.values, u.grid.h).items()}
+
+
+# fraction of the explicit stability bound each relaxation step takes
+SAFETY = 0.9
 
 # envelope operators: how F reduces its candidate stencils, and how the
 # active one is picked (the first on ties)
@@ -275,13 +293,22 @@ class Scheme:
         self.h = grid.h
         self.delta = max(grid.h)
         self.dim = grid.dim
+        self._hmin, self._diffusion = min(grid.h), 2.0 * grid.dim * spec.Lam
+        self._dt0 = SAFETY * self._hmin ** 2 / self._diffusion
         v = spec.variant
         if v in ("pucci_plus", "pucci_minus") and grid.dim == 2:
             hx, hy = grid.h
             if abs(hx - hy) > 1e-12 * max(hx, hy):
                 raise ValueError("2-D Pucci wide stencil needs square cells")
+        # a linear F is a trace: the p-Laplacian is one in 1-D and at p = 2,
+        # where it is (p - 1) times the Laplacian
+        self._linear = v == "linear_trace" or (
+            v == "p_laplacian" and (grid.dim == 1 or spec.p == 2.0))
         if v == "linear_trace":
             self._tables = (self._sample_diag(spec.coeff),)
+        elif v == "p_laplacian" and self._linear:
+            self._tables = (tuple(np.full(tuple(grid.n), spec.p - 1.0)
+                                  for _ in range(grid.dim)),)
         elif v in ("hjb_inf", "hjb_sup"):
             self._tables = tuple(self._sample_diag(c) for c in spec.family)
         else:
@@ -290,14 +317,9 @@ class Scheme:
         names = tuple(name for name, _ in _direction_set(grid.dim))
         self.directions = names if v in ("pucci_plus", "pucci_minus") \
             else names[:grid.dim]
-        # the one policy of a linear F: a trace, or the p-Laplacian in 1-D
-        # and at p = 2, where it is (p - 1) times the Laplacian
-        self._fixed_policy = None
-        if v == "linear_trace":
-            self._fixed_policy = dict(zip(self.directions, self._tables[0]))
-        elif v == "p_laplacian" and (grid.dim == 1 or spec.p == 2.0):
-            self._fixed_policy = {name: np.full(tuple(grid.n), spec.p - 1.0)
-                                  for name in self.directions}
+        # the one policy of a linear F
+        self._fixed_policy = dict(zip(self.directions, self._tables[0])) \
+            if self._linear else None
 
     def _sample_diag(self, coeff):
         """Per-axis diagonal coefficient samples at interior nodes.
@@ -342,18 +364,7 @@ class Scheme:
 
     def second_differences(self, v):
         """Directional curvatures at interior nodes (dict keyed by name)."""
-        h = self.h
-        if self.dim == 1:
-            return {"x": (v[2:] - 2 * v[1:-1] + v[:-2]) / h[0] ** 2}
-        c = v[1:-1, 1:-1]
-        out = {
-            "x": (v[2:, 1:-1] - 2 * c + v[:-2, 1:-1]) / h[0] ** 2,
-            "y": (v[1:-1, 2:] - 2 * c + v[1:-1, :-2]) / h[1] ** 2,
-        }
-        hd2 = h[0] ** 2 + h[1] ** 2
-        out["d1"] = (v[2:, 2:] - 2 * c + v[:-2, :-2]) / hd2
-        out["d2"] = (v[2:, :-2] - 2 * c + v[:-2, 2:]) / hd2
-        return out
+        return _second_differences(v, self.h)
 
     def cross_difference(self, v):
         """Centered mixed difference u_xy (2-D only; residual checks)."""
@@ -361,10 +372,7 @@ class Scheme:
         return (v[2:, 2:] + v[:-2, :-2] - v[2:, :-2] - v[:-2, 2:]) / (4 * hx * hy)
 
     def grad(self, v):
-        if self.dim == 1:
-            return ((v[2:] - v[:-2]) / (2 * self.h[0]),)
-        return ((v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * self.h[0]),
-                (v[1:-1, 2:] - v[1:-1, :-2]) / (2 * self.h[1]))
+        return _centred_grad(v, self.h)
 
     def upwind_mag2(self, v):
         """Per-axis mean of squared one-sided differences at interior nodes.
@@ -377,7 +385,7 @@ class Scheme:
         removes it and, being smooth in the data, does not chatter under
         relaxation the way a hard one-sided max does.
         """
-        return tuple(0.5 * (f * f + b * b) for f, b in self.one_sided(v))
+        return _mean_squares(self.one_sided(v))
 
     def one_sided(self, v):
         """Per-axis (forward, backward) difference quotients at interior nodes."""
@@ -388,16 +396,19 @@ class Scheme:
         return (((v[2:, 1:-1] - c) / h[0], (c - v[:-2, 1:-1]) / h[0]),
                 ((v[1:-1, 2:] - c) / h[1], (c - v[1:-1, :-2]) / h[1]))
 
-    def grad_factor(self, v):
-        """(|grad_h u|^2 + delta^2)^(gamma/2); exactly 1 when gamma = 0.
+    def _s2(self, mag2):
+        """s2 = |grad_h u|^2 + delta^2 from the per-axis upwind_mag2 terms,
+        the one regularized gradient magnitude of the scheme."""
+        s2 = mag2[0]
+        for m in mag2[1:]:
+            s2 = s2 + m
+        return s2 + self.delta * self.delta
 
-        The squared gradient magnitude is the one-sided mean-square form
-        (see upwind_mag2).
-        """
+    def grad_factor(self, v):
+        """g = s2^(gamma/2) (see _s2); exactly 1 when gamma = 0."""
         if self.gamma == 0.0:
             return 1.0
-        return (sum(self.upwind_mag2(v)) + self.delta * self.delta) \
-            ** (self.gamma / 2.0)
+        return self._s2(self.upwind_mag2(v)) ** (self.gamma / 2.0)
 
     def grad_factor_parts(self, v):
         """g = grad_factor(v) as an interior array, with its derivative.
@@ -414,19 +425,39 @@ class Scheme:
             zero = np.zeros(shape)
             return np.ones(shape), 0.0, ((zero, zero),) * self.dim
         slopes = self.one_sided(v)
-        s2 = sum(0.5 * (f * f + b * b) for f, b in slopes) \
-            + self.delta * self.delta
+        s2 = self._s2(_mean_squares(slopes))
         return (s2 ** (self.gamma / 2.0),
                 0.5 * self.gamma * s2 ** (self.gamma / 2.0 - 1.0), slopes)
+
+    def explicit_step(self, v):
+        """(g F_h(v), dt): the direction and per-node pseudo-time step of
+        explicit relaxation, u <- u + dt (g F_h(u) + source terms).
+
+        dt = SAFETY / stiffness keeps the map monotone (Oberman, SIAM J.
+        Numer. Anal. 44, 2006).  The stiffness is the diffusion bound
+        2 N Lam max(g, delta^gamma) / h^2 plus the sensitivity of the
+        gradient factor itself, 2 gamma |F_h| s2^((gamma-1)/2) / h, with h
+        the smallest spacing.  At gamma = 0 it is g F_h = F_h and the
+        scalar dt = SAFETY h^2 / (2 N Lam).
+        """
+        if self.gamma == 0.0:
+            return self.F(v), self._dt0
+        hmin, diffusion = self._hmin, self._diffusion
+        s2 = self._s2(self.upwind_mag2(v))
+        g = s2 ** (self.gamma / 2.0)
+        F = self.F(v)
+        stiff = diffusion * np.maximum(g, self.delta ** self.gamma) / hmin ** 2 \
+            + 2.0 * self.gamma * np.abs(F) * s2 ** ((self.gamma - 1.0) / 2.0) / hmin
+        return g * F, SAFETY / stiff
 
     # -- operator -------------------------------------------------------
 
     def F(self, v):
         """discrete F at all interior nodes (degenerate elliptic form)."""
-        k = self.second_differences(v)
-        if self.spec.variant == "p_laplacian" and self.dim == 2:
-            return self.F_of(k, self.cross_difference(v), self.grad(v))
-        return self.F_of(k)
+        k = _second_differences(v, self.h)
+        if self._linear or self.spec.variant != "p_laplacian":
+            return self.F_of(k)
+        return self.F_of(k, self.cross_difference(v), self.grad(v))
 
     def F_of(self, k, cross=None, grads=None):
         """F at interior nodes from the curvatures k (dict keyed by direction).
@@ -438,12 +469,8 @@ class Scheme:
         `cross` and the centred gradient `grads`.
         """
         var = self.spec.variant
-        if var == "linear_trace":
-            d = self._tables[0]
-            out = d[0] * k["x"]
-            if self.dim == 2:
-                out = out + d[1] * k["y"]
-            return out
+        if self._linear:
+            return _weighted(self._fixed_policy, k)
         if var in ENVELOPES:
             _, values = self._candidates(k)
             if len(values) == 1:
@@ -451,15 +478,12 @@ class Scheme:
             return ENVELOPES[var][0].reduce(values)
         if var == "p_laplacian":
             p = self.spec.p
-            if self.dim == 1:
-                return (p - 1.0) * k["x"]
             gx, gy = grads
             n2 = gx ** 2 + gy ** 2
             quad = k["x"] * gx ** 2 + 2 * cross * gx * gy + k["y"] * gy ** 2
             tr = k["x"] + k["y"]
             with np.errstate(invalid="ignore", divide="ignore"):
-                out = np.where(n2 > 0, tr + (p - 2.0) * quad / np.where(n2 > 0, n2, 1.0), tr)
-            return out
+                return np.where(n2 > 0, tr + (p - 2.0) * quad / np.where(n2 > 0, n2, 1.0), tr)
         raise TypeError("operator variant %r has no grid scheme" % var)
 
     def _candidates(self, k):
@@ -481,15 +505,7 @@ class Scheme:
             w = {name: np.where(k[name] > 0.0, up, down) for name in k}
             weights = [w] if self.dim == 1 else \
                 [{"x": w["x"], "y": w["y"]}, {"d1": w["d1"], "d2": w["d2"]}]
-        values = []
-        for w in weights:
-            names = iter(w)
-            first = next(names)
-            t = w[first] * k[first]
-            for name in names:
-                t = t + w[name] * k[name]
-            values.append(t)
-        return weights, values
+        return weights, [_weighted(w, k) for w in weights]
 
     def policy(self, v):
         """Active policy at v: interior weights w_d per stencil direction.
@@ -530,10 +546,7 @@ class Scheme:
 def discrete_F(spec, u, node, gamma=0.0):
     """Pointwise discrete F at one interior node (thin Scheme wrapper)."""
     sch = Scheme(u.grid, spec, gamma)
-    node = _check_interior(u.grid, node)
-    F = sch.F(u.values)
-    idx = tuple(i - 1 for i in node)
-    return float(F[idx])
+    return float(sch.F(u.values)[_interior_index(u.grid, node)])
 
 
 def _stencil_all_below(near):

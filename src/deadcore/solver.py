@@ -8,8 +8,9 @@ accepted F has a policy form F_h(u) = L_alpha(u) u over sparse policy
 matrices (Scheme.require_policy).  For gamma = 0 `solve` runs Sattinger's
 monotone iteration -F_h(u_{k+1}) + a- u_{k+1}^q = a+ u_k^q with Howard
 policy iteration around Newton inner solves; its step count does not grow
-with the grid.  For gamma > 0 it runs pseudo-time relaxation, with the
-damping part a- u^q treated implicitly (the q - 1 power makes the
+with the grid.  For gamma > 0 it runs explicit pseudo-time relaxation
+(the step of Scheme.explicit_step, shared with solve_rhs's fallback), with
+the damping part a- u^q treated implicitly (the q - 1 power makes the
 explicit form stiff near u = 0).  Iterates are clamped at 0, which is
 itself a solution.  The supersolution's Dirichlet problem and the ball
 eigenpair go through solve_rhs, which is Newton-Howard at every gamma,
@@ -17,13 +18,14 @@ so for gamma > 0 only the reaction loop itself is explicit.
 """
 
 from dataclasses import astuple, dataclass
+import math
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from .grids import (Grid, GridFunction, WeightField, Scheme, residual_field,
                     _stencil_all_below)
 from .dirichlet import (IterationControl, RhsProblem, SolveError, PolicyMatrix,
-                        PERMC, SAFETY, solve_rhs, sup_norm, _same_policy)
+                        PERMC, solve_rhs, sup_norm, _same_policy)
 from .eigen import EigenControl, principal_eigenpair
 
 __all__ = [
@@ -433,7 +435,7 @@ def _relax_monotone(problem, scheme, vals, ctl, init, bracket):
 
 
 def _relax_explicit(problem, scheme, vals, ctl, init, bracket, super_u):
-    """Explicit pseudo-time relaxation under the per-node CFL bound.
+    """Explicit pseudo-time relaxation by the step of Scheme.explicit_step.
 
     The damping part a- u^q takes an exact backward substep
     (_implicit_damping, warm-started from the current iterate).  Every 16
@@ -445,57 +447,29 @@ def _relax_explicit(problem, scheme, vals, ctl, init, bracket, super_u):
     10 sup(super_u) (or 100 max(1, sup u0)) it reports a blow-up, with
     the residual of its last step.  At gamma = 0 it is the tests' reference.
     """
-    grid, q, gamma = problem.grid, problem.q, problem.gamma
+    grid, q = problem.grid, problem.q
     a_plus = grid.interior(problem.weight.a_plus)
     a_minus = grid.interior(problem.weight.a_minus)
     u_int = grid.interior(vals)
-    dim, Lam = grid.dim, problem.operator.Lam
-    hmin = min(grid.h)
-    h2 = hmin ** 2
-    dfloor = scheme.delta ** gamma
-    d2 = scheme.delta ** 2
-    dt_const = SAFETY * h2 / (2.0 * dim * Lam) if gamma == 0.0 else None
     blow_up = 10.0 * sup_norm(super_u) if super_u is not None else \
         100.0 * max(1.0, float(np.max(vals)))
 
     a_int = a_plus - a_minus
     closed_form = (q == 0.5)
-    c_const = dt_const * a_minus if dt_const is not None else None
-    ap_const = dt_const * a_plus if dt_const is not None else None
 
     steps = 0
-    rsup = 0.0
     snapshot = u_int.tobytes()
     for steps in range(1, ctl.max_steps + 1):
-        if dt_const is not None:
-            gF = scheme.F(vals)
-        else:
-            m2 = scheme.upwind_mag2(vals)
-            n2 = m2[0]
-            for mk in m2[1:]:
-                n2 = n2 + mk
-            s2 = n2 + d2
-            g = s2 ** (gamma / 2.0)
-            Fv = scheme.F(vals)
-            gF = g * Fv
+        gF, dt = scheme.explicit_step(vals)
         uq = np.sqrt(u_int) if closed_form else u_int ** q
         r = gF + a_int * uq
         rsup = float(np.abs(r).max())
-        if not np.isfinite(rsup):
+        if not math.isfinite(rsup):   # a float: skips NumPy scalar overhead
             raise SolveError("non-finite residual at step %d" % steps)
         if rsup <= ctl.tolerance:
             break
-        if dt_const is not None:
-            w = u_int + dt_const * gF + ap_const * uq
-            c = c_const
-        else:
-            # diffusion stiffness plus the gradient factor's own
-            # sensitivity |F| d g / d u (see solve_rhs)
-            stiff = 2.0 * dim * Lam * np.maximum(g, dfloor) / h2 \
-                + 2.0 * gamma * np.abs(Fv) * s2 ** ((gamma - 1.0) / 2.0) / hmin
-            dt = SAFETY / stiff
-            w = u_int + dt * (gF + a_plus * uq)
-            c = dt * a_minus
+        w = u_int + dt * (gF + a_plus * uq)
+        c = dt * a_minus
         if closed_form:
             # z + c sqrt(z) = w: quadratic in sqrt(z) (exact for w <= 0 too)
             s = 0.5 * (np.sqrt(c * c + 4.0 * np.maximum(w, 0.0)) - c)
@@ -537,8 +511,7 @@ def _certified(problem, vals, steps, ctl, init, bracket):
 def _start(problem, init, ctl, ball, u0):
     """Initial values of solve: (vals, bracket, supersolution or None)."""
     grid = problem.grid
-    bracket = None
-    super_u = None
+    bracket = super_u = None
     if init == "zero":
         vals = np.zeros(grid.shape)
     elif init == "subsolution":

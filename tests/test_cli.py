@@ -145,6 +145,26 @@ def test_unknown_config_keys_exit_2(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, old, new, key", [
+    ("solve", "weight = sinsplit", "weight = tabulated\nweight_path = %s",
+     "problem.weight_path"),
+    ("solve", "init = subsolution", "init = given\ninit_path = %s",
+     "control.init_path"),
+    ("classify", "[problem]", "[problem]\ninput = %s", "problem.input"),
+], ids=["weight_path", "init_path", "input"])
+def test_missing_input_file_exit_2(tmp_path, monkeypatch, capsys,
+                                   command, old, new, key):
+    # a config-named input that cannot be read is a validation error, not a
+    # traceback (weight_path) or an internal error (init_path, input)
+    missing = tmp_path / "missing.csv"
+    cfg = _write(tmp_path / "in.ini", BASE_SOLVE.replace(old, new % missing))
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert key in err and str(missing) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_benchmark_sweep_config_is_accepted(tmp_path):
     # the sweep_s workload writes this config; every key must stay known
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from deadcore import example_instance, laplace_eigenpair_1d
+from deadcore import (Grid, WeightField, OperatorSpec, ProblemSpec, classify,
+                      example_instance, laplace_eigenpair_1d, solve)
 
 
 def test_instance_arithmetic():
@@ -58,3 +59,43 @@ def test_laplace_eigenpair_values():
     pair = laplace_eigenpair_1d((1.0, 3.0))
     assert pair.phi(2.0) == pytest.approx(1.0)
     assert pair.phi(1.0) == pytest.approx(0.0, abs=1e-15)
+
+
+def _manufactured_2d(grid, bellman):
+    """u = v(x) sin(pi y) and its weight for gamma = 0, q = 1/2.
+
+    v is the 1-D profile (r = 4).  With L = Laplacian of u, the weight is
+    a = -F(D^2 u) / u^q where u > 0, and its limit -r^q (r - 1)
+    sin(pi y)^(1-q) for x <= 0.  For the Bellman operator F = min(L, 2L),
+    so a doubles where L < 0, which is where a > 0.
+    """
+    inst = example_instance(0.0, 0.5)
+    X, Y = grid.coords()
+    sy = np.sin(np.pi * Y)
+    lift = sy ** (1.0 - inst.q)
+    a = np.where(X > 0,
+                 (inst.a(X) + np.pi ** 2 * inst.v(X) ** (1.0 - inst.q)) * lift,
+                 -inst.negative_sup * lift)
+    if bellman:
+        a = np.where(a > 0, 2.0 * a, a)
+    return inst.v(X) * sy, WeightField(grid, a, "manufactured_2d")
+
+
+@pytest.mark.parametrize("bellman", [False, True], ids=["trace", "hjb_inf"])
+def test_2d_manufactured_dead_core(bellman):
+    # a 2-D dead core with a closed form: the solve from the subsolution
+    # recovers it, and the error falls by the second-order factor 4 when h
+    # halves (3.04e-4 at 119x39)
+    spec = OperatorSpec.hjb_inf((np.eye(2), 2.0 * np.eye(2)), 1.0, 2.0) \
+        if bellman else OperatorSpec.linear_trace(np.eye(2))
+    errs = []
+    for n in ((59, 19), (119, 39)):
+        g = Grid.rectangle(-np.pi / 2, np.pi, 0.0, 1.0, *n)
+        exact, weight = _manufactured_2d(g, bellman)
+        rep = solve(ProblemSpec(g, spec, 0.0, 0.5, weight), init="subsolution",
+                    ball=((1.2, 1.9), (0.3, 0.7)))
+        assert rep.converged
+        assert classify(rep.solution).verdict == "dead_core"
+        errs.append(float(np.max(np.abs(rep.solution.values - exact))))
+    assert errs[0] <= 2e-3      # 1.22e-3
+    assert errs[0] / errs[1] >= 3.0
