@@ -161,18 +161,25 @@ def _build_weight(cp, grid, gamma, q):
 def _read_input(cp, section, key, needed_by, **kw):
     """read_csv of the file named by section.key; a missing key or an
     unreadable file is a validation error."""
-    path = cp[section].get(key, "")
+    path = cp.get(section, key, fallback="")
     if not path:
         raise ValidationError("%s needs %s.%s" % (needed_by, section, key))
     try:
         return read_csv(path, **kw)
-    except OSError as e:
+    except (OSError, ValueError) as e:
         raise ValidationError("%s.%s: cannot read %r (%s)"
-                              % (section, key, path, e.strerror or e))
+                              % (section, key, path,
+                                 getattr(e, "strerror", None) or e))
 
 
-def _build_problem(cp):
-    prob = cp["problem"]
+def _problem_section(cp, command):
+    if not cp.has_section("problem"):
+        raise ValidationError("%s needs a [problem] section" % command)
+    return cp["problem"]
+
+
+def _build_problem(cp, command):
+    prob = _problem_section(cp, command)
     gamma = prob.getfloat("gamma", 0.0)
     q = prob.getfloat("q", 0.5)
     if gamma < 0:
@@ -214,7 +221,7 @@ def _write_report(path, cp, text):
 
 
 def cmd_solve(cp):
-    p = _build_problem(cp)
+    p = _build_problem(cp, "solve")
     ctl = _control(cp)
     init = cp["control"].get("init", "zero") if cp.has_section("control") else "zero"
     ball = u0 = None
@@ -238,7 +245,7 @@ def cmd_solve(cp):
 
 def cmd_eigen(cp):
     # the eigenproblem only needs grid/operator/gamma
-    prob = cp["problem"]
+    prob = _problem_section(cp, "eigen")
     gamma = prob.getfloat("gamma", 0.0)
     if gamma < 0:
         raise ValidationError("gamma must satisfy gamma >= 0")
@@ -271,7 +278,7 @@ def cmd_classify(cp):
 
 
 def cmd_sweep(cp):
-    base = _build_problem(cp)
+    base = _build_problem(cp, "sweep")
     if not cp.has_section("sweep"):
         raise ValidationError("sweep command needs a [sweep] section")
     sw = cp["sweep"]

@@ -152,7 +152,7 @@ class PolicyMatrix:
         self._work.data[self._diag] += d
         return self._work
 
-    def newton(self, g, cF, slopes):
+    def newton(self, g, cF, slopes, shift=None):
         """-J = diag(g) A - diag(cF) D, written into the second matrix.
 
         J is the Jacobian of g(u) F_h(u) at the policy set in A, where
@@ -160,7 +160,8 @@ class PolicyMatrix:
         Scheme.grad_factor_parts, cF = c * F_h(u), and D is the derivative
         of the summed squared one-sided slopes: f_k / h_k at the +e_k slot,
         -b_k / h_k at the -e_k slot and sum_k (b_k - f_k) / h_k at the
-        centre.  When g = 1 and cF = 0 the result is A bit for bit.
+        centre.  When g = 1 and cF = 0 the result is A bit for bit.  A
+        `shift` array is added to the diagonal afterwards.
         """
         data = self._work.data
         np.multiply(self.A.data, g.ravel()[self._rows], out=data)
@@ -173,6 +174,8 @@ class PolicyMatrix:
             data[minus] += down[mrow]
             centre = centre + (down - up)
         data[self._diag] -= centre
+        if shift is not None:
+            data[self._diag] += shift
         return self._work
 
 

@@ -612,7 +612,8 @@ def read_csv(path, grid=None, dirichlet=True):
     """Read the CSV schema back into a GridFunction.
 
     Without a grid, the node lattice is inferred from the coordinates
-    (must be the full uniform node set including boundary rows).
+    (must be the full uniform node set including boundary rows).  A file
+    with no header or no data rows raises ValueError naming it.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -620,6 +621,8 @@ def read_csv(path, grid=None, dirichlet=True):
             if line.startswith("#") or not line.strip():
                 continue
             rows.append(line.strip().split(","))
+    if len(rows) < 2:
+        raise ValueError("%s: %s" % (path, "no data rows" if rows else "empty file"))
     header, data = rows[0], rows[1:]
     dim = 1 if header[:2] == ["x", "value"] else 2
     arr = np.array([[float(c) for c in r] for r in data])

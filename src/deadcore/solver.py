@@ -8,13 +8,14 @@ accepted F has a policy form F_h(u) = L_alpha(u) u over sparse policy
 matrices (Scheme.require_policy).  For gamma = 0 `solve` runs Sattinger's
 monotone iteration -F_h(u_{k+1}) + a- u_{k+1}^q = a+ u_k^q with Howard
 policy iteration around Newton inner solves; its step count does not grow
-with the grid.  For gamma > 0 it runs explicit pseudo-time relaxation
-(the step of Scheme.explicit_step, shared with solve_rhs's fallback), with
-the damping part a- u^q treated implicitly (the q - 1 power makes the
-explicit form stiff near u = 0).  Iterates are clamped at 0, which is
-itself a solution.  The supersolution's Dirichlet problem and the ball
-eigenpair go through solve_rhs, which is Newton-Howard at every gamma,
-so for gamma > 0 only the reaction loop itself is explicit.
+with the grid.  For gamma > 0 it runs pseudo-transient Newton (_relax_ptc)
+on the same policy matrices, from the supersolution when a bracket is
+asked for.  Iterates are clamped at 0, which is itself a solution.  The
+supersolution's Dirichlet problem and the ball eigenpair go through
+solve_rhs, which is Newton-Howard at every gamma.  Explicit pseudo-time
+relaxation (_relax_explicit, the step of Scheme.explicit_step with the
+damping part a- u^q treated implicitly) is kept as the tests' reference
+at every gamma; solve does not call it.
 """
 
 from dataclasses import astuple, dataclass
@@ -271,9 +272,9 @@ def _implicit_damping(w, c, q, u=None, uq=None):
     under side from either side of the root, and close to it when u is,
     which saves Newton steps on a slowly moving iterate.  Stops once
     max|z + c z^q - w| <= 1e-16 max(1, w) or after DAMPING_ITERS steps.
-    The caller (solve) ignores divide, overflow and invalid floating-point
-    errors around its whole loop; non-finite roots come out as 0 (NaN) or
-    the largest float (+inf).
+    The callers (_newton_inner, _relax_explicit) run with divide, overflow
+    and invalid floating-point errors ignored; non-finite roots come out
+    as 0 (NaN) or the largest float (+inf).
     """
     z = np.maximum(w, 0.0)
     idx = np.flatnonzero((z > 0.0) & (c > 0.0))
@@ -445,7 +446,8 @@ def _relax_explicit(problem, scheme, vals, ctl, init, bracket, super_u):
     floating-point floor of the residual), and the loop stops there with
     the state max_steps would give for any multiple of 16.  Past
     10 sup(super_u) (or 100 max(1, sup u0)) it reports a blow-up, with
-    the residual of its last step.  At gamma = 0 it is the tests' reference.
+    the residual of its last step.  It is the tests' reference at every
+    gamma; solve runs _relax_monotone or _relax_ptc instead.
     """
     grid, q = problem.grid, problem.q
     a_plus = grid.interior(problem.weight.a_plus)
@@ -501,6 +503,103 @@ def _relax_explicit(problem, scheme, vals, ctl, init, bracket, super_u):
     return _certified(problem, vals, steps, ctl, init, bracket)
 
 
+# pseudo-transient continuation (_relax_ptc): the first pseudo-time step,
+# its growth on an accepted step and its cut on a rejected one
+PTC_DT0 = 1e-3
+PTC_GROW = 2.0
+PTC_CUT = 4.0
+# a trial step is rejected when it multiplies max|R| by more than this
+PTC_REJECT = 2.0
+# accepted steps without a new lowest max|R| before the loop gives up:
+# PTC_WINDOW in a row that each moved u by at most PTC_SETTLED * sup u
+# (the floating-point floor), or PTC_STALL in all (a cycle)
+PTC_WINDOW = 8
+PTC_SETTLED = 1e-6
+PTC_STALL = 128
+# the slope of a u^q is taken at max(u, PTC_FLOOR * sup u)
+PTC_FLOOR = 1e-12
+
+
+def _ptc_residual(scheme, vals, a_int, q):
+    """R(u) = g F_h(u) + a u^q at interior nodes, with the (g, c F_h,
+    slopes) that PolicyMatrix.newton takes for its Jacobian."""
+    g, c, slopes = scheme.grad_factor_parts(vals)
+    F = scheme.F(vals)
+    return g * F + a_int * scheme.grid.interior(vals) ** q, (g, c * F, slopes)
+
+
+def _relax_ptc(problem, scheme, vals, ctl, init, bracket):
+    """Pseudo-transient Newton for gamma > 0 (Kelley & Keyes, SIAM J.
+    Numer. Anal. 35, 1998).
+
+    A step solves (I/dt + M - diag(a q max(u, PTC_FLOOR sup u)^(q-1))) du
+    = R(u), with R(u) = g F_h(u) + a u^q and M = -d(g F_h)/du at the active
+    policy (PolicyMatrix.newton), then sets u <- max(u + du, 0): backward
+    Euler on u_t = R(u), linearized at u, which becomes Newton's method as
+    dt grows.  dt starts at PTC_DT0 and doubles on each accepted step; a
+    step whose max|R| is not finite or more than doubles is rejected and
+    divides dt by 4.  Stops at ctl.tolerance, at an exact fixed point, or
+    once max|R| has not reached a new low for PTC_WINDOW accepted steps in
+    a row that each moved u by at most PTC_SETTLED sup u (the
+    floating-point floor of the residual) or for PTC_STALL accepted steps
+    in all (a cycle).  Far from the answer max|R| can rise and fall for
+    a dozen steps or more (71 at n = 3200) while u still moves by O(1),
+    so moving steps get the longer count.  `steps` counts sparse
+    solves, at most ctl.max_steps.  With a bracket (init='subsolution',
+    started from the supersolution) the answer must lie above the
+    subsolution, else SolveError names the node.
+    """
+    grid, q = problem.grid, problem.q
+    op = PolicyMatrix(scheme)
+    a_int = grid.interior(problem.weight.samples)
+    aq = q * a_int.ravel()
+    u_int = grid.interior(vals)
+    trial = vals.copy()
+    t_int = grid.interior(trial)
+
+    R, parts = _ptc_residual(scheme, vals, a_int, q)
+    rsup = float(np.abs(R).max())
+    dt, best, stale, quiet, steps = PTC_DT0, np.inf, 0, 0, 0
+    while steps < ctl.max_steps:
+        if not math.isfinite(rsup):
+            raise SolveError("non-finite residual at step %d" % steps)
+        if rsup <= ctl.tolerance or quiet >= PTC_WINDOW or stale >= PTC_STALL:
+            break
+        u = u_int.ravel()
+        slope = aq * np.maximum(u, PTC_FLOOR * u.max()) ** (q - 1.0)
+        op.set_policy(scheme.policy(vals))
+        du = spla.spsolve(op.newton(*parts, shift=1.0 / dt - slope), R.ravel(),
+                          permc_spec=PERMC)
+        steps += 1
+        np.maximum(u_int + du.reshape(u_int.shape), 0.0, out=t_int)
+        if np.array_equal(trial, vals):
+            break
+        R_t, parts_t = _ptc_residual(scheme, trial, a_int, q)
+        r_t = float(np.abs(R_t).max())
+        if not r_t <= PTC_REJECT * rsup:
+            dt /= PTC_CUT
+            continue
+        moved = float(np.abs(t_int - u_int).max()) > PTC_SETTLED * u.max()
+        vals[...] = trial
+        R, parts, rsup = R_t, parts_t, r_t
+        dt *= PTC_GROW
+        if rsup < best:
+            best, stale, quiet = rsup, 0, 0
+        else:
+            stale += 1
+            quiet = 0 if moved else quiet + 1
+    if bracket is not None:
+        below = grid.interior(vals - bracket[0].values) < -BRACKET_TOL
+        if below.any():
+            node = tuple(int(i) for i in np.argwhere(below)[0])
+            raise SolveError("the solution from the supersolution falls below "
+                             "the subsolution at interior node %r" % (node,))
+        if ctl.debug:
+            assert np.all(vals >= bracket[0].values - 1e-12)
+            assert np.all(vals <= bracket[1].values + 1e-12)
+    return _certified(problem, vals, steps, ctl, init, bracket)
+
+
 def _certified(problem, vals, steps, ctl, init, bracket):
     """The report of a finished loop, certified by the recomputed residual."""
     u = GridFunction(problem.grid, vals, dirichlet=False)
@@ -543,13 +642,21 @@ def solve(problem, init="zero", ctl=None, ball=None, u0=None):
     init is one of 'zero', 'subsolution' (requires ball), 'given'
     (requires u0 with 0 <= u0), or 'supersolution'.  Iterates are clamped
     at zero; with init='subsolution' the report carries the
-    (subsolution, supersolution) bracket and, in debug mode, ordering is
-    asserted every step.  The problem picks the iteration: for gamma = 0
-    the monotone Sattinger-Howard-Newton iteration of _relax_monotone,
-    whose step count does not grow with the grid; for gamma > 0 explicit
-    pseudo-time relaxation (_relax_explicit).  Scheme.require_policy is
-    checked before any work; a non-finite residual raises SolveError
-    naming the step.
+    (subsolution, supersolution) bracket.  The problem picks the
+    iteration:
+    - gamma = 0: the monotone Sattinger-Howard-Newton iteration of
+      _relax_monotone, started from the init, whose step count does not
+      grow with the grid; in debug mode the bracket ordering is asserted
+      every step.
+    - gamma > 0: pseudo-transient Newton (_relax_ptc).  'given' and
+      'supersolution' start from u0 and the supersolution, 'zero' returns
+      0 (R(0) = 0) with steps = 0, and 'subsolution' builds both bracket
+      ends, starts from the supersolution and raises SolveError unless the
+      answer lies above the subsolution (started from the subsolution the
+      loop stalls); in debug mode the ordering of the final field is
+      asserted.
+    Scheme.require_policy is checked before any work; a non-finite
+    residual raises SolveError naming the step.
     """
     ctl = ctl or IterationControl()
     scheme = Scheme(problem.grid, problem.operator, problem.gamma)
@@ -559,5 +666,6 @@ def solve(problem, init="zero", ctl=None, ball=None, u0=None):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if problem.gamma == 0.0:
             return _relax_monotone(problem, scheme, vals, ctl, init, bracket)
-        return _relax_explicit(problem, scheme, vals, ctl, init, bracket,
-                               super_u)
+        if bracket is not None:
+            vals = super_u.values.copy()
+        return _relax_ptc(problem, scheme, vals, ctl, init, bracket)

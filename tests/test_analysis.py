@@ -311,3 +311,24 @@ def test_threshold_sweep_computes_one_eigenpair(monkeypatch):
                              bisect_steps=2)
     assert len(rep.probes) == 6
     assert len(calls) == 1
+
+
+def test_example_threshold_probe_rows():
+    # criterion 9's sweep (gamma = 1, q = 0.8, n = 199): every probe row and
+    # the estimate are pinned to the ones the explicit reference loop gives
+    # (about 130 s of explicit steps, so that sweep is not rerun here)
+    inst = example_instance(1.0, 0.8)
+    g = Grid.interval(*inst.domain, 199)
+    w = inst.weight_on(g)
+    rep = estimate_threshold(
+        lambda s: ProblemSpec(g, SPEC1, inst.gamma, inst.q,
+                              w.with_negative_scale(s)),
+        "s", (0.0, 1.25), (1.0, 1.5), ctl=IterationControl(tolerance=1e-7),
+        probes=6, bisect_steps=8)
+    P, D = "positivity_cone", "dead_core"
+    assert [(r.value, r.verdict) for r in rep.probes] == [
+        (0.0, P), (0.25, P), (0.5, P), (0.75, D), (1.0, D), (1.25, D),
+        (0.625, D), (0.5625, P), (0.59375, D), (0.578125, P), (0.5859375, P),
+        (0.58984375, P), (0.591796875, P), (0.5927734375, P)]
+    assert all(r.residual <= 1e-7 for r in rep.probes)
+    assert rep.estimate == 0.59326171875 and not rep.anomalies

@@ -145,23 +145,47 @@ def test_unknown_config_keys_exit_2(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command, old, new, key", [
-    ("solve", "weight = sinsplit", "weight = tabulated\nweight_path = %s",
-     "problem.weight_path"),
-    ("solve", "init = subsolution", "init = given\ninit_path = %s",
-     "control.init_path"),
-    ("classify", "[problem]", "[problem]\ninput = %s", "problem.input"),
-], ids=["weight_path", "init_path", "input"])
+INPUT_KEYS = {
+    "weight_path": ("solve", "weight = sinsplit",
+                    "weight = tabulated\nweight_path = %s", "problem.weight_path"),
+    "init_path": ("solve", "init = subsolution", "init = given\ninit_path = %s",
+                  "control.init_path"),
+    "input": ("classify", "[problem]", "[problem]\ninput = %s", "problem.input"),
+}
+# file contents: None leaves the file missing; an empty or header-only CSV
+# is as unreadable as a missing one
+INPUT_FILES = {"": None, "-empty": "", "-header_only": "# seed = 7\nx,value\n"}
+
+
+@pytest.mark.parametrize("command, old, new, key, content", [
+    pytest.param(*INPUT_KEYS[name], content, id=name + shape)
+    for shape, content in INPUT_FILES.items() for name in INPUT_KEYS])
 def test_missing_input_file_exit_2(tmp_path, monkeypatch, capsys,
-                                   command, old, new, key):
+                                   command, old, new, key, content):
     # a config-named input that cannot be read is a validation error, not a
     # traceback (weight_path) or an internal error (init_path, input)
     missing = tmp_path / "missing.csv"
+    if content is not None:
+        missing.write_text(content)
     cfg = _write(tmp_path / "in.ini", BASE_SOLVE.replace(old, new % missing))
     monkeypatch.chdir(tmp_path)
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert key in err and str(missing) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("solve", ""),
+    ("sweep", "\n[control]\nball = 0.2,0.8\n\n[sweep]\nparameter = s\n"
+              "bracket = 0,2\n"),
+], ids=["solve", "sweep"])
+def test_missing_problem_section_exit_2(tmp_path, monkeypatch, capsys,
+                                        command, extra):
+    cfg = _write(tmp_path / "noproblem.ini", "[output]\ndirectory = out\n" + extra)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", cfg]) == 2
+    assert "[problem] section" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

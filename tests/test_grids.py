@@ -294,6 +294,18 @@ def test_csv_roundtrip_1d(tmp_path):
     assert np.allclose(v.values, u.values, atol=0)
 
 
+@pytest.mark.parametrize("text, reason", [("", "empty file"),
+                                          ("# meta = 1\nx,value\n", "no data rows"),
+                                          ("x,y,value\n\n", "no data rows")],
+                         ids=["empty", "header_only_1d", "header_only_2d"])
+def test_read_csv_without_data_names_file(tmp_path, text, reason):
+    path = tmp_path / "u.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=reason) as exc:
+        read_csv(path)
+    assert str(path) in str(exc.value)
+
+
 def test_csv_roundtrip_2d(tmp_path):
     g = Grid.rectangle(0.0, 1.0, 0.0, 2.0, 5, 7)
     u = GridFunction.from_callable(g, lambda x, y: np.sin(x) * y)

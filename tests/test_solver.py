@@ -1,5 +1,7 @@
 """Sub/supersolution construction and relaxation to steady states."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,27 @@ def test_solve_bracket_ordering_debug_mode():
     rep = solve(p, init="subsolution", ball=((0.2, 0.8), (0.2, 0.8)),
                 ctl=IterationControl(tolerance=1e-6, debug=True))
     assert rep.converged
+    # gamma = 1: the pseudo-transient Newton answer from the supersolution
+    # lies in the bracket (checked on the final field)
+    p = _problem(g, WeightField.sinsplit(g, 0.3).scaled(30.0), gamma=1.0,
+                 q=0.8, spec=OperatorSpec.pucci_plus(1.0, 2.0))
+    rep = solve(p, init="subsolution", ball=((0.2, 0.8), (0.2, 0.8)),
+                ctl=IterationControl(tolerance=1e-6, debug=True))
+    assert rep.converged
+
+
+def test_subsolution_start_checks_the_bracket(monkeypatch):
+    # gamma > 0 starts from the supersolution; an answer below the
+    # subsolution is refused with the node named
+    inst = example_instance(1.0, 0.8)
+    g = Grid.interval(*inst.domain, 79)
+    p = ProblemSpec(g, SPEC1, inst.gamma, inst.q, inst.weight_on(g))
+    above = GridFunction(g, 2.0 * build_supersolution(p).values)
+    monkeypatch.setattr(solver_mod, "build_subsolution",
+                        lambda problem, ball: above)
+    with pytest.raises(SolveError, match="below the subsolution at interior "
+                                         "node"):
+        solve(p, init="subsolution", ball=(1.15, 1.95))
 
 
 def test_solve_generic_q_newton_damping():
@@ -332,14 +355,19 @@ def test_monotone_steps_mesh_independent(s):
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.parametrize("method", ["auto", "explicit"])
-def test_solve_non_finite_residual_raises(method):
-    # a weight near the float range overflows u^q within a few steps
+@pytest.mark.parametrize("method, gamma, scale", [
+    pytest.param("auto", 0.0, 1.0, id="auto"),
+    pytest.param("explicit", 0.0, 1.0, id="explicit"),
+    pytest.param("auto", 1.0, 1e200, id="auto-gamma1")])
+def test_solve_non_finite_residual_raises(method, gamma, scale):
+    # a weight near the float range overflows u^q within a few steps; at
+    # gamma = 1 the backward pseudo-time step from u0 = 1 lands on the zero
+    # solution instead, so there the start overflows the gradient factor
     g = Grid.interval(0.0, 1.0, 19)
-    p = _problem(g, WeightField.constant(g, 1e300))
+    p = _problem(g, WeightField.constant(g, 1e300), gamma=gamma)
     run = solve if method == "auto" else _explicit_solve
     with pytest.raises(SolveError, match="non-finite residual at step"):
-        run(p, init="given", u0=np.ones(g.shape),
+        run(p, init="given", u0=scale * np.ones(g.shape),
             ctl=IterationControl(max_steps=20_000))
 
 
@@ -372,9 +400,13 @@ def test_monotone_inner_work_is_capped(monkeypatch):
 
 
 def test_degenerate_example_auto_matches_explicit(monkeypatch):
-    # gamma = 1: the supersolution and the ball eigenpair come from Newton
-    # solves; the reaction answer must not move against the explicit
-    # reference, whose supersolution is relaxed explicitly too
+    # gamma = 1: the reaction solve is pseudo-transient Newton from the
+    # supersolution, and the supersolution and the ball eigenpair come from
+    # Newton solves; the answer must not move against the explicit
+    # reference, whose supersolution is relaxed explicitly too.  Newton
+    # ends far below tol (5e-11) while the explicit loop stops just under
+    # it, so the reference runs at tol / 10 to keep its own error out of
+    # the 2 * tol comparison
     inst = example_instance(1.0, 0.8)
     g = Grid.interval(*inst.domain, 79)
     p = ProblemSpec(g, SPEC1, inst.gamma, inst.q, inst.weight_on(g))
@@ -384,7 +416,7 @@ def test_degenerate_example_auto_matches_explicit(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(solver_mod, "solve_rhs", _relax_rhs)
         reps.append(_explicit_solve(p, init="subsolution", ball=(1.15, 1.95),
-                                    ctl=IterationControl(tolerance=tol)))
+                                    ctl=IterationControl(tolerance=tol / 10)))
     assert all(r.converged for r in reps)
     assert classify(reps[0].solution).verdict == \
         classify(reps[1].solution).verdict == "dead_core"
@@ -401,6 +433,30 @@ def test_degenerate_example_auto_matches_explicit(monkeypatch):
     assert pairs[0].lambda_plus == pytest.approx(pairs[1].lambda_plus, rel=1e-7)
     assert np.max(np.abs(pairs[0].phi_plus.values
                          - pairs[1].phi_plus.values)) <= 1e-7
+
+
+def test_degenerate_floor_stop():
+    # a tolerance below the floating-point floor of the residual: the
+    # pseudo-transient Newton loop stops once max|R| stops falling, within
+    # a few dozen solves, instead of running to max_steps
+    inst = example_instance(1.0, 0.8)
+    g = Grid.interval(*inst.domain, 79)
+    p = ProblemSpec(g, SPEC1, inst.gamma, inst.q, inst.weight_on(g))
+    t0 = time.perf_counter()
+    rep = solve(p, init="given", u0=1.1 * inst.solution_on(g).values,
+                ctl=IterationControl(tolerance=1e-15))
+    assert time.perf_counter() - t0 < 1.0
+    assert not rep.converged and rep.residual_sup <= 1e-10
+    assert rep.steps <= 40
+    # started from the subsolution the loop falls into a cycle at residual
+    # about 7e-2 (u keeps moving); it gives up after PTC_STALL accepted
+    # steps without a new low
+    g = Grid.interval(*inst.domain, 199)
+    p = ProblemSpec(g, SPEC1, inst.gamma, inst.q, inst.weight_on(g))
+    sub = build_subsolution(p, (1.15, 1.95))
+    rep = solve(p, init="given", u0=sub)
+    assert not rep.converged
+    assert rep.steps <= 2 * solver_mod.PTC_STALL
 
 
 def _damping_reference(w, c, q):
@@ -508,16 +564,16 @@ def test_implicit_damping_warm_start(monkeypatch):
 
 
 def test_degenerate_example_reference_damping(monkeypatch):
-    # the gamma = 1 reaction loop with the reference damping (cold start,
-    # no underflow settling) against the warm-started one
+    # the gamma = 1 explicit reference loop with the reference damping
+    # (cold start, no underflow settling) against the warm-started one
     inst = example_instance(1.0, 0.8)
     g = Grid.interval(*inst.domain, 79)
     p = ProblemSpec(g, SPEC1, inst.gamma, inst.q, inst.weight_on(g))
-    new = solve(p, init="subsolution", ball=(1.15, 1.95))
+    new = _explicit_solve(p, init="subsolution", ball=(1.15, 1.95))
     monkeypatch.setattr(solver_mod, "_implicit_damping",
                         lambda w, c, q, u=None, uq=None:
                         _damping_reference(w, c, q))
-    old = solve(p, init="subsolution", ball=(1.15, 1.95))
+    old = _explicit_solve(p, init="subsolution", ball=(1.15, 1.95))
     assert new.converged and old.converged
     assert new.steps == old.steps
     assert np.max(np.abs(new.solution.values - old.solution.values)) \
