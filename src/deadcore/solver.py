@@ -10,15 +10,16 @@ monotone iteration -F_h(u_{k+1}) + a- u_{k+1}^q = a+ u_k^q with Howard
 policy iteration around Newton inner solves; its step count does not grow
 with the grid.  For gamma > 0 it runs pseudo-transient Newton (_relax_ptc)
 on the same policy matrices, from the supersolution when a bracket is
-asked for.  Iterates are clamped at 0, which is itself a solution.  The
-supersolution's Dirichlet problem and the ball eigenpair go through
-solve_rhs, which is Newton-Howard at every gamma.  Explicit pseudo-time
+asked for; where it stalls above the tolerance, explicit pseudo-time
 relaxation (_relax_explicit, the step of Scheme.explicit_step with the
-damping part a- u^q treated implicitly) is kept as the tests' reference
-at every gamma; solve does not call it.
+damping part a- u^q treated implicitly) finishes from its iterate.  The
+explicit loop is also the tests' reference at every gamma.  Iterates are
+clamped at 0, which is itself a solution.  The supersolution's Dirichlet
+problem and the ball eigenpair go through solve_rhs, which is
+Newton-Howard at every gamma.
 """
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, replace
 import math
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -88,6 +89,11 @@ def residual(problem, u):
 # the last ball eigenpair as (key, pair): every probe of a parameter sweep
 # asks for the same one, so one entry serves the whole sweep
 _eig_memo = (None, None)
+# the ball eigenpair's control: tol_residual = inf, so its converged flag
+# checks only the inner solves
+BALL_EIGEN = EigenControl(tol_lambda=1e-7, tol_residual=np.inf,
+                          inner=IterationControl(tolerance=1e-8,
+                                                 max_steps=400_000))
 
 
 def _ball_grid(grid, ball):
@@ -111,26 +117,22 @@ def _ball_grid(grid, ball):
     return Grid.rectangle(xlo, xhi, ylo, yhi, nx, ny)
 
 
-def ball_eigenpair(problem, ball, eigen_ctl=None):
-    """Principal eigenpair of the problem's operator on a sub-ball.
+def ball_eigenpair(problem, ball):
+    """Principal eigenpair of the problem's operator on a sub-ball, by
+    principal_eigenpair under BALL_EIGEN.
 
-    The last pair is kept, keyed by grid, ball, gamma, operator and the
-    fields of eigen_ctl; a call with any other key computes its own pair
-    and replaces it.
+    The last pair is kept, keyed by grid, ball, gamma and operator; a call
+    with any other key computes its own pair and replaces it.
     """
     global _eig_memo
     ball = _norm_ball(problem.grid, ball)
-    if eigen_ctl is None:
-        eigen_ctl = EigenControl(tol_lambda=1e-7, tol_residual=np.inf,
-                                 inner=IterationControl(tolerance=1e-8,
-                                                        max_steps=400_000))
     key = (problem.grid.bounds, problem.grid.n, ball, problem.gamma,
-           problem.operator.key(), astuple(eigen_ctl))
+           problem.operator.key())
     last_key, last_pair = _eig_memo   # one read: key and pair match
     if last_key == key:
         return last_pair
     sub = _ball_grid(problem.grid, ball)
-    pair = principal_eigenpair(sub, problem.operator, problem.gamma, eigen_ctl)
+    pair = principal_eigenpair(sub, problem.operator, problem.gamma, BALL_EIGEN)
     _eig_memo = (key, pair)
     return pair
 
@@ -255,7 +257,7 @@ DAMPING_ITERS = 30
 ZERO_FLOOR = 1e-16
 
 
-def _implicit_damping(w, c, q, u=None, uq=None):
+def _implicit_damping(w, c, q):
     """Solve z + c z^q = w (z >= 0) nodewise; the damping a- u^q backward step.
 
     Exact implicitness makes the time map's fixed point coincide with the
@@ -265,12 +267,7 @@ def _implicit_damping(w, c, q, u=None, uq=None):
     concave under side, so the iteration increases monotonically to the
     root.  Where z0 underflows to 0 (a subnormal w next to a front) the
     root is at the underflow threshold too, and the node is set to 0 up
-    front: Newton would turn 0/0 into NaN there, which came out as 0 only
-    after holding every node of the call at the step cap.  Given the last
-    iterate u and uq = u^q (q < 1), the start is max(z0, z1) with z1 one
-    Newton step from u, which costs no power: by concavity z1 lies on the
-    under side from either side of the root, and close to it when u is,
-    which saves Newton steps on a slowly moving iterate.  Stops once
+    front (Newton would turn 0/0 into NaN there).  Stops once
     max|z + c z^q - w| <= 1e-16 max(1, w) or after DAMPING_ITERS steps.
     The callers (_newton_inner, _relax_explicit) run with divide, overflow
     and invalid floating-point errors ignored; non-finite roots come out
@@ -296,27 +293,12 @@ def _implicit_damping(w, c, q, u=None, uq=None):
         if not idx.size:
             return z
     caq = ca * q
-    if u is not None and q < 1.0:
-        # one Newton step from u with the caller's u^q; fmax skips the
-        # NaN that 0/0 gives where u = 0
-        ua, uqa = u.reshape(-1)[idx], uq.reshape(-1)[idx]
-        np.fmax(za, ua - (ua + ca * uqa - wa) / (1.0 + caq * uqa / ua),
-                out=za)
     scale = 1e-16 * max(1.0, float(wa.max()))
-    # Newton on za + ca za^q - wa in preallocated buffers; each line keeps
-    # the rounding of the plain expression (IEEE + is commutative)
-    zq, f, t = np.empty_like(za), np.empty_like(za), np.empty_like(za)
     for _ in range(DAMPING_ITERS):
-        np.power(za, q, out=zq)
-        np.multiply(ca, zq, out=f)
-        f += za
-        f -= wa                                 # f = za + ca zq - wa
-        np.multiply(caq, zq, out=t)
-        t /= za
-        t += 1.0
-        np.divide(f, t, out=t)
-        za -= t                                 # za - f / (1 + ca q zq / za)
-        if np.abs(f, out=t).max() <= scale:
+        zq = za ** q
+        f = za + ca * zq - wa
+        za = za - f / (1.0 + caq * zq / za)
+        if np.abs(f).max() <= scale:
             break
     # fmax drops NaN; + 0.0 turns -0.0 into +0.0, as np.maximum does
     zf[idx] = np.minimum(np.fmax(za, 0.0), _FLOAT_MAX) + 0.0
@@ -439,15 +421,15 @@ def _relax_explicit(problem, scheme, vals, ctl, init, bracket, super_u):
     """Explicit pseudo-time relaxation by the step of Scheme.explicit_step.
 
     The damping part a- u^q takes an exact backward substep
-    (_implicit_damping, warm-started from the current iterate).  Every 16
+    (_implicit_damping, or its closed form at q = 1/2).  Every 16
     steps round-off-scale deep zeros are flushed to 0 and the iterate is
     compared with the one 16 steps before: if they are equal the map has
     entered a cycle, no later step can meet the tolerance (it is below the
     floating-point floor of the residual), and the loop stops there with
     the state max_steps would give for any multiple of 16.  Past
     10 sup(super_u) (or 100 max(1, sup u0)) it reports a blow-up, with
-    the residual of its last step.  It is the tests' reference at every
-    gamma; solve runs _relax_monotone or _relax_ptc instead.
+    the residual of its last step.  It finishes a stalled _relax_ptc and
+    is the tests' reference at every gamma.
     """
     grid, q = problem.grid, problem.q
     a_plus = grid.interior(problem.weight.a_plus)
@@ -477,7 +459,7 @@ def _relax_explicit(problem, scheme, vals, ctl, init, bracket, super_u):
             s = 0.5 * (np.sqrt(c * c + 4.0 * np.maximum(w, 0.0)) - c)
             u_new = s * s
         else:
-            u_new = _implicit_damping(w, c, q, u_int, uq)
+            u_new = _implicit_damping(w, c, q)
         # flush round-off-scale values to exact zero: u = 0 is an unstable
         # solution wherever a > 0, and sub-floor seepage across a dead band
         # would re-seed it from values far below scheme accuracy.  Only
@@ -497,9 +479,6 @@ def _relax_explicit(problem, scheme, vals, ctl, init, bracket, super_u):
                 break
             snapshot = u_new.tobytes()
         u_int[...] = u_new
-        if ctl.debug and bracket is not None:
-            assert np.all(vals >= bracket[0].values - 1e-12)
-            assert np.all(vals <= bracket[1].values + 1e-12)
     return _certified(problem, vals, steps, ctl, init, bracket)
 
 
@@ -510,9 +489,9 @@ PTC_GROW = 2.0
 PTC_CUT = 4.0
 # a trial step is rejected when it multiplies max|R| by more than this
 PTC_REJECT = 2.0
-# accepted steps without a new lowest max|R| before the loop gives up:
-# PTC_WINDOW in a row that each moved u by at most PTC_SETTLED * sup u
-# (the floating-point floor), or PTC_STALL in all (a cycle)
+# the loop gives up after PTC_WINDOW accepted steps in a row that each
+# moved u by at most PTC_SETTLED * sup u (the floating-point floor), or
+# after PTC_STALL accepted steps without a new lowest max|R| (a cycle)
 PTC_WINDOW = 8
 PTC_SETTLED = 1e-6
 PTC_STALL = 128
@@ -538,16 +517,17 @@ def _relax_ptc(problem, scheme, vals, ctl, init, bracket):
     Euler on u_t = R(u), linearized at u, which becomes Newton's method as
     dt grows.  dt starts at PTC_DT0 and doubles on each accepted step; a
     step whose max|R| is not finite or more than doubles is rejected and
-    divides dt by 4.  Stops at ctl.tolerance, at an exact fixed point, or
-    once max|R| has not reached a new low for PTC_WINDOW accepted steps in
-    a row that each moved u by at most PTC_SETTLED sup u (the
-    floating-point floor of the residual) or for PTC_STALL accepted steps
-    in all (a cycle).  Far from the answer max|R| can rise and fall for
-    a dozen steps or more (71 at n = 3200) while u still moves by O(1),
-    so moving steps get the longer count.  `steps` counts sparse
-    solves, at most ctl.max_steps.  With a bracket (init='subsolution',
-    started from the supersolution) the answer must lie above the
-    subsolution, else SolveError names the node.
+    divides dt by 4.  Stops at ctl.tolerance, at an exact fixed point,
+    after PTC_WINDOW accepted steps in a row that each moved u by at most
+    PTC_SETTLED sup u, or after PTC_STALL accepted steps without a new low
+    of max|R| (a cycle; far from the answer max|R| can rise and fall for
+    71 steps at n = 3200 while u moves by O(1)).  Stopped above the
+    tolerance with steps left, it hands its iterate to _relax_explicit for
+    the rest of ctl.max_steps (seen at the edge of small-q dead cores, next
+    to values of u of 1e-12 and below).  `steps` counts the sparse solves
+    and the explicit steps.  With a bracket (init='subsolution', started
+    from the supersolution) the answer must lie above the subsolution,
+    else SolveError names the node.
     """
     grid, q = problem.grid, problem.q
     op = PolicyMatrix(scheme)
@@ -583,11 +563,15 @@ def _relax_ptc(problem, scheme, vals, ctl, init, bracket):
         vals[...] = trial
         R, parts, rsup = R_t, parts_t, r_t
         dt *= PTC_GROW
+        quiet = 0 if moved else quiet + 1
         if rsup < best:
-            best, stale, quiet = rsup, 0, 0
+            best, stale = rsup, 0
         else:
             stale += 1
-            quiet = 0 if moved else quiet + 1
+    if rsup > ctl.tolerance and steps < ctl.max_steps:
+        steps += _relax_explicit(
+            problem, scheme, vals, replace(ctl, max_steps=ctl.max_steps - steps),
+            init, None, None).steps
     if bracket is not None:
         below = grid.interior(vals - bracket[0].values) < -BRACKET_TOL
         if below.any():
@@ -648,13 +632,14 @@ def solve(problem, init="zero", ctl=None, ball=None, u0=None):
       _relax_monotone, started from the init, whose step count does not
       grow with the grid; in debug mode the bracket ordering is asserted
       every step.
-    - gamma > 0: pseudo-transient Newton (_relax_ptc).  'given' and
+    - gamma > 0: pseudo-transient Newton (_relax_ptc), finished by the
+      explicit loop where it stalls above the tolerance.  'given' and
       'supersolution' start from u0 and the supersolution, 'zero' returns
       0 (R(0) = 0) with steps = 0, and 'subsolution' builds both bracket
       ends, starts from the supersolution and raises SolveError unless the
-      answer lies above the subsolution (started from the subsolution the
-      loop stalls); in debug mode the ordering of the final field is
-      asserted.
+      answer lies above the subsolution (from the subsolution Newton
+      cycles and the explicit loop does the work); in debug mode the
+      ordering of the final field is asserted.
     Scheme.require_policy is checked before any work; a non-finite
     residual raises SolveError naming the step.
     """
