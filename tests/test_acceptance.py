@@ -12,7 +12,7 @@ from deadcore import (Grid, GridFunction, WeightField, OperatorSpec,
                       principal_eigenpair, check_axioms, solve, residual,
                       classify, hopf_bound, ball_eigenpair, barrier_check,
                       estimate_threshold, to_w, w_residual_sup,
-                      example_instance, sup_norm)
+                      example_instance, sup_norm, build_subsolution)
 
 SPEC1 = OperatorSpec.linear_trace(np.eye(1))
 
@@ -166,7 +166,9 @@ def test_criterion_6_barrier(capsys):
 def test_criterion_7_uniqueness(capsys):
     tol = 1e-9
     p = _base_instance()
-    lo = solve(p, init="subsolution", ball=BALL,
+    # from below (the monotone iteration from the subsolution) and from
+    # above (pseudo-transient Newton from the supersolution)
+    lo = solve(p, init="given", u0=build_subsolution(p, BALL),
                ctl=IterationControl(tolerance=tol))
     hi = solve(p, init="supersolution",
                ctl=IterationControl(tolerance=tol))

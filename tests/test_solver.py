@@ -146,21 +146,22 @@ def test_solve_given_requires_nonnegative():
 
 
 def test_solve_bracket_ordering_debug_mode():
+    # the answer from the supersolution lies in the bracket (checked on
+    # the final field) at every gamma
     g = Grid.interval(0.0, 2.0, 79)
     w = WeightField.sinsplit(g, 0.3).scaled(30.0)
     p = _problem(g, w)
     rep = solve(p, init="subsolution", ball=(0.2, 0.8),
                 ctl=IterationControl(tolerance=1e-6, debug=True))
     assert rep.converged
-    # the Howard path keeps the order too (2-D wide stencil)
+    # 2-D wide stencil
     g = Grid.rectangle(0.0, 2.0, 0.0, 1.0, 19, 9)
     p = _problem(g, WeightField.sinsplit(g, 0.3).scaled(30.0),
                  spec=OperatorSpec.pucci_plus(1.0, 2.0))
     rep = solve(p, init="subsolution", ball=((0.2, 0.8), (0.2, 0.8)),
                 ctl=IterationControl(tolerance=1e-6, debug=True))
     assert rep.converged
-    # gamma = 1: the pseudo-transient Newton answer from the supersolution
-    # lies in the bracket (checked on the final field)
+    # gamma = 1
     p = _problem(g, WeightField.sinsplit(g, 0.3).scaled(30.0), gamma=1.0,
                  q=0.8, spec=OperatorSpec.pucci_plus(1.0, 2.0))
     rep = solve(p, init="subsolution", ball=((0.2, 0.8), (0.2, 0.8)),
@@ -196,22 +197,26 @@ def test_solve_generic_q_newton_damping():
     assert float(np.max(np.abs(g.interior(r.values)))) <= 1e-7
 
 
-# --- monotone (Sattinger-Newton) path for gamma = 0, linear trace ----------
+# --- policy-matrix paths for gamma = 0: PTC from above, monotone from below
 
 def _parity(p, ball, tol=1e-8):
-    """The monotone path against the explicit reference loop."""
-    from deadcore import classify
-    reps = [run(p, init="subsolution", ball=ball,
-                ctl=IterationControl(tolerance=tol))
-            for run in (solve, _explicit_solve)]
-    assert all(r.converged for r in reps)
-    verdicts = [classify(r.solution).verdict for r in reps]
-    assert verdicts[0] == verdicts[1]
-    diff = np.max(np.abs(reps[0].solution.values - reps[1].solution.values))
-    assert diff <= 2 * tol
-    # the explicit loop needs O(n^2) steps, the monotone one a few dozen
-    assert reps[0].steps < 100 < reps[1].steps
-    return verdicts[0]
+    """Both gamma = 0 paths against the explicit reference loop: the
+    bracketed solve (pseudo-transient Newton from the supersolution) and
+    the from-below monotone solve (init='given' from the subsolution)."""
+    ctl = IterationControl(tolerance=tol)
+    ref = _explicit_solve(p, init="subsolution", ball=ball, ctl=ctl)
+    reps = [solve(p, init="subsolution", ball=ball, ctl=ctl),
+            solve(p, init="given", u0=build_subsolution(p, ball), ctl=ctl)]
+    verdict = classify(ref.solution).verdict
+    assert ref.converged
+    for rep in reps:
+        assert rep.converged
+        assert classify(rep.solution).verdict == verdict
+        diff = np.max(np.abs(rep.solution.values - ref.solution.values))
+        assert diff <= 2 * tol
+        # the explicit loop needs O(n^2) steps, the policy paths a few dozen
+        assert rep.steps < 100 < ref.steps
+    return verdict
 
 
 def _policy_specs(dim):
@@ -261,7 +266,7 @@ def test_monotone_parity_2d_rectangle():
                                        (2.5, "dead_core")])
 def test_p_laplacian_1d_monotone_parity(s, verdict):
     # in 1-D the p-Laplacian is the trace (p - 1) u'' and takes the
-    # monotone path; the explicit loop it used to run is the reference
+    # policy-matrix paths; the explicit loop it used to run is the reference
     g = Grid.interval(0.0, 2.0, 79)
     p = _problem(g, WeightField.sinsplit(g, s).scaled(30.0),
                  spec=OperatorSpec.p_laplacian(3.0))
@@ -344,11 +349,13 @@ def test_extend_ball_function_is_injection():
 
 @pytest.mark.parametrize("s", [0.2, 2.5])
 def test_monotone_steps_mesh_independent(s):
+    # the from-below monotone iteration; pseudo-transient Newton from above
+    # takes 61/72/41 sparse solves at s = 2.5 (its first dt ignores h)
     steps = []
     for n in (99, 199, 399):
         g = Grid.interval(0.0, 2.0, n)
-        rep = solve(_problem(g, WeightField.sinsplit(g, s).scaled(30.0)),
-                    init="subsolution", ball=(0.1, 0.9))
+        p = _problem(g, WeightField.sinsplit(g, s).scaled(30.0))
+        rep = solve(p, init="given", u0=build_subsolution(p, (0.1, 0.9)))
         assert rep.converged
         steps.append(rep.steps)
     assert max(steps) - min(steps) <= 3
@@ -397,6 +404,50 @@ def test_monotone_inner_work_is_capped(monkeypatch):
     rep = solve(p, init="given", u0=sub)
     assert rep.converged
     assert len(calls) <= solver_mod.INNER_CAP * rep.steps
+
+
+def test_gamma0_stall_finishes_monotone(monkeypatch):
+    # small q at gamma = 0: pseudo-transient Newton from the supersolution
+    # stalls above tol at the edge of the dead core and hands its iterate
+    # to the monotone iteration, which reuses its policy matrix, never to the
+    # explicit loop
+    def no_explicit(*args, **kwargs):
+        raise AssertionError("the explicit loop ran")
+
+    ops = []
+    monotone = solver_mod._relax_monotone
+
+    def counting(problem, scheme, vals, ctl, init, op=None):
+        ops.append(op)
+        return monotone(problem, scheme, vals, ctl, init, op)
+
+    monkeypatch.setattr(solver_mod, "_relax_explicit", no_explicit)
+    monkeypatch.setattr(solver_mod, "_relax_monotone", counting)
+    g = Grid.interval(0.0, 2.0, 99)
+    p = _problem(g, WeightField.sinsplit(g, 2.5).scaled(30.0), q=0.2)
+    rep = solve(p, init="subsolution", ball=(0.2, 0.8))
+    assert rep.converged and rep.steps < 100
+    assert classify(rep.solution).verdict == "dead_core"
+    assert len(ops) == 1 and ops[0] is not None
+
+
+def test_monotone_stops_on_cycle():
+    # n = 1599: the floating-point floor of the residual (about 1.5e-7 at
+    # sup u = 878) lies above tol, and from the subsolution the monotone
+    # map ends in a 2-cycle there; it stops on it instead of running to
+    # max_steps (1,000,000 steps at about 1 ms each), and so does the
+    # bracketed solve, whose stalled Newton run hands over to it
+    g = Grid.interval(0.0, 2.0, 1599)
+    p = _problem(g, WeightField.sinsplit(g, 2.5).scaled(30.0), q=0.8)
+    t0 = time.perf_counter()
+    lo = solve(p, init="given", u0=build_subsolution(p, (0.2, 0.8)))
+    hi = solve(p, init="subsolution", ball=(0.2, 0.8))
+    assert time.perf_counter() - t0 < 5.0
+    tol = IterationControl().tolerance
+    for rep in (lo, hi):
+        assert not rep.converged and tol < rep.residual_sup < 1e-6
+        assert rep.steps < 1_000
+    assert np.max(np.abs(lo.solution.values - hi.solution.values)) <= 1e-9
 
 
 def test_degenerate_example_auto_matches_explicit(monkeypatch):
