@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridFunction, Scheme, _stencil_all_below
+from .operators import pucci
 from .solver import (extend_ball_function, _ball_mask, _norm_ball, solve,
                      SubsolutionError)
 
@@ -140,27 +141,15 @@ def w_residual(w, problem):
         M["y"] = k["y"] + c * grads[1] ** 2 / wi
         Mxy = scheme.cross_difference(w.values) + c * grads[0] * grads[1] / wi
         if spec.variant in ("pucci_plus", "pucci_minus"):
-            Fv = _pucci_2d(spec, M["x"], M["y"], Mxy)
+            # the continuum operator on the matrix field: the scheme's
+            # wide stencil sees only axis and diagonal curvatures
+            Fv = pucci(np.moveaxis(np.array([[M["x"], Mxy], [Mxy, M["y"]]]), (0, 1), (-2, -1)),
+                       spec.lam, spec.Lam, "+" if spec.variant == "pucci_plus" else "-")
         else:
             Fv = scheme.F_of(M, Mxy, grads)
     out = np.zeros(g.shape)
     g.interior(out)[...] = gfac * Fv + a_int
     return GridFunction(g, out, dirichlet=False)
-
-
-def _pucci_2d(spec, Mxx, Myy, Mxy):
-    """Pucci envelope of the symmetric 2x2 matrix field by its eigenvalues.
-
-    The continuum operator: the scheme's wide stencil sees only the axis
-    and diagonal curvatures, not the matrix field the w-residual builds.
-    """
-    mean = 0.5 * (Mxx + Myy)
-    rad = np.sqrt((0.5 * (Mxx - Myy)) ** 2 + Mxy ** 2)
-    e1, e2 = mean - rad, mean + rad
-    up, down = (spec.Lam, spec.lam) if spec.variant == "pucci_plus" \
-        else (spec.lam, spec.Lam)
-    return (up * (np.maximum(e1, 0) + np.maximum(e2, 0))
-            - down * (np.maximum(-e1, 0) + np.maximum(-e2, 0)))
 
 
 def w_residual_sup(w, problem, margin=None):

@@ -328,37 +328,19 @@ class Scheme:
         off-diagonal entries are rejected.
         """
         g = self.grid
-        if not callable(coeff):
+        if callable(coeff):
+            nodes = np.meshgrid(*(g.axis(a)[1:-1] for a in range(g.dim)), indexing="ij")
+            A = coeff_at(coeff, np.stack(nodes, -1)).reshape(tuple(g.n) + (g.dim, g.dim))
+        else:
             A = np.asarray(coeff, dtype=float)
             if A.shape != (g.dim, g.dim):
                 raise ValueError("coefficient matrix dim mismatch")
-            if g.dim == 2 and abs(A[0, 1]) > 0:
-                raise ValueError("monotone scheme requires diagonal coefficients")
-            self._check_bounds(np.diag(A))
-            return tuple(np.full(tuple(g.n), A[k, k]) for k in range(g.dim))
-        diags = [np.empty(tuple(g.n)) for _ in range(g.dim)]
-        if g.dim == 1:
-            x = g.axis(0)[1:-1]
-            for i, xi in enumerate(x):
-                A = coeff_at(coeff, xi)
-                self._check_bounds(np.diag(np.atleast_2d(A)))
-                diags[0][i] = np.atleast_2d(A)[0, 0]
-        else:
-            xs, ys = g.axis(0)[1:-1], g.axis(1)[1:-1]
-            for i, xi in enumerate(xs):
-                for j, yj in enumerate(ys):
-                    A = coeff_at(coeff, (xi, yj))
-                    if abs(A[0, 1]) > 0:
-                        raise ValueError("monotone scheme requires diagonal coefficients")
-                    self._check_bounds(np.diag(A))
-                    diags[0][i, j] = A[0, 0]
-                    diags[1][i, j] = A[1, 1]
-        return tuple(diags)
-
-    def _check_bounds(self, d):
-        lam, Lam = self.spec.lam, self.spec.Lam
-        if np.min(d) < lam - 1e-12 or np.max(d) > Lam + 1e-12:
+        if g.dim == 2 and np.any(np.abs(A[..., 0, 1]) > 0):
+            raise ValueError("monotone scheme requires diagonal coefficients")
+        diag = np.diagonal(A, axis1=-2, axis2=-1)
+        if diag.min() < self.spec.lam - 1e-12 or diag.max() > self.spec.Lam + 1e-12:
             raise ValueError("coefficient field violates lam I <= A <= Lam I")
+        return tuple(np.full(tuple(g.n), diag[..., k]) for k in range(g.dim))
 
     # -- differences ----------------------------------------------------
 

@@ -6,7 +6,8 @@ envelopes over finite linear families, and the p-Laplacian in
 non-divergence form.  All operators are degenerate elliptic (sandwiched
 between the Pucci extremes on positive increments) and positively
 1-homogeneous; `check_axioms` certifies both properties, plus an optional
-Lipschitz modulus in x, by randomized trials.
+Lipschitz modulus in x, by randomized trials evaluated as one batch:
+`eigenvalues`, `pucci` and `evaluate_operator` take a (..., d, d) stack.
 """
 
 from dataclasses import dataclass
@@ -50,10 +51,10 @@ class SymMatrix:
         return float(np.linalg.norm(self.entries))
 
     def __add__(self, other):
-        return SymMatrix(self.entries + _entries(other))
+        return SymMatrix(self.entries + _stack(other))
 
     def __sub__(self, other):
-        return SymMatrix(self.entries - _entries(other))
+        return SymMatrix(self.entries - _stack(other))
 
     def __mul__(self, s):
         return SymMatrix(self.entries * float(s))
@@ -64,17 +65,30 @@ class SymMatrix:
         return "SymMatrix(%r)" % (self.entries.tolist(),)
 
 
-def _entries(X):
-    return X.entries if isinstance(X, SymMatrix) else np.asarray(X, dtype=float)
+def _stack(X):
+    """Entries of a SymMatrix, or of one matrix or a (..., d, d) stack of
+    them, each symmetrized as SymMatrix does."""
+    if isinstance(X, SymMatrix):
+        return X.entries
+    a = np.asarray(X, dtype=float)
+    if a.ndim > 2 and a.shape[-1] == a.shape[-2] and 1 <= a.shape[-1] <= 3:
+        return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return SymMatrix(a).entries
 
 
-def _as_sym(X):
-    return X if isinstance(X, SymMatrix) else SymMatrix(X)
+def _dot(a, b):
+    """Dot products over the last axis, rounded as `a @ b` of one pair."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _scalar(v):
+    """A 0-d result as a Python float; a stacked result as it is."""
+    return float(v) if np.ndim(v) == 0 else v
 
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Sorted (ascending) eigenvalues of a SymMatrix."""
+    """Sorted (ascending) eigenvalues: (d,) for a matrix, (..., d) for a stack."""
     eigenvalues: np.ndarray
 
 
@@ -82,26 +96,28 @@ def eigenvalues(X):
     """Spectrum of a symmetric matrix, ascending, by np.linalg.eigvalsh.
 
     Backward stable: the eigenvalues are exact for a matrix within a few
-    units of round-off times ||X|| of X.  Dims are capped at 3 by SymMatrix.
+    units of round-off times ||X|| of X.  Dims are capped at 3.  A stack
+    gives (..., d) rows, each bit-identical to its matrix's own spectrum.
     """
-    return Spectrum(np.linalg.eigvalsh(_as_sym(X).entries))
+    return Spectrum(np.linalg.eigvalsh(_stack(X)))
 
 
 def pucci(X, lam, Lam, sign):
     """Pucci extremal operator M+ (sign '+') or M- (sign '-') of X.
 
     M+ = lam * sum of negative eigenvalues + Lam * sum of positive ones;
-    M- swaps the roles of lam and Lam.
+    M- swaps the roles of lam and Lam.  A float for one matrix, an array
+    for a (..., d, d) stack.
     """
     if not 0 < lam <= Lam:
         raise ValueError("require 0 < lam <= Lam")
     e = eigenvalues(X).eigenvalues
-    neg = e[e < 0].sum()
-    pos = e[e > 0].sum()
+    neg = np.minimum(e, 0.0).sum(axis=-1)
+    pos = np.maximum(e, 0.0).sum(axis=-1)
     if sign == "+":
-        return float(lam * neg + Lam * pos)
+        return _scalar(lam * neg + Lam * pos)
     if sign == "-":
-        return float(Lam * neg + lam * pos)
+        return _scalar(Lam * neg + lam * pos)
     raise ValueError("sign must be '+' or '-'")
 
 
@@ -192,44 +208,49 @@ class OperatorSpec:
 
 
 def coeff_at(coeff, x):
-    """Evaluate a coefficient field (constant matrix or callable) at x."""
-    A = coeff(np.atleast_1d(np.asarray(x, dtype=float))) if callable(coeff) else coeff
-    return np.asarray(A, dtype=float)
+    """Evaluate a coefficient field (constant matrix or callable) at x, one
+    point or a (..., dim) stack of them; a callable is called per point."""
+    if not callable(coeff):
+        return np.asarray(coeff, dtype=float)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    A = np.array([coeff(p) for p in x.reshape(-1, x.shape[-1])], dtype=float)
+    return A.reshape(x.shape[:-1] + A.shape[1:])
 
 
 def evaluate_operator(spec, x, X):
     """F(x, X) for gradient-free variants.
 
-    The p-Laplacian depends on the gradient direction and must go through
-    `evaluate_gradient_operator`.
+    x is a point or a (..., dim) stack, X a matrix or a (..., d, d) stack,
+    and their leading axes broadcast: one pair gives a float, stacks an
+    array.  Coefficients are evaluated once per point of x; a custom
+    `func` is called once per broadcast pair.  The p-Laplacian depends on
+    the gradient direction and must go through `evaluate_gradient_operator`.
     """
-    X = _as_sym(X)
+    X = _stack(X)
     v = spec.variant
-    if v == "linear_trace":
-        return float(np.trace(coeff_at(spec.coeff, x) @ X.entries))
-    if v == "hjb_inf":
-        return float(min(np.trace(coeff_at(c, x) @ X.entries) for c in spec.family))
-    if v == "hjb_sup":
-        return float(max(np.trace(coeff_at(c, x) @ X.entries) for c in spec.family))
-    if v == "pucci_plus":
-        return pucci(X, spec.lam, spec.Lam, "+")
-    if v == "pucci_minus":
-        return pucci(X, spec.lam, spec.Lam, "-")
+    if v in ("linear_trace", "hjb_inf", "hjb_sup"):
+        tr = [np.trace(coeff_at(c, x) @ X, axis1=-2, axis2=-1)
+              for c in (spec.family or (spec.coeff,))]
+        return _scalar(np.max(tr, axis=0) if v == "hjb_sup" else np.min(tr, axis=0))
+    if v in ("pucci_plus", "pucci_minus"):
+        return pucci(X, spec.lam, spec.Lam, "+" if v == "pucci_plus" else "-")
     if v == "custom":
-        return float(spec.func(x, X.entries))
+        func = np.vectorize(spec.func, otypes=[float], signature="(n),(d,d)->()")
+        return _scalar(func(np.atleast_1d(np.asarray(x, dtype=float)), X))
     if v == "p_laplacian":
         raise TypeError("p-Laplacian needs a gradient; use evaluate_gradient_operator")
     raise ValueError("unknown variant %r" % v)
 
 
 def p_laplacian_matrix_part(xi, X, p):
-    """F_p(xi, X) = Tr[(I + (p-2) xi (x) xi / |xi|^2) X], Tr(X) at xi = 0."""
-    X = _as_sym(X)
+    """F_p(xi, X) = Tr[(I + (p-2) xi (x) xi / |xi|^2) X], Tr(X) at xi = 0;
+    takes stacks as `evaluate_operator` does, xi in place of x."""
+    X = _stack(X)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    n2 = float(xi @ xi)
-    if n2 == 0.0:
-        return X.trace()
-    return X.trace() + (p - 2.0) * float(xi @ X.entries @ xi) / n2
+    n2 = _dot(xi, xi)
+    tr = np.trace(X, axis1=-2, axis2=-1)
+    quad = (xi[..., None, :] @ X @ xi[..., :, None])[..., 0, 0]
+    return _scalar(np.where(n2 == 0.0, tr, tr + (p - 2.0) * quad / np.where(n2 == 0.0, 1.0, n2)))
 
 
 def evaluate_gradient_operator(spec, x, xi, X, gamma):
@@ -243,7 +264,7 @@ def evaluate_gradient_operator(spec, x, xi, X, gamma):
     if spec.variant == "p_laplacian":
         p = spec.p
         if norm == 0.0:
-            return _as_sym(X).trace() if p == 2.0 else 0.0
+            return p_laplacian_matrix_part(xi, X, p) if p == 2.0 else 0.0
         return norm ** (p - 2.0) * p_laplacian_matrix_part(xi, X, p)
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
@@ -279,58 +300,64 @@ def check_axioms(spec, trials, seed, dim=2, strict_homogeneity=False):
     is declared, |F(x,X) - F(y,X)| <= L |x-y| ||X||.  With
     strict_homogeneity the literal two-sided form F(x, sX) = |s| F(x, X)
     is tested as well (the Pucci operators fail it for s < 0, by design).
-    Stops at the first counterexample and reports the witness.
+    The trials are drawn one by one from default_rng(seed) and evaluated as
+    one batch, so a `custom` func is called for every trial.  A failure
+    reports the lowest failing trial and a witness of its first failing
+    axiom, in the order above.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError("trials must be an integer >= 1, got %r" % (trials,))
+    if dim not in (1, 2, 3):
+        raise ValueError("dim must be 1, 2 or 3, got %r" % (dim,))
+    for c in (spec.coeff, *spec.family):
+        if not (c is None or callable(c)) and np.shape(c) != (dim, dim):
+            raise ValueError("%s coefficient of shape %s does not match dim=%d"
+                             % (spec.variant, np.shape(c), dim))
     rng = np.random.default_rng(seed)
-    checked = ("ellipticity", "homogeneity") + \
-        (("strict_homogeneity",) if strict_homogeneity else ()) + \
-        (("lipschitz",) if spec.lipschitz is not None else ())
+    x, y, xi = np.empty((3, trials, dim))
+    A, B = np.empty((2, trials, dim, dim))
+    s = np.empty(trials)
+    for k in range(trials):  # fixed draw order; rng.random is uniform(0, 1)
+        rng.random(out=x[k])
+        rng.random(out=y[k])
+        rng.standard_normal(out=A[k])
+        rng.standard_normal(out=B[k])
+        s[k] = rng.uniform(-2.0, 2.0)
+        rng.standard_normal(out=xi[k])
+    s = np.exp(s)
+    X = _stack(A)
+    Y = _stack(B @ B.swapaxes(1, 2))
+    Xf, Yf = X.reshape(trials, -1), Y.reshape(trials, -1)
+    sX = s[:, None, None] * X
+    F = _pointwise_F(spec, x[:, None], np.stack(
+        [X, X + Y, sX] + ([-sX] if strict_homogeneity else []), axis=1), xi[:, None])
+    FX, d, sFX = F[:, 0], F[:, 1] - F[:, 0], s * F[:, 0]
+    lo = pucci(Y, spec.lam, spec.Lam, "-")
+    hi = pucci(Y, spec.lam, spec.Lam, "+")
+    tol = 1e-9 * (1.0 + np.sqrt(_dot(Yf, Yf)))
 
-    for k in range(trials):
-        x = rng.uniform(0.0, 1.0, size=dim)
-        y = rng.uniform(0.0, 1.0, size=dim)
-        X = SymMatrix(rng.standard_normal((dim, dim)))
-        B = rng.standard_normal((dim, dim))
-        Y = SymMatrix(B @ B.T)
-        s = float(np.exp(rng.uniform(-2.0, 2.0)))
-        xi = rng.standard_normal(dim)
+    # (name, failing trials, witness fields); a trial's first failure wins
+    tests = [("ellipticity", ~((lo - tol <= d) & (d <= hi + tol)),
+              {"x": x, "X": X, "Y": Y, "increment": d, "pucci_minus": lo,
+               "pucci_plus": hi}),
+             ("homogeneity", np.abs(F[:, 2] - sFX) > 1e-12 * np.maximum(1.0, np.abs(sFX)),
+              {"x": x, "X": X, "s": s, "F_sX": F[:, 2], "s_FX": sFX})]
+    if strict_homogeneity:
+        # literal two-sided form: F(x, sX) = |s| F(x, X) also for s < 0
+        tests.append(("strict_homogeneity",
+                      np.abs(F[:, 3] - sFX) > 1e-9 * np.maximum(1.0, np.abs(sFX)),
+                      {"x": x, "X": X, "s": -s, "F_sX": F[:, 3], "abs_s_FX": sFX}))
+    if spec.lipschitz is not None:
+        dF = np.abs(FX - _pointwise_F(spec, y, X, xi))
+        bound = spec.lipschitz * np.sqrt(_dot(x - y, x - y)) * np.sqrt(_dot(Xf, Xf))
+        tests.append(("lipschitz", dF > bound + 1e-9,
+                      {"x": x, "y": y, "X": X, "dF": dF, "bound": bound}))
 
-        FX = _pointwise_F(spec, x, X, xi)
-
-        # (F1): Pucci sandwich on nonnegative increments.
-        d = _pointwise_F(spec, x, X + Y, xi) - FX
-        lo = pucci(Y, spec.lam, spec.Lam, "-")
-        hi = pucci(Y, spec.lam, spec.Lam, "+")
-        tol = 1e-9 * (1.0 + Y.frobenius())
-        if not (lo - tol <= d <= hi + tol):
-            return AxiomReport(False, k + 1, checked, {
-                "axiom": "ellipticity", "x": x, "X": X.entries, "Y": Y.entries,
-                "increment": d, "pucci_minus": lo, "pucci_plus": hi})
-
-        # (F2): positive 1-homogeneity.
-        lhs = _pointwise_F(spec, x, s * X, xi)
-        if abs(lhs - s * FX) > 1e-12 * max(1.0, abs(s * FX)):
-            return AxiomReport(False, k + 1, checked, {
-                "axiom": "homogeneity", "x": x, "X": X.entries, "s": s,
-                "F_sX": lhs, "s_FX": s * FX})
-        if strict_homogeneity:
-            # literal two-sided form: F(x, sX) = |s| F(x, X) also for s < 0
-            lhs = _pointwise_F(spec, x, (-s) * X, xi)
-            ref = s * FX
-            if abs(lhs - ref) > 1e-9 * max(1.0, abs(ref)):
-                return AxiomReport(False, k + 1, checked, {
-                    "axiom": "strict_homogeneity", "x": x, "X": X.entries,
-                    "s": -s, "F_sX": lhs, "abs_s_FX": ref})
-
-        # (F3): declared Lipschitz modulus in x.
-        if spec.lipschitz is not None:
-            dxy = float(np.linalg.norm(x - y))
-            dF = abs(_pointwise_F(spec, x, X, xi) - _pointwise_F(spec, y, X, xi))
-            if dF > spec.lipschitz * dxy * X.frobenius() + 1e-9:
-                return AxiomReport(False, k + 1, checked, {
-                    "axiom": "lipschitz", "x": x, "y": y, "X": X.entries,
-                    "dF": dF, "bound": spec.lipschitz * dxy * X.frobenius()})
-
-    return AxiomReport(True, trials, checked)
+    checked = tuple(name for name, _, _ in tests)
+    failed = np.logical_or.reduce([bad for _, bad, _ in tests])
+    if not failed.any():
+        return AxiomReport(True, trials, checked)
+    k = int(np.argmax(failed))
+    axiom, _, fields = next(t for t in tests if t[1][k])
+    return AxiomReport(False, k + 1, checked, {"axiom": axiom, **{
+        key: v[k].copy() if v.ndim > 1 else float(v[k]) for key, v in fields.items()}})

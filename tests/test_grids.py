@@ -372,3 +372,30 @@ def test_pointwise_helpers_are_scheme_entries(dim):
         assert set(hess) == set(k)
         assert all(hess[name] == k[name][idx] for name in k)
         assert discrete_F(spec, u, node) == F[idx]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_callable_coefficient_is_sampled_once_per_interior_node(dim):
+    # the trace's policy weights are the coefficient diagonal at each node
+    g = Grid.interval(0.0, 2.0, 9) if dim == 1 else \
+        Grid.rectangle(0.0, 2.0, 0.0, 1.0, 7, 5)
+    calls = []
+
+    def coeff(x):
+        calls.append(tuple(x))
+        a = 1.0 + 0.1 * x[0] + 0.2 * x[-1]
+        return [[a]] if dim == 1 else np.diag([a, 2.0 - 0.3 * x[1]])
+
+    weights = Scheme(g, OperatorSpec.linear_trace(coeff, 1.0, 2.0), 0.0) \
+        .policy(GridFunction.zeros(g).values)
+    nodes = list(np.ndindex(*g.n))
+    points = [tuple(g.axis(a)[i[a] + 1] for a in range(dim)) for i in nodes]
+    assert calls == points
+    for d, name in enumerate(("x", "y")[:dim]):
+        assert [weights[name][i] for i in nodes] == \
+            [np.diag(np.atleast_2d(coeff(p)))[d] for p in points]
+    with pytest.raises(ValueError, match="diagonal"):
+        Scheme(Grid.rectangle(0.0, 2.0, 0.0, 1.0, 7, 5),
+               OperatorSpec.linear_trace(lambda x: [[1.0, 0.1], [0.1, 1.0]], 1.0, 2.0), 0.0)
+    with pytest.raises(ValueError, match="lam I <= A <= Lam I"):
+        Scheme(g, OperatorSpec.linear_trace(coeff, 1.0, 1.1), 0.0)

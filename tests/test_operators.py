@@ -6,9 +6,10 @@ import weakref
 import numpy as np
 import pytest
 
-from deadcore import (SymMatrix, OperatorSpec, eigenvalues, pucci,
+from deadcore import (SymMatrix, OperatorSpec, AxiomReport, eigenvalues, pucci,
                       evaluate_operator, evaluate_gradient_operator,
                       check_axioms)
+from deadcore.operators import p_laplacian_matrix_part
 
 
 # --- spectral kernel -----------------------------------------------------
@@ -218,3 +219,202 @@ def test_key_keeps_callables_alive():
     assert ref() is not None and ref() in key
     assert key == OperatorSpec.linear_trace(ref(), 1.0, 1.0).key()
     assert key != OperatorSpec.linear_trace(lambda x: np.eye(1), 1.0, 1.0).key()
+
+
+# --- batched check_axioms against the per-trial loop -------------------------
+
+def _reference_check_axioms(spec, trials, seed, dim=2, strict_homogeneity=False):
+    """The per-trial loop `check_axioms` replaced: one trial at a time,
+    stopping at the first counterexample."""
+    def F(x, X, xi):
+        if spec.variant == "p_laplacian":
+            return p_laplacian_matrix_part(xi, X, spec.p)
+        return evaluate_operator(spec, x, X)
+
+    rng = np.random.default_rng(seed)
+    checked = ("ellipticity", "homogeneity") + \
+        (("strict_homogeneity",) if strict_homogeneity else ()) + \
+        (("lipschitz",) if spec.lipschitz is not None else ())
+    for k in range(trials):
+        x = rng.uniform(0.0, 1.0, size=dim)
+        y = rng.uniform(0.0, 1.0, size=dim)
+        X = SymMatrix(rng.standard_normal((dim, dim)))
+        B = rng.standard_normal((dim, dim))
+        Y = SymMatrix(B @ B.T)
+        s = float(np.exp(rng.uniform(-2.0, 2.0)))
+        xi = rng.standard_normal(dim)
+        FX = F(x, X, xi)
+        d = F(x, X + Y, xi) - FX
+        lo = pucci(Y, spec.lam, spec.Lam, "-")
+        hi = pucci(Y, spec.lam, spec.Lam, "+")
+        tol = 1e-9 * (1.0 + Y.frobenius())
+        if not (lo - tol <= d <= hi + tol):
+            return AxiomReport(False, k + 1, checked, {
+                "axiom": "ellipticity", "x": x, "X": X.entries, "Y": Y.entries,
+                "increment": d, "pucci_minus": lo, "pucci_plus": hi})
+        lhs = F(x, s * X, xi)
+        if abs(lhs - s * FX) > 1e-12 * max(1.0, abs(s * FX)):
+            return AxiomReport(False, k + 1, checked, {
+                "axiom": "homogeneity", "x": x, "X": X.entries, "s": s,
+                "F_sX": lhs, "s_FX": s * FX})
+        if strict_homogeneity:
+            lhs = F(x, (-s) * X, xi)
+            ref = s * FX
+            if abs(lhs - ref) > 1e-9 * max(1.0, abs(ref)):
+                return AxiomReport(False, k + 1, checked, {
+                    "axiom": "strict_homogeneity", "x": x, "X": X.entries,
+                    "s": -s, "F_sX": lhs, "abs_s_FX": ref})
+        if spec.lipschitz is not None:
+            dxy = float(np.linalg.norm(x - y))
+            dF = abs(F(x, X, xi) - F(y, X, xi))
+            if dF > spec.lipschitz * dxy * X.frobenius() + 1e-9:
+                return AxiomReport(False, k + 1, checked, {
+                    "axiom": "lipschitz", "x": x, "y": y, "X": X.entries,
+                    "dF": dF, "bound": spec.lipschitz * dxy * X.frobenius()})
+    return AxiomReport(True, trials, checked)
+
+
+def _x_coeff(x):
+    return np.diag([np.clip(1.0 + x[0] ** 2 / 10.0, 1.0, 1.2), 1.0])
+
+
+_FAMILY = (np.eye(2), np.diag([2.0, 1.0]))
+PARITY_CASES = {
+    "pucci_plus": (OperatorSpec.pucci_plus(1.0, 2.0), {}),
+    "pucci_minus": (OperatorSpec.pucci_minus(1.0, 2.0), {}),
+    "hjb_inf": (OperatorSpec.hjb_inf(_FAMILY, 1.0, 2.0), {}),
+    "hjb_sup": (OperatorSpec.hjb_sup(_FAMILY, 1.0, 2.0), {}),
+    "p_laplacian": (OperatorSpec.p_laplacian(3.0), {}),
+    "trace_lipschitz": (OperatorSpec.linear_trace(_x_coeff, 1.0, 1.2, lipschitz=0.2), {}),
+    # failing specs: homogeneity, strict homogeneity, Lipschitz
+    "broken_custom": (OperatorSpec.custom(lambda x, X: float(np.trace(X)) + 1.0), {}),
+    "pucci_strict": (OperatorSpec.pucci_plus(1.0, 2.0), {"strict_homogeneity": True}),
+    "trace_tight_lipschitz": (OperatorSpec.linear_trace(_x_coeff, 1.0, 1.2,
+                                                        lipschitz=0.01), {}),
+    "pucci_minus_3d": (OperatorSpec.pucci_minus(0.5, 2.0), {"dim": 3}),
+    # breaks ellipticity and homogeneity in the same trial: the first wins
+    "two_axioms": (OperatorSpec.custom(lambda x, X: 1.0 - float(np.trace(X))), {}),
+    # off by a relative 1e-11: homogeneity is tested to 1e-12
+    "near_homogeneous": (OperatorSpec.custom(lambda x, X: float(np.trace(X)) + 1e-11), {}),
+}
+FAILING = ("broken_custom", "pucci_strict", "trace_tight_lipschitz", "two_axioms",
+           "near_homogeneous")
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_check_axioms_matches_per_trial_loop(case):
+    spec, kw = PARITY_CASES[case]
+    verdicts = set()
+    for seed in range(20):
+        want = _reference_check_axioms(spec, 100, seed, **kw)
+        got = check_axioms(spec, 100, seed, **kw)
+        verdicts.add(want.passed)
+        assert (got.passed, got.trials, got.checked) == \
+            (want.passed, want.trials, want.checked), (case, seed)
+        if want.counterexample is None:
+            assert got.counterexample is None
+            continue
+        assert got.counterexample.keys() == want.counterexample.keys()
+        for key, w in want.counterexample.items():
+            g = got.counterexample[key]
+            if isinstance(w, np.ndarray):
+                assert np.array_equal(g, w), (case, seed, key)
+            elif isinstance(w, str):
+                assert g == w, (case, seed)
+            else:
+                assert type(g) is float and g == pytest.approx(w, rel=1e-12, abs=0)
+    assert verdicts == ({False} if case in FAILING else {True})
+
+
+def test_check_axioms_calls_callables_once_per_trial_point():
+    calls = []
+
+    def coeff(x):
+        calls.append(x)
+        return _x_coeff(x)
+
+    spec = OperatorSpec.linear_trace(coeff, 1.0, 1.2, lipschitz=0.2)
+    assert check_axioms(spec, 50, seed=3).passed
+    assert len(calls) == 100             # x and y of every trial
+    calls.clear()
+    broken = OperatorSpec.custom(lambda x, X: calls.append(x) or float(np.trace(X)) + 1.0)
+    rep = check_axioms(broken, 50, seed=3)
+    assert not rep.passed and rep.trials == 1
+    assert len(calls) == 150             # X, X + Y and sX of every trial
+
+
+# --- stacks -----------------------------------------------------------------
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_eigenvalues_and_pucci_on_a_stack(dim):
+    rng = np.random.default_rng(20 + dim)
+    X = rng.standard_normal((40, dim, dim))
+    X = 0.5 * (X + X.swapaxes(1, 2))
+    e = eigenvalues(X).eigenvalues
+    assert e.shape == (40, dim)
+    assert np.array_equal(e, [eigenvalues(M).eigenvalues for M in X])
+    for sign in "+-":
+        got = pucci(X, 0.5, 2.0, sign)
+        assert got.shape == (40,)
+        np.testing.assert_allclose(got, [pucci(M, 0.5, 2.0, sign) for M in X],
+                                   rtol=1e-15, atol=0)
+    # leading axes are kept
+    assert pucci(X.reshape(4, 10, dim, dim), 1.0, 2.0, "-").shape == (4, 10)
+
+
+def test_single_matrix_results_are_python_floats():
+    X = SymMatrix([[1.0, 0.3], [0.3, -2.0]])
+    assert type(pucci(X, 1.0, 2.0, "+")) is float
+    assert type(pucci(X.entries, 1.0, 2.0, "-")) is float
+    assert eigenvalues(X).eigenvalues.shape == (2,)
+    for spec in (OperatorSpec.linear_trace(np.diag([1.0, 2.0])),
+                 OperatorSpec.hjb_sup(_FAMILY, 1.0, 2.0),
+                 OperatorSpec.pucci_minus(1.0, 2.0),
+                 OperatorSpec.custom(lambda x, X: np.trace(X))):
+        assert type(evaluate_operator(spec, (0.5, 0.5), X)) is float
+    assert type(p_laplacian_matrix_part((1.0, 2.0), X, 3.0)) is float
+
+
+def test_evaluate_operator_on_a_stack():
+    rng = np.random.default_rng(31)
+    X = rng.standard_normal((30, 3, 2, 2))
+    X = 0.5 * (X + X.swapaxes(-1, -2))
+    x = rng.uniform(size=(30, 1, 2))           # one point per row of X
+    specs = (OperatorSpec.linear_trace(np.diag([1.0, 1.5])),
+             OperatorSpec.linear_trace(_x_coeff, 1.0, 1.2),
+             OperatorSpec.hjb_inf(_FAMILY, 1.0, 2.0),
+             OperatorSpec.hjb_sup((_x_coeff, np.eye(2)), 1.0, 2.0),
+             OperatorSpec.pucci_plus(1.0, 2.0),
+             OperatorSpec.pucci_minus(0.5, 3.0),
+             OperatorSpec.custom(lambda p, M: float(np.trace(M)) * (1.0 + p[0])))
+    for spec in specs:
+        got = evaluate_operator(spec, x, X)
+        want = [[evaluate_operator(spec, x[t, 0], X[t, j]) for j in range(3)]
+                for t in range(30)]
+        assert got.shape == (30, 3)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+    xi = rng.standard_normal((30, 1, 2))
+    xi[0] = 0.0
+    got = p_laplacian_matrix_part(xi, X, 3.0)
+    want = [[p_laplacian_matrix_part(xi[t, 0], X[t, j], 3.0) for j in range(3)]
+            for t in range(30)]
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+
+
+# --- input validation -------------------------------------------------------
+
+@pytest.mark.parametrize("spec, kw, match", [
+    (OperatorSpec.linear_trace(np.eye(1)), {}, r"shape \(1, 1\) does not match dim=2"),
+    (OperatorSpec.hjb_inf((np.eye(3), 2.0 * np.eye(3)), 1.0, 2.0), {},
+     r"shape \(3, 3\) does not match dim=2"),
+    (OperatorSpec.linear_trace(np.eye(2)), {"dim": 3}, "does not match dim=3"),
+    (OperatorSpec.pucci_plus(1.0, 2.0), {"dim": 0}, "dim must be 1, 2 or 3"),
+    (OperatorSpec.pucci_plus(1.0, 2.0), {"dim": 4}, "dim must be 1, 2 or 3"),
+    (OperatorSpec.pucci_plus(1.0, 2.0), {"trials": 2.5}, "trials must be an integer"),
+    (OperatorSpec.pucci_plus(1.0, 2.0), {"trials": 0}, "trials must be an integer"),
+    (OperatorSpec.pucci_plus(1.0, 2.0), {"trials": "10"}, "trials must be an integer"),
+])
+def test_check_axioms_validates_input(spec, kw, match):
+    args = {"trials": 10, "seed": 1, **kw}
+    with pytest.raises(ValueError, match=match):
+        check_axioms(spec, **args)
