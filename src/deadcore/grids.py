@@ -9,8 +9,9 @@ pointwise residual of the reaction problem is
     r = (|grad_h u|^2 + delta^2)^(gamma/2) * F_h(u) + a(x) u^q,
 
 with the gradient regularization delta = max(h); boundary nodes carry the
-Dirichlet defect r = u.  Scheme also gives the monotone explicit step both
-relaxation loops take, and the pointwise helpers are entries of its arrays.
+Dirichlet defect r = u.  Scheme also gives the monotone explicit step of
+the explicit reaction loop, and the pointwise helpers are entries of its
+arrays.
 """
 
 from dataclasses import dataclass

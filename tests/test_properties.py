@@ -1,10 +1,12 @@
-"""Property tests (Hypothesis) of the reaction solve."""
+"""Property tests (Hypothesis) of the reaction solve and the 2-D Dirichlet
+solve."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from deadcore import (Grid, IterationControl, OperatorSpec, ProblemSpec,
-                      WeightField, classify, solve)
+from deadcore import (Grid, GridFunction, IterationControl, OperatorSpec,
+                      ProblemSpec, RhsProblem, WeightField, classify, solve,
+                      solve_rhs)
 
 GRID = Grid.interval(0.0, 2.0, 79)
 BALL = (0.2, 0.8)
@@ -30,3 +32,40 @@ def test_gamma0_from_above_meets_from_below(s, q, scale):
     assert classify(hi.solution).verdict == classify(lo.solution).verdict
     assert np.all(hi.solution.values >= sub.values - 1e-12)
     assert np.all(hi.solution.values <= sup.values + 1e-12)
+
+
+FAM2 = (np.eye(2), 2.0 * np.eye(2))
+SPECS2 = {"trace": OperatorSpec.linear_trace(np.eye(2)),
+          "pucci_plus": OperatorSpec.pucci_plus(1.0, 2.0),
+          "pucci_minus": OperatorSpec.pucci_minus(1.0, 2.0),
+          "hjb_inf": OperatorSpec.hjb_inf(FAM2, 1.0, 2.0),
+          "hjb_sup": OperatorSpec.hjb_sup(FAM2, 1.0, 2.0)}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(op=st.sampled_from(sorted(SPECS2)),
+       gamma=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+       ny=st.integers(4, 40), c=st.floats(0.1, 50.0),
+       seed=st.none() | st.integers(0, 2 ** 32 - 1))
+@example(op="pucci_plus", gamma=0.5, ny=19, c=10.0, seed=None)
+def test_rhs_2d_converges_and_compares(op, gamma, ny, c, seed):
+    # f1 = -c (0.1 + U) <= f2 = min(f1 + c U', 0) with U, U' uniform on
+    # [0, 1) (0 when seed is None): both Newton-Howard solves converge in a
+    # few dozen sparse solves, policy switches included, and u1 >= u2.
+    # nx = 2 ny + 1 keeps the cells of (0, 2) x (0, 1) square, which the
+    # wide Pucci stencil needs.  The @example (f = -1 on 39x19) has a step
+    # that raises the residual on the way down
+    g = Grid.rectangle(0.0, 2.0, 0.0, 1.0, 2 * ny + 1, ny)
+    if seed is None:
+        U = V = np.zeros(g.shape)
+    else:
+        U, V = np.random.default_rng(seed).random((2,) + g.shape)
+    f1 = -c * (0.1 + U)
+    f2 = np.minimum(f1 + c * V, 0.0)
+    ctl = IterationControl(tolerance=1e-9)
+    reps = [solve_rhs(RhsProblem(g, SPECS2[op], gamma,
+                                 GridFunction(g, f, dirichlet=False)), ctl)
+            for f in (f1, f2)]
+    for rep in reps:
+        assert rep.converged and rep.steps <= 60
+    assert np.all(reps[0].solution.values >= reps[1].solution.values - 2e-9)

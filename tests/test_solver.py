@@ -14,6 +14,7 @@ from deadcore import (Grid, GridFunction, WeightField, OperatorSpec,
 from deadcore import dirichlet, eigen as eigen_mod, solver as solver_mod
 from deadcore.grids import Scheme
 from deadcore.solver import _implicit_damping, extend_ball_function
+import rhs_reference
 
 SPEC1 = OperatorSpec.linear_trace(np.eye(1))
 
@@ -24,7 +25,7 @@ def _problem(grid, weight, gamma=0.0, q=0.5, spec=SPEC1):
 
 def _relax_rhs(p, ctl=None, u0=None):
     """solve_rhs by the explicit reference loop alone."""
-    return dirichlet._relax_rhs(p, ctl or IterationControl(), u0)
+    return rhs_reference._relax_rhs(p, ctl or IterationControl(), u0)
 
 
 def _explicit_solve(p, init="zero", ctl=None, ball=None, u0=None):
@@ -43,6 +44,29 @@ def test_problem_validation():
         ProblemSpec(g, SPEC1, 0.0, 1.0, w)   # q = gamma+1 rejected
     with pytest.raises(ValueError):
         ProblemSpec(g, SPEC1, 0.0, -0.1, w)
+
+
+def test_weight_on_another_grid_refused():
+    # same shape or not, the weight must be sampled on the problem's grid
+    g = Grid.interval(0.0, 1.0, 19)
+    for other in (Grid.interval(0.0, 2.0, 19), Grid.interval(0.0, 1.0, 39)):
+        with pytest.raises(ValueError, match="problem grid"):
+            ProblemSpec(g, SPEC1, 0.0, 0.5, WeightField.constant(other, 1.0))
+
+
+def test_supersolution_past_the_base_floor():
+    # n = 3199: the base solve settles at its rounding floor (1.07e-8)
+    # above the default tolerance and reports converged=False; the
+    # supersolution is still certified by its own inequality, and the
+    # bracketed solve runs instead of raising
+    g = Grid.interval(0.0, 2.0, 3199)
+    p = _problem(g, WeightField.sinsplit(g, 0.3).scaled(30.0))
+    rep = solve(p, init="subsolution", ball=(0.2, 0.8))
+    sup = rep.bracket[1]
+    assert float(np.max(g.interior(residual(p, sup).values))) \
+        <= solver_mod.BRACKET_TOL
+    assert rep.residual_sup <= 1e-7
+    assert rep.converged == (rep.residual_sup <= IterationControl().tolerance)
 
 
 def test_subsolution_constant_weight_analytic_window():
