@@ -33,7 +33,6 @@ class IterationControl:
     """Tolerance and step budget of an iterative solve."""
     tolerance: float = 1e-8
     max_steps: int = 1_000_000
-    debug: bool = False
 
     def __post_init__(self):
         if not self.tolerance > 0:

@@ -9,8 +9,7 @@ pointwise residual of the reaction problem is
     r = (|grad_h u|^2 + delta^2)^(gamma/2) * F_h(u) + a(x) u^q,
 
 with the gradient regularization delta = max(h); boundary nodes carry the
-Dirichlet defect r = u.  Scheme also gives the monotone explicit step of
-the explicit reaction loop, and the pointwise helpers are entries of its
+Dirichlet defect r = u.  The pointwise helpers are entries of the Scheme
 arrays.
 """
 
@@ -143,8 +142,8 @@ def _zero_boundary(v):
 class WeightField:
     """Sign-changing reaction weight a(x) sampled at grid nodes.
 
-    Records the decomposition a = a+ - a- used by the semi-implicit
-    relaxation and by the negative-part sweeps.
+    Records the decomposition a = a+ - a- used by the monotone iteration
+    and by the negative-part sweeps.
     """
 
     __slots__ = ("grid", "samples", "source")
@@ -267,9 +266,6 @@ def discrete_hessian(u, node):
     return {k: d[idx] for k, d in _second_differences(u.values, u.grid.h).items()}
 
 
-# fraction of the explicit stability bound each relaxation step takes
-SAFETY = 0.9
-
 # envelope operators: how F reduces its candidate stencils, and how the
 # active one is picked (the first on ties)
 ENVELOPES = {
@@ -294,8 +290,6 @@ class Scheme:
         self.h = grid.h
         self.delta = max(grid.h)
         self.dim = grid.dim
-        self._hmin, self._diffusion = min(grid.h), 2.0 * grid.dim * spec.Lam
-        self._dt0 = SAFETY * self._hmin ** 2 / self._diffusion
         v = spec.variant
         if v in ("pucci_plus", "pucci_minus") and grid.dim == 2:
             hx, hy = grid.h
@@ -412,27 +406,6 @@ class Scheme:
         return (s2 ** (self.gamma / 2.0),
                 0.5 * self.gamma * s2 ** (self.gamma / 2.0 - 1.0), slopes)
 
-    def explicit_step(self, v):
-        """(g F_h(v), dt): the direction and per-node pseudo-time step of
-        explicit relaxation, u <- u + dt (g F_h(u) + source terms).
-
-        dt = SAFETY / stiffness keeps the map monotone (Oberman, SIAM J.
-        Numer. Anal. 44, 2006).  The stiffness is the diffusion bound
-        2 N Lam max(g, delta^gamma) / h^2 plus the sensitivity of the
-        gradient factor itself, 2 gamma |F_h| s2^((gamma-1)/2) / h, with h
-        the smallest spacing.  At gamma = 0 it is g F_h = F_h and the
-        scalar dt = SAFETY h^2 / (2 N Lam).
-        """
-        if self.gamma == 0.0:
-            return self.F(v), self._dt0
-        hmin, diffusion = self._hmin, self._diffusion
-        s2 = self._s2(self.upwind_mag2(v))
-        g = s2 ** (self.gamma / 2.0)
-        F = self.F(v)
-        stiff = diffusion * np.maximum(g, self.delta ** self.gamma) / hmin ** 2 \
-            + 2.0 * self.gamma * np.abs(F) * s2 ** ((self.gamma - 1.0) / 2.0) / hmin
-        return g * F, SAFETY / stiff
-
     # -- operator -------------------------------------------------------
 
     def F(self, v):
@@ -537,8 +510,8 @@ def _stencil_all_below(near):
     is True; boundary nodes are False.
 
     The one neighbourhood AND of the package: classify's dead-core test,
-    and the explicit loop's zero flush on the interior padded with True
-    (boundary nodes are 0, hence below any floor).
+    and pseudo-transient Newton's zero flush on the interior padded with
+    True (boundary nodes are 0, hence in any zero set).
     """
     if near.ndim == 1:
         ok = near[1:-1] & near[:-2] & near[2:]

@@ -8,18 +8,16 @@ accepted F has a policy form F_h(u) = L_alpha(u) u over sparse policy
 matrices (Scheme.require_policy).  The start picks the loop.  From above
 (the supersolution, also the start of a bracketed solve) `solve` runs
 pseudo-transient Newton (_relax_ptc) on the policy matrices at every
-gamma and returns the maximal solution.  From below at gamma = 0 it runs
-Sattinger's monotone iteration -F_h(u_{k+1}) + a- u_{k+1}^q = a+ u_k^q
-with Howard policy iteration around Newton inner solves, whose step count
-does not grow with the grid; from the subsolution it returns the minimal
-solution.  Where Newton stalls above the tolerance, the monotone
-iteration (gamma = 0) or explicit pseudo-time relaxation (gamma > 0;
-_relax_explicit, the step of Scheme.explicit_step with the damping part
-a- u^q treated implicitly) finishes from its iterate.  The explicit loop
-is also the tests' reference at every gamma.  Iterates are clamped at 0,
-which is itself a solution.  The supersolution's Dirichlet problem and
-the ball eigenpair go through solve_rhs, which is Newton-Howard at every
-gamma.
+gamma and returns the maximal solution; its zero-set rules carry it
+across the dead cores.  At gamma > 0 it also runs from a given start.
+From below at gamma = 0 it runs Sattinger's monotone iteration
+-F_h(u_{k+1}) + a- u_{k+1}^q = a+ u_k^q with Howard policy iteration
+around Newton inner solves, whose step count does not grow with the
+grid; from the subsolution it returns the minimal solution.  The
+monotone iteration also finishes a gamma = 0 Newton run that stalls
+above the tolerance.  Iterates are clamped at 0, which is itself a
+solution.  The supersolution's Dirichlet problem and the ball eigenpair
+go through solve_rhs, which is Newton-Howard at every gamma.
 """
 
 from dataclasses import dataclass, replace
@@ -254,8 +252,6 @@ def build_supersolution(problem, ctl=None):
 _FLOAT_MAX = np.finfo(float).max
 # Newton steps per _implicit_damping call
 DAMPING_ITERS = 30
-# the explicit reaction loop flushes u below ZERO_FLOOR * sup(u) to 0
-ZERO_FLOOR = 1e-16
 
 
 def _implicit_damping(w, c, q):
@@ -270,7 +266,7 @@ def _implicit_damping(w, c, q):
     root is at the underflow threshold too, and the node is set to 0 up
     front (Newton would turn 0/0 into NaN there).  Stops once
     max|z + c z^q - w| <= 1e-16 max(1, w) or after DAMPING_ITERS steps.
-    The callers (_newton_inner, _relax_explicit) run with divide, overflow
+    The callers (_newton_inner, _relax_ptc) run with divide, overflow
     and invalid floating-point errors ignored; non-finite roots come out
     as 0 (NaN) or the largest float (+inf).
     """
@@ -424,71 +420,6 @@ def _relax_monotone(problem, scheme, vals, ctl, init, op=None):
     return _certified(problem, vals, steps, ctl, init, None)
 
 
-def _relax_explicit(problem, scheme, vals, ctl, init, bracket, super_u):
-    """Explicit pseudo-time relaxation by the step of Scheme.explicit_step.
-
-    The damping part a- u^q takes an exact backward substep
-    (_implicit_damping, or its closed form at q = 1/2).  Every 16
-    steps round-off-scale deep zeros are flushed to 0 and the iterate is
-    compared with the one 16 steps before: if they are equal the map has
-    entered a cycle, no later step can meet the tolerance (it is below the
-    floating-point floor of the residual), and the loop stops there with
-    the state max_steps would give for any multiple of 16.  Past
-    10 sup(super_u) (or 100 max(1, sup u0)) it reports a blow-up, with
-    the residual of its last step.  It finishes a stalled _relax_ptc and
-    is the tests' reference at every gamma.
-    """
-    grid, q = problem.grid, problem.q
-    a_plus = grid.interior(problem.weight.a_plus)
-    a_minus = grid.interior(problem.weight.a_minus)
-    u_int = grid.interior(vals)
-    blow_up = 10.0 * sup_norm(super_u) if super_u is not None else \
-        100.0 * max(1.0, float(np.max(vals)))
-
-    a_int = a_plus - a_minus
-    closed_form = (q == 0.5)
-
-    steps = 0
-    snapshot = u_int.tobytes()
-    for steps in range(1, ctl.max_steps + 1):
-        gF, dt = scheme.explicit_step(vals)
-        uq = np.sqrt(u_int) if closed_form else u_int ** q
-        r = gF + a_int * uq
-        rsup = float(np.abs(r).max())
-        if not math.isfinite(rsup):   # a float: skips NumPy scalar overhead
-            raise SolveError("non-finite residual at step %d" % steps)
-        if rsup <= ctl.tolerance:
-            break
-        w = u_int + dt * (gF + a_plus * uq)
-        c = dt * a_minus
-        if closed_form:
-            # z + c sqrt(z) = w: quadratic in sqrt(z) (exact for w <= 0 too)
-            s = 0.5 * (np.sqrt(c * c + 4.0 * np.maximum(w, 0.0)) - c)
-            u_new = s * s
-        else:
-            u_new = _implicit_damping(w, c, q)
-        # flush round-off-scale values to exact zero: u = 0 is an unstable
-        # solution wherever a > 0, and sub-floor seepage across a dead band
-        # would re-seed it from values far below scheme accuracy.  Only
-        # deep zeros (whole neighborhood sub-floor) are flushed, so a
-        # legitimate extinction-front balance node is left alone; a 16-step
-        # cadence is enough since fronts advance one node per step.
-        if steps % 16 == 0:
-            sup = float(u_new.max())
-            near = np.pad(u_new < ZERO_FLOOR * sup, 1, constant_values=True)
-            u_new[grid.interior(_stencil_all_below(near))] = 0.0
-            if sup > blow_up:
-                u_int[...] = u_new
-                return SolveReport(GridFunction(grid, vals, dirichlet=False),
-                                   rsup, steps, False, init)
-            if u_new.tobytes() == snapshot:
-                u_int[...] = u_new
-                break
-            snapshot = u_new.tobytes()
-        u_int[...] = u_new
-    return _certified(problem, vals, steps, ctl, init, bracket)
-
-
 # pseudo-transient continuation (_relax_ptc): the first pseudo-time step,
 # its growth on an accepted step and its cut on a rejected one
 PTC_DT0 = 1e-3
@@ -502,7 +433,8 @@ PTC_REJECT = 2.0
 PTC_WINDOW = 8
 PTC_SETTLED = 1e-6
 PTC_STALL = 128
-# the slope of a u^q is taken at max(u, PTC_FLOOR * sup u)
+# the zero set of a step: the nodes at or below PTC_FLOOR * sup u, where
+# the slope of a u^q is taken at that floor (see _relax_ptc)
 PTC_FLOOR = 1e-12
 
 
@@ -514,6 +446,15 @@ def _ptc_residual(scheme, vals, a_int, q):
     return g * F + a_int * scheme.grid.interior(vals) ** q, (g, c * F, slopes)
 
 
+def _outside(grid, diff, what):
+    """SolveError naming the first interior node where diff < -BRACKET_TOL."""
+    bad = grid.interior(diff) < -BRACKET_TOL
+    if bad.any():
+        node = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise SolveError("the solution from the supersolution %s at interior "
+                         "node %r" % (what, node))
+
+
 def _relax_ptc(problem, scheme, vals, ctl, init, bracket):
     """Pseudo-transient Newton (Kelley & Keyes, SIAM J. Numer. Anal. 35,
     1998).
@@ -522,28 +463,43 @@ def _relax_ptc(problem, scheme, vals, ctl, init, bracket):
     = R(u), with R(u) = g F_h(u) + a u^q and M = -d(g F_h)/du at the active
     policy (PolicyMatrix.newton), then sets u <- max(u + du, 0): backward
     Euler on u_t = R(u), linearized at u, which becomes Newton's method as
-    dt grows.  dt starts at PTC_DT0 and doubles on each accepted step; a
-    step whose max|R| is not finite or more than doubles is rejected and
-    divides dt by 4.  Stops at ctl.tolerance, at an exact fixed point,
-    after PTC_WINDOW accepted steps in a row that each moved u by at most
+    dt grows.  The nodes at or below PTC_FLOOR sup u are the zero set,
+    where dead cores lie and where that slope would pin the iterate:
+    - where a > 0 the reaction slope is 0 (the floor slope makes the
+      diagonal hugely negative and holds a node at 0 next to positive
+      neighbours);
+    - where a < 0 the new value is the exact nodewise root of
+      g (N - D z) - |a| z^q = 0, with D the diagonal of the step's policy
+      matrix A, N = D u - A u at the new neighbours and g at the
+      linearization point (_implicit_damping);
+    - a new value where a > 0 whose whole neighbourhood lies in the new
+      zero set is 0.  u = 0 is an unstable solution there, and the linear
+      solve's seepage would re-seed it: a dark component lit to 1e-13
+      holds max|R| at a u^q (the example at gamma = 1, q = 0.8, n = 79
+      stopped anywhere from 1e-13 to 3e-10 from 1.05 to 1.5 times its
+      closed form).
+    dt starts at PTC_DT0 and doubles on each accepted step; a step whose
+    max|R| is not finite or more than doubles is rejected and divides dt
+    by 4.  Stops at ctl.tolerance, at an exact fixed point, after
+    PTC_WINDOW accepted steps in a row that each moved u by at most
     PTC_SETTLED sup u, or after PTC_STALL accepted steps without a new low
     of max|R| (a cycle; far from the answer max|R| can rise and fall for
-    71 steps at n = 3200 while u moves by O(1)).  Stopped above the
-    tolerance with steps left, it hands its iterate and the rest of
-    ctl.max_steps to _relax_monotone with the same PolicyMatrix at
-    gamma = 0, else to _relax_explicit (seen at the edge of small-q dead
-    cores, next to values of u of 1e-12 and below; on sinsplit x 30,
-    n = 99, q = 0.2, gamma = 0, an explicit finish took up to 16,714
-    steps in all and the monotone one at most 97).  `steps` counts the
-    sparse solves and the finisher's steps.  At gamma = 0, g = 1 and
+    71 steps at n = 3200 while u moves by O(1)).  At gamma = 0 a run
+    stopped above the tolerance with steps left hands its iterate and the
+    rest of ctl.max_steps to _relax_monotone with the same PolicyMatrix
+    (sinsplit x 30, q = 0.5, s = 2.5, n = 1599 needs it); `steps` counts
+    the sparse solves and the finisher's steps.  At gamma = 0, g = 1 and
     c = 0, so the Newton matrix is the policy matrix A itself.  With a
     bracket (init='subsolution', started from the supersolution) the
-    answer must lie above the subsolution, else SolveError names the node.
+    answer must lie in it within BRACKET_TOL, else SolveError names the
+    node.
     """
     grid, q = problem.grid, problem.q
     op = PolicyMatrix(scheme)
     a_int = grid.interior(problem.weight.samples)
-    aq = q * a_int.ravel()
+    a = a_int.ravel()
+    aq, positive = q * a, a_int > 0.0
+    source, sink = positive.ravel(), a < 0.0
     u_int = grid.interior(vals)
     trial = vals.copy()
     t_int = grid.interior(trial)
@@ -557,12 +513,27 @@ def _relax_ptc(problem, scheme, vals, ctl, init, bracket):
         if rsup <= ctl.tolerance or quiet >= PTC_WINDOW or stale >= PTC_STALL:
             break
         u = u_int.ravel()
-        slope = aq * np.maximum(u, PTC_FLOOR * u.max()) ** (q - 1.0)
+        floor = PTC_FLOOR * u.max()
+        zero = u <= floor
+        slope = aq * np.maximum(u, floor) ** (q - 1.0)
+        slope[zero & source] = 0.0
         op.set_policy(scheme.policy(vals))
         du = spla.spsolve(op.newton(*parts, shift=1.0 / dt - slope), R.ravel(),
                           permc_spec=PERMC)
         steps += 1
         np.maximum(u_int + du.reshape(u_int.shape), 0.0, out=t_int)
+        dead = zero & sink
+        if dead.any():
+            t = t_int.ravel()
+            D = op.diagonal()
+            N = (D * t - op.A @ t)[dead]
+            gD = parts[0].ravel()[dead] * D[dead]
+            t_int[dead.reshape(t_int.shape)] = _implicit_damping(
+                N / D[dead], -a[dead] / gD, q)
+        dark = t_int <= PTC_FLOOR * t_int.max()
+        if (dark & positive).any():
+            near = np.pad(dark, 1, constant_values=True)
+            t_int[grid.interior(_stencil_all_below(near)) & positive] = 0.0
         if np.array_equal(trial, vals):
             break
         R_t, parts_t = _ptc_residual(scheme, trial, a_int, q)
@@ -579,22 +550,12 @@ def _relax_ptc(problem, scheme, vals, ctl, init, bracket):
             best, stale = rsup, 0
         else:
             stale += 1
-    if rsup > ctl.tolerance and steps < ctl.max_steps:
+    if problem.gamma == 0.0 and rsup > ctl.tolerance and steps < ctl.max_steps:
         rest = replace(ctl, max_steps=ctl.max_steps - steps)
-        if problem.gamma == 0.0:
-            steps += _relax_monotone(problem, scheme, vals, rest, init, op).steps
-        else:
-            steps += _relax_explicit(problem, scheme, vals, rest, init, None,
-                                     None).steps
+        steps += _relax_monotone(problem, scheme, vals, rest, init, op).steps
     if bracket is not None:
-        below = grid.interior(vals - bracket[0].values) < -BRACKET_TOL
-        if below.any():
-            node = tuple(int(i) for i in np.argwhere(below)[0])
-            raise SolveError("the solution from the supersolution falls below "
-                             "the subsolution at interior node %r" % (node,))
-        if ctl.debug:
-            assert np.all(vals >= bracket[0].values - 1e-12)
-            assert np.all(vals <= bracket[1].values + 1e-12)
+        _outside(grid, vals - bracket[0].values, "falls below the subsolution")
+        _outside(grid, bracket[1].values - vals, "lies above the supersolution")
     return _certified(problem, vals, steps, ctl, init, bracket)
 
 
@@ -644,22 +605,21 @@ def solve(problem, init="zero", ctl=None, ball=None, u0=None):
     - from above, 'supersolution' and 'subsolution' (which builds both
       bracket ends and starts from the supersolution): pseudo-transient
       Newton (_relax_ptc) at every gamma, finished by the monotone loop
-      (gamma = 0) or the explicit loop (gamma > 0) where it stalls above
-      the tolerance.  It returns the maximal solution; 'subsolution'
-      raises SolveError unless the answer lies above the subsolution, and
-      in debug mode the ordering of the final field is asserted.
+      where it stalls above the tolerance at gamma = 0.  It returns the
+      maximal solution; 'subsolution' raises SolveError unless the answer
+      lies in the bracket.
     - from below at gamma = 0, 'zero' and 'given': the monotone
       Sattinger-Howard-Newton iteration of _relax_monotone, whose step
-      count does not grow with the grid.  init='given' with
-      u0=build_subsolution(problem, ball) returns the minimal solution.
-    - 'zero' and 'given' at gamma > 0: pseudo-transient Newton from u0,
-      finished by the explicit loop.  'zero' returns 0 (R(0) = 0) with
-      steps = 0; from a given subsolution Newton cycles and the explicit
-      loop does the work.
-    On sinsplit weights, whose {a > 0} has one component, the minimal and
-    the maximal solution agree within the tolerance (see
-    tests/test_properties.py).  Scheme.require_policy is checked before any work;
-    a non-finite residual raises SolveError naming the step.
+      count does not grow with the grid.
+    - 'zero' and 'given' at gamma > 0: pseudo-transient Newton from u0.
+      'zero' returns 0 (R(0) = 0) with steps = 0.
+    At every gamma, init='given' with u0=build_subsolution(problem, ball)
+    returns the minimal solution.  On sinsplit weights, whose {a > 0} has
+    one component, the minimal and the maximal solution agree within the
+    tolerance; the example weight, with two components, lights only the
+    seeded one from below (see tests/test_properties.py and
+    tests/test_solver.py).  Scheme.require_policy is checked before any
+    work; a non-finite residual raises SolveError naming the step.
     """
     ctl = ctl or IterationControl()
     scheme = Scheme(problem.grid, problem.operator, problem.gamma)

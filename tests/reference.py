@@ -1,0 +1,135 @@
+"""Explicit pseudo-time relaxation, kept as the tests' parity reference.
+
+The library solves the auxiliary Dirichlet problem by Newton-Howard
+iteration and the reaction problem by pseudo-transient Newton and the
+monotone iteration.  The loops here relax the same equations with the
+per-node monotone step of explicit_step: _relax_rhs for solve_rhs and
+_relax_explicit for solve, at every gamma.  They need O(n^2) steps.
+"""
+
+import math
+
+import numpy as np
+
+from deadcore import solver
+from deadcore.dirichlet import RhsReport, SolveError, sup_norm
+from deadcore.grids import GridFunction, Scheme, _stencil_all_below
+
+# fraction of the explicit stability bound each relaxation step takes
+SAFETY = 0.9
+# the explicit reaction loop flushes u below ZERO_FLOOR * sup(u) to 0
+ZERO_FLOOR = 1e-16
+
+
+def explicit_step(scheme, v):
+    """(g F_h(v), dt): the direction and per-node pseudo-time step of
+    explicit relaxation, u <- u + dt (g F_h(u) + source terms).
+
+    dt = SAFETY / stiffness keeps the map monotone (Oberman, SIAM J.
+    Numer. Anal. 44, 2006).  The stiffness is the diffusion bound
+    2 N Lam max(g, delta^gamma) / h^2 plus the sensitivity of the
+    gradient factor itself, 2 gamma |F_h| s2^((gamma-1)/2) / h, with h
+    the smallest spacing.  At gamma = 0 it is g F_h = F_h and the scalar
+    dt = SAFETY h^2 / (2 N Lam).
+    """
+    hmin = min(scheme.h)
+    diffusion = 2.0 * scheme.dim * scheme.spec.Lam
+    if scheme.gamma == 0.0:
+        return scheme.F(v), SAFETY * hmin ** 2 / diffusion
+    s2 = scheme._s2(scheme.upwind_mag2(v))
+    g = s2 ** (scheme.gamma / 2.0)
+    F = scheme.F(v)
+    stiff = diffusion * np.maximum(g, scheme.delta ** scheme.gamma) / hmin ** 2 \
+        + 2.0 * scheme.gamma * np.abs(F) * s2 ** ((scheme.gamma - 1.0) / 2.0) / hmin
+    return g * F, SAFETY / stiff
+
+
+def _relax_rhs(p, ctl, u0):
+    """Explicit pseudo-time relaxation of solve_rhs from u0 (or 0); it
+    does not clamp at 0, since f may be positive."""
+    grid = p.grid
+    scheme = Scheme(grid, p.spec, p.gamma)
+    vals = np.zeros(grid.shape) if u0 is None else np.array(
+        u0.values if isinstance(u0, GridFunction) else u0, dtype=float)
+    u_int = grid.interior(vals)
+    f_int = grid.interior(p.f.values)
+
+    steps = 0
+    rsup = np.inf
+    for steps in range(1, ctl.max_steps + 1):
+        gF, dt = explicit_step(scheme, vals)
+        r = gF - f_int
+        rsup = float(np.max(np.abs(r)))
+        if not np.isfinite(rsup):
+            raise SolveError("non-finite residual at step %d" % steps)
+        if rsup <= ctl.tolerance:
+            return RhsReport(GridFunction(grid, vals, dirichlet=False),
+                             rsup, steps, True)
+        u_int += dt * r
+    return RhsReport(GridFunction(grid, vals, dirichlet=False),
+                     rsup, steps, False)
+
+
+def _relax_explicit(problem, scheme, vals, ctl, init, bracket, super_u):
+    """Explicit pseudo-time relaxation of solve by the step of explicit_step.
+
+    The damping part a- u^q takes an exact backward substep
+    (solver._implicit_damping, or its closed form at q = 1/2).  Every 16
+    steps round-off-scale deep zeros are flushed to 0 and the iterate is
+    compared with the one 16 steps before: if they are equal the map has
+    entered a cycle, no later step can meet the tolerance (it is below the
+    floating-point floor of the residual), and the loop stops there with
+    the state max_steps would give for any multiple of 16.  Past
+    10 sup(super_u) (or 100 max(1, sup u0)) it reports a blow-up, with
+    the residual of its last step.  Runs under the caller's np.errstate.
+    """
+    grid, q = problem.grid, problem.q
+    a_plus = grid.interior(problem.weight.a_plus)
+    a_minus = grid.interior(problem.weight.a_minus)
+    u_int = grid.interior(vals)
+    blow_up = 10.0 * sup_norm(super_u) if super_u is not None else \
+        100.0 * max(1.0, float(np.max(vals)))
+
+    a_int = a_plus - a_minus
+    closed_form = (q == 0.5)
+
+    steps = 0
+    snapshot = u_int.tobytes()
+    for steps in range(1, ctl.max_steps + 1):
+        gF, dt = explicit_step(scheme, vals)
+        uq = np.sqrt(u_int) if closed_form else u_int ** q
+        r = gF + a_int * uq
+        rsup = float(np.abs(r).max())
+        if not math.isfinite(rsup):
+            raise SolveError("non-finite residual at step %d" % steps)
+        if rsup <= ctl.tolerance:
+            break
+        w = u_int + dt * (gF + a_plus * uq)
+        c = dt * a_minus
+        if closed_form:
+            # z + c sqrt(z) = w: quadratic in sqrt(z) (exact for w <= 0 too)
+            s = 0.5 * (np.sqrt(c * c + 4.0 * np.maximum(w, 0.0)) - c)
+            u_new = s * s
+        else:
+            u_new = solver._implicit_damping(w, c, q)
+        # flush round-off-scale values to exact zero: u = 0 is an unstable
+        # solution wherever a > 0, and sub-floor seepage across a dead band
+        # would re-seed it from values far below scheme accuracy.  Only
+        # deep zeros (whole neighborhood sub-floor) are flushed, so a
+        # legitimate extinction-front balance node is left alone; a 16-step
+        # cadence is enough since fronts advance one node per step.
+        if steps % 16 == 0:
+            sup = float(u_new.max())
+            near = np.pad(u_new < ZERO_FLOOR * sup, 1, constant_values=True)
+            u_new[grid.interior(_stencil_all_below(near))] = 0.0
+            if sup > blow_up:
+                u_int[...] = u_new
+                return solver.SolveReport(
+                    GridFunction(grid, vals, dirichlet=False), rsup, steps,
+                    False, init)
+            if u_new.tobytes() == snapshot:
+                u_int[...] = u_new
+                break
+            snapshot = u_new.tobytes()
+        u_int[...] = u_new
+    return solver._certified(problem, vals, steps, ctl, init, bracket)

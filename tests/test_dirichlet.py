@@ -7,7 +7,7 @@ from deadcore import (Grid, GridFunction, OperatorSpec, IterationControl,
                       RhsProblem, SolveError, solve_rhs, sup_norm)
 from deadcore.dirichlet import PolicyMatrix
 from deadcore.grids import Scheme
-from rhs_reference import _relax_rhs
+from reference import _relax_rhs
 
 
 def _const_rhs(grid, c):

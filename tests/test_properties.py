@@ -2,11 +2,11 @@
 solve."""
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from deadcore import (Grid, GridFunction, IterationControl, OperatorSpec,
-                      ProblemSpec, RhsProblem, WeightField, classify, solve,
-                      solve_rhs)
+                      ProblemSpec, RhsProblem, SubsolutionError, WeightField,
+                      build_subsolution, classify, solve, solve_rhs)
 
 GRID = Grid.interval(0.0, 2.0, 79)
 BALL = (0.2, 0.8)
@@ -32,6 +32,31 @@ def test_gamma0_from_above_meets_from_below(s, q, scale):
     assert classify(hi.solution).verdict == classify(lo.solution).verdict
     assert np.all(hi.solution.values >= sub.values - 1e-12)
     assert np.all(hi.solution.values <= sup.values + 1e-12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(gamma=st.sampled_from([0.5, 1.0, 2.0]), q=st.floats(0.2, 0.95),
+       s=st.floats(0.0, 10.0), scale=st.floats(5.0, 40.0))
+def test_degenerate_from_above_meets_from_below(gamma, q, s, scale):
+    # gamma > 0: pseudo-transient Newton from the supersolution (the
+    # maximal solution) and from the subsolution (the minimal one) agree
+    # on sinsplit, whose {a > 0} has one component, within a few hundred
+    # sparse solves each.  q > 1 is left out: there sup u reaches 6e13 and
+    # the absolute tolerance certifies nothing
+    p = ProblemSpec(GRID, OperatorSpec.linear_trace(np.eye(1)), gamma, q,
+                    WeightField.sinsplit(GRID, s).scaled(scale))
+    try:
+        sub = build_subsolution(p, BALL)
+    except SubsolutionError:
+        assume(False)
+    ctl = IterationControl(max_steps=300)
+    hi = solve(p, init="subsolution", ball=BALL, ctl=ctl)
+    lo = solve(p, init="given", u0=sub, ctl=ctl)
+    assert hi.converged and lo.converged
+    assert np.max(np.abs(hi.solution.values - lo.solution.values)) \
+        <= 2 * ctl.tolerance
+    assert classify(hi.solution).verdict == classify(lo.solution).verdict
+    assert np.all(lo.solution.values >= sub.values - 1e-12)
 
 
 FAM2 = (np.eye(2), 2.0 * np.eye(2))
