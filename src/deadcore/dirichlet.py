@@ -6,18 +6,20 @@ of Scheme.policy, and every L_alpha is minus an M-matrix (PolicyMatrix):
 a linear trace, the p-Laplacian where it is linear, Pucci or Bellman F.
 solve_rhs runs Newton's method with Howard's policy step on
 g(u) F_h(u) = f, g the gradient factor, for every gamma >= 0: linearize
-at the policy active at the last iterate, solve the Jacobian system by a
-sparse factorization, repeat.  At gamma = 0 (g = 1) this is Howard's
+at the policy active at the last iterate, solve the Jacobian system
+(PolicyMatrix.solve: LAPACK's tridiagonal gtsv in 1-D, a SuperLU sparse
+factorization in 2-D), repeat.  At gamma = 0 (g = 1) this is Howard's
 policy iteration, and a linear F takes one solve.  A policy switch can
 raise the residual for a step, so the loop gives up only after
-NEWTON_STALL solves without a new low.  Convergence is declared on the
-equation residual, not on the update size.
+NEWTON_STALL solves in a row that do not halve the last low it kept.
+Convergence is declared on the equation residual, not on the update size.
 """
 
 from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgtsv
 
 from .grids import GridFunction, Scheme, _direction_set
 
@@ -70,9 +72,9 @@ def sup_norm(u):
     return float(np.max(np.abs(v)))
 
 
-# column ordering of every sparse solve: minimum degree on A^T + A suits
-# the structurally symmetric stencil patterns (about 4 ms against 7 ms for
-# the default COLAMD on a 59x29 nine-point matrix)
+# column ordering of the 2-D sparse solves: minimum degree on A^T + A
+# suits the structurally symmetric stencil patterns (about 4 ms against
+# 7 ms for the default COLAMD on a 59x29 nine-point matrix)
 PERMC = "MMD_AT_PLUS_A"
 
 
@@ -85,6 +87,7 @@ class PolicyMatrix:
     D_d coefficient of every stored entry are computed once; a policy
     (set_policy) or a Newton diagonal (shifted) then rewrites the `data`
     of the same two matrices in place.  A is an M-matrix for every policy.
+    Every linear system on the pattern goes through `solve`.
     """
 
     def __init__(self, scheme):
@@ -132,7 +135,27 @@ class PolicyMatrix:
             minus = np.nonzero(slot == offs_list.index([-i for i in e]))[0]
             self._axes.append((plus, self._rows[plus], minus,
                                self._rows[minus], hk))
+        # 1-D: the -1, 0 and +1 slots in row order are the sub-, main and
+        # super-diagonal of a tridiagonal matrix
+        plus, _, minus, _, _ = self._axes[0]
+        self._tri = (minus, self._diag, plus) if g.dim == 1 else None
         self._w = None
+
+    def solve(self, M, b):
+        """x with M x = b, M = A or the matrix shifted/newton wrote.
+
+        In 1-D LAPACK gtsv (Gaussian elimination with partial pivoting,
+        O(n)) takes the three diagonals of M.data; in 2-D SuperLU
+        factorizes M with the PERMC ordering.  An exactly singular M (a
+        zero pivot) gives an all-NaN x, as spsolve does.  b is not
+        overwritten.
+        """
+        if self._tri is None:
+            return spla.spsolve(M, b, permc_spec=PERMC)
+        dl, d, du = (M.data[s] for s in self._tri)
+        x, info = dgtsv(dl, d, du, b, overwrite_dl=True,
+                         overwrite_d=True, overwrite_du=True)[3:]
+        return x if info == 0 else np.full(len(b), np.nan)
 
     def set_policy(self, w):
         """Write -L_w into A (free when w is the policy already set)."""
@@ -180,9 +203,9 @@ class PolicyMatrix:
         return self._work
 
 
-# Newton-Howard solves in a row without a new low of max|G| before
-# solve_rhs stops; a converging solve has been seen to take 4 (239x119
-# Pucci-, gamma = 2, f = -30)
+# Newton-Howard solves in a row that do not halve the kept low of max|G|
+# before solve_rhs stops; a converging solve has been seen to take 5
+# (239x119 Pucci-, gamma = 2, f = -30)
 NEWTON_STALL = 8
 
 
@@ -202,11 +225,13 @@ def solve_rhs(p, ctl=None, u0=None):
     (g = 1, Dg = 0) this is Howard's policy iteration, L_alpha u_{k+1} = f.
     The loop stops once |G(u)| <= ctl.tolerance, at a floating-point fixed
     point (the step returns u_k itself), or after NEWTON_STALL solves in a
-    row without a new low of max|G| (a residual settled at its rounding
-    floor above the tolerance); converged then says whether the last
-    iterate meets the tolerance.  The first step from 0 overshoots by
-    about delta^-gamma and always sets the first low.  `steps` counts
-    sparse solves.  On step exhaustion the partial solution is returned
+    row that do not halve the kept low of max|G|: the first residual, then
+    each one at or below half the low before it (a residual settled at its
+    rounding floor above the tolerance, where any smaller new low would be
+    a matter of rounding); converged then says whether the last iterate
+    meets the tolerance.  The first step from 0 overshoots by about
+    delta^-gamma and always sets the first low.  `steps` counts linear
+    solves.  On step exhaustion the partial solution is returned
     with converged=False; a non-finite residual raises SolveError naming
     the step.  Checks Scheme.require_policy before the first step.
     """
@@ -229,8 +254,8 @@ def solve_rhs(p, ctl=None, u0=None):
         cF = c * F
         dgu = sum(f * f + b * b for f, b in slopes)   # (Dg u_k) / c
         op.set_policy(scheme.policy(vals))
-        new = spla.spsolve(op.newton(g, cF, slopes), -(f_int + cF * dgu).ravel(),
-                           permc_spec=PERMC).reshape(u_int.shape)
+        new = op.solve(op.newton(g, cF, slopes),
+                       -(f_int + cF * dgu).ravel()).reshape(u_int.shape)
         if np.array_equal(new, u_int):
             break
         u_int[...] = new
@@ -242,7 +267,7 @@ def solve_rhs(p, ctl=None, u0=None):
         if rsup <= ctl.tolerance:
             return RhsReport(GridFunction(grid, vals, dirichlet=False),
                              rsup, steps, True)
-        if rsup < best:
+        if rsup <= 0.5 * best:
             best, stall = rsup, 0
         else:
             stall += 1

@@ -23,12 +23,11 @@ go through solve_rhs, which is Newton-Howard at every gamma.
 from dataclasses import dataclass, replace
 import math
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .grids import (Grid, GridFunction, WeightField, Scheme, residual_field,
                     _stencil_all_below)
 from .dirichlet import (IterationControl, RhsProblem, SolveError, PolicyMatrix,
-                        PERMC, solve_rhs, sup_norm, _same_policy)
+                        solve_rhs, sup_norm, _same_policy)
 from .eigen import EigenControl, principal_eigenpair
 
 __all__ = [
@@ -341,8 +340,7 @@ def _newton_inner(op, a_minus, b, z, q, tol, cap):
             low, t = 0.0, z
         t = np.maximum(np.where(t > 0.0, t, zeta), 1e-300)
         d = a_minus * q * t ** (q - 1.0)
-        y = spla.spsolve(op.shifted(d), b - a_minus * (1.0 - q) * t ** q,
-                         permc_spec=PERMC)
+        y = op.solve(op.shifted(d), b - a_minus * (1.0 - q) * t ** q)
         solves += 1
         z = np.maximum(y, low)
     return z, solves
@@ -518,8 +516,7 @@ def _relax_ptc(problem, scheme, vals, ctl, init, bracket):
         slope = aq * np.maximum(u, floor) ** (q - 1.0)
         slope[zero & source] = 0.0
         op.set_policy(scheme.policy(vals))
-        du = spla.spsolve(op.newton(*parts, shift=1.0 / dt - slope), R.ravel(),
-                          permc_spec=PERMC)
+        du = op.solve(op.newton(*parts, shift=1.0 / dt - slope), R.ravel())
         steps += 1
         np.maximum(u_int + du.reshape(u_int.shape), 0.0, out=t_int)
         dead = zero & sink

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from deadcore import (Grid, GridFunction, OperatorSpec, IterationControl,
                       RhsProblem, SolveError, solve_rhs, sup_norm)
-from deadcore.dirichlet import PolicyMatrix
+from deadcore.dirichlet import PERMC, PolicyMatrix
 from deadcore.grids import Scheme
 from reference import _relax_rhs
 
@@ -319,8 +320,8 @@ def test_newton_comparison_property():
 
 def test_newton_stall_stop():
     # a tolerance below the floating-point floor: Newton settles near
-    # 1e-13 and stops after NEWTON_STALL solves without a new low instead
-    # of spending the budget
+    # 1e-13 and stops after NEWTON_STALL solves that do not halve its kept
+    # low instead of spending the budget
     g = Grid.interval(0.0, 1.0, 49)
     p = RhsProblem(g, OperatorSpec.pucci_plus(1.0, 1.0), 1.0, _const_rhs(g, -1.0))
     rep = solve_rhs(p, IterationControl(tolerance=1e-30, max_steps=40))
@@ -338,6 +339,77 @@ def test_newton_floor_stop_1d():
     rep = solve_rhs(p, IterationControl(max_steps=2000))
     assert not rep.converged and rep.steps <= 100
     assert rep.residual_sup <= 1e-7
+
+
+def _superlu(op, M, b):
+    return spla.spsolve(M, b, permc_spec=PERMC)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_newton_stall_stop_does_not_follow_the_rounding(monkeypatch, gamma):
+    # the stall count restarts only on a halving of the kept low of max|G|,
+    # so rounding-level lows at the floor decide nothing: LAPACK gtsv and
+    # SuperLU round differently and stop after the same number of solves
+    # (by any new low they took 18 and 24, 25 and 18, 39 and 40 here)
+    g = Grid.interval(0.0, 1.0, 49)
+    p = RhsProblem(g, OperatorSpec.pucci_plus(1.0, 1.0), gamma, _const_rhs(g, -1.0))
+    ctl = IterationControl(tolerance=1e-30, max_steps=40)
+    rep = solve_rhs(p, ctl)
+    monkeypatch.setattr(PolicyMatrix, "solve", _superlu)
+    ref = solve_rhs(p, ctl)
+    assert not rep.converged and not ref.converged
+    assert rep.steps == ref.steps < ctl.max_steps
+
+
+@pytest.mark.parametrize("n", [5, 199, 3199])
+def test_policy_solve_matches_superlu_1d(monkeypatch, n):
+    # 1-D systems go to LAPACK gtsv: against SuperLU on the Newton matrices
+    # of solve_rhs (the trace, Pucci+-, Bellman at gamma = 0 and 1) and on
+    # the shifted policy matrix at its answer.  Each x has a componentwise
+    # backward error of a few ulps; two such solves differ by up to eps
+    # times the condition number, which grows like h^-2: 1e-13 up to
+    # n = 199, 2.6e-11 at n = 3199 (3.3e-12 seen).  b is left as it was.
+    g = Grid.interval(0.0, 2.0, n)
+    tol = 1e-13 * max(1.0, (n + 1) ** 2 / 4e4)
+    gtsv, worst = PolicyMatrix.solve, []
+
+    def checked(op, M, b):
+        b0 = b.copy()
+        x = gtsv(op, M, b)
+        assert np.array_equal(b, b0)
+        scale = abs(M) @ np.abs(x) + np.abs(b)
+        assert np.all(np.abs(M @ x - b) <= 1e-15 * scale)
+        ref = _superlu(op, M, b)
+        worst.append(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+        return x
+
+    monkeypatch.setattr(PolicyMatrix, "solve", checked)
+    rng = np.random.default_rng(n)
+    for spec in _policy_specs(1) + (OperatorSpec.linear_trace(np.eye(1)),):
+        for gamma in (0.0, 1.0):
+            rep = solve_rhs(RhsProblem(g, spec, gamma, _const_rhs(g, -30.0)))
+            sch = Scheme(g, spec, gamma)
+            op = PolicyMatrix(sch)
+            op.set_policy(sch.policy(rep.solution.values))
+            op.solve(op.shifted(rng.random(n) * op.diagonal()), np.ones(n))
+    assert len(worst) >= 20 and max(worst) <= tol
+
+
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+@pytest.mark.parametrize("dim", [1, 2])
+def test_policy_solve_singular_is_nan(dim):
+    # an all-zero-weight policy: a zero pivot gives an all-NaN x in 1-D as
+    # spsolve does in 2-D, which solve_rhs reports as a non-finite
+    # residual and pseudo-transient Newton rejects as a step
+    g = _grid(dim)
+    sch = Scheme(g, OperatorSpec.pucci_plus(1.0, 2.0), 0.0)
+    op = PolicyMatrix(sch)
+    w = {k: np.zeros_like(v) for k, v in sch.policy(np.zeros(g.shape)).items()}
+    A = op.set_policy(w)
+    b = np.ones(A.shape[0])
+    for M in (A, op.shifted(np.zeros(A.shape[0]))):
+        x = op.solve(M, b)
+        assert x.shape == b.shape and np.all(np.isnan(x))
 
 
 def test_rhs_on_another_grid_refused():
