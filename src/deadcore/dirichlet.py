@@ -7,9 +7,9 @@ a linear trace, the p-Laplacian where it is linear, Pucci or Bellman F.
 solve_rhs runs Newton's method with Howard's policy step on
 g(u) F_h(u) = f, g the gradient factor, for every gamma >= 0: linearize
 at the policy active at the last iterate, solve the Jacobian system
-(PolicyMatrix.solve: LAPACK's tridiagonal gtsv in 1-D, a SuperLU sparse
-factorization in 2-D), repeat.  At gamma = 0 (g = 1) this is Howard's
-policy iteration, and a linear F takes one solve.  A policy switch can
+(PolicyMatrix.solve: LAPACK's tridiagonal gtsv in 1-D, its banded LU
+gbsv in 2-D), repeat.  At gamma = 0 (g = 1) this is Howard's policy
+iteration, and a linear F takes one solve.  A policy switch can
 raise the residual for a step, so the loop gives up only after
 NEWTON_STALL solves in a row that do not halve the last low it kept.
 Convergence is declared on the equation residual, not on the update size.
@@ -18,8 +18,7 @@ Convergence is declared on the equation residual, not on the update size.
 from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgbsv, dgtsv
 
 from .grids import GridFunction, Scheme, _direction_set
 
@@ -70,12 +69,6 @@ def sup_norm(u):
     """Sup norm of a GridFunction or plain array."""
     v = u.values if isinstance(u, GridFunction) else np.asarray(u)
     return float(np.max(np.abs(v)))
-
-
-# column ordering of the 2-D sparse solves: minimum degree on A^T + A
-# suits the structurally symmetric stencil patterns (about 4 ms against
-# 7 ms for the default COLAMD on a 59x29 nine-point matrix)
-PERMC = "MMD_AT_PLUS_A"
 
 
 class PolicyMatrix:
@@ -139,22 +132,41 @@ class PolicyMatrix:
         # super-diagonal of a tridiagonal matrix
         plus, _, minus, _, _ = self._axes[0]
         self._tri = (minus, self._diag, plus) if g.dim == 1 else None
+        # 2-D: with half-bandwidth bw = max|i - j| (n[1] + 1 for the
+        # 9-point stencil), entry (i, j) goes to row 2 bw + i - j of column
+        # j of LAPACK's band storage (kl = ku = bw, ldab = 3 bw + 1),
+        # flattened here column by column.  A band LU rather than SuperLU:
+        # on the Newton matrices of solve_rhs (Pucci-, f = -30, gamma 0-2)
+        # it took 0.3-0.5 of SuperLU's time up to 119x59 and 0.7-0.9 at
+        # 179x89-299x149.  Its price is memory, ldab + 1 doubles per
+        # unknown: a solve grows the peak RSS by 86 MB at 239x119, where
+        # SuperLU under a minimum-degree ordering grew it by 32 MB.
+        self._band = None
+        if g.dim == 2:
+            col = pattern[0].astype(np.intp)
+            bw = int(np.abs(col - self._rows).max())
+            ldab = 3 * bw + 1
+            self._band = (bw, col * ldab + 2 * bw + self._rows - col)
         self._w = None
 
     def solve(self, M, b):
         """x with M x = b, M = A or the matrix shifted/newton wrote.
 
-        In 1-D LAPACK gtsv (Gaussian elimination with partial pivoting,
-        O(n)) takes the three diagonals of M.data; in 2-D SuperLU
-        factorizes M with the PERMC ordering.  An exactly singular M (a
-        zero pivot) gives an all-NaN x, as spsolve does.  b is not
-        overwritten.
+        Two LAPACK solvers, one per dimension: in 1-D gtsv (Gaussian
+        elimination with partial pivoting, O(n)) takes the three diagonals
+        of M.data; in 2-D gbsv (banded LU with partial pivoting) takes
+        M.data scattered into band storage.  An exactly singular M (a zero
+        pivot) gives an all-NaN x.  b is not overwritten.
         """
-        if self._tri is None:
-            return spla.spsolve(M, b, permc_spec=PERMC)
-        dl, d, du = (M.data[s] for s in self._tri)
-        x, info = dgtsv(dl, d, du, b, overwrite_dl=True,
-                         overwrite_d=True, overwrite_du=True)[3:]
+        if self._tri is not None:
+            dl, d, du = (M.data[s] for s in self._tri)
+            x, info = dgtsv(dl, d, du, b, overwrite_dl=True,
+                            overwrite_d=True, overwrite_du=True)[3:]
+        else:
+            bw, pos = self._band
+            ab = np.zeros((len(b), 3 * bw + 1))   # ab.T: Fortran order
+            ab.ravel()[pos] = M.data
+            x, info = dgbsv(bw, bw, ab.T, b, overwrite_ab=True)[2:]
         return x if info == 0 else np.full(len(b), np.nan)
 
     def set_policy(self, w):

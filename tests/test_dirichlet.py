@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 
 from deadcore import (Grid, GridFunction, OperatorSpec, IterationControl,
                       RhsProblem, SolveError, solve_rhs, sup_norm)
-from deadcore.dirichlet import PERMC, PolicyMatrix
+from deadcore.dirichlet import PolicyMatrix
 from deadcore.grids import Scheme
 from reference import _relax_rhs
 
@@ -341,18 +341,32 @@ def test_newton_floor_stop_1d():
     assert rep.residual_sup <= 1e-7
 
 
+# the reference solver: SuperLU under a minimum-degree ordering on A^T + A,
+# which suits the structurally symmetric stencil patterns
+PERMC = "MMD_AT_PLUS_A"
+
+
 def _superlu(op, M, b):
     return spla.spsolve(M, b, permc_spec=PERMC)
 
 
-@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
-def test_newton_stall_stop_does_not_follow_the_rounding(monkeypatch, gamma):
+_STALL_CASES = [pytest.param(1, OperatorSpec.pucci_plus(1.0, 1.0), gamma,
+                             id=str(gamma)) for gamma in (0.5, 1.0, 2.0)]
+_STALL_CASES += [pytest.param(2, spec, gamma, id="2d-%s-%s" % (spec.variant, gamma))
+                 for spec in (OperatorSpec.pucci_plus(1.0, 2.0),
+                              OperatorSpec.pucci_minus(1.0, 2.0))
+                 for gamma in (0.5, 1.0, 2.0)]
+
+
+@pytest.mark.parametrize("dim,spec,gamma", _STALL_CASES)
+def test_newton_stall_stop_does_not_follow_the_rounding(monkeypatch, dim, spec, gamma):
     # the stall count restarts only on a halving of the kept low of max|G|,
-    # so rounding-level lows at the floor decide nothing: LAPACK gtsv and
-    # SuperLU round differently and stop after the same number of solves
-    # (by any new low they took 18 and 24, 25 and 18, 39 and 40 here)
-    g = Grid.interval(0.0, 1.0, 49)
-    p = RhsProblem(g, OperatorSpec.pucci_plus(1.0, 1.0), gamma, _const_rhs(g, -1.0))
+    # so rounding-level lows at the floor decide nothing: LAPACK (gtsv in
+    # 1-D, gbsv in 2-D) and SuperLU round differently and stop after the
+    # same number of solves (in 1-D, by any new low they took 18 and 24,
+    # 25 and 18, 39 and 40 here)
+    g = Grid.interval(0.0, 1.0, 49) if dim == 1 else _grid(2)
+    p = RhsProblem(g, spec, gamma, _const_rhs(g, -1.0))
     ctl = IterationControl(tolerance=1e-30, max_steps=40)
     rep = solve_rhs(p, ctl)
     monkeypatch.setattr(PolicyMatrix, "solve", _superlu)
@@ -395,11 +409,52 @@ def test_policy_solve_matches_superlu_1d(monkeypatch, n):
     assert len(worst) >= 20 and max(worst) <= tol
 
 
-@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+@pytest.mark.parametrize("shape", [(19, 9), (59, 29)], ids=["19x9", "59x29"])
+def test_policy_solve_matches_superlu_2d(monkeypatch, shape):
+    # 2-D systems go to LAPACK's band LU gbsv: against SuperLU on every
+    # Newton matrix of solve_rhs (the trace, Pucci+-, Bellman at gamma = 0
+    # and 1) and on the shifted policy matrix at its answer.  b is left as
+    # it was, the componentwise backward error is at most 2e-15, about one
+    # ulp per stored entry of a row (1.0e-15 seen at 59x29, where SuperLU
+    # reaches 7e-16 on the same matrices), and x agrees with SuperLU within
+    # eps times kappa_inf(M), estimated from SuperLU's factor (0.41 eps
+    # kappa seen; kappa up to 5.7e3 here).
+    g = Grid.rectangle(0.0, 2.0, 0.0, 1.0, *shape)
+    gbsv, worst = PolicyMatrix.solve, []
+
+    def checked(op, M, b):
+        assert op._band is not None
+        b0 = b.copy()
+        x = gbsv(op, M, b)
+        assert np.array_equal(b, b0)
+        scale = abs(M) @ np.abs(x) + np.abs(b)
+        assert np.all(np.abs(M @ x - b) <= 2e-15 * scale)
+        lu = spla.splu(M.tocsc(), permc_spec=PERMC)
+        inv_t = spla.LinearOperator(M.shape, matvec=lambda v: lu.solve(v, "T"),
+                                    rmatvec=lu.solve, dtype=float)
+        kappa = abs(M).sum(axis=1).max() * spla.onenormest(inv_t)
+        ref = lu.solve(b)
+        err = np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+        worst.append(err / (np.finfo(float).eps * kappa))
+        return x
+
+    monkeypatch.setattr(PolicyMatrix, "solve", checked)
+    rng = np.random.default_rng(shape[0])
+    for spec in _policy_specs(2) + (OperatorSpec.linear_trace(np.eye(2)),):
+        for gamma in (0.0, 1.0):
+            rep = solve_rhs(RhsProblem(g, spec, gamma, _const_rhs(g, -30.0)))
+            sch = Scheme(g, spec, gamma)
+            op = PolicyMatrix(sch)
+            op.set_policy(sch.policy(rep.solution.values))
+            size = op.A.shape[0]
+            op.solve(op.shifted(rng.random(size) * op.diagonal()), np.ones(size))
+    assert len(worst) >= 20 and max(worst) <= 1.0
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_policy_solve_singular_is_nan(dim):
-    # an all-zero-weight policy: a zero pivot gives an all-NaN x in 1-D as
-    # spsolve does in 2-D, which solve_rhs reports as a non-finite
+    # an all-zero-weight policy: a zero pivot gives an all-NaN x from gtsv
+    # in 1-D and from gbsv in 2-D, which solve_rhs reports as a non-finite
     # residual and pseudo-transient Newton rejects as a step
     g = _grid(dim)
     sch = Scheme(g, OperatorSpec.pucci_plus(1.0, 2.0), 0.0)
