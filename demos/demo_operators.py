@@ -14,8 +14,7 @@ X = rng.standard_normal((3, 3))
 X = 0.5 * (X + X.T)
 lam, Lam = 0.5, 2.0
 print("symmetric test matrix X:\n", np.round(X, 3))
-print("eigenvalues (LAPACK eigvalsh):",
-      np.round(eigenvalues(X).eigenvalues, 4))
+print("eigenvalues (LAPACK eigvalsh):", np.round(eigenvalues(X), 4))
 print("M+(X; 0.5, 2) =", pucci(X, lam, Lam, "+"))
 print("M-(X; 0.5, 2) =", pucci(X, lam, Lam, "-"))
 print("duality check M+(X) = -M-(-X):",

@@ -9,20 +9,17 @@ sub-homogeneous reaction 0 < q < gamma + 1, on 1-D intervals and 2-D
 rectangles.
 """
 
-from .operators import (SymMatrix, Spectrum, OperatorSpec, AxiomReport,
-                        eigenvalues, pucci, evaluate_operator,
-                        evaluate_gradient_operator, check_axioms)
-from .grids import (Grid, GridFunction, WeightField, Scheme, gradient,
-                    discrete_hessian, discrete_F, residual_field,
+from .operators import (SymMatrix, OperatorSpec, AxiomReport, eigenvalues,
+                        pucci, evaluate_operator, check_axioms)
+from .grids import (Grid, GridFunction, WeightField, Scheme, residual_field,
                     write_csv, read_csv)
-from .dirichlet import (IterationControl, RhsProblem, RhsReport, solve_rhs,
-                        sup_norm)
+from .dirichlet import IterationControl, RhsProblem, RhsReport, solve_rhs
 from .eigen import EigenControl, EigenPair, principal_eigenpair, eigen_residual
 from .solver import (ProblemSpec, SolveReport, SolveError, SubsolutionError,
                      build_subsolution, build_supersolution, solve, residual,
                      ball_eigenpair)
 from .analysis import (ClassificationReport, ThresholdReport, BarrierResult,
-                       classify, hopf_bound, to_w, from_w, w_residual,
+                       ProbeRecord, classify, hopf_bound, to_w, w_residual,
                        w_residual_sup, barrier_check, estimate_threshold)
 from .oracle import (ExampleInstance, example_instance, AnalyticEigenpair,
                      laplace_eigenpair_1d)

@@ -23,7 +23,7 @@ from .solver import (extend_ball_function, _ball_mask, _norm_ball, solve,
 
 __all__ = [
     "ClassificationReport", "ThresholdReport", "BarrierResult", "ProbeRecord",
-    "classify", "hopf_bound", "to_w", "from_w", "w_residual", "w_residual_sup",
+    "classify", "hopf_bound", "to_w", "w_residual", "w_residual_sup",
     "barrier_check", "estimate_threshold",
 ]
 
@@ -103,15 +103,6 @@ def to_w(u, gamma, q):
     w = np.zeros(u.grid.shape)
     u.grid.interior(w)[...] = ui ** (1.0 - qbar) / (1.0 - qbar)
     return GridFunction(u.grid, w)
-
-
-def from_w(w, gamma, q):
-    """Inverse of to_w."""
-    qbar = q / (1.0 + gamma)
-    wi = w.grid.interior(w.values)
-    u = np.zeros(w.grid.shape)
-    w.grid.interior(u)[...] = ((1.0 - qbar) * wi) ** (1.0 / (1.0 - qbar))
-    return GridFunction(w.grid, u)
 
 
 def w_residual(w, problem):

@@ -63,10 +63,10 @@ def load_config(path, overrides=()):
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ValidationError("--set expects section.key=value, got %r" % item)
         key, value = item.split("=", 1)
-        section, option = key.split(".", 1)
+        section, option = (t.strip() for t in key.split(".", 1))
         if not cp.has_section(section):
             cp.add_section(section)
-        cp.set(section.strip(), option.strip(), value.strip())
+        cp.set(section, option, value.strip())
     for section in cp.sections():
         if section not in KNOWN_KEYS:
             raise ValidationError("unknown config section [%s]" % section)
@@ -194,9 +194,16 @@ def _build_problem(cp, command):
 
 
 def _control(cp):
-    ctl = cp["control"] if cp.has_section("control") else {}
-    return IterationControl(tolerance=float(ctl.get("tolerance", 1e-8)),
-                            max_steps=int(float(ctl.get("max_steps", 1_000_000))))
+    return IterationControl(
+        tolerance=cp.getfloat("control", "tolerance", fallback=1e-8),
+        max_steps=int(cp.getfloat("control", "max_steps", fallback=1_000_000)))
+
+
+def _ball(cp, needed_by):
+    raw = cp.get("control", "ball", fallback="")
+    if not raw:
+        raise ValidationError("%s needs control.ball" % needed_by)
+    return _parse_floats(raw)
 
 
 def _seed(cp):
@@ -214,22 +221,18 @@ def _headers(cp):
 
 
 def _write_report(path, cp, text):
+    """Write text to path below the config hash and seed comment header."""
     with open(path, "w") as fh:
-        for line in _headers(cp):
-            fh.write("# %s\n" % line)
-        fh.write(text)
+        fh.write("".join("# %s\n" % line for line in _headers(cp)) + text)
 
 
 def cmd_solve(cp):
     p = _build_problem(cp, "solve")
     ctl = _control(cp)
-    init = cp["control"].get("init", "zero") if cp.has_section("control") else "zero"
+    init = cp.get("control", "init", fallback="zero")
     ball = u0 = None
     if init == "subsolution":
-        raw = cp["control"].get("ball", "")
-        if not raw:
-            raise ValidationError("init=subsolution needs control.ball")
-        ball = _parse_floats(raw)
+        ball = _ball(cp, "init=subsolution")
     elif init == "given":
         u0 = _read_input(cp, "control", "init_path", "init=given", grid=p.grid)
     rep = solve(p, init=init, ctl=ctl, ball=ball, u0=u0)
@@ -252,9 +255,9 @@ def cmd_eigen(cp):
     grid = _build_grid(cp)
     op = _build_operator(cp)
     ctl = EigenControl()
-    if cp.has_section("control"):
-        ctl.tol_lambda = float(cp["control"].get("tolerance", ctl.tol_lambda))
-        ctl.tol_residual = float(cp["control"].get("eigen_residual", ctl.tol_residual))
+    ctl.tol_lambda = cp.getfloat("control", "tolerance", fallback=ctl.tol_lambda)
+    ctl.tol_residual = cp.getfloat("control", "eigen_residual",
+                                   fallback=ctl.tol_residual)
     pair = principal_eigenpair(grid, op, gamma, ctl)
     out = _outdir(cp)
     write_csv(pair.phi_plus, out / "eigen.csv",
@@ -288,12 +291,13 @@ def cmd_sweep(cp):
     bracket = _parse_floats(sw.get("bracket", "0,1"))
     if len(bracket) != 2 or not bracket[1] > bracket[0]:
         raise ValidationError("sweep bracket must be lo,hi with hi > lo")
+    if parameter == "q" and not 0 < bracket[0] < bracket[1] < base.gamma + 1:
+        raise ValidationError("sweep bracket for q must satisfy 0 < lo and "
+                              "hi < gamma+1 (got %g,%g, gamma=%g)"
+                              % (*bracket, base.gamma))
     probes = int(sw.get("probes", 16))
     bisect_steps = int(sw.get("bisect_steps", 8))
-    raw = cp["control"].get("ball", "") if cp.has_section("control") else ""
-    if not raw:
-        raise ValidationError("sweep needs control.ball for the subsolution seed")
-    ball = _parse_floats(raw)
+    ball = _ball(cp, "sweep")
     ctl = _control(cp)
 
     if parameter == "s":
@@ -308,12 +312,8 @@ def cmd_sweep(cp):
     rep = estimate_threshold(family, parameter, bracket, ball, ctl=ctl,
                              probes=probes, bisect_steps=bisect_steps)
     out = _outdir(cp)
-    with open(out / "sweep.csv", "w") as fh:
-        for line in _headers(cp):
-            fh.write("# %s\n" % line)
-        fh.write(rep.CSV_HEADER + "\n")
-        for r in rep.probes:
-            fh.write(r.csv_row() + "\n")
+    rows = [rep.CSV_HEADER] + [r.csv_row() for r in rep.probes]
+    _write_report(out / "sweep.csv", cp, "\n".join(rows) + "\n")
     _write_report(out / "report.txt", cp, rep.to_text())
     if rep.status == "no_threshold":
         print("summary command=sweep status=no_threshold")
@@ -323,9 +323,8 @@ def cmd_sweep(cp):
 
 
 def cmd_oracle_check(cp):
-    prob = cp["problem"] if cp.has_section("problem") else {}
-    gamma = float(prob.get("gamma", 1.0)) if prob else 1.0
-    q = float(prob.get("q", 0.8)) if prob else 0.8
+    gamma = cp.getfloat("problem", "gamma", fallback=1.0)
+    q = cp.getfloat("problem", "q", fallback=0.8)
     inst = example_instance(gamma, q)
     # pointwise identity
     x = np.linspace(inst.domain[0] + 1e-9, inst.domain[1] - 1e-9, 1000)
@@ -346,13 +345,8 @@ def cmd_oracle_check(cp):
         hs.append(grid.h[0])
         n = 2 * n + 1
     orders = [np.log2(sups[i] / sups[i + 1]) for i in range(2)]
-    out = _outdir(cp)
-    with open(out / "oracle.csv", "w") as fh:
-        for line in _headers(cp):
-            fh.write("# %s\n" % line)
-        fh.write("h,residual_sup\n")
-        for h, s in zip(hs, sups):
-            fh.write("%.17g,%.17g\n" % (h, s))
+    rows = ["h,residual_sup"] + ["%.17g,%.17g" % row for row in zip(hs, sups)]
+    _write_report(_outdir(cp) / "oracle.csv", cp, "\n".join(rows) + "\n")
     # the glued profile is only piecewise smooth at 0, so the empirical
     # order approaches 1 from below (0.9995 at n=149); allow that slack
     ok = ident_ok and all(o >= 0.95 for o in orders)

@@ -23,7 +23,7 @@ from scipy.linalg.lapack import dgbsv, dgtsv
 from .grids import GridFunction, Scheme, _direction_set
 
 __all__ = ["IterationControl", "RhsProblem", "RhsReport", "SolveError",
-           "solve_rhs", "sup_norm"]
+           "solve_rhs"]
 
 class SolveError(RuntimeError):
     pass
@@ -63,12 +63,6 @@ class RhsReport:
     residual_sup: float
     steps: int
     converged: bool
-
-
-def sup_norm(u):
-    """Sup norm of a GridFunction or plain array."""
-    v = u.values if isinstance(u, GridFunction) else np.asarray(u)
-    return float(np.max(np.abs(v)))
 
 
 class PolicyMatrix:

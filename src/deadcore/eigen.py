@@ -45,8 +45,6 @@ def eigen_residual(lam, phi, spec, gamma, delta=0.0):
     With delta = 0 (default) the defect is exactly (gamma+1)-homogeneous
     in phi; pass delta = max(h) to match the regularized solver operator.
     """
-    if isinstance(lam, EigenPair):
-        lam, phi = lam.lambda_plus, lam.phi_plus
     grid = phi.grid
     scheme = Scheme(grid, spec, gamma)
     g = 1.0 if gamma == 0.0 else \

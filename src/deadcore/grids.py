@@ -9,8 +9,7 @@ pointwise residual of the reaction problem is
     r = (|grad_h u|^2 + delta^2)^(gamma/2) * F_h(u) + a(x) u^q,
 
 with the gradient regularization delta = max(h); boundary nodes carry the
-Dirichlet defect r = u.  The pointwise helpers are entries of the Scheme
-arrays.
+Dirichlet defect r = u.
 """
 
 from dataclasses import dataclass
@@ -20,8 +19,7 @@ import numpy as np
 from .operators import coeff_at
 
 __all__ = [
-    "Grid", "GridFunction", "WeightField", "Scheme",
-    "gradient", "discrete_hessian", "discrete_F", "residual_field",
+    "Grid", "GridFunction", "WeightField", "Scheme", "residual_field",
     "write_csv", "read_csv",
 ]
 
@@ -207,29 +205,6 @@ def _direction_set(dim):
     return (("x", (1, 0)), ("y", (0, 1)), ("d1", (1, 1)), ("d2", (1, -1)))
 
 
-def _second_differences(v, h):
-    """Curvatures along _direction_set at interior nodes (dict by name)."""
-    if v.ndim == 1:
-        return {"x": (v[2:] - 2 * v[1:-1] + v[:-2]) / h[0] ** 2}
-    c = v[1:-1, 1:-1]
-    out = {
-        "x": (v[2:, 1:-1] - 2 * c + v[:-2, 1:-1]) / h[0] ** 2,
-        "y": (v[1:-1, 2:] - 2 * c + v[1:-1, :-2]) / h[1] ** 2,
-    }
-    hd2 = h[0] ** 2 + h[1] ** 2
-    out["d1"] = (v[2:, 2:] - 2 * c + v[:-2, :-2]) / hd2
-    out["d2"] = (v[2:, :-2] - 2 * c + v[:-2, 2:]) / hd2
-    return out
-
-
-def _centred_grad(v, h):
-    """Per-axis centred difference quotients at interior nodes."""
-    if v.ndim == 1:
-        return ((v[2:] - v[:-2]) / (2 * h[0]),)
-    return ((v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * h[0]),
-            (v[1:-1, 2:] - v[1:-1, :-2]) / (2 * h[1]))
-
-
 def _mean_squares(slopes):
     """Per-axis 0.5 (f^2 + b^2) of one-sided quotient pairs (f, b)."""
     return tuple(0.5 * (f * f + b * b) for f, b in slopes)
@@ -243,27 +218,6 @@ def _weighted(w, k):
     for name, wd in items:
         total = total + wd * k[name]
     return total
-
-
-def _interior_index(grid, node):
-    """Index into interior-shaped arrays of an interior node."""
-    node = (node,) if np.isscalar(node) else tuple(node)
-    if len(node) != grid.dim or not all(1 <= i <= n for i, n in zip(node, grid.n)):
-        raise ValueError("%r is not an interior node of %r" % (node, grid.n))
-    return tuple(i - 1 for i in node)
-
-
-def gradient(u, node):
-    """Centered gradient at an interior node (an entry of Scheme.grad)."""
-    idx = _interior_index(u.grid, node)
-    return np.array([d[idx] for d in _centred_grad(u.values, u.grid.h)])
-
-
-def discrete_hessian(u, node):
-    """Second differences at an interior node along the stencil directions
-    (an entry of Scheme.second_differences; boundary values count)."""
-    idx = _interior_index(u.grid, node)
-    return {k: d[idx] for k, d in _second_differences(u.values, u.grid.h).items()}
 
 
 # envelope operators: how F reduces its candidate stencils, and how the
@@ -340,8 +294,17 @@ class Scheme:
     # -- differences ----------------------------------------------------
 
     def second_differences(self, v):
-        """Directional curvatures at interior nodes (dict keyed by name)."""
-        return _second_differences(v, self.h)
+        """Curvatures along the stencil directions (_direction_set) at
+        interior nodes, as a dict keyed by direction name."""
+        h = self.h
+        if self.dim == 1:
+            return {"x": (v[2:] - 2 * v[1:-1] + v[:-2]) / h[0] ** 2}
+        c = v[1:-1, 1:-1]
+        hd2 = h[0] ** 2 + h[1] ** 2
+        return {"x": (v[2:, 1:-1] - 2 * c + v[:-2, 1:-1]) / h[0] ** 2,
+                "y": (v[1:-1, 2:] - 2 * c + v[1:-1, :-2]) / h[1] ** 2,
+                "d1": (v[2:, 2:] - 2 * c + v[:-2, :-2]) / hd2,
+                "d2": (v[2:, :-2] - 2 * c + v[:-2, 2:]) / hd2}
 
     def cross_difference(self, v):
         """Centered mixed difference u_xy (2-D only; residual checks)."""
@@ -349,7 +312,12 @@ class Scheme:
         return (v[2:, 2:] + v[:-2, :-2] - v[2:, :-2] - v[:-2, 2:]) / (4 * hx * hy)
 
     def grad(self, v):
-        return _centred_grad(v, self.h)
+        """Per-axis centred difference quotients at interior nodes."""
+        h = self.h
+        if self.dim == 1:
+            return ((v[2:] - v[:-2]) / (2 * h[0]),)
+        return ((v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * h[0]),
+                (v[1:-1, 2:] - v[1:-1, :-2]) / (2 * h[1]))
 
     def upwind_mag2(self, v):
         """Per-axis mean of squared one-sided differences at interior nodes.
@@ -410,7 +378,7 @@ class Scheme:
 
     def F(self, v):
         """discrete F at all interior nodes (degenerate elliptic form)."""
-        k = _second_differences(v, self.h)
+        k = self.second_differences(v)
         if self._linear or self.spec.variant != "p_laplacian":
             return self.F_of(k)
         return self.F_of(k, self.cross_difference(v), self.grad(v))
@@ -497,12 +465,6 @@ class Scheme:
     def residual_interior(self, v, a_int, q):
         """g * F_h + a u^q at interior nodes (v must be >= 0 there)."""
         return self.grad_factor(v) * self.F(v) + a_int * self.grid.interior(v) ** q
-
-
-def discrete_F(spec, u, node, gamma=0.0):
-    """Pointwise discrete F at one interior node (thin Scheme wrapper)."""
-    sch = Scheme(u.grid, spec, gamma)
-    return float(sch.F(u.values)[_interior_index(u.grid, node)])
 
 
 def _stencil_all_below(near):

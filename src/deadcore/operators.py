@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SymMatrix", "Spectrum", "OperatorSpec", "AxiomReport",
-    "eigenvalues", "pucci", "evaluate_operator", "evaluate_gradient_operator",
-    "check_axioms",
+    "SymMatrix", "OperatorSpec", "AxiomReport",
+    "eigenvalues", "pucci", "evaluate_operator", "check_axioms",
 ]
 
 
@@ -47,20 +46,6 @@ class SymMatrix:
     def trace(self):
         return float(np.trace(self.entries))
 
-    def frobenius(self):
-        return float(np.linalg.norm(self.entries))
-
-    def __add__(self, other):
-        return SymMatrix(self.entries + _stack(other))
-
-    def __sub__(self, other):
-        return SymMatrix(self.entries - _stack(other))
-
-    def __mul__(self, s):
-        return SymMatrix(self.entries * float(s))
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         return "SymMatrix(%r)" % (self.entries.tolist(),)
 
@@ -86,20 +71,15 @@ def _scalar(v):
     return float(v) if np.ndim(v) == 0 else v
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Sorted (ascending) eigenvalues: (d,) for a matrix, (..., d) for a stack."""
-    eigenvalues: np.ndarray
-
-
 def eigenvalues(X):
-    """Spectrum of a symmetric matrix, ascending, by np.linalg.eigvalsh.
+    """Eigenvalues of a symmetric matrix, ascending, by np.linalg.eigvalsh.
 
     Backward stable: the eigenvalues are exact for a matrix within a few
-    units of round-off times ||X|| of X.  Dims are capped at 3.  A stack
-    gives (..., d) rows, each bit-identical to its matrix's own spectrum.
+    units of round-off times ||X|| of X.  Dims are capped at 3.  A matrix
+    gives a (d,) array, a stack (..., d) rows, each bit-identical to its
+    matrix's own eigenvalues.
     """
-    return Spectrum(np.linalg.eigvalsh(_stack(X)))
+    return np.linalg.eigvalsh(_stack(X))
 
 
 def pucci(X, lam, Lam, sign):
@@ -111,7 +91,7 @@ def pucci(X, lam, Lam, sign):
     """
     if not 0 < lam <= Lam:
         raise ValueError("require 0 < lam <= Lam")
-    e = eigenvalues(X).eigenvalues
+    e = eigenvalues(X)
     neg = np.minimum(e, 0.0).sum(axis=-1)
     pos = np.maximum(e, 0.0).sum(axis=-1)
     if sign == "+":
@@ -157,7 +137,7 @@ class OperatorSpec:
         if lam is None or Lam is None:
             if callable(coeff):
                 raise ValueError("lam/Lam required for callable coefficients")
-            e = eigenvalues(SymMatrix(coeff)).eigenvalues
+            e = eigenvalues(SymMatrix(coeff))
             lam = float(e[0]) if lam is None else lam
             Lam = float(e[-1]) if Lam is None else Lam
         return cls("linear_trace", lam=lam, Lam=Lam, coeff=coeff,
@@ -224,7 +204,7 @@ def evaluate_operator(spec, x, X):
     and their leading axes broadcast: one pair gives a float, stacks an
     array.  Coefficients are evaluated once per point of x; a custom
     `func` is called once per broadcast pair.  The p-Laplacian depends on
-    the gradient direction and must go through `evaluate_gradient_operator`.
+    the gradient direction: its matrix part is `p_laplacian_matrix_part`.
     """
     X = _stack(X)
     v = spec.variant
@@ -238,7 +218,7 @@ def evaluate_operator(spec, x, X):
         func = np.vectorize(spec.func, otypes=[float], signature="(n),(d,d)->()")
         return _scalar(func(np.atleast_1d(np.asarray(x, dtype=float)), X))
     if v == "p_laplacian":
-        raise TypeError("p-Laplacian needs a gradient; use evaluate_gradient_operator")
+        raise TypeError("p-Laplacian needs a gradient; use p_laplacian_matrix_part")
     raise ValueError("unknown variant %r" % v)
 
 
@@ -251,26 +231,6 @@ def p_laplacian_matrix_part(xi, X, p):
     tr = np.trace(X, axis1=-2, axis2=-1)
     quad = (xi[..., None, :] @ X @ xi[..., :, None])[..., 0, 0]
     return _scalar(np.where(n2 == 0.0, tr, tr + (p - 2.0) * quad / np.where(n2 == 0.0, 1.0, n2)))
-
-
-def evaluate_gradient_operator(spec, x, xi, X, gamma):
-    """|xi|^gamma * F(x, X), with the degenerate convention 0 at xi = 0.
-
-    For the p-Laplacian the prefactor exponent is p-2 and the matrix part
-    is F_p(xi, X); at xi = 0 the value is 0 for p != 2 and Tr(X) for p = 2.
-    """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    norm = float(np.sqrt(xi @ xi))
-    if spec.variant == "p_laplacian":
-        p = spec.p
-        if norm == 0.0:
-            return p_laplacian_matrix_part(xi, X, p) if p == 2.0 else 0.0
-        return norm ** (p - 2.0) * p_laplacian_matrix_part(xi, X, p)
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    if norm == 0.0:
-        return evaluate_operator(spec, x, X) if gamma == 0.0 else 0.0
-    return norm ** gamma * evaluate_operator(spec, x, X)
 
 
 @dataclass

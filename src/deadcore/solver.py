@@ -27,7 +27,7 @@ import numpy as np
 from .grids import (Grid, GridFunction, WeightField, Scheme, residual_field,
                     _stencil_all_below)
 from .dirichlet import (IterationControl, RhsProblem, SolveError, PolicyMatrix,
-                        solve_rhs, sup_norm, _same_policy)
+                        solve_rhs, _same_policy)
 from .eigen import EigenControl, principal_eigenpair
 
 __all__ = [
@@ -238,7 +238,7 @@ def build_supersolution(problem, ctl=None):
     psi = solve_rhs(RhsProblem(grid, problem.operator, problem.gamma, f),
                     ctl or IterationControl()).solution
     gamma, q = problem.gamma, problem.q
-    k = (sup_norm(psi) ** q + 1.0) ** (1.0 / (1.0 + gamma - q)) * 1.05
+    k = (psi.sup_norm() ** q + 1.0) ** (1.0 / (1.0 + gamma - q)) * 1.05
     for _ in range(12):
         u = GridFunction(grid, np.maximum(k * psi.values, 0.0))
         r = residual(problem, u)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from deadcore import solver
-from deadcore.dirichlet import RhsReport, SolveError, sup_norm
+from deadcore.dirichlet import RhsReport, SolveError
 from deadcore.grids import GridFunction, Scheme, _stencil_all_below
 
 # fraction of the explicit stability bound each relaxation step takes
@@ -87,7 +87,7 @@ def _relax_explicit(problem, scheme, vals, ctl, init, bracket, super_u):
     a_plus = grid.interior(problem.weight.a_plus)
     a_minus = grid.interior(problem.weight.a_minus)
     u_int = grid.interior(vals)
-    blow_up = 10.0 * sup_norm(super_u) if super_u is not None else \
+    blow_up = 10.0 * super_u.sup_norm() if super_u is not None else \
         100.0 * max(1.0, float(np.max(vals)))
 
     a_int = a_plus - a_minus

@@ -12,7 +12,7 @@ from deadcore import (Grid, GridFunction, WeightField, OperatorSpec,
                       principal_eigenpair, check_axioms, solve, residual,
                       classify, hopf_bound, ball_eigenpair, barrier_check,
                       estimate_threshold, to_w, w_residual_sup,
-                      example_instance, sup_norm, build_subsolution)
+                      example_instance, build_subsolution)
 
 SPEC1 = OperatorSpec.linear_trace(np.eye(1))
 

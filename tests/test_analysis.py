@@ -5,7 +5,7 @@ import pytest
 
 from deadcore import (Grid, GridFunction, WeightField, OperatorSpec,
                       IterationControl, ProblemSpec, SymMatrix, classify,
-                      hopf_bound, to_w, from_w, w_residual, barrier_check,
+                      hopf_bound, to_w, w_residual, barrier_check,
                       estimate_threshold, evaluate_operator, example_instance,
                       solve, ball_eigenpair, ThresholdReport)
 from deadcore.operators import p_laplacian_matrix_part
@@ -93,17 +93,6 @@ def test_to_w_arithmetic():
     u9 = GridFunction(g, np.array([0.0, 9.0, 9.0, 9.0, 0.0]), dirichlet=False)
     w9 = to_w(u9, 1.0, 1.0)   # qbar = 1/2: w = 2 sqrt(9) = 6
     assert np.allclose(g.interior(w9.values), 6.0, atol=1e-14)
-
-
-def test_w_roundtrip():
-    rng = np.random.default_rng(41)
-    g = Grid.interval(0.0, 1.0, 49)
-    vals = np.zeros(g.shape)
-    g.interior(vals)[...] = 0.1 + rng.random(49)
-    u = GridFunction(g, vals, dirichlet=False)
-    for gamma, q in ((0.0, 0.5), (1.0, 0.8), (2.0, 1.5)):
-        back = from_w(to_w(u, gamma, q), gamma, q)
-        assert np.allclose(back.values, u.values, rtol=1e-13)
 
 
 def test_to_w_rejects_dead_core():

@@ -86,6 +86,20 @@ def test_set_override(tmp_path, monkeypatch, capsys):
     assert main(["solve", "--config", cfg, "--set", "q=0.5"]) == 2
 
 
+def test_set_strips_section_and_option(tmp_path, monkeypatch, capsys):
+    cfg = _write(tmp_path / "solve.ini", BASE_SOLVE)
+    monkeypatch.chdir(tmp_path)
+    # spaces around the section name: an unknown section stays a validation
+    # error, a known one is overridden in place
+    assert main(["solve", "--config", cfg, "--set", " foo.q=1"]) == 2
+    assert "unknown config section [foo]" in capsys.readouterr().err
+    cp = load_config(cfg, overrides=(" problem . q = 2",))
+    assert cp.sections() == ["problem", "control", "output"]
+    assert cp.get("problem", "q") == "2"
+    assert main(["solve", "--config", cfg, "--set", " problem.q=2.0"]) == 2
+    assert "q < gamma+1" in capsys.readouterr().err
+
+
 def test_ellipticity_bounds_keys(tmp_path, monkeypatch, capsys):
     # option names are case-insensitive, so the upper bound is read from
     # lam_upper only: "Lam" is the lower bound "lam"
@@ -279,6 +293,25 @@ bisect_steps = -1
     monkeypatch.chdir(tmp_path)
     assert main(["sweep", "--config", cfg]) == 2
     assert "bisect_steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bracket", ["0.2,1.2", "0,0.5", "-0.5,0.5"])
+def test_sweep_q_bracket_checked_before_any_probe(tmp_path, monkeypatch, capsys,
+                                                  bracket):
+    # at gamma = 0 every probe needs 0 < q < 1: refuse the bracket up front
+    from deadcore import analysis
+    calls = []
+    monkeypatch.setattr(analysis, "solve", lambda *a, **k: calls.append(a))
+    cfg = _write(tmp_path / "sweep.ini", BASE_SOLVE + """
+[sweep]
+parameter = q
+bracket = %s
+""" % bracket)
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", cfg]) == 2
+    assert "0 < lo and hi < gamma+1" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_no_threshold_exit_3(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from deadcore import (Grid, GridFunction, OperatorSpec, IterationControl,
-                      RhsProblem, SolveError, solve_rhs, sup_norm)
+                      RhsProblem, SolveError, solve_rhs)
 from deadcore.dirichlet import PolicyMatrix
 from deadcore.grids import Scheme
 from reference import _relax_rhs
@@ -29,7 +29,7 @@ def test_zero_rhs_zero_solution():
     g = Grid.interval(0.0, 1.0, 19)
     p = RhsProblem(g, OperatorSpec.linear_trace(np.eye(1)), 0.0, _const_rhs(g, 0.0))
     rep = solve_rhs(p)
-    assert rep.converged and sup_norm(rep.solution) == 0.0
+    assert rep.converged and rep.solution.sup_norm() == 0.0
 
 
 def test_degenerate_profile_against_ode_oracle():
@@ -123,9 +123,9 @@ def test_max_steps_partial_report():
 def test_sup_norm_homogeneity():
     g = Grid.interval(0.0, np.pi, 49)
     u = GridFunction.from_callable(g, np.sin)
-    assert sup_norm(GridFunction.zeros(g)) == 0.0
-    assert sup_norm(u) <= 1.0
-    assert sup_norm(GridFunction(g, 3.0 * u.values)) == 3.0 * sup_norm(u)
+    assert GridFunction.zeros(g).sup_norm() == 0.0
+    assert u.sup_norm() <= 1.0
+    assert GridFunction(g, 3.0 * u.values).sup_norm() == 3.0 * u.sup_norm()
 
 
 def test_control_validation():

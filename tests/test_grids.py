@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from deadcore import (Grid, GridFunction, WeightField, OperatorSpec,
-                      gradient, discrete_hessian, discrete_F,
                       residual_field, write_csv, read_csv)
 from deadcore.grids import Scheme, _stencil_all_below
 from reference import explicit_step
@@ -33,20 +32,29 @@ def test_gridfunction_dirichlet_trace():
         GridFunction(g, np.full(g.shape, np.nan))
 
 
-# --- pointwise calculus --------------------------------------------------
+# --- discrete calculus: the Scheme arrays ---------------------------------
+
+def _trace_scheme(g):
+    return Scheme(g, OperatorSpec.linear_trace(np.eye(g.dim)), 0.0)
+
 
 def test_gradient_linear_exact():
     g = Grid.interval(0.0, 1.0, 19)
     u = GridFunction.from_callable(g, lambda x: x, dirichlet=False)
-    assert gradient(u, 7)[0] == pytest.approx(1.0, abs=1e-14)
+    (gx,) = _trace_scheme(g).grad(u.values)
+    assert gx.shape == (19,)
+    assert np.allclose(gx, 1.0, rtol=0, atol=1e-14)
 
 
 def test_gradient_quadratic_centered():
+    # the centred quotient is exact on quadratics: 2x at every interior node
     g = Grid.interval(0.0, 1.0, 19)
     u = GridFunction.from_callable(g, lambda x: x ** 2, dirichlet=False)
-    i = 10  # node at x = 0.5
+    (gx,) = _trace_scheme(g).grad(u.values)
+    assert np.allclose(gx, 2.0 * g.interior(g.axis(0)), rtol=0, atol=1e-13)
+    i = 10  # node at x = 0.5, interior index i - 1
     assert g.axis(0)[i] == pytest.approx(0.5)
-    assert gradient(u, i)[0] == pytest.approx(1.0, abs=1e-13)
+    assert gx[i - 1] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_gradient_sin_second_order():
@@ -57,31 +65,29 @@ def test_gradient_sin_second_order():
         g = Grid.interval(0.0, np.pi, n)
         u = GridFunction.from_callable(g, np.sin)
         x = g.axis(0)[i]
-        errs.append(abs(gradient(u, i)[0] - np.cos(x)))
+        errs.append(abs(_trace_scheme(g).grad(u.values)[0][i - 1] - np.cos(x)))
     # Taylor remainder h^2/6 |u'''|: halving h divides the error by ~4
     assert errs[1] <= errs[0] / 3.0
-
-
-def test_gradient_rejects_boundary():
-    g = Grid.interval(0.0, 1.0, 9)
-    u = GridFunction.zeros(g)
-    with pytest.raises(ValueError):
-        gradient(u, 0)
 
 
 def test_second_difference_quadratic():
     g = Grid.interval(0.0, 1.0, 9)
     u = GridFunction.from_callable(g, lambda x: x ** 2, dirichlet=False)
-    assert discrete_hessian(u, 4)["x"] == pytest.approx(2.0, abs=1e-12)
+    k = _trace_scheme(g).second_differences(u.values)
+    assert set(k) == {"x"}
+    assert np.allclose(k["x"], 2.0, rtol=0, atol=1e-12)
 
 
 def test_second_difference_diagonal_2d():
     g = Grid.rectangle(0.0, 1.0, 0.0, 1.0, 9, 9)
     u = GridFunction.from_callable(g, lambda x, y: x * y, dirichlet=False)
-    d = discrete_hessian(u, (4, 4))
+    k = _trace_scheme(g).second_differences(u.values)
+    assert list(k) == ["x", "y", "d1", "d2"]
     # u_xy = 1: along e=(1,1)/sqrt2 the directional second derivative is 1
-    assert d["d1"] == pytest.approx(1.0, abs=1e-12)
-    assert d["d2"] == pytest.approx(-1.0, abs=1e-12)
+    assert np.allclose(k["x"], 0.0, rtol=0, atol=1e-12)
+    assert np.allclose(k["y"], 0.0, rtol=0, atol=1e-12)
+    assert np.allclose(k["d1"], 1.0, rtol=0, atol=1e-12)
+    assert np.allclose(k["d2"], -1.0, rtol=0, atol=1e-12)
 
 
 def test_second_difference_sin_sin():
@@ -89,25 +95,27 @@ def test_second_difference_sin_sin():
     u = GridFunction.from_callable(g, lambda x, y: np.sin(x) * np.sin(y))
     i, j = 20, 20
     x, y = g.axis(0)[i], g.axis(1)[j]
-    d = discrete_hessian(u, (i, j))
-    assert d["x"] == pytest.approx(-np.sin(x) * np.sin(y), abs=5 * g.h[0] ** 2)
+    k = _trace_scheme(g).second_differences(u.values)
+    idx = (i - 1, j - 1)
+    assert k["x"][idx] == pytest.approx(-np.sin(x) * np.sin(y), abs=5 * g.h[0] ** 2)
     # directional second derivative along (1,1)/sqrt2 of sin sin
     exact = 0.5 * (-2.0 * np.sin(x) * np.sin(y) + 2.0 * np.cos(x) * np.cos(y))
-    assert d["d1"] == pytest.approx(exact, abs=5 * g.h[0] ** 2)
+    assert k["d1"][idx] == pytest.approx(exact, abs=5 * g.h[0] ** 2)
 
 
 def test_discrete_F_examples():
     g = Grid.interval(0.0, 1.0, 9)
     u = GridFunction.from_callable(g, lambda x: x ** 2, dirichlet=False)
     spec = OperatorSpec.linear_trace(np.eye(1))
-    assert discrete_F(spec, u, 5) == pytest.approx(2.0, abs=1e-12)
+    assert np.allclose(Scheme(g, spec, 0.0).F(u.values), 2.0, rtol=0, atol=1e-12)
 
     r = Grid.rectangle(0.0, 1.0, 0.0, 1.0, 19, 19)
     saddle = GridFunction.from_callable(r, lambda x, y: 0.5 * (x ** 2 - y ** 2),
                                         dirichlet=False)
-    got = discrete_F(OperatorSpec.pucci_plus(1.0, 2.0), saddle, (10, 10))
-    # exact Hessian diag(1,-1): M+ = 2*1 + 1*(-1) = 1
-    assert got == pytest.approx(1.0, abs=1e-10)
+    got = Scheme(r, OperatorSpec.pucci_plus(1.0, 2.0), 0.0).F(saddle.values)
+    # exact Hessian diag(1,-1): M+ = 2*1 + 1*(-1) = 1 at every interior node
+    assert got.shape == (19, 19)
+    assert np.allclose(got, 1.0, rtol=0, atol=1e-10)
 
 
 def test_discrete_F_affine_kernel():
@@ -117,7 +125,7 @@ def test_discrete_F_affine_kernel():
     for spec in (OperatorSpec.linear_trace(np.eye(2)),
                  OperatorSpec.pucci_plus(1.0, 2.0),
                  OperatorSpec.pucci_minus(0.5, 1.5)):
-        assert abs(discrete_F(spec, u, (4, 6))) <= 1e-12
+        assert np.max(np.abs(Scheme(g, spec, 0.0).F(u.values))) <= 1e-12
 
 
 def test_scheme_degenerate_ellipticity_randomized():
@@ -354,25 +362,6 @@ def test_explicit_step_matches_reference(dim, gamma):
             assert np.array_equal(gF, ref_gF)
             assert np.array_equal(dt, ref_dt)
             assert np.array_equal(gF, sch.grad_factor(v) * sch.F(v))
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-def test_pointwise_helpers_are_scheme_entries(dim):
-    rng = np.random.default_rng(24)
-    g = Grid.interval(0.0, 1.0, 9) if dim == 1 else \
-        Grid.rectangle(0.0, 1.0, 0.0, 2.0, 7, 5)
-    u = GridFunction(g, rng.standard_normal(g.shape), dirichlet=False)
-    spec = OperatorSpec.hjb_inf((np.eye(dim), 2.0 * np.eye(dim)), 1.0, 2.0)
-    sch = Scheme(g, spec, 0.0)
-    grads, k, F = sch.grad(u.values), sch.second_differences(u.values), \
-        sch.F(u.values)
-    for idx in np.ndindex(*g.n):
-        node = tuple(i + 1 for i in idx)
-        assert np.array_equal(gradient(u, node), [d[idx] for d in grads])
-        hess = discrete_hessian(u, node)
-        assert set(hess) == set(k)
-        assert all(hess[name] == k[name][idx] for name in k)
-        assert discrete_F(spec, u, node) == F[idx]
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -1,17 +1,30 @@
-"""Every name a deadcore module imports is used in that module.
+"""Imports and exports of the deadcore package.
 
-An `ast` scan in place of pyflakes: a module's imported names must each
+Every name a deadcore module imports is used in that module: an `ast`
+scan in place of pyflakes, where a module's imported names must each
 appear as a name, as the root of an attribute chain, or in `__all__`.
 The package `__init__` is exempt, since re-exporting is what its imports
-are for.
+are for; it must export exactly the modules' `__all__` names.  The
+benchmark in `perfbench/` reaches into the package by name, and those
+names must resolve.
 """
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "deadcore"
+import deadcore
+import deadcore.cli  # noqa: F401  (the benchmark calls dc.cli.main)
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "deadcore"
+MODULES = ("operators", "grids", "dirichlet", "eigen", "solver", "analysis",
+           "oracle")
 
 
 def unused_imports(source):
@@ -44,3 +57,77 @@ def test_scan_finds_unused_imports():
                                         if p.name != "__init__.py"))
 def test_no_unused_imports(path):
     assert unused_imports((SRC / path).read_text()) == []
+
+
+def test_package_exports_exactly_the_modules_all():
+    exported = {name for name, value in vars(deadcore).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    declared = set()
+    for mod in MODULES:
+        declared.update(importlib.import_module("deadcore." + mod).__all__)
+    assert sorted(SRC.glob("*.py")) == sorted(
+        SRC / (m + ".py") for m in MODULES + ("__init__", "cli"))
+    assert exported == declared
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_" + name, ROOT / "perfbench" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolve(obj, dotted):
+    for attr in dotted.split("."):
+        obj = getattr(obj, attr)
+    return obj
+
+
+def _dc_chains(path):
+    """Every dotted attribute chain rooted at the name `dc` in a file."""
+    chains = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.append(node.attr)
+            node = node.value
+        if attrs and isinstance(node, ast.Name) and node.id == "dc":
+            chains.add(".".join(reversed(attrs)))
+    return chains
+
+
+def test_benchmark_hooks_resolve():
+    # the instrumented layers (TARGETS) and every dc.* name the workloads use
+    for modname, attr, kind in _load("instrument").TARGETS:
+        assert kind in ("span", "leaf")
+        assert callable(_resolve(importlib.import_module("deadcore." + modname),
+                                 attr)), (modname, attr)
+    _load("workloads")
+    chains = _dc_chains(ROOT / "perfbench" / "workloads.py")
+    assert "solve" in chains and "cli.main" in chains
+    for chain in sorted(chains):
+        _resolve(deadcore, chain)
+
+
+def test_benchmark_leaves_are_called_through_their_bindings(monkeypatch):
+    # the traced benchmark counts operators.eigenvalues under pucci and
+    # Scheme.upwind_mag2 under the gradient factor; it wraps the module
+    # binding and the class attribute, so those calls must go through them
+    from deadcore import operators
+    from deadcore.grids import Scheme
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(operators, "eigenvalues", counted(operators.eigenvalues))
+    monkeypatch.setattr(Scheme, "upwind_mag2", counted(Scheme.upwind_mag2))
+    deadcore.pucci(np.eye(2), 1.0, 2.0, "+")
+    grid = deadcore.Grid.interval(0.0, 1.0, 9)
+    Scheme(grid, deadcore.OperatorSpec.pucci_plus(1.0, 2.0), 1.0) \
+        .grad_factor(np.zeros(grid.shape))
+    assert calls == ["eigenvalues", "upwind_mag2"]

@@ -7,20 +7,19 @@ import numpy as np
 import pytest
 
 from deadcore import (SymMatrix, OperatorSpec, AxiomReport, eigenvalues, pucci,
-                      evaluate_operator, evaluate_gradient_operator,
-                      check_axioms)
+                      evaluate_operator, check_axioms)
 from deadcore.operators import p_laplacian_matrix_part
 
 
 # --- spectral kernel -----------------------------------------------------
 
 def test_eigenvalues_diagonal():
-    e = eigenvalues(SymMatrix.diag(3.0, 1.0)).eigenvalues
+    e = eigenvalues(SymMatrix.diag(3.0, 1.0))
     assert np.allclose(e, [1.0, 3.0], atol=0)
 
 
 def test_eigenvalues_offdiagonal():
-    e = eigenvalues(SymMatrix([[0.0, 1.0], [1.0, 0.0]])).eigenvalues
+    e = eigenvalues(SymMatrix([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(e, [-1.0, 1.0], atol=1e-14)
 
 
@@ -29,20 +28,20 @@ def test_eigenvalues_random_3x3_against_charpoly():
     rng = np.random.default_rng(11)
     for _ in range(50):
         X = SymMatrix(rng.standard_normal((3, 3)))
-        got = eigenvalues(X).eigenvalues
+        got = eigenvalues(X)
         A = X.entries
         c2 = -np.trace(A)
         c1 = 0.5 * (np.trace(A) ** 2 - np.trace(A @ A))
         c0 = -np.linalg.det(A)
         want = np.sort(np.real(np.roots([1.0, c2, c1, c0])))
-        assert np.allclose(got, want, atol=1e-10 * max(1.0, X.frobenius()))
+        assert np.allclose(got, want, atol=1e-10 * max(1.0, np.linalg.norm(A)))
 
 
 def test_eigenvalues_trace_consistency():
     rng = np.random.default_rng(3)
     for _ in range(20):
         X = SymMatrix(rng.standard_normal((3, 3)))
-        e = eigenvalues(X).eigenvalues
+        e = eigenvalues(X)
         assert len(e) == 3
         assert abs(e.sum() - X.trace()) <= 1e-12 * max(1.0, abs(X.trace()))
 
@@ -53,26 +52,26 @@ def test_eigenvalues_orthogonal_invariance():
         X = SymMatrix(rng.standard_normal((3, 3)))
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         Y = SymMatrix(Q.T @ X.entries @ Q)
-        assert np.allclose(eigenvalues(X).eigenvalues,
-                           eigenvalues(Y).eigenvalues, atol=1e-12 * X.frobenius() + 1e-13)
+        assert np.allclose(eigenvalues(X), eigenvalues(Y),
+                           atol=1e-12 * np.linalg.norm(X.entries) + 1e-13)
 
 
 def test_eigenvalues_known_spectra():
     # 1x1, repeated eigenvalues and a rotated 3x3 with a double root
-    assert np.array_equal(eigenvalues(SymMatrix([[-2.5]])).eigenvalues, [-2.5])
-    assert np.allclose(eigenvalues(SymMatrix.identity(3) * 4.0).eigenvalues,
+    assert np.array_equal(eigenvalues(SymMatrix([[-2.5]])), [-2.5])
+    assert np.allclose(eigenvalues(SymMatrix.diag(4.0, 4.0, 4.0)),
                        [4.0, 4.0, 4.0], rtol=0, atol=1e-15)
-    e = eigenvalues(SymMatrix([[2.0, 1.0], [1.0, 2.0]])).eigenvalues
+    e = eigenvalues(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
     assert np.allclose(e, [1.0, 3.0], rtol=0, atol=1e-14)
     rng = np.random.default_rng(5)
     Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     for spec in ([-1.0, 2.0, 2.0], [-3.0, -3.0, 0.5], [0.0, 0.0, 1.0]):
         X = SymMatrix(Q @ np.diag(spec) @ Q.T)
-        e = eigenvalues(X).eigenvalues
+        e = eigenvalues(X)
         assert np.all(np.diff(e) >= 0)
         assert np.allclose(e, sorted(spec), rtol=0, atol=1e-14)
     e = eigenvalues(SymMatrix([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0],
-                               [0.0, 0.0, 3.0]])).eigenvalues
+                               [0.0, 0.0, 3.0]]))
     assert np.allclose(e, [-1.0, 3.0, 3.0], rtol=0, atol=1e-14)
 
 
@@ -98,7 +97,7 @@ def test_pucci_duality():
     rng = np.random.default_rng(5)
     for _ in range(100):
         X = SymMatrix(rng.standard_normal((2, 2)))
-        assert pucci(-1.0 * X, 1.0, 2.5, "+") == pytest.approx(
+        assert pucci(-X.entries, 1.0, 2.5, "+") == pytest.approx(
             -pucci(X, 1.0, 2.5, "-"), abs=1e-13)
 
 
@@ -140,28 +139,26 @@ def test_p_laplacian_requires_gradient():
 
 
 def test_gradient_operator_p3():
-    spec = OperatorSpec.p_laplacian(3.0)
-    val = evaluate_gradient_operator(spec, (0.0, 0.0), (1.0, 0.0),
-                                     SymMatrix.identity(2), None)
-    assert val == pytest.approx(3.0)
+    # Tr[(I + (p - 2) e1 (x) e1) I] = 2 + 1 at p = 3, for every xi on the x-axis
+    for xi in ((1.0, 0.0), (0.25, 0.0), (-4.0, 0.0)):
+        assert p_laplacian_matrix_part(xi, SymMatrix.identity(2), 3.0) \
+            == pytest.approx(3.0)
+    # Tr X + (p - 2) <xi, X xi> / |xi|^2 = 1 + 2 / 2 along xi = (1, 1)
+    X = SymMatrix([[2.0, 0.5], [0.5, -1.0]])
+    assert p_laplacian_matrix_part((1.0, 1.0), X, 3.0) == pytest.approx(2.0)
 
 
 def test_gradient_operator_p2_reduces_to_laplacian():
-    spec = OperatorSpec.p_laplacian(2.0)
     X = SymMatrix.diag(2.0, -0.5)
-    val = evaluate_gradient_operator(spec, (0.0, 0.0), (0.3, -0.7), X, None)
+    val = p_laplacian_matrix_part((0.3, -0.7), X, 2.0)
     assert val == pytest.approx(X.trace())
 
 
 def test_degenerate_gradient_convention():
-    spec = OperatorSpec.pucci_plus(1.0, 2.0)
-    val = evaluate_gradient_operator(spec, (0.0, 0.0), (0.0, 0.0),
-                                     SymMatrix.identity(2), 1.0)
-    assert val == 0.0
-    # p-Laplacian with p != 2 also degenerates to 0 at zero gradient
-    p3 = OperatorSpec.p_laplacian(3.0)
-    assert evaluate_gradient_operator(p3, (0.0, 0.0), (0.0, 0.0),
-                                      SymMatrix.identity(2), None) == 0.0
+    # at xi = 0 the matrix part is Tr(X) for every p, as in Scheme.F
+    X = SymMatrix([[1.5, 0.2], [0.2, -0.25]])
+    for p in (1.5, 2.0, 3.0):
+        assert p_laplacian_matrix_part((0.0, 0.0), X, p) == X.trace()
 
 
 # --- axiom suite ----------------------------------------------------------
@@ -238,39 +235,40 @@ def _reference_check_axioms(spec, trials, seed, dim=2, strict_homogeneity=False)
     for k in range(trials):
         x = rng.uniform(0.0, 1.0, size=dim)
         y = rng.uniform(0.0, 1.0, size=dim)
-        X = SymMatrix(rng.standard_normal((dim, dim)))
+        X = SymMatrix(rng.standard_normal((dim, dim))).entries
         B = rng.standard_normal((dim, dim))
-        Y = SymMatrix(B @ B.T)
+        Y = SymMatrix(B @ B.T).entries
         s = float(np.exp(rng.uniform(-2.0, 2.0)))
         xi = rng.standard_normal(dim)
         FX = F(x, X, xi)
         d = F(x, X + Y, xi) - FX
         lo = pucci(Y, spec.lam, spec.Lam, "-")
         hi = pucci(Y, spec.lam, spec.Lam, "+")
-        tol = 1e-9 * (1.0 + Y.frobenius())
+        tol = 1e-9 * (1.0 + np.linalg.norm(Y))
         if not (lo - tol <= d <= hi + tol):
             return AxiomReport(False, k + 1, checked, {
-                "axiom": "ellipticity", "x": x, "X": X.entries, "Y": Y.entries,
+                "axiom": "ellipticity", "x": x, "X": X, "Y": Y,
                 "increment": d, "pucci_minus": lo, "pucci_plus": hi})
         lhs = F(x, s * X, xi)
         if abs(lhs - s * FX) > 1e-12 * max(1.0, abs(s * FX)):
             return AxiomReport(False, k + 1, checked, {
-                "axiom": "homogeneity", "x": x, "X": X.entries, "s": s,
+                "axiom": "homogeneity", "x": x, "X": X, "s": s,
                 "F_sX": lhs, "s_FX": s * FX})
         if strict_homogeneity:
             lhs = F(x, (-s) * X, xi)
             ref = s * FX
             if abs(lhs - ref) > 1e-9 * max(1.0, abs(ref)):
                 return AxiomReport(False, k + 1, checked, {
-                    "axiom": "strict_homogeneity", "x": x, "X": X.entries,
+                    "axiom": "strict_homogeneity", "x": x, "X": X,
                     "s": -s, "F_sX": lhs, "abs_s_FX": ref})
         if spec.lipschitz is not None:
             dxy = float(np.linalg.norm(x - y))
             dF = abs(F(x, X, xi) - F(y, X, xi))
-            if dF > spec.lipschitz * dxy * X.frobenius() + 1e-9:
+            bound = spec.lipschitz * dxy * np.linalg.norm(X)
+            if dF > bound + 1e-9:
                 return AxiomReport(False, k + 1, checked, {
-                    "axiom": "lipschitz", "x": x, "y": y, "X": X.entries,
-                    "dF": dF, "bound": spec.lipschitz * dxy * X.frobenius()})
+                    "axiom": "lipschitz", "x": x, "y": y, "X": X,
+                    "dF": dF, "bound": bound})
     return AxiomReport(True, trials, checked)
 
 
@@ -350,9 +348,9 @@ def test_eigenvalues_and_pucci_on_a_stack(dim):
     rng = np.random.default_rng(20 + dim)
     X = rng.standard_normal((40, dim, dim))
     X = 0.5 * (X + X.swapaxes(1, 2))
-    e = eigenvalues(X).eigenvalues
+    e = eigenvalues(X)
     assert e.shape == (40, dim)
-    assert np.array_equal(e, [eigenvalues(M).eigenvalues for M in X])
+    assert np.array_equal(e, [eigenvalues(M) for M in X])
     for sign in "+-":
         got = pucci(X, 0.5, 2.0, sign)
         assert got.shape == (40,)
@@ -366,7 +364,7 @@ def test_single_matrix_results_are_python_floats():
     X = SymMatrix([[1.0, 0.3], [0.3, -2.0]])
     assert type(pucci(X, 1.0, 2.0, "+")) is float
     assert type(pucci(X.entries, 1.0, 2.0, "-")) is float
-    assert eigenvalues(X).eigenvalues.shape == (2,)
+    assert eigenvalues(X).shape == (2,)
     for spec in (OperatorSpec.linear_trace(np.diag([1.0, 2.0])),
                  OperatorSpec.hjb_sup(_FAMILY, 1.0, 2.0),
                  OperatorSpec.pucci_minus(1.0, 2.0),

@@ -9,7 +9,7 @@ from deadcore import (Grid, GridFunction, WeightField, OperatorSpec,
                       EigenControl, IterationControl, ProblemSpec, SolveError,
                       SubsolutionError, ball_eigenpair, build_subsolution,
                       build_supersolution, classify, example_instance,
-                      principal_eigenpair, solve, residual, sup_norm,
+                      principal_eigenpair, solve, residual,
                       RhsProblem, solve_rhs)
 from deadcore import eigen as eigen_mod, solver as solver_mod
 from deadcore.dirichlet import PolicyMatrix
@@ -77,7 +77,7 @@ def test_subsolution_constant_weight_analytic_window():
     g = Grid.interval(0.0, np.pi, 199)
     p = _problem(g, WeightField.constant(g, 2.0))
     u = build_subsolution(p, (g.h[0], np.pi - g.h[0]))
-    eps = sup_norm(u)
+    eps = u.sup_norm()
     # eps_max = (2/lambda_h)^2 with lambda_h = 1 - O(h^2) slightly below 1
     assert 2.0 <= eps <= 4.0 + 1e-3
     # the discrete subsolution inequality holds by construction
@@ -115,8 +115,8 @@ def test_supersolution_zero_weight():
     g = Grid.interval(0.0, 1.0, 19)
     p = _problem(g, WeightField.constant(g, 1.0))
     pz = ProblemSpec(g, SPEC1, 0.0, 0.5, WeightField.constant(g, 0.0))
-    assert sup_norm(build_supersolution(pz)) == 0.0
-    assert sup_norm(build_supersolution(p)) > 0.0
+    assert build_supersolution(pz).sup_norm() == 0.0
+    assert build_supersolution(p).sup_norm() > 0.0
 
 
 def test_solve_zero_init_is_fixed_point():
@@ -124,7 +124,7 @@ def test_solve_zero_init_is_fixed_point():
     p = _problem(g, WeightField.sinsplit(g, 1.0))
     rep = solve(p, init="zero")
     assert rep.converged and rep.steps == 1
-    assert sup_norm(rep.solution) == 0.0 and rep.residual_sup == 0.0
+    assert rep.solution.sup_norm() == 0.0 and rep.residual_sup == 0.0
 
 
 def test_solve_nonnegative_weight_positive_solution():
@@ -729,7 +729,7 @@ def test_degenerate_example_reference_damping(monkeypatch):
     assert new.converged and old.converged
     assert new.steps == old.steps
     assert np.max(np.abs(new.solution.values - old.solution.values)) \
-        <= 1e-12 * sup_norm(old.solution)
+        <= 1e-12 * old.solution.sup_norm()
 
 
 def test_explicit_stops_on_cycle():
