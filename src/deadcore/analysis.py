@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridFunction, Scheme, _stencil_all_below
-from .operators import pucci
+from .operators import p_laplacian_matrix_part, pucci
 from .solver import (extend_ball_function, _ball_mask, _norm_ball, solve,
                      SubsolutionError)
 
@@ -131,13 +131,17 @@ def w_residual(w, problem):
     else:
         M["y"] = k["y"] + c * grads[1] ** 2 / wi
         Mxy = scheme.cross_difference(w.values) + c * grads[0] * grads[1] / wi
+        X = np.moveaxis(np.array([[M["x"], Mxy], [Mxy, M["y"]]]), (0, 1), (-2, -1))
+        # the continuum operator on the matrix field where the scheme has
+        # none (the p-Laplacian at p != 2) or its wide stencil sees only
+        # axis and diagonal curvatures (Pucci)
         if spec.variant in ("pucci_plus", "pucci_minus"):
-            # the continuum operator on the matrix field: the scheme's
-            # wide stencil sees only axis and diagonal curvatures
-            Fv = pucci(np.moveaxis(np.array([[M["x"], Mxy], [Mxy, M["y"]]]), (0, 1), (-2, -1)),
-                       spec.lam, spec.Lam, "+" if spec.variant == "pucci_plus" else "-")
+            Fv = pucci(X, spec.lam, spec.Lam,
+                       "+" if spec.variant == "pucci_plus" else "-")
+        elif spec.variant == "p_laplacian" and spec.p != 2.0:
+            Fv = p_laplacian_matrix_part(np.stack(grads, -1), X, spec.p)
         else:
-            Fv = scheme.F_of(M, Mxy, grads)
+            Fv = scheme.F_of(M)
     out = np.zeros(g.shape)
     g.interior(out)[...] = gfac * Fv + a_int
     return GridFunction(g, out, dirichlet=False)

@@ -17,7 +17,6 @@ Convergence is declared on the equation residual, not on the update size.
 
 from dataclasses import dataclass
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dgbsv, dgtsv
 
 from .grids import GridFunction, Scheme, _direction_set
@@ -66,15 +65,18 @@ class RhsReport:
 
 
 class PolicyMatrix:
-    """A = -L_alpha = -sum_d diag(w_d) D_d on one fixed CSR pattern.
+    """A = -L_alpha = -sum_d diag(w_d) D_d, one array row per stencil offset.
 
     D_d is the interior second difference along stencil direction d of
-    the scheme, with the Dirichlet columns removed; the pattern is the 3-,
-    5- or 9-point union of the scheme's directions.  The structure and the
-    D_d coefficient of every stored entry are computed once; a policy
-    (set_policy) or a Newton diagonal (shifted) then rewrites the `data`
-    of the same two matrices in place.  A is an M-matrix for every policy.
-    Every linear system on the pattern goes through `solve`.
+    the scheme, with the Dirichlet columns removed.  `offsets` are the
+    flat column offsets of the 3-, 5- or 9-point union of the scheme's
+    directions, ascending, and A[j, i] is the entry (i, i + offsets[j]);
+    it is 0 where that neighbour is a boundary node (`outside`), which in
+    2-D includes the couplings that would wrap from one grid row to the
+    next.  A policy (set_policy) rewrites the rows of A in place, a Newton
+    diagonal (shifted, newton) those of a second array of the same shape.
+    A is an M-matrix for every policy.  Every product with A goes through
+    `apply`, every linear system through `solve`.
     """
 
     def __init__(self, scheme):
@@ -82,131 +84,128 @@ class PolicyMatrix:
         n = np.array(g.n)
         size = int(np.prod(n))
         strides = np.array((n[1], 1) if g.dim == 2 else (1,))
-        steps = {name: np.array(step) for name, step in _direction_set(g.dim)
-                 if name in scheme.directions}
-        offs = [np.zeros(g.dim, dtype=int)]
-        for step in steps.values():
-            offs += [step, -step]
-        offs.sort(key=lambda o: int(o @ strides))   # ascending CSR columns
+        steps = [(name, np.array(step)) for name, step in _direction_set(g.dim)
+                 if name in scheme.directions]
+        vecs = [np.zeros(g.dim, dtype=int)]
+        for _, step in steps:
+            vecs += [step, -step]
+        vecs.sort(key=lambda o: int(o @ strides))
+        self.offsets = [int(o @ strides) for o in vecs]
         node = np.indices(tuple(n)).reshape(g.dim, size)
-        inside = np.empty((size, len(offs)), dtype=bool)
-        cols = np.empty((size, len(offs)), dtype=np.intc)
-        for j, o in enumerate(offs):
-            nb = node + o[:, None]
-            inside[:, j] = np.all((nb >= 0) & (nb < n[:, None]), axis=0)
-            cols[:, j] = nb.T @ strides
-        # stored entries in CSR order: their row and stencil offset
-        self._rows, slot = np.nonzero(inside)
-        offs_list = [o.tolist() for o in offs]
-        center = offs_list.index([0] * g.dim)
-        self._diag = np.nonzero(slot == center)[0]
-        self._coef = {}
-        for name, step in steps.items():
+        self.outside = np.array([np.any((node + o[:, None] < 0)
+                                        | (node + o[:, None] >= n[:, None]), axis=0)
+                                 for o in vecs])
+        self._centre = self.offsets.index(0)
+        # per direction: the rows of A that hold its +step and -step
+        # neighbours, with their coefficient 1 / |step h|^2 (0 where the
+        # neighbour is outside), and the centre's -2 / |step h|^2
+        self._coef = []
+        for name, step in steps:
             he2 = float(sum((s * hk) ** 2 for s, hk in zip(step, g.h)))
-            pair = (step.tolist(), (-step).tolist())
-            c = np.array([1.0 / he2 if o in pair else 0.0 for o in offs_list])
-            c[center] = -2.0 / he2
-            self._coef[name] = c[slot]
-        indptr = np.concatenate(([0], np.cumsum(inside.sum(axis=1))))
-        pattern = (cols[inside], indptr.astype(np.intc))
-        self.A = sp.csr_matrix((np.zeros(len(slot)),) + pattern,
-                               shape=(size, size))
-        self._work = sp.csr_matrix((np.zeros(len(slot)),) + pattern,
-                                   shape=(size, size))
-        # per axis: the stored entries at the +e_k and -e_k slots, their
-        # rows, and h_k (the derivative of the gradient factor lives there)
-        self._axes = []
-        for k, hk in enumerate(g.h):
-            e = np.eye(g.dim, dtype=int)[k].tolist()
-            plus = np.nonzero(slot == offs_list.index(e))[0]
-            minus = np.nonzero(slot == offs_list.index([-i for i in e]))[0]
-            self._axes.append((plus, self._rows[plus], minus,
-                               self._rows[minus], hk))
-        # 1-D: the -1, 0 and +1 slots in row order are the sub-, main and
-        # super-diagonal of a tridiagonal matrix
-        plus, _, minus, _, _ = self._axes[0]
-        self._tri = (minus, self._diag, plus) if g.dim == 1 else None
-        # 2-D: with half-bandwidth bw = max|i - j| (n[1] + 1 for the
-        # 9-point stencil), entry (i, j) goes to row 2 bw + i - j of column
-        # j of LAPACK's band storage (kl = ku = bw, ldab = 3 bw + 1),
-        # flattened here column by column.  A band LU rather than SuperLU:
-        # on the Newton matrices of solve_rhs (Pucci-, f = -30, gamma 0-2)
-        # it took 0.3-0.5 of SuperLU's time up to 119x59 and 0.7-0.9 at
-        # 179x89-299x149.  Its price is memory, ldab + 1 doubles per
-        # unknown: a solve grows the peak RSS by 86 MB at 239x119, where
-        # SuperLU under a minimum-degree ordering grew it by 32 MB.
-        self._band = None
-        if g.dim == 2:
-            col = pattern[0].astype(np.intp)
-            bw = int(np.abs(col - self._rows).max())
-            ldab = 3 * bw + 1
-            self._band = (bw, col * ldab + 2 * bw + self._rows - col)
+            off = int(step @ strides)
+            jp, jm = self.offsets.index(off), self.offsets.index(-off)
+            self._coef.append((name, jp, ~self.outside[jp] / he2,
+                               jm, ~self.outside[jm] / he2, -2.0 / he2))
+        # per axis: the rows of A that hold the +e_k and -e_k neighbours,
+        # and h_k (the derivative of the gradient factor lives there)
+        self._axes = [(self.offsets.index(s), self.offsets.index(-s), hk)
+                      for s, hk in zip(strides.tolist(), g.h)]
+        # per offset: the rows i whose column i + offset is in the matrix,
+        # and those columns
+        self._spans = [(slice(max(0, -o), min(size, size - o)),
+                        slice(max(0, o), min(size, size + o)))
+                       for o in self.offsets]
+        self.A = np.zeros((len(vecs), size))
+        self._work = np.empty_like(self.A)
         self._w = None
 
     def solve(self, M, b):
-        """x with M x = b, M = A or the matrix shifted/newton wrote.
+        """x with M x = b, M = A or the array shifted/newton wrote.
 
         Two LAPACK solvers, one per dimension: in 1-D gtsv (Gaussian
-        elimination with partial pivoting, O(n)) takes the three diagonals
-        of M.data; in 2-D gbsv (banded LU with partial pivoting) takes
-        M.data scattered into band storage.  An exactly singular M (a zero
-        pivot) gives an all-NaN x.  b is not overwritten.
+        elimination with partial pivoting, O(n)) takes copies of the three
+        rows of M as the sub-, main and super-diagonal.  In 2-D gbsv
+        (banded LU with partial pivoting) takes M in LAPACK's band storage
+        with half-bandwidth bw = offsets[-1] (n[1] + 1 for the 9-point
+        stencil): entry (i, i + o) goes to row 2 bw - o of column i + o,
+        so each row of M is one strided slice.  A band LU rather than
+        SuperLU: on the Newton matrices of solve_rhs (Pucci-, f = -30,
+        gamma 0-2) it took 0.3-0.5 of SuperLU's time up to 119x59 and
+        0.7-0.9 at 179x89-299x149.  Its price is memory, 3 bw + 2 doubles
+        per unknown: a solve grows the peak RSS by 86 MB at 239x119, where
+        SuperLU under a minimum-degree ordering grew it by 32 MB.  An
+        exactly singular M (a zero pivot) gives an all-NaN x.  b is not
+        overwritten.
         """
-        if self._tri is not None:
-            dl, d, du = (M.data[s] for s in self._tri)
-            x, info = dgtsv(dl, d, du, b, overwrite_dl=True,
-                            overwrite_d=True, overwrite_du=True)[3:]
+        if len(self.offsets) == 3:
+            x, info = dgtsv(M[0, 1:], M[1], M[2, :-1], b)[3:]
         else:
-            bw, pos = self._band
+            bw = self.offsets[-1]
             ab = np.zeros((len(b), 3 * bw + 1))   # ab.T: Fortran order
-            ab.ravel()[pos] = M.data
+            for row, off, (rows, cols) in zip(M, self.offsets, self._spans):
+                ab[cols, 2 * bw - off] = row[rows]
             x, info = dgbsv(bw, bw, ab.T, b, overwrite_ab=True)[2:]
         return x if info == 0 else np.full(len(b), np.nan)
+
+    def apply(self, z):
+        """A z, summed from +0.0 over the offsets in ascending order: the
+        order, and so the rounding, of a row-by-row sparse product over the
+        interior entries (the 0 of an outside entry adds nothing)."""
+        y = np.zeros(len(z))
+        for row, (rows, cols) in zip(self.A, self._spans):
+            y[rows] += row[rows] * z[cols]
+        return y
 
     def set_policy(self, w):
         """Write -L_w into A (free when w is the policy already set)."""
         if w is not self._w:
-            acc = 0.0
-            for name, c in self._coef.items():
-                acc = acc - w[name].ravel()[self._rows] * c
-            self.A.data[...] = acc
+            A, c = self.A, self._centre
+            A[c] = 0.0
+            for name, jp, cp, jm, cm, cc in self._coef:
+                wd = w[name].ravel()
+                np.subtract(0.0, wd * cp, out=A[jp])
+                np.subtract(0.0, wd * cm, out=A[jm])
+                A[c] -= wd * cc
             self._w = w
         return self.A
 
     def diagonal(self):
-        return self.A.data[self._diag]
+        """The diagonal of A, a view of its centre row."""
+        return self.A[self._centre]
 
     def shifted(self, d):
-        """A + diag(d), written into a second matrix (A is kept)."""
-        self._work.data[...] = self.A.data
-        self._work.data[self._diag] += d
-        return self._work
+        """A + diag(d), written into the second array (A is kept)."""
+        W = self._work
+        W[...] = self.A
+        W[self._centre] += d
+        return W
 
     def newton(self, g, cF, slopes, shift=None):
-        """-J = diag(g) A - diag(cF) D, written into the second matrix.
+        """-J = diag(g) A - diag(cF) D, written into the second array.
 
         J is the Jacobian of g(u) F_h(u) at the policy set in A, where
         F_h(u) = -A u and g = grad_factor(u); (g, c, slopes) come from
         Scheme.grad_factor_parts, cF = c * F_h(u), and D is the derivative
-        of the summed squared one-sided slopes: f_k / h_k at the +e_k slot,
-        -b_k / h_k at the -e_k slot and sum_k (b_k - f_k) / h_k at the
-        centre.  When g = 1 and cF = 0 the result is A bit for bit.  A
+        of the summed squared one-sided slopes: f_k / h_k at the +e_k
+        neighbour, -b_k / h_k at the -e_k one and sum_k (b_k - f_k) / h_k
+        at the centre.  The entries of outside neighbours are then set
+        back to 0.  When g = 1 and cF = 0 the result is A bit for bit.  A
         `shift` array is added to the diagonal afterwards.
         """
-        data = self._work.data
-        np.multiply(self.A.data, g.ravel()[self._rows], out=data)
+        W = np.multiply(self.A, g.ravel(), out=self._work)
         cF = cF.ravel()
         centre = 0.0
-        for (plus, prow, minus, mrow, hk), (f, b) in zip(self._axes, slopes):
+        for (jp, jm, hk), (f, b) in zip(self._axes, slopes):
             up = cF * f.ravel() / hk
             down = cF * b.ravel() / hk
-            data[plus] -= up[prow]
-            data[minus] += down[mrow]
+            W[jp] -= up
+            W[jm] += down
             centre = centre + (down - up)
-        data[self._diag] -= centre
+        W[self.outside] = 0.0
+        W[self._centre] -= centre
         if shift is not None:
-            data[self._diag] += shift
-        return self._work
+            W[self._centre] += shift
+        return W
 
 
 # Newton-Howard solves in a row that do not halve the kept low of max|G|

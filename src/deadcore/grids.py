@@ -378,19 +378,16 @@ class Scheme:
 
     def F(self, v):
         """discrete F at all interior nodes (degenerate elliptic form)."""
-        k = self.second_differences(v)
-        if self._linear or self.spec.variant != "p_laplacian":
-            return self.F_of(k)
-        return self.F_of(k, self.cross_difference(v), self.grad(v))
+        return self.F_of(self.second_differences(v))
 
-    def F_of(self, k, cross=None, grads=None):
+    def F_of(self, k):
         """F at interior nodes from the curvatures k (dict keyed by direction).
 
         F(v) passes the second differences of v.  Every variant but the 2-D
         Pucci stencil (which reads the diagonals d1, d2) reads only k['x']
         and k['y'], so the w-residual passes the diagonal of its matrix
-        field there; the 2-D p-Laplacian also reads the off-diagonal entry
-        `cross` and the centred gradient `grads`.
+        field there.  An operator without a policy form (require_policy)
+        has no grid scheme.
         """
         var = self.spec.variant
         if self._linear:
@@ -400,15 +397,8 @@ class Scheme:
             if len(values) == 1:
                 return values[0]
             return ENVELOPES[var][0].reduce(values)
-        if var == "p_laplacian":
-            p = self.spec.p
-            gx, gy = grads
-            n2 = gx ** 2 + gy ** 2
-            quad = k["x"] * gx ** 2 + 2 * cross * gx * gy + k["y"] * gy ** 2
-            tr = k["x"] + k["y"]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                return np.where(n2 > 0, tr + (p - 2.0) * quad / np.where(n2 > 0, n2, 1.0), tr)
-        raise TypeError("operator variant %r has no grid scheme" % var)
+        raise TypeError("operator variant %r has no %d-D grid scheme"
+                        % (var, self.dim))
 
     def _candidates(self, k):
         """The linear stencils an envelope picks from, at curvatures k.
@@ -454,9 +444,9 @@ class Scheme:
 
     def require_policy(self):
         """Raise ValueError unless F_h has a policy form, which every solver
-        iterates on.  The 2-D p-Laplacian at p != 2 has none: its centred
-        cross difference makes F_h fall when an anti-diagonal neighbour
-        rises.  F still evaluates it."""
+        iterates on.  The 2-D p-Laplacian at p != 2 has none: a centred
+        cross difference would make F_h fall when an anti-diagonal
+        neighbour rises."""
         if self._fixed_policy is None and self.spec.variant not in ENVELOPES:
             raise ValueError("%s has no monotone %d-D scheme (the 2-D "
                              "p-Laplacian is monotone only at p = 2)"

@@ -4,7 +4,7 @@ The existence construction is mirrored discretely: a subsolution
 eps * phi+(ball) supported on a ball inside {a > 0}, a supersolution
 k * psi built from the Dirichlet problem with right-hand side -||a||_inf,
 and an iteration in between.  The reaction is split a = a+ - a-.  Every
-accepted F has a policy form F_h(u) = L_alpha(u) u over sparse policy
+accepted F has a policy form F_h(u) = L_alpha(u) u over banded policy
 matrices (Scheme.require_policy).  The start picks the loop.  From above
 (the supersolution, also the start of a bracketed solve) `solve` runs
 pseudo-transient Newton (_relax_ptc) on the policy matrices at every
@@ -321,12 +321,12 @@ def _newton_inner(op, a_minus, b, z, q, tol, cap):
     Stops at tol, when the residual stops decreasing (the floating-point
     floor of A z), or after cap sparse solves.  Returns (z, solves).
     """
-    A, Ad = op.A, op.diagonal()
+    Ad = op.diagonal()
     zeta = (10.0 * q * a_minus / Ad) ** (1.0 / (1.0 - q))
     prev = np.inf
     solves = 0
     while solves < cap:
-        Az = A @ z
+        Az = op.apply(z)
         g = Az + a_minus * z ** q - b
         rho = float(np.max(np.abs(g)))
         if rho <= tol or rho >= prev:
@@ -523,7 +523,7 @@ def _relax_ptc(problem, scheme, vals, ctl, init, bracket):
         if dead.any():
             t = t_int.ravel()
             D = op.diagonal()
-            N = (D * t - op.A @ t)[dead]
+            N = (D * t - op.apply(t))[dead]
             gD = parts[0].ravel()[dead] * D[dead]
             t_int[dead.reshape(t_int.shape)] = _implicit_damping(
                 N / D[dead], -a[dead] / gD, q)
@@ -564,39 +564,47 @@ def _certified(problem, vals, steps, ctl, init, bracket):
 
 
 def _start(problem, init, ctl, ball, u0):
-    """Initial values of solve: (vals, bracket, supersolution or None)."""
+    """The start of solve: (vals, the bracket or None)."""
     grid = problem.grid
-    bracket = super_u = None
+    bracket = None
     if init == "zero":
         vals = np.zeros(grid.shape)
     elif init == "subsolution":
         if ball is None:
             raise ValueError("init='subsolution' needs a ball")
         sub = build_subsolution(problem, ball)
-        super_u = build_supersolution(problem, ctl)
-        bracket = (sub, super_u)
-        vals = sub.values.copy()
+        bracket = (sub, build_supersolution(problem, ctl))
+        vals = bracket[1].values.copy()
     elif init == "supersolution":
-        super_u = build_supersolution(problem, ctl)
-        vals = super_u.values.copy()
+        vals = build_supersolution(problem, ctl).values
     elif init == "given":
         if u0 is None:
             raise ValueError("init='given' needs u0")
-        vals = np.array(u0.values if isinstance(u0, GridFunction) else u0,
-                        dtype=float)
+        if isinstance(u0, GridFunction):
+            if u0.grid != grid:
+                raise ValueError("initial values sampled on %r, not on the "
+                                 "problem grid %r" % (u0.grid, grid))
+            u0 = u0.values
+        vals = np.array(u0, dtype=float)
+        if vals.shape != grid.shape:
+            raise ValueError("initial values have shape %r, the problem grid %r"
+                             % (vals.shape, grid.shape))
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("initialization must be finite")
         if np.min(vals) < -1e-15:
             raise ValueError("initialization must be nonnegative")
         vals = np.maximum(vals, 0.0)
     else:
         raise ValueError("unknown init %r" % init)
-    return vals, bracket, super_u
+    return vals, bracket
 
 
 def solve(problem, init="zero", ctl=None, ball=None, u0=None):
     """Solve the reaction problem for a nonnegative steady state.
 
     init is one of 'zero', 'subsolution' (requires ball), 'given'
-    (requires u0 with 0 <= u0), or 'supersolution'.  Iterates are clamped
+    (requires finite u0 >= 0: a GridFunction on the problem grid or an
+    array of its shape), or 'supersolution'.  Iterates are clamped
     at zero; with init='subsolution' the report carries the
     (subsolution, supersolution) bracket.  The start picks the iteration:
     - from above, 'supersolution' and 'subsolution' (which builds both
@@ -621,11 +629,9 @@ def solve(problem, init="zero", ctl=None, ball=None, u0=None):
     ctl = ctl or IterationControl()
     scheme = Scheme(problem.grid, problem.operator, problem.gamma)
     scheme.require_policy()
-    vals, bracket, super_u = _start(problem, init, ctl, ball, u0)
+    vals, bracket = _start(problem, init, ctl, ball, u0)
     # one error state for the whole loop (_implicit_damping relies on it)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if super_u is None and problem.gamma == 0.0:
+        if problem.gamma == 0.0 and init in ("zero", "given"):
             return _relax_monotone(problem, scheme, vals, ctl, init)
-        if bracket is not None:
-            vals = super_u.values.copy()
         return _relax_ptc(problem, scheme, vals, ctl, init, bracket)

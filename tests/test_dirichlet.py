@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from deadcore import (Grid, GridFunction, OperatorSpec, IterationControl,
@@ -164,9 +165,22 @@ def _grid(dim):
         Grid.rectangle(0.0, 2.0, 0.0, 1.0, 19, 9)
 
 
+def _csr(op, M):
+    # a PolicyMatrix array (A or a shifted/Newton matrix) as a general
+    # sparse matrix on the interior entries only: outside neighbours are
+    # dropped and policy zeros kept, the pattern a CSR policy matrix had
+    rows, slots = np.nonzero(~op.outside.T)
+    size = M.shape[1]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=size))))
+    return sp.csr_matrix((M[slots, rows], rows + np.array(op.offsets)[slots],
+                          indptr), shape=(size, size))
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_policy_matrix_is_the_scheme(dim):
-    # -A u == F_h(u) at the active policy of u, up to round-off
+    # -A u == F_h(u) at the active policy of u, up to round-off; apply is
+    # the sparse product bit for bit, and the Newton matrix at gamma = 0
+    # is A itself
     rng = np.random.default_rng(41)
     g = _grid(dim)
     for spec in _accepted_specs(dim):
@@ -175,13 +189,20 @@ def test_policy_matrix_is_the_scheme(dim):
         for _ in range(3):
             v = GridFunction(g, rng.standard_normal(g.shape)).values
             A = op.set_policy(sch.policy(v))
+            S = _csr(op, A)
+            assert np.all(A[op.outside] == 0.0)
+            u = g.interior(v).ravel()
+            Au = op.apply(u)
+            assert Au.tobytes() == (S @ u).tobytes()
             F = sch.F(v)
-            got = -(A @ g.interior(v).ravel()).reshape(F.shape)
+            got = -Au.reshape(F.shape)
             assert np.max(np.abs(got - F)) <= 1e-13 * np.max(np.abs(F))
-            d = rng.random(A.shape[0])
-            M = op.shifted(d)
-            assert np.array_equal(M.diagonal(), A.diagonal() + d)
-            off = [X.toarray() for X in (M, A)]
+            gf, c, slopes = sch.grad_factor_parts(v)
+            assert op.newton(gf, c * F, slopes).tobytes() == A.tobytes()
+            d = rng.random(A.shape[1])
+            M = _csr(op, op.shifted(d))
+            assert np.array_equal(M.diagonal(), S.diagonal() + d)
+            off = [X.toarray() for X in (M, S)]
             for X in off:
                 np.fill_diagonal(X, 0.0)
             assert np.array_equal(off[0], off[1])
@@ -200,7 +221,7 @@ def test_policy_matrices_are_m_matrices(dim):
         op = PolicyMatrix(sch)
         for _ in range(5):
             v = rng.standard_normal(g.shape) * 10.0 ** rng.integers(-3, 4)
-            A = op.set_policy(sch.policy(v)).toarray()
+            A = _csr(op, op.set_policy(sch.policy(v))).toarray()
             d = np.diag(A).copy()
             np.fill_diagonal(A, 0.0)
             assert np.all(d > 0) and np.all(A <= 0)
@@ -347,7 +368,7 @@ PERMC = "MMD_AT_PLUS_A"
 
 
 def _superlu(op, M, b):
-    return spla.spsolve(M, b, permc_spec=PERMC)
+    return spla.spsolve(_csr(op, M), b, permc_spec=PERMC)
 
 
 _STALL_CASES = [pytest.param(1, OperatorSpec.pucci_plus(1.0, 1.0), gamma,
@@ -382,17 +403,19 @@ def test_policy_solve_matches_superlu_1d(monkeypatch, n):
     # the shifted policy matrix at its answer.  Each x has a componentwise
     # backward error of a few ulps; two such solves differ by up to eps
     # times the condition number, which grows like h^-2: 1e-13 up to
-    # n = 199, 2.6e-11 at n = 3199 (3.3e-12 seen).  b is left as it was.
+    # n = 199, 2.6e-11 at n = 3199 (3.3e-12 seen).  M and b are left as
+    # they were.
     g = Grid.interval(0.0, 2.0, n)
     tol = 1e-13 * max(1.0, (n + 1) ** 2 / 4e4)
     gtsv, worst = PolicyMatrix.solve, []
 
     def checked(op, M, b):
-        b0 = b.copy()
+        M0, b0 = M.copy(), b.copy()
         x = gtsv(op, M, b)
-        assert np.array_equal(b, b0)
-        scale = abs(M) @ np.abs(x) + np.abs(b)
-        assert np.all(np.abs(M @ x - b) <= 1e-15 * scale)
+        assert np.array_equal(M, M0) and np.array_equal(b, b0)
+        S = _csr(op, M)
+        scale = abs(S) @ np.abs(x) + np.abs(b)
+        assert np.all(np.abs(S @ x - b) <= 1e-15 * scale)
         ref = _superlu(op, M, b)
         worst.append(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
         return x
@@ -413,26 +436,27 @@ def test_policy_solve_matches_superlu_1d(monkeypatch, n):
 def test_policy_solve_matches_superlu_2d(monkeypatch, shape):
     # 2-D systems go to LAPACK's band LU gbsv: against SuperLU on every
     # Newton matrix of solve_rhs (the trace, Pucci+-, Bellman at gamma = 0
-    # and 1) and on the shifted policy matrix at its answer.  b is left as
-    # it was, the componentwise backward error is at most 2e-15, about one
-    # ulp per stored entry of a row (1.0e-15 seen at 59x29, where SuperLU
-    # reaches 7e-16 on the same matrices), and x agrees with SuperLU within
-    # eps times kappa_inf(M), estimated from SuperLU's factor (0.41 eps
-    # kappa seen; kappa up to 5.7e3 here).
+    # and 1) and on the shifted policy matrix at its answer.  M and b are
+    # left as they were, the componentwise backward error is at most
+    # 2e-15, about one ulp per stored entry of a row (1.0e-15 seen at
+    # 59x29, where SuperLU reaches 7e-16 on the same matrices), and x
+    # agrees with SuperLU within eps times kappa_inf(M), estimated from
+    # SuperLU's factor (0.41 eps kappa seen; kappa up to 5.7e3 here).
     g = Grid.rectangle(0.0, 2.0, 0.0, 1.0, *shape)
     gbsv, worst = PolicyMatrix.solve, []
 
     def checked(op, M, b):
-        assert op._band is not None
-        b0 = b.copy()
+        assert len(op.offsets) > 3
+        M0, b0 = M.copy(), b.copy()
         x = gbsv(op, M, b)
-        assert np.array_equal(b, b0)
-        scale = abs(M) @ np.abs(x) + np.abs(b)
-        assert np.all(np.abs(M @ x - b) <= 2e-15 * scale)
-        lu = spla.splu(M.tocsc(), permc_spec=PERMC)
-        inv_t = spla.LinearOperator(M.shape, matvec=lambda v: lu.solve(v, "T"),
+        assert np.array_equal(M, M0) and np.array_equal(b, b0)
+        S = _csr(op, M)
+        scale = abs(S) @ np.abs(x) + np.abs(b)
+        assert np.all(np.abs(S @ x - b) <= 2e-15 * scale)
+        lu = spla.splu(S.tocsc(), permc_spec=PERMC)
+        inv_t = spla.LinearOperator(S.shape, matvec=lambda v: lu.solve(v, "T"),
                                     rmatvec=lu.solve, dtype=float)
-        kappa = abs(M).sum(axis=1).max() * spla.onenormest(inv_t)
+        kappa = abs(S).sum(axis=1).max() * spla.onenormest(inv_t)
         ref = lu.solve(b)
         err = np.max(np.abs(x - ref)) / np.max(np.abs(ref))
         worst.append(err / (np.finfo(float).eps * kappa))
@@ -446,7 +470,7 @@ def test_policy_solve_matches_superlu_2d(monkeypatch, shape):
             sch = Scheme(g, spec, gamma)
             op = PolicyMatrix(sch)
             op.set_policy(sch.policy(rep.solution.values))
-            size = op.A.shape[0]
+            size = op.A.shape[1]
             op.solve(op.shifted(rng.random(size) * op.diagonal()), np.ones(size))
     assert len(worst) >= 20 and max(worst) <= 1.0
 
@@ -461,8 +485,8 @@ def test_policy_solve_singular_is_nan(dim):
     op = PolicyMatrix(sch)
     w = {k: np.zeros_like(v) for k, v in sch.policy(np.zeros(g.shape)).items()}
     A = op.set_policy(w)
-    b = np.ones(A.shape[0])
-    for M in (A, op.shifted(np.zeros(A.shape[0]))):
+    b = np.ones(A.shape[1])
+    for M in (A, op.shifted(np.zeros(A.shape[1]))):
         x = op.solve(M, b)
         assert x.shape == b.shape and np.all(np.isnan(x))
 

@@ -13,6 +13,9 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -131,3 +134,16 @@ def test_benchmark_leaves_are_called_through_their_bindings(monkeypatch):
     Scheme(grid, deadcore.OperatorSpec.pucci_plus(1.0, 2.0), 1.0) \
         .grad_factor(np.zeros(grid.shape))
     assert calls == ["eigenvalues", "upwind_mag2"]
+
+
+def test_package_import_leaves_scipy_sparse_out():
+    # policy matrices are banded arrays that LAPACK solves directly, so
+    # neither the package nor its CLI needs scipy.sparse at start-up
+    code = ("import sys, deadcore, deadcore.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    path = os.pathsep.join(filter(None, (str(SRC.parent),
+                                         os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "[]"

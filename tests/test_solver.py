@@ -30,9 +30,13 @@ def _relax_rhs(p, ctl=None, u0=None):
 
 
 def _explicit_solve(p, init="zero", ctl=None, ball=None, u0=None):
-    """solve() with the explicit reference loop, at every gamma."""
+    """solve() with the explicit reference loop, at every gamma; with a
+    bracket it runs from the subsolution end."""
     ctl = ctl or IterationControl()
-    vals, bracket, super_u = solver_mod._start(p, init, ctl, ball, u0)
+    vals, bracket = solver_mod._start(p, init, ctl, ball, u0)
+    super_u = None
+    if bracket is not None:
+        vals, super_u = bracket[0].values.copy(), bracket[1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return reference._relax_explicit(p, Scheme(p.grid, p.operator, p.gamma),
                                          vals, ctl, init, bracket, super_u)
@@ -168,6 +172,31 @@ def test_solve_given_requires_nonnegative():
         solve(p, init="subsolution")   # needs a ball
     with pytest.raises(ValueError):
         solve(p, init="nonsense")
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_solve_given_u0_checked(gamma):
+    # u0 must be finite values on the problem grid: a field sampled on
+    # another grid of the same shape, an array of another shape and a NaN
+    # array are input errors, refused before any step
+    g = Grid.interval(0.0, 2.0, 39)
+    p = _problem(g, WeightField.sinsplit(g, 0.3).scaled(30.0), gamma=gamma)
+    other = GridFunction(Grid.interval(0.0, 3.0, 39), np.ones(g.shape))
+    for u0, match in ((other, "problem grid"), (np.ones(20), "shape"),
+                      (np.full(g.shape, np.nan), "finite")):
+        with pytest.raises(ValueError, match=match):
+            solve(p, init="given", u0=u0)
+
+
+def test_subsolution_start_is_the_supersolution():
+    # a bracketed solve starts from the bracket's supersolution end, and
+    # the start is a copy (the report's bracket stays as built)
+    g = Grid.interval(0.0, 2.0, 39)
+    p = _problem(g, WeightField.sinsplit(g, 0.3).scaled(30.0))
+    vals, bracket = solver_mod._start(p, "subsolution", IterationControl(),
+                                      (0.2, 0.8), None)
+    assert np.array_equal(vals, bracket[1].values)
+    assert not np.shares_memory(vals, bracket[1].values)
 
 
 def _assert_in_bracket(rep):
