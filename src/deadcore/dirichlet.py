@@ -13,11 +13,24 @@ iteration, and a linear F takes one solve.  A policy switch can
 raise the residual for a step, so the loop gives up only after
 NEWTON_STALL solves in a row that do not halve the last low it kept.
 Convergence is declared on the equation residual, not on the update size.
+
+gtsv and gbsv are the wrappers of scipy's compiled f2py module
+scipy.linalg._flapack, the module scipy.linalg.lapack re-exports; they
+are the same objects whichever of the two is imported first.  The module
+is loaded straight from scipy's linalg directory (_load_flapack), after
+`import scipy` alone, because scipy/linalg/__init__ pulls in scipy's
+array-API layer, which imports numpy.f2py, numpy.testing, numpy.ma and
+numpy.polynomial: about 0.3 s and 290 modules of a 0.45 s package
+import, where the extension itself loads in 5-9 ms.
 """
 
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
+import os
+
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dgtsv
+import scipy
 
 from .grids import GridFunction, Scheme, _direction_set
 
@@ -26,6 +39,25 @@ __all__ = ["IterationControl", "RhsProblem", "RhsReport", "SolveError",
 
 class SolveError(RuntimeError):
     pass
+
+
+def _load_flapack(directory):
+    """The extension module scipy.linalg._flapack found in directory,
+    without importing its package; ImportError naming directory if the
+    directory holds none.  The extension's single-phase init enters it
+    in sys.modules, where a later import of scipy.linalg finds it."""
+    finder = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError("no scipy.linalg._flapack extension in %s" % directory,
+                          name="scipy.linalg._flapack")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack(os.path.join(scipy.__path__[0], "linalg"))
+dgbsv, dgtsv = _flapack.dgbsv, _flapack.dgtsv
 
 
 @dataclass

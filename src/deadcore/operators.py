@@ -12,6 +12,9 @@ Lipschitz modulus in x, by randomized trials evaluated as one batch:
 
 from dataclasses import dataclass
 import numpy as np
+# numpy loads numpy.random lazily; importing it here keeps that import
+# out of the first check_axioms call
+from numpy.random import default_rng
 
 __all__ = [
     "SymMatrix", "OperatorSpec", "AxiomReport",
@@ -273,7 +276,7 @@ def check_axioms(spec, trials, seed, dim=2, strict_homogeneity=False):
         if not (c is None or callable(c)) and np.shape(c) != (dim, dim):
             raise ValueError("%s coefficient of shape %s does not match dim=%d"
                              % (spec.variant, np.shape(c), dim))
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     x, y, xi = np.empty((3, trials, dim))
     A, B = np.empty((2, trials, dim, dim))
     s = np.empty(trials)

@@ -594,6 +594,12 @@ def _start(problem, init, ctl, ball, u0):
         if np.min(vals) < -1e-15:
             raise ValueError("initialization must be nonnegative")
         vals = np.maximum(vals, 0.0)
+        # the loops hold boundary values fixed as Dirichlet data
+        edge = vals.copy()
+        grid.interior(edge)[...] = 0.0
+        if np.any(edge):
+            raise ValueError("initialization must be 0 on the boundary "
+                             "(max there %.3g)" % np.max(edge))
     else:
         raise ValueError("unknown init %r" % init)
     return vals, bracket
@@ -603,10 +609,11 @@ def solve(problem, init="zero", ctl=None, ball=None, u0=None):
     """Solve the reaction problem for a nonnegative steady state.
 
     init is one of 'zero', 'subsolution' (requires ball), 'given'
-    (requires finite u0 >= 0: a GridFunction on the problem grid or an
-    array of its shape), or 'supersolution'.  Iterates are clamped
-    at zero; with init='subsolution' the report carries the
-    (subsolution, supersolution) bracket.  The start picks the iteration:
+    (requires finite u0 >= 0 that is 0 on the boundary: a GridFunction on
+    the problem grid or an array of its shape), or 'supersolution'.
+    Iterates are clamped at zero; with init='subsolution' the report
+    carries the (subsolution, supersolution) bracket.  The start picks
+    the iteration:
     - from above, 'supersolution' and 'subsolution' (which builds both
       bracket ends and starts from the supersolution): pseudo-transient
       Newton (_relax_ptc) at every gamma, finished by the monotone loop

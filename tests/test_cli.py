@@ -273,6 +273,26 @@ def test_classify_command(tmp_path, monkeypatch, capsys):
     assert "verdict=positivity_cone" in capsys.readouterr().out
 
 
+def test_solve_init_file_boundary_zeroed(tmp_path, monkeypatch):
+    # solve() refuses a start that is nonzero on the boundary, but an
+    # init_path file is read with its boundary set to 0, so the command
+    # never passes one: a file that is 1 there solves as one that is 0
+    g = Grid.interval(0.0, 2.0, 79)
+    solutions = []
+    for name, dirichlet in (("edge", False), ("zero", True)):
+        path = tmp_path / (name + ".csv")
+        write_csv(GridFunction(g, np.ones(g.shape), dirichlet=dirichlet), path)
+        d = tmp_path / name
+        d.mkdir()
+        monkeypatch.chdir(d)
+        cfg = _write(d / "solve.ini", BASE_SOLVE.replace(
+            "init = subsolution", "init = given\ninit_path = %s" % path))
+        assert main(["solve", "--config", cfg]) == 0
+        text = (d / "out" / "solution.csv").read_text()
+        solutions.append([l for l in text.splitlines() if not l.startswith("#")])
+    assert solutions[0] == solutions[1]
+
+
 def test_sweep_validation(tmp_path, monkeypatch):
     cfg = _write(tmp_path / "sweep.ini", BASE_SOLVE + """
 [sweep]

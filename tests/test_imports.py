@@ -14,6 +14,7 @@ import importlib
 import importlib.util
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -136,14 +137,45 @@ def test_benchmark_leaves_are_called_through_their_bindings(monkeypatch):
     assert calls == ["eigenvalues", "upwind_mag2"]
 
 
-def test_package_import_leaves_scipy_sparse_out():
-    # policy matrices are banded arrays that LAPACK solves directly, so
-    # neither the package nor its CLI needs scipy.sparse at start-up
-    code = ("import sys, deadcore, deadcore.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+def _fresh(code):
+    """Standard output of code run in a fresh interpreter on this checkout."""
     path = os.pathsep.join(filter(None, (str(SRC.parent),
                                          os.environ.get("PYTHONPATH"))))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=path))
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_package_import_leaves_scipy_sparse_out():
+    # policy matrices are banded arrays that LAPACK solves directly, so
+    # neither the package nor its CLI needs scipy.sparse at start-up; and
+    # dirichlet loads scipy's LAPACK extension by itself, so scipy.linalg's
+    # __init__, and the numpy.f2py it pulls in, stay out too.  numpy.random,
+    # which numpy loads lazily, comes with check_axioms
+    loaded = _fresh("import sys, deadcore, deadcore.cli; "
+                    "print(' '.join(sorted(sys.modules)))").split()
+    assert [m for m in loaded if m.startswith("scipy.sparse")] == []
+    assert [m for m in loaded if m.split(".")[:2] == ["scipy", "linalg"]] \
+        == ["scipy.linalg._flapack"]
+    assert [m for m in loaded if m.split(".")[:2] == ["numpy", "f2py"]] == []
+    assert "numpy.random" in loaded
+
+
+@pytest.mark.parametrize("first", ["deadcore", "scipy.linalg"])
+def test_lapack_wrappers_are_scipys(first):
+    # the wrappers dirichlet solves with are the objects scipy.linalg.lapack
+    # exports, whichever of the two is imported first
+    second = "scipy.linalg" if first == "deadcore" else "deadcore"
+    out = _fresh("import %s, %s; import scipy.linalg.lapack as lapack; "
+                 "from deadcore import dirichlet; "
+                 "print(dirichlet.dgtsv is lapack.dgtsv, "
+                 "dirichlet.dgbsv is lapack.dgbsv)" % (first, second))
+    assert out == "True True"
+
+
+def test_lapack_loader_names_the_directory(tmp_path):
+    from deadcore import dirichlet
+    with pytest.raises(ImportError, match="_flapack extension in %s"
+                       % re.escape(str(tmp_path))):
+        dirichlet._load_flapack(str(tmp_path))

@@ -188,6 +188,22 @@ def test_solve_given_u0_checked(gamma):
             solve(p, init="given", u0=u0)
 
 
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_solve_given_u0_boundary_checked(gamma):
+    # the loops hold the boundary values of the start fixed, so a start
+    # that is nonzero there poses another Dirichlet problem: from u0 = 1
+    # this problem ended at residual 400 with converged=False at gamma = 0
+    # and converged to a solution that is 1 on the boundary at gamma = 1;
+    # the same values with the boundary zeroed are a valid start
+    g = Grid.interval(0.0, 2.0, 39)
+    p = _problem(g, WeightField.sinsplit(g, 0.3).scaled(30.0), gamma=gamma)
+    ones = np.ones(g.shape)
+    for u0 in (ones, GridFunction(g, ones, dirichlet=False)):
+        with pytest.raises(ValueError, match="0 on the boundary"):
+            solve(p, init="given", u0=u0)
+    assert solve(p, init="given", u0=GridFunction(g, ones)).converged
+
+
 def test_subsolution_start_is_the_supersolution():
     # a bracketed solve starts from the bracket's supersolution end, and
     # the start is a copy (the report's bracket stays as built)
@@ -452,7 +468,7 @@ def test_solve_non_finite_residual_raises(method, gamma, scale):
     p = _problem(g, WeightField.constant(g, 1e300), gamma=gamma)
     run = solve if method == "auto" else _explicit_solve
     with pytest.raises(SolveError, match="non-finite residual at step"):
-        run(p, init="given", u0=scale * np.ones(g.shape),
+        run(p, init="given", u0=GridFunction(g, scale * np.ones(g.shape)),
             ctl=IterationControl(max_steps=20_000))
 
 
