@@ -47,16 +47,11 @@ class ClassificationReport:
 
 def _boundary_margin(u):
     """Smallest inward difference quotient of u over the boundary faces."""
-    g = u.grid
-    v = u.values
-    h = g.h
-    if g.dim == 1:
-        return float(min((v[1] - v[0]) / h[0], (v[-2] - v[-1]) / h[0]))
-    quots = [
-        (v[1, 1:-1] - v[0, 1:-1]) / h[0], (v[-2, 1:-1] - v[-1, 1:-1]) / h[0],
-        (v[1:-1, 1] - v[1:-1, 0]) / h[1], (v[1:-1, -2] - v[1:-1, -1]) / h[1],
-    ]
-    return float(min(np.min(q) for q in quots))
+    st, v, h = u.grid.stencil, u.values, u.grid.h
+    # a face without its ends on the other axes
+    inner = st.interior[1:]
+    return float(min(((v[inward] - v[face])[inner] / h[k]).min()
+                     for k, face, inward in st.faces))
 
 
 def classify(u):
@@ -125,23 +120,23 @@ def w_residual(w, problem):
     gfac = scheme.grad_factor(w.values)
     a_int = g.interior(problem.weight.samples)
 
-    M = {"x": k["x"] + c * grads[0] ** 2 / wi}
-    if g.dim == 1:
-        Fv = scheme.F_of(M)
-    else:
-        M["y"] = k["y"] + c * grads[1] ** 2 / wi
+    # the diagonal of the matrix field, per axis
+    M = {name: k[name] + c * gk ** 2 / wi
+         for name, gk in zip(scheme.stencil.axes, grads)}
+    # the continuum operator on the matrix field where the scheme has
+    # none (the 2-D p-Laplacian at p != 2) or its wide stencil sees only
+    # axis and diagonal curvatures (2-D Pucci)
+    wide = len(scheme.directions) > g.dim
+    if wide or (spec.variant == "p_laplacian" and not scheme._linear):
         Mxy = scheme.cross_difference(w.values) + c * grads[0] * grads[1] / wi
         X = np.moveaxis(np.array([[M["x"], Mxy], [Mxy, M["y"]]]), (0, 1), (-2, -1))
-        # the continuum operator on the matrix field where the scheme has
-        # none (the p-Laplacian at p != 2) or its wide stencil sees only
-        # axis and diagonal curvatures (Pucci)
-        if spec.variant in ("pucci_plus", "pucci_minus"):
+        if wide:
             Fv = pucci(X, spec.lam, spec.Lam,
                        "+" if spec.variant == "pucci_plus" else "-")
-        elif spec.variant == "p_laplacian" and spec.p != 2.0:
-            Fv = p_laplacian_matrix_part(np.stack(grads, -1), X, spec.p)
         else:
-            Fv = scheme.F_of(M)
+            Fv = p_laplacian_matrix_part(np.stack(grads, -1), X, spec.p)
+    else:
+        Fv = scheme.F_of(M)
     out = np.zeros(g.shape)
     g.interior(out)[...] = gfac * Fv + a_int
     return GridFunction(g, out, dirichlet=False)

@@ -8,8 +8,10 @@ sections and no other section or key (also from --set); every artifact
 embeds the config hash and seed in a comment header.  Option names are
 case-insensitive, so the ellipticity bounds are problem.lam and
 problem.lam_upper (both default 1); problem.dim is 1 or 2, with at most
-dim problem.n values.  Exit codes: 0 success, 2 validation error, 3
-solver non-convergence / no threshold, 4 internal error.
+dim problem.n values.  control.init defaults to zero, which returns u = 0
+at every gamma (in 1 step at gamma = 0, 0 steps otherwise).  Exit codes:
+0 success, 2 validation error, 3 solver non-convergence / no threshold,
+4 internal error.
 """
 
 import argparse
@@ -100,15 +102,12 @@ def _build_grid(cp):
     if len(ns) > dim:
         raise ValidationError("problem.n has %d values for dim = %d"
                               % (len(ns), dim))
-    if dim == 1:
-        if len(domain) != 2:
-            raise ValidationError("1-D domain must be lo,hi")
-        return Grid.interval(domain[0], domain[1], ns[0])
-    if len(domain) != 4:
-        raise ValidationError("2-D domain must be xlo,xhi;ylo,yhi")
-    if len(ns) == 1:
-        ns = (ns[0], ns[0])
-    return Grid.rectangle(domain[0], domain[1], domain[2], domain[3], *ns)
+    if len(domain) != 2 * dim:
+        raise ValidationError("%d-D domain must be %s" % (
+            dim, "lo,hi" if dim == 1 else "xlo,xhi;ylo,yhi"))
+    # one n serves every axis
+    return Grid(tuple(zip(domain[::2], domain[1::2])),
+                ns * dim if len(ns) == 1 else ns)
 
 
 def _build_operator(cp):
@@ -152,7 +151,7 @@ def _build_weight(cp, grid, gamma, q):
     elif kind == "tabulated":
         gf = _read_input(cp, "problem", "weight_path", "tabulated weight",
                          grid=grid, dirichlet=False)
-        w = WeightField(grid, gf.values, "tabulated:%s" % prob["weight_path"])
+        w = WeightField(grid, gf.values)
     else:
         raise ValidationError("unknown weight family %r" % kind)
     return w.scaled(scale) if scale != 1.0 else w
@@ -234,7 +233,8 @@ def cmd_solve(cp):
     if init == "subsolution":
         ball = _ball(cp, "init=subsolution")
     elif init == "given":
-        u0 = _read_input(cp, "control", "init_path", "init=given", grid=p.grid)
+        u0 = _read_input(cp, "control", "init_path", "init=given", grid=p.grid,
+                         dirichlet=False)
     rep = solve(p, init=init, ctl=ctl, ball=ball, u0=u0)
     out = _outdir(cp)
     write_csv(rep.solution, out / "solution.csv", _headers(cp))

@@ -32,7 +32,7 @@ import os
 import numpy as np
 import scipy
 
-from .grids import GridFunction, Scheme, _direction_set
+from .grids import GridFunction, Scheme
 
 __all__ = ["IterationControl", "RhsProblem", "RhsReport", "SolveError",
            "solve_rhs"]
@@ -103,51 +103,55 @@ class PolicyMatrix:
     the scheme, with the Dirichlet columns removed.  `offsets` are the
     flat column offsets of the 3-, 5- or 9-point union of the scheme's
     directions, ascending, and A[j, i] is the entry (i, i + offsets[j]);
-    it is 0 where that neighbour is a boundary node (`outside`), which in
-    2-D includes the couplings that would wrap from one grid row to the
-    next.  A policy (set_policy) rewrites the rows of A in place, a Newton
-    diagonal (shifted, newton) those of a second array of the same shape.
+    it is 0 where that neighbour is a boundary node (`outside`: the
+    boundary nodes seen through the interior block moved by the offset's
+    step), which in 2-D includes the couplings that would wrap from one
+    grid row to the next.  A policy (set_policy) rewrites the rows of A in
+    place, a Newton diagonal (shifted, newton) those of a second array of
+    the same shape.
     A is an M-matrix for every policy.  Every product with A goes through
     `apply`, every linear system through `solve`.
     """
 
     def __init__(self, scheme):
-        g = scheme.grid
-        n = np.array(g.n)
-        size = int(np.prod(n))
-        strides = np.array((n[1], 1) if g.dim == 2 else (1,))
-        steps = [(name, np.array(step)) for name, step in _direction_set(g.dim)
-                 if name in scheme.directions]
-        vecs = [np.zeros(g.dim, dtype=int)]
-        for _, step in steps:
-            vecs += [step, -step]
-        vecs.sort(key=lambda o: int(o @ strides))
-        self.offsets = [int(o @ strides) for o in vecs]
-        node = np.indices(tuple(n)).reshape(g.dim, size)
-        self.outside = np.array([np.any((node + o[:, None] < 0)
-                                        | (node + o[:, None] >= n[:, None]), axis=0)
-                                 for o in vecs])
+        g, st = scheme.grid, scheme.stencil
+        size = int(np.prod(g.n))
+        # C-order strides of the interior node numbering
+        strides = [int(np.prod(g.n[k + 1:])) for k in range(g.dim)]
+        edge = np.ones(g.shape, dtype=bool)
+        edge[st.interior] = False
+        # per stencil offset: (flat offset, the interior block moved by its
+        # step)
+        rows = [(0, st.interior)]
+        steps = []
+        for (name, step), (fwd, bwd), he2 in zip(st.directions, st.shifted,
+                                                 scheme.he2):
+            if name in scheme.directions:
+                off = sum(s * k for s, k in zip(step, strides))
+                rows += [(off, fwd), (-off, bwd)]
+                steps.append((name, off, he2))
+        rows.sort(key=lambda r: r[0])
+        self.offsets = [off for off, _ in rows]
+        self.outside = np.array([edge[block].ravel() for _, block in rows])
         self._centre = self.offsets.index(0)
         # per direction: the rows of A that hold its +step and -step
         # neighbours, with their coefficient 1 / |step h|^2 (0 where the
         # neighbour is outside), and the centre's -2 / |step h|^2
         self._coef = []
-        for name, step in steps:
-            he2 = float(sum((s * hk) ** 2 for s, hk in zip(step, g.h)))
-            off = int(step @ strides)
+        for name, off, he2 in steps:
             jp, jm = self.offsets.index(off), self.offsets.index(-off)
             self._coef.append((name, jp, ~self.outside[jp] / he2,
                                jm, ~self.outside[jm] / he2, -2.0 / he2))
         # per axis: the rows of A that hold the +e_k and -e_k neighbours,
         # and h_k (the derivative of the gradient factor lives there)
         self._axes = [(self.offsets.index(s), self.offsets.index(-s), hk)
-                      for s, hk in zip(strides.tolist(), g.h)]
+                      for s, hk in zip(strides, g.h)]
         # per offset: the rows i whose column i + offset is in the matrix,
         # and those columns
         self._spans = [(slice(max(0, -o), min(size, size - o)),
                         slice(max(0, o), min(size, size + o)))
                        for o in self.offsets]
-        self.A = np.zeros((len(vecs), size))
+        self.A = np.zeros((len(rows), size))
         self._work = np.empty_like(self.A)
         self._w = None
 

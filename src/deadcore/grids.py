@@ -1,10 +1,13 @@
 """Structured grids, grid functions, weights, and the discrete equation.
 
 Grids are 1-D intervals or 2-D rectangles with homogeneous Dirichlet
-boundary nodes.  `Scheme` is the vectorized monotone realization of
-|Du|^gamma F(x, D^2 u): axis second differences for trace-form operators,
-a wide stencil (axes + diagonals) for the Pucci/Bellman envelopes.  The
-pointwise residual of the reaction problem is
+boundary nodes.  Every neighbour access of a node array goes through the
+index tuples of one `Stencil` per dimension (STENCILS), built at import
+from the lattice directions of `_direction_set`.  `Scheme` is the
+vectorized monotone realization of |Du|^gamma F(x, D^2 u): axis second
+differences for trace-form operators, a wide stencil (axes + diagonals)
+for the Pucci/Bellman envelopes.  The pointwise residual of the reaction
+problem is
 
     r = (|grad_h u|^2 + delta^2)^(gamma/2) * F_h(u) + a(x) u^q,
 
@@ -13,6 +16,7 @@ Dirichlet defect r = u.
 """
 
 from dataclasses import dataclass
+from itertools import product
 import csv
 import numpy as np
 
@@ -24,6 +28,50 @@ __all__ = [
 ]
 
 
+# --- the stencil table ---------------------------------------------------
+
+def _direction_set(dim):
+    """The lattice directions of the scheme (Bonnans, Ottenwaelter &
+    Zidani, M2AN 38, 2004): the axes, then in 2-D the two diagonals of the
+    wide stencil.  A step moves each axis by -1, 0 or +1."""
+    if dim == 1:
+        return (("x", (1,)),)
+    return (("x", (1, 0)), ("y", (0, 1)), ("d1", (1, 1)), ("d2", (1, -1)))
+
+
+def _block(offset):
+    """Index tuple of the interior block of a node array moved by offset."""
+    return tuple(slice(1 + o, o - 1 or None) for o in offset)
+
+
+class Stencil:
+    """Index tuples of the neighbour blocks of a dim-D node array.
+
+    `directions` is _direction_set(dim), `names` their names (the `axes`,
+    then the `diagonals`).  `interior` is the interior block, `shifted`
+    holds per direction that block moved by +step and by -step, and `hood`
+    the 3^dim blocks of its neighbourhood.  `faces` holds (k, face, inward)
+    per axis k and side: index 0 and 1 (or -1 and -2) on axis k, every
+    index on the others.  `off_diagonal` masks the coefficient matrix
+    entries that no axis direction carries.
+    """
+
+    def __init__(self, dim):
+        self.directions = _direction_set(dim)
+        self.names = tuple(name for name, _ in self.directions)
+        self.axes, self.diagonals = self.names[:dim], self.names[dim:]
+        self.interior = _block((0,) * dim)
+        self.shifted = tuple((_block(step), _block(tuple(-s for s in step)))
+                             for _, step in self.directions)
+        self.hood = tuple(_block(o) for o in product((-1, 0, 1), repeat=dim))
+        self.faces = tuple((k, (slice(None),) * k + (i,), (slice(None),) * k + (j,))
+                           for k in range(dim) for i, j in ((0, 1), (-1, -2)))
+        self.off_diagonal = ~np.eye(dim, dtype=bool)
+
+
+STENCILS = {dim: Stencil(dim) for dim in (1, 2)}
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid with n interior points per axis plus boundary nodes."""
@@ -31,7 +79,7 @@ class Grid:
     n: tuple        # interior point count per axis
 
     def __post_init__(self):
-        if len(self.bounds) != len(self.n) or len(self.n) not in (1, 2):
+        if len(self.bounds) != len(self.n) or len(self.n) not in STENCILS:
             raise ValueError("grid must be 1-D or 2-D")
         for (lo, hi), ni in zip(self.bounds, self.n):
             if not hi > lo:
@@ -53,6 +101,10 @@ class Grid:
         return len(self.n)
 
     @property
+    def stencil(self):
+        return STENCILS[len(self.n)]
+
+    @property
     def h(self):
         return tuple((hi - lo) / (ni + 1) for (lo, hi), ni in zip(self.bounds, self.n))
 
@@ -65,26 +117,20 @@ class Grid:
         return np.linspace(lo, hi, self.n[k] + 2)
 
     def coords(self):
-        """Node coordinates: the x array (1-D) or 'ij' meshgrid (2-D)."""
-        if self.dim == 1:
-            return self.axis(0)
-        return np.meshgrid(self.axis(0), self.axis(1), indexing="ij")
+        """Node coordinates, one array per axis ('ij' meshgrid)."""
+        return tuple(np.meshgrid(*(self.axis(k) for k in range(self.dim)),
+                                 indexing="ij"))
 
     def interior(self, a):
-        return a[1:-1] if self.dim == 1 else a[1:-1, 1:-1]
+        return a[self.stencil.interior]
 
     def refine(self):
         """Grid with halved spacing (n -> 2n + 1)."""
         return Grid(self.bounds, tuple(2 * ni + 1 for ni in self.n))
 
     def distance_to_boundary(self):
-        if self.dim == 1:
-            x = self.axis(0)
-            lo, hi = self.bounds[0]
-            return np.minimum(x - lo, hi - x)
-        X, Y = self.coords()
-        (xlo, xhi), (ylo, yhi) = self.bounds
-        return np.minimum.reduce([X - xlo, xhi - X, Y - ylo, yhi - Y])
+        sides = [(x - lo, hi - x) for x, (lo, hi) in zip(self.coords(), self.bounds)]
+        return np.minimum.reduce(sum(sides, ()))
 
 
 class GridFunction:
@@ -112,29 +158,19 @@ class GridFunction:
     def from_callable(cls, grid, f, dirichlet=True):
         return cls(grid, _sample(grid, f), dirichlet=dirichlet)
 
-    @property
-    def interior(self):
-        return self.grid.interior(self.values)
-
-    def copy(self):
-        return GridFunction(self.grid, self.values.copy(), dirichlet=False)
-
     def sup_norm(self):
         return float(np.max(np.abs(self.values)))
 
 
 def _sample(grid, f):
     """f at every node, f(x) in 1-D and f(X, Y) on the 'ij' mesh in 2-D."""
-    args = (grid.axis(0),) if grid.dim == 1 else grid.coords()
-    return np.broadcast_to(np.asarray(f(*args), dtype=float), grid.shape).copy()
+    return np.broadcast_to(np.asarray(f(*grid.coords()), dtype=float),
+                           grid.shape).copy()
 
 
 def _zero_boundary(v):
-    if v.ndim == 1:
-        v[0] = v[-1] = 0.0
-    else:
-        v[0, :] = v[-1, :] = 0.0
-        v[:, 0] = v[:, -1] = 0.0
+    for _, face, _ in STENCILS[v.ndim].faces:
+        v[face] = 0.0
 
 
 class WeightField:
@@ -144,9 +180,9 @@ class WeightField:
     and by the negative-part sweeps.
     """
 
-    __slots__ = ("grid", "samples", "source")
+    __slots__ = ("grid", "samples")
 
-    def __init__(self, grid, samples, source="tabulated"):
+    def __init__(self, grid, samples):
         s = np.asarray(samples, dtype=float)
         if s.shape != grid.shape:
             raise ValueError("weight samples do not match grid")
@@ -154,15 +190,14 @@ class WeightField:
             raise ValueError("weight must be finite")
         self.grid = grid
         self.samples = s
-        self.source = source
 
     @classmethod
-    def from_callable(cls, grid, f, source="callable"):
-        return cls(grid, _sample(grid, f), source)
+    def from_callable(cls, grid, f):
+        return cls(grid, _sample(grid, f))
 
     @classmethod
     def constant(cls, grid, c):
-        return cls(grid, np.full(grid.shape, float(c)), "constant(%g)" % c)
+        return cls(grid, np.full(grid.shape, float(c)))
 
     @classmethod
     def sinsplit(cls, grid, s):
@@ -170,7 +205,7 @@ class WeightField:
         def f(x, y=None):
             w = np.sin(np.pi * x)
             return np.maximum(w, 0.0) - s * np.maximum(-w, 0.0)
-        return cls.from_callable(grid, f, "sinsplit(%g)" % s)
+        return cls.from_callable(grid, f)
 
     @property
     def a_plus(self):
@@ -180,30 +215,18 @@ class WeightField:
     def a_minus(self):
         return np.maximum(-self.samples, 0.0)
 
-    @property
-    def sign_changing(self):
-        return bool(np.any(self.samples > 0) and np.any(self.samples < 0))
-
     def sup_norm(self):
         return float(np.max(np.abs(self.samples)))
 
     def scaled(self, c):
-        return WeightField(self.grid, c * self.samples,
-                           "%g*%s" % (c, self.source))
+        return WeightField(self.grid, c * self.samples)
 
     def with_negative_scale(self, s):
         """a+ - s * a-, the family swept by the positivity threshold."""
-        return WeightField(self.grid, self.a_plus - s * self.a_minus,
-                           "%s[s=%g]" % (self.source, s))
+        return WeightField(self.grid, self.a_plus - s * self.a_minus)
 
 
 # --- discrete calculus ---------------------------------------------------
-
-def _direction_set(dim):
-    if dim == 1:
-        return (("x", (1,)),)
-    return (("x", (1, 0)), ("y", (0, 1)), ("d1", (1, 1)), ("d2", (1, -1)))
-
 
 def _mean_squares(slopes):
     """Per-axis 0.5 (f^2 + b^2) of one-sided quotient pairs (f, b)."""
@@ -233,6 +256,8 @@ class Scheme:
 
     Precomputes coefficient tables for the chosen operator; all methods
     take the full node-value array and return interior-shaped arrays.
+    `stencil` is the grid's Stencil and `he2` holds |step h|^2 per
+    direction of it.
     """
 
     def __init__(self, grid, spec, gamma):
@@ -241,14 +266,15 @@ class Scheme:
         self.grid = grid
         self.spec = spec
         self.gamma = float(gamma)
-        self.h = grid.h
-        self.delta = max(grid.h)
+        self.h = h = grid.h
+        self.delta = max(h)
         self.dim = grid.dim
+        self.stencil = st = grid.stencil
+        self.he2 = tuple([sum([(s * hk) ** 2 for s, hk in zip(step, h)])
+                          for _, step in st.directions])
         v = spec.variant
-        if v in ("pucci_plus", "pucci_minus") and grid.dim == 2:
-            hx, hy = grid.h
-            if abs(hx - hy) > 1e-12 * max(hx, hy):
-                raise ValueError("2-D Pucci wide stencil needs square cells")
+        if v in ("pucci_plus", "pucci_minus") and max(h) - min(h) > 1e-12 * max(h):
+            raise ValueError("2-D Pucci wide stencil needs square cells")
         # a linear F is a trace: the p-Laplacian is one in 1-D and at p = 2,
         # where it is (p - 1) times the Laplacian
         self._linear = v == "linear_trace" or (
@@ -263,9 +289,8 @@ class Scheme:
         else:
             self._tables = ()
         # stencil directions of the policy weights (see policy)
-        names = tuple(name for name, _ in _direction_set(grid.dim))
-        self.directions = names if v in ("pucci_plus", "pucci_minus") \
-            else names[:grid.dim]
+        self.directions = st.names if v in ("pucci_plus", "pucci_minus") \
+            else st.axes
         # the one policy of a linear F
         self._fixed_policy = dict(zip(self.directions, self._tables[0])) \
             if self._linear else None
@@ -278,13 +303,13 @@ class Scheme:
         """
         g = self.grid
         if callable(coeff):
-            nodes = np.meshgrid(*(g.axis(a)[1:-1] for a in range(g.dim)), indexing="ij")
-            A = coeff_at(coeff, np.stack(nodes, -1)).reshape(tuple(g.n) + (g.dim, g.dim))
+            nodes = np.stack([x[self.stencil.interior] for x in g.coords()], -1)
+            A = coeff_at(coeff, nodes).reshape(tuple(g.n) + (g.dim, g.dim))
         else:
             A = np.asarray(coeff, dtype=float)
             if A.shape != (g.dim, g.dim):
                 raise ValueError("coefficient matrix dim mismatch")
-        if g.dim == 2 and np.any(np.abs(A[..., 0, 1]) > 0):
+        if np.count_nonzero(A[..., self.stencil.off_diagonal]):
             raise ValueError("monotone scheme requires diagonal coefficients")
         diag = np.diagonal(A, axis1=-2, axis2=-1)
         if diag.min() < self.spec.lam - 1e-12 or diag.max() > self.spec.Lam + 1e-12:
@@ -296,28 +321,22 @@ class Scheme:
     def second_differences(self, v):
         """Curvatures along the stencil directions (_direction_set) at
         interior nodes, as a dict keyed by direction name."""
-        h = self.h
-        if self.dim == 1:
-            return {"x": (v[2:] - 2 * v[1:-1] + v[:-2]) / h[0] ** 2}
-        c = v[1:-1, 1:-1]
-        hd2 = h[0] ** 2 + h[1] ** 2
-        return {"x": (v[2:, 1:-1] - 2 * c + v[:-2, 1:-1]) / h[0] ** 2,
-                "y": (v[1:-1, 2:] - 2 * c + v[1:-1, :-2]) / h[1] ** 2,
-                "d1": (v[2:, 2:] - 2 * c + v[:-2, :-2]) / hd2,
-                "d2": (v[2:, :-2] - 2 * c + v[:-2, 2:]) / hd2}
+        st = self.stencil
+        c2 = 2 * v[st.interior]
+        return {name: (v[fwd] - c2 + v[bwd]) / he2
+                for name, (fwd, bwd), he2 in zip(st.names, st.shifted, self.he2)}
 
     def cross_difference(self, v):
-        """Centered mixed difference u_xy (2-D only; residual checks)."""
+        """Centered mixed difference u_xy from the two diagonals (2-D only;
+        residual checks)."""
+        (f1, b1), (f2, b2) = self.stencil.shifted[self.dim:]
         hx, hy = self.h
-        return (v[2:, 2:] + v[:-2, :-2] - v[2:, :-2] - v[:-2, 2:]) / (4 * hx * hy)
+        return (v[f1] + v[b1] - v[f2] - v[b2]) / (4 * hx * hy)
 
     def grad(self, v):
         """Per-axis centred difference quotients at interior nodes."""
-        h = self.h
-        if self.dim == 1:
-            return ((v[2:] - v[:-2]) / (2 * h[0]),)
-        return ((v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * h[0]),
-                (v[1:-1, 2:] - v[1:-1, :-2]) / (2 * h[1]))
+        return tuple([(v[fwd] - v[bwd]) / (2 * hk)
+                      for (fwd, bwd), hk in zip(self.stencil.shifted, self.h)])
 
     def upwind_mag2(self, v):
         """Per-axis mean of squared one-sided differences at interior nodes.
@@ -334,12 +353,10 @@ class Scheme:
 
     def one_sided(self, v):
         """Per-axis (forward, backward) difference quotients at interior nodes."""
-        h = self.h
-        if self.dim == 1:
-            return (((v[2:] - v[1:-1]) / h[0], (v[1:-1] - v[:-2]) / h[0]),)
-        c = v[1:-1, 1:-1]
-        return (((v[2:, 1:-1] - c) / h[0], (c - v[:-2, 1:-1]) / h[0]),
-                ((v[1:-1, 2:] - c) / h[1], (c - v[1:-1, :-2]) / h[1]))
+        st = self.stencil
+        c = v[st.interior]
+        return tuple([((v[fwd] - c) / hk, (c - v[bwd]) / hk)
+                      for (fwd, bwd), hk in zip(st.shifted, self.h)])
 
     def _s2(self, mag2):
         """s2 = |grad_h u|^2 + delta^2 from the per-axis upwind_mag2 terms,
@@ -417,8 +434,9 @@ class Scheme:
             lam, Lam = self.spec.lam, self.spec.Lam
             up, down = (Lam, lam) if var == "pucci_plus" else (lam, Lam)
             w = {name: np.where(k[name] > 0.0, up, down) for name in k}
-            weights = [w] if self.dim == 1 else \
-                [{"x": w["x"], "y": w["y"]}, {"d1": w["d1"], "d2": w["d2"]}]
+            st = self.stencil
+            weights = [{name: w[name] for name in group}
+                       for group in (st.axes, st.diagonals) if group]
         return weights, [_weighted(w, k) for w in weights]
 
     def policy(self, v):
@@ -465,17 +483,9 @@ def _stencil_all_below(near):
     and pseudo-transient Newton's zero flush on the interior padded with
     True (boundary nodes are 0, hence in any zero set).
     """
-    if near.ndim == 1:
-        ok = near[1:-1] & near[:-2] & near[2:]
-        out = np.zeros_like(near)
-        out[1:-1] = ok
-        return out
-    c = near[1:-1, 1:-1]
-    ok = (c & near[:-2, 1:-1] & near[2:, 1:-1]
-          & near[1:-1, :-2] & near[1:-1, 2:]
-          & near[:-2, :-2] & near[2:, 2:] & near[:-2, 2:] & near[2:, :-2])
+    st = STENCILS[near.ndim]
     out = np.zeros_like(near)
-    out[1:-1, 1:-1] = ok
+    out[st.interior] = np.logical_and.reduce([near[b] for b in st.hood])
     return out
 
 
@@ -504,24 +514,19 @@ def write_csv(obj, path, comments=()):
         for line in comments:
             fh.write("# %s\n" % line)
         w = csv.writer(fh)
-        if grid.dim == 1:
-            w.writerow(["x", "value"])
-            for x, v in zip(grid.axis(0), vals):
-                w.writerow(["%.17g" % x, "%.17g" % v])
-        else:
-            w.writerow(["x", "y", "value"])
-            xs, ys = grid.axis(0), grid.axis(1)
-            for i, x in enumerate(xs):
-                for j, y in enumerate(ys):
-                    w.writerow(["%.17g" % x, "%.17g" % y, "%.17g" % vals[i, j]])
+        w.writerow(grid.stencil.axes + ("value",))
+        for row in zip(*(x.ravel() for x in grid.coords()), vals.ravel()):
+            w.writerow(["%.17g" % t for t in row])
 
 
 def read_csv(path, grid=None, dirichlet=True):
     """Read the CSV schema back into a GridFunction.
 
-    Without a grid, the node lattice is inferred from the coordinates
-    (must be the full uniform node set including boundary rows).  A file
-    with no header or no data rows raises ValueError naming it.
+    Without a grid, the node lattice is inferred from the coordinates.
+    Rows must be the lattice's nodes (boundary included) in write_csv's
+    order, within 1e-9 of the spacing, else ValueError names the file (and
+    the file's lattice and the grid, if given), as it does for a file
+    with no data rows or another header.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -532,19 +537,23 @@ def read_csv(path, grid=None, dirichlet=True):
     if len(rows) < 2:
         raise ValueError("%s: %s" % (path, "no data rows" if rows else "empty file"))
     header, data = rows[0], rows[1:]
-    dim = 1 if header[:2] == ["x", "value"] else 2
+    dim = len(header) - 1
+    if dim not in STENCILS or tuple(header) != STENCILS[dim].axes + ("value",):
+        raise ValueError("%s: header %r is neither x,value nor x,y,value"
+                         % (path, ",".join(header)))
     arr = np.array([[float(c) for c in r] for r in data])
-    if dim == 1:
-        x, v = arr[:, 0], arr[:, 1]
-        if grid is None:
-            grid = Grid.interval(x[0], x[-1], len(x) - 2)
-        vals = v
-    else:
-        xs = np.unique(arr[:, 0])
-        ys = np.unique(arr[:, 1])
-        if grid is None:
-            grid = Grid.rectangle(xs[0], xs[-1], ys[0], ys[-1],
-                                  len(xs) - 2, len(ys) - 2)
-        vals = arr[:, 2].reshape(len(xs), len(ys))
-    vals = np.asarray(vals).reshape(grid.shape)
-    return GridFunction(grid, vals, dirichlet=dirichlet)
+    axes = [np.unique(arr[:, k]) for k in range(dim)]
+    bounds = tuple((float(a[0]), float(a[-1])) for a in axes)
+    n = tuple(len(a) - 2 for a in axes)
+    given = grid is not None
+    if not given:
+        grid = Grid(bounds, n)
+    nodes = np.stack([x.ravel() for x in grid.coords()], axis=-1)
+    if nodes.shape != arr[:, :dim].shape or \
+            not np.all(np.abs(arr[:, :dim] - nodes) <= 1e-9 * np.array(grid.h)):
+        if given:
+            raise ValueError("%s: sampled on Grid(bounds=%r, n=%r), not on %r"
+                             % (path, bounds, n, grid))
+        raise ValueError("%s: rows are not the nodes of %r in x-major order"
+                         % (path, grid))
+    return GridFunction(grid, arr[:, dim].reshape(grid.shape), dirichlet=dirichlet)

@@ -46,8 +46,7 @@ class ExampleInstance:
             * (1.0 - self.r * np.cos(x) ** 2)
 
     def weight_on(self, grid):
-        return WeightField.from_callable(grid, lambda x, y=None: self.a(x),
-                                         "example(gamma=%g,q=%g)" % (self.gamma, self.q))
+        return WeightField.from_callable(grid, lambda x, y=None: self.a(x))
 
     def solution_on(self, grid):
         return GridFunction.from_callable(grid, lambda x, y=None: self.v(x))

@@ -103,18 +103,16 @@ def _ball_grid(grid, ball):
     interpolation error), which keeps second differences of the extended
     function consistent on the host grid.
     """
-    axes = []
+    bounds, n = [], []
     for k, (lo, hi) in enumerate(ball):
         x = grid.axis(k)
         idx = np.nonzero((x >= lo - 1e-12) & (x <= hi + 1e-12))[0]
         if len(idx) < 5:
             raise ValueError("ball %r covers fewer than 5 grid nodes on axis %d"
                              % (ball, k))
-        axes.append((float(x[idx[0]]), float(x[idx[-1]]), len(idx) - 2))
-    if grid.dim == 1:
-        return Grid.interval(*axes[0])
-    (xlo, xhi, nx), (ylo, yhi, ny) = axes
-    return Grid.rectangle(xlo, xhi, ylo, yhi, nx, ny)
+        bounds.append((float(x[idx[0]]), float(x[idx[-1]])))
+        n.append(len(idx) - 2)
+    return Grid(tuple(bounds), tuple(n))
 
 
 def ball_eigenpair(problem, ball):
@@ -139,8 +137,6 @@ def ball_eigenpair(problem, ball):
 
 def _norm_ball(grid, ball):
     b = np.asarray(ball, dtype=float)
-    if grid.dim == 1 and b.ndim == 1:
-        b = b.reshape(1, 2)
     b = tuple(tuple(ax) for ax in b.reshape(grid.dim, 2))
     for (lo, hi), (glo, ghi) in zip(b, grid.bounds):
         if not (glo <= lo < hi <= ghi):
@@ -149,13 +145,8 @@ def _norm_ball(grid, ball):
 
 
 def _ball_mask(grid, ball):
-    if grid.dim == 1:
-        x = grid.axis(0)
-        (lo, hi), = ball
-        return (x >= lo) & (x <= hi)
-    X, Y = grid.coords()
-    (xlo, xhi), (ylo, yhi) = ball
-    return (X >= xlo) & (X <= xhi) & (Y >= ylo) & (Y <= yhi)
+    return np.logical_and.reduce([(x >= lo) & (x <= hi)
+                                  for x, (lo, hi) in zip(grid.coords(), ball)])
 
 
 def extend_ball_function(grid, ball_pair, ball):
@@ -624,7 +615,8 @@ def solve(problem, init="zero", ctl=None, ball=None, u0=None):
       Sattinger-Howard-Newton iteration of _relax_monotone, whose step
       count does not grow with the grid.
     - 'zero' and 'given' at gamma > 0: pseudo-transient Newton from u0.
-      'zero' returns 0 (R(0) = 0) with steps = 0.
+    'zero' returns u = 0 (R(0) = 0) at every gamma: in 1 step at gamma = 0
+    and 0 steps otherwise.
     At every gamma, init='given' with u0=build_subsolution(problem, ball)
     returns the minimal solution.  On sinsplit weights, whose {a > 0} has
     one component, the minimal and the maximal solution agree within the

@@ -273,13 +273,12 @@ def test_classify_command(tmp_path, monkeypatch, capsys):
     assert "verdict=positivity_cone" in capsys.readouterr().out
 
 
-def test_solve_init_file_boundary_zeroed(tmp_path, monkeypatch):
-    # solve() refuses a start that is nonzero on the boundary, but an
-    # init_path file is read with its boundary set to 0, so the command
-    # never passes one: a file that is 1 there solves as one that is 0
+def test_solve_init_file_boundary_checked(tmp_path, monkeypatch, capsys):
+    # an init_path file that is nonzero on the boundary is refused with
+    # solve()'s message (it used to be zeroed without a word); one that
+    # is 0 there solves
     g = Grid.interval(0.0, 2.0, 79)
-    solutions = []
-    for name, dirichlet in (("edge", False), ("zero", True)):
+    for name, dirichlet, code in (("edge", False, 2), ("zero", True, 0)):
         path = tmp_path / (name + ".csv")
         write_csv(GridFunction(g, np.ones(g.shape), dirichlet=dirichlet), path)
         d = tmp_path / name
@@ -287,10 +286,32 @@ def test_solve_init_file_boundary_zeroed(tmp_path, monkeypatch):
         monkeypatch.chdir(d)
         cfg = _write(d / "solve.ini", BASE_SOLVE.replace(
             "init = subsolution", "init = given\ninit_path = %s" % path))
-        assert main(["solve", "--config", cfg]) == 0
-        text = (d / "out" / "solution.csv").read_text()
-        solutions.append([l for l in text.splitlines() if not l.startswith("#")])
-    assert solutions[0] == solutions[1]
+        assert main(["solve", "--config", cfg]) == code
+        assert (d / "out").exists() == (code == 0)
+    assert "initialization must be 0 on the boundary" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", list(INPUT_KEYS))
+def test_input_file_off_the_lattice_exit_2(tmp_path, monkeypatch, capsys, name):
+    # weight_path and init_path files sampled on (0, 3) with the problem's
+    # node count, and a classify input in y-outer row order, used to be
+    # read by position and exit 0
+    command, old, new, key = INPUT_KEYS[name]
+    path = tmp_path / "in.csv"
+    if name == "input":
+        X, Y = Grid.rectangle(0.0, 1.0, 0.0, 2.0, 3, 4).coords()
+        u = np.sin(np.pi * X) * np.sin(np.pi * Y / 2.0)
+        path.write_text("x,y,value\n" + "".join(
+            "%.17g,%.17g,%.17g\n" % t for t in zip(X.T.ravel(), Y.T.ravel(), u.T.ravel())))
+    else:
+        write_csv(GridFunction.from_callable(Grid.interval(0.0, 3.0, 79),
+                                             lambda x: 1.0 + x), path)
+    cfg = _write(tmp_path / "in.ini", BASE_SOLVE.replace(old, new % path))
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert key in err and str(path) in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_validation(tmp_path, monkeypatch):

@@ -432,7 +432,8 @@ def test_policy_solve_matches_superlu_1d(monkeypatch, n):
     assert len(worst) >= 20 and max(worst) <= tol
 
 
-@pytest.mark.parametrize("shape", [(19, 9), (59, 29)], ids=["19x9", "59x29"])
+@pytest.mark.parametrize("shape", [(19, 9), (59, 29), (29, 59)],
+                         ids=["19x9", "59x29", "29x59"])
 def test_policy_solve_matches_superlu_2d(monkeypatch, shape):
     # 2-D systems go to LAPACK's band LU gbsv: against SuperLU on every
     # Newton matrix of solve_rhs (the trace, Pucci+-, Bellman at gamma = 0
@@ -441,8 +442,10 @@ def test_policy_solve_matches_superlu_2d(monkeypatch, shape):
     # 2e-15, about one ulp per stored entry of a row (1.0e-15 seen at
     # 59x29, where SuperLU reaches 7e-16 on the same matrices), and x
     # agrees with SuperLU within eps times kappa_inf(M), estimated from
-    # SuperLU's factor (0.41 eps kappa seen; kappa up to 5.7e3 here).
-    g = Grid.rectangle(0.0, 2.0, 0.0, 1.0, *shape)
+    # SuperLU's factor (0.41 eps kappa seen; kappa up to 5.7e3 here).  The
+    # tall grid, (0, 1) x (0, 2), has the wider band (n[1] + 1 = 60).
+    lx, ly = (2.0, 1.0) if shape[0] > shape[1] else (1.0, 2.0)
+    g = Grid.rectangle(0.0, lx, 0.0, ly, *shape)
     gbsv, worst = PolicyMatrix.solve, []
 
     def checked(op, M, b):

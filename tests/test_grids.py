@@ -5,8 +5,11 @@ import pytest
 
 from deadcore import (Grid, GridFunction, WeightField, OperatorSpec,
                       residual_field, write_csv, read_csv)
-from deadcore.grids import Scheme, _stencil_all_below
+from deadcore.analysis import _boundary_margin
+from deadcore.dirichlet import PolicyMatrix
+from deadcore.grids import Scheme, _stencil_all_below, _zero_boundary
 from reference import explicit_step
+from test_dirichlet import _accepted_specs
 
 
 def test_grid_spacing_exact():
@@ -280,7 +283,6 @@ def test_weight_decomposition():
     w = WeightField.sinsplit(g, 0.7)
     assert np.all(w.a_plus >= 0) and np.all(w.a_minus >= 0)
     assert np.allclose(w.samples, w.a_plus - w.a_minus, atol=0)
-    assert w.sign_changing
     # negative-part rescale keeps the positive part untouched
     w2 = w.with_negative_scale(2.0)
     assert np.allclose(w2.a_plus, w.a_plus, atol=0)
@@ -319,6 +321,39 @@ def test_csv_roundtrip_2d(tmp_path):
     v = read_csv(path)
     assert v.grid.n == g.n
     assert np.allclose(v.values, u.values, atol=0)
+
+
+def test_read_csv_refuses_other_grid(tmp_path):
+    # a file sampled on (0, 3) used to be read onto (0, 2) when the node
+    # counts matched; coordinates within 1e-9 of the spacing still match
+    path = tmp_path / "u.csv"
+    write_csv(GridFunction.from_callable(Grid.interval(0.0, 0.3, 9), np.sin), path)
+    assert read_csv(path, grid=Grid.interval(0.0, 0.1 * 3, 9)).grid.bounds \
+        == ((0.0, 0.1 * 3),)
+    g = Grid.interval(0.0, 0.2, 9)
+    with pytest.raises(ValueError) as exc:
+        read_csv(path, grid=g)
+    msg = str(exc.value)
+    assert str(path) in msg and repr(g) in msg and "((0.0, 0.3),)" in msg
+    with pytest.raises(ValueError, match="not on"):
+        read_csv(path, grid=Grid.rectangle(0.0, 0.3, 0.0, 1.0, 9, 3))
+
+
+def test_read_csv_refuses_other_row_order(tmp_path):
+    # the writer's lattice in y-outer row order used to read back
+    # scrambled (max error 8 on this field)
+    g = Grid.rectangle(0.0, 1.0, 0.0, 2.0, 3, 4)
+    X, Y = g.coords()
+    u = X + 10.0 * Y
+    rows = ["%.17g,%.17g,%.17g" % t for t in zip(X.T.ravel(), Y.T.ravel(), u.T.ravel())]
+    path = tmp_path / "u.csv"
+    path.write_text("x,y,value\n" + "\n".join(rows) + "\n")
+    for grid in (None, g):
+        with pytest.raises(ValueError) as exc:
+            read_csv(path, grid=grid, dirichlet=False)
+        assert str(path) in str(exc.value)
+    write_csv(GridFunction(g, u, dirichlet=False), path)
+    assert np.array_equal(read_csv(path, dirichlet=False).values, u)
 
 
 def _reference_step(sch, v):
@@ -385,3 +420,174 @@ def test_callable_coefficient_is_sampled_once_per_interior_node(dim):
                OperatorSpec.linear_trace(lambda x: [[1.0, 0.1], [0.1, 1.0]], 1.0, 2.0), 0.0)
     with pytest.raises(ValueError, match="lam I <= A <= Lam I"):
         Scheme(g, OperatorSpec.linear_trace(coeff, 1.0, 1.1), 0.0)
+
+
+@pytest.mark.parametrize("coeff", [[[1.0, 0.0], [0.5, 1.0]], [[1.0, 0.5], [0.0, 1.0]]],
+                         ids=["lower", "upper"])
+def test_off_diagonal_coefficient_refused_either_side(coeff):
+    # the axis stencil carries no coupling: an entry below the diagonal
+    # was dropped without a word while evaluate_operator saw it
+    g = Grid.rectangle(0.0, 2.0, 0.0, 1.0, 7, 5)
+    with pytest.raises(ValueError, match="diagonal"):
+        Scheme(g, OperatorSpec.linear_trace(coeff, lam=1.0, Lam=1.5), 0.0)
+
+
+# --- the stencil table against the hand-written spellings it replaced -----
+
+_DIRECTIONS = {1: (("x", (1,)),),
+               2: (("x", (1, 0)), ("y", (0, 1)), ("d1", (1, 1)), ("d2", (1, -1)))}
+
+
+def _reference_second_differences(h, v):
+    if v.ndim == 1:
+        return {"x": (v[2:] - 2 * v[1:-1] + v[:-2]) / h[0] ** 2}
+    c = v[1:-1, 1:-1]
+    hd2 = h[0] ** 2 + h[1] ** 2
+    return {"x": (v[2:, 1:-1] - 2 * c + v[:-2, 1:-1]) / h[0] ** 2,
+            "y": (v[1:-1, 2:] - 2 * c + v[1:-1, :-2]) / h[1] ** 2,
+            "d1": (v[2:, 2:] - 2 * c + v[:-2, :-2]) / hd2,
+            "d2": (v[2:, :-2] - 2 * c + v[:-2, 2:]) / hd2}
+
+
+def _reference_grad(h, v):
+    if v.ndim == 1:
+        return ((v[2:] - v[:-2]) / (2 * h[0]),)
+    return ((v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * h[0]),
+            (v[1:-1, 2:] - v[1:-1, :-2]) / (2 * h[1]))
+
+
+def _reference_one_sided(h, v):
+    if v.ndim == 1:
+        return (((v[2:] - v[1:-1]) / h[0], (v[1:-1] - v[:-2]) / h[0]),)
+    c = v[1:-1, 1:-1]
+    return (((v[2:, 1:-1] - c) / h[0], (c - v[:-2, 1:-1]) / h[0]),
+            ((v[1:-1, 2:] - c) / h[1], (c - v[1:-1, :-2]) / h[1]))
+
+
+def _reference_cross_difference(h, v):
+    hx, hy = h
+    return (v[2:, 2:] + v[:-2, :-2] - v[2:, :-2] - v[:-2, 2:]) / (4 * hx * hy)
+
+
+def _reference_stencil_all_below(near):
+    out = np.zeros_like(near)
+    if near.ndim == 1:
+        out[1:-1] = near[1:-1] & near[:-2] & near[2:]
+        return out
+    out[1:-1, 1:-1] = (near[1:-1, 1:-1] & near[:-2, 1:-1] & near[2:, 1:-1]
+                       & near[1:-1, :-2] & near[1:-1, 2:] & near[:-2, :-2]
+                       & near[2:, 2:] & near[:-2, 2:] & near[2:, :-2])
+    return out
+
+
+def _reference_boundary_margin(h, v):
+    if v.ndim == 1:
+        return float(min((v[1] - v[0]) / h[0], (v[-2] - v[-1]) / h[0]))
+    quots = [
+        (v[1, 1:-1] - v[0, 1:-1]) / h[0], (v[-2, 1:-1] - v[-1, 1:-1]) / h[0],
+        (v[1:-1, 1] - v[1:-1, 0]) / h[1], (v[1:-1, -2] - v[1:-1, -1]) / h[1],
+    ]
+    return float(min(np.min(q) for q in quots))
+
+
+def _reference_distance_to_boundary(g):
+    if g.dim == 1:
+        x = g.axis(0)
+        lo, hi = g.bounds[0]
+        return np.minimum(x - lo, hi - x)
+    X, Y = np.meshgrid(g.axis(0), g.axis(1), indexing="ij")
+    (xlo, xhi), (ylo, yhi) = g.bounds
+    return np.minimum.reduce([X - xlo, xhi - X, Y - ylo, yhi - Y])
+
+
+def _reference_zero_boundary(v):
+    if v.ndim == 1:
+        v[0] = v[-1] = 0.0
+    else:
+        v[0, :] = v[-1, :] = 0.0
+        v[:, 0] = v[:, -1] = 0.0
+
+
+def _reference_policy_matrix(sch, w):
+    """(offsets, outside, A = -L_w) as PolicyMatrix built them from node
+    coordinates."""
+    g = sch.grid
+    n = np.array(g.n)
+    size = int(np.prod(n))
+    strides = np.array((n[1], 1) if g.dim == 2 else (1,))
+    steps = [(name, np.array(step)) for name, step in _DIRECTIONS[g.dim]
+             if name in sch.directions]
+    vecs = [np.zeros(g.dim, dtype=int)]
+    for _, step in steps:
+        vecs += [step, -step]
+    vecs.sort(key=lambda o: int(o @ strides))
+    offsets = [int(o @ strides) for o in vecs]
+    node = np.indices(tuple(n)).reshape(g.dim, size)
+    outside = np.array([np.any((node + o[:, None] < 0)
+                               | (node + o[:, None] >= n[:, None]), axis=0)
+                        for o in vecs])
+    A = np.zeros((len(vecs), size))
+    c = offsets.index(0)
+    for name, step in steps:
+        he2 = float(sum((s * hk) ** 2 for s, hk in zip(step, g.h)))
+        off = int(step @ strides)
+        jp, jm = offsets.index(off), offsets.index(-off)
+        wd = w[name].ravel()
+        np.subtract(0.0, wd * (~outside[jp] / he2), out=A[jp])
+        np.subtract(0.0, wd * (~outside[jm] / he2), out=A[jm])
+        A[c] -= wd * (-2.0 / he2)
+    return offsets, outside, A
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _square(nx, ny):
+    # cells of side 1/8 exactly, as the 2-D Pucci stencil needs
+    return Grid.rectangle(0.0, (nx + 1) / 8, 0.0, (ny + 1) / 8, nx, ny)
+
+
+TABLE_GRIDS = {"3": Grid.interval(0.0, 2.0, 3), "4": Grid.interval(-1.0, 2.0, 4),
+               "199": Grid.interval(0.0, np.pi, 199), "3x3": _square(3, 3),
+               "4x3": _square(4, 3), "59x29": _square(59, 29),
+               "29x59": _square(29, 59),
+               "19x9-rect": Grid.rectangle(0.0, 2.0, 0.0, 1.5, 19, 9)}
+
+
+@pytest.mark.parametrize("g", TABLE_GRIDS.values(), ids=TABLE_GRIDS)
+def test_stencil_table_matches_reference_spellings(g):
+    rng = np.random.default_rng(g.n[0] + 10 * g.n[-1])
+    near_at = (0.3, 0.9, 1.0)
+    for spec in _accepted_specs(g.dim):
+        try:
+            sch = Scheme(g, spec, 1.0)
+        except ValueError:      # Pucci on the rectangular cells
+            assert spec.variant.startswith("pucci") and g.h[0] != g.h[-1]
+            continue
+        for density in near_at:
+            v = rng.standard_normal(g.shape)
+            k, ref = sch.second_differences(v), _reference_second_differences(g.h, v)
+            assert list(k) == list(ref)
+            assert all(_same(k[d], ref[d]) for d in ref)
+            assert all(_same(a, b) for a, b in zip(sch.grad(v), _reference_grad(g.h, v)))
+            pairs = zip(sch.one_sided(v), _reference_one_sided(g.h, v))
+            assert all(_same(a[0], b[0]) and _same(a[1], b[1]) for a, b in pairs)
+            if g.dim == 2:
+                assert _same(sch.cross_difference(v),
+                             _reference_cross_difference(g.h, v))
+            near = rng.random(g.shape) < density
+            assert _same(_stencil_all_below(near), _reference_stencil_all_below(near))
+            u = GridFunction(g, v, dirichlet=False)
+            assert _same(_boundary_margin(u), _reference_boundary_margin(g.h, v))
+            zeroed, ref = v.copy(), v.copy()
+            _zero_boundary(zeroed)
+            _reference_zero_boundary(ref)
+            assert _same(zeroed, ref)
+            op = PolicyMatrix(sch)
+            w = sch.policy(v)
+            offsets, outside, A = _reference_policy_matrix(sch, w)
+            assert op.offsets == offsets and _same(op.outside, outside)
+            assert _same(op.set_policy(w), A)
+    assert _same(g.distance_to_boundary(), _reference_distance_to_boundary(g))

@@ -81,7 +81,7 @@ def _manufactured_2d(grid, bellman, gamma, q):
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.where(u > 0, -grad ** gamma * F / u ** q,
                      -inst.negative_sup * sy ** (1.0 + gamma - q))
-    return u, WeightField(grid, a, "manufactured_2d")
+    return u, WeightField(grid, a)
 
 
 @pytest.mark.parametrize("bellman, gamma, q, bound", [
