@@ -13,8 +13,8 @@ from .operators import (SymMatrix, OperatorSpec, AxiomReport, eigenvalues,
                         pucci, evaluate_operator, check_axioms)
 from .grids import (Grid, GridFunction, WeightField, Scheme, residual_field,
                     write_csv, read_csv)
-from .dirichlet import IterationControl, RhsProblem, RhsReport, solve_rhs
-from .eigen import EigenControl, EigenPair, principal_eigenpair, eigen_residual
+from .dirichlet import IterationControl, RhsReport, solve_rhs
+from .eigen import EigenControl, EigenPair, principal_eigenpair
 from .solver import (ProblemSpec, SolveReport, SolveError, SubsolutionError,
                      build_subsolution, build_supersolution, solve, residual,
                      ball_eigenpair)

@@ -16,7 +16,7 @@ scale s or the exponent q.
 from dataclasses import dataclass, field
 import numpy as np
 
-from .grids import GridFunction, Scheme, _stencil_all_below
+from .grids import GridFunction, _stencil_all_below
 from .operators import p_laplacian_matrix_part, pucci
 from .solver import (extend_ball_function, _ball_mask, _norm_ball, solve,
                      SubsolutionError)
@@ -36,7 +36,6 @@ class ClassificationReport:
     dead_core_nodes: np.ndarray   # boolean mask over all nodes
     interior_min: float
     hopf_margin: float
-    barrier_checked: bool = None
 
     def to_text(self):
         return ("verdict = %s\ndead_core_count = %d\ninterior_min = %.6e\n"
@@ -106,11 +105,9 @@ def w_residual(w, problem):
     Evaluates |grad w|^gamma_delta * F(x, D^2 w + c grad w (x) grad w / w) + a
     with c = q / (1 + gamma - q).  w must be positive inside.
     """
-    g = problem.grid
-    spec = problem.operator
-    gamma, q = problem.gamma, problem.q
-    c = q / (1.0 + gamma - q)
-    scheme = Scheme(g, spec, gamma)
+    g, spec, scheme = problem.grid, problem.operator, problem.scheme
+    q = problem.q
+    c = q / (1.0 + problem.gamma - q)
     wi = g.interior(w.values)
     if np.min(wi) <= 0:
         raise ValueError("w-residual needs w > 0 on the interior")
@@ -185,7 +182,7 @@ def barrier_check(u, ball, pair, problem, theta, tol=1e-8):
     if not ratio - theta > 1:
         raise ValueError("theta must satisfy a0/lam+ - theta > 1")
     eps = (ratio - theta) ** (1.0 / (problem.gamma + 1.0 - problem.q))
-    phi = extend_ball_function(g, pair, ball)
+    phi = extend_ball_function(g, pair)
     slack = u.values[mask] - (eps * phi.values[mask] - 2.0 * tol)
     return BarrierResult("checked", eps, bool(np.min(slack) >= 0),
                          float(np.min(slack)))

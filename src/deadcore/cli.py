@@ -22,10 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import Grid, WeightField, read_csv, residual_field, write_csv
+from .grids import Grid, WeightField, read_csv, write_csv
 from .dirichlet import IterationControl
 from .eigen import EigenControl, principal_eigenpair
-from .solver import ProblemSpec, SolveError, solve
+from .solver import ProblemSpec, SolveError, residual, solve
 from .analysis import classify, estimate_threshold
 from .operators import OperatorSpec
 from .oracle import example_instance
@@ -254,10 +254,11 @@ def cmd_eigen(cp):
         raise ValidationError("gamma must satisfy gamma >= 0")
     grid = _build_grid(cp)
     op = _build_operator(cp)
-    ctl = EigenControl()
-    ctl.tol_lambda = cp.getfloat("control", "tolerance", fallback=ctl.tol_lambda)
-    ctl.tol_residual = cp.getfloat("control", "eigen_residual",
-                                   fallback=ctl.tol_residual)
+    ctl = EigenControl(
+        tol_lambda=cp.getfloat("control", "tolerance",
+                               fallback=EigenControl.tol_lambda),
+        tol_residual=cp.getfloat("control", "eigen_residual",
+                                 fallback=EigenControl.tol_residual))
     pair = principal_eigenpair(grid, op, gamma, ctl)
     out = _outdir(cp)
     write_csv(pair.phi_plus, out / "eigen.csv",
@@ -340,7 +341,7 @@ def cmd_oracle_check(cp):
         grid = Grid.interval(inst.domain[0], inst.domain[1], n)
         u = inst.solution_on(grid)
         w = inst.weight_on(grid)
-        r = residual_field(u, op, gamma, q, w)
+        r = residual(ProblemSpec(grid, op, gamma, q, w), u)
         sups.append(float(np.max(np.abs(grid.interior(r.values)))))
         hs.append(grid.h[0])
         n = 2 * n + 1

@@ -4,8 +4,10 @@ Every scheme the solvers accept (Scheme.require_policy) is a min or max
 over linear stencils, F_h(u) = L_alpha(u) u with the active policy alpha(u)
 of Scheme.policy, and every L_alpha is minus an M-matrix (PolicyMatrix):
 a linear trace, the p-Laplacian where it is linear, Pucci or Bellman F.
-solve_rhs runs Newton's method with Howard's policy step on
-g(u) F_h(u) = f, g the gradient factor, for every gamma >= 0: linearize
+solve_rhs(scheme, f) runs Newton's method with Howard's policy step on
+g(u) F_h(u) = f, g the gradient factor, for every gamma >= 0, on the
+Scheme its caller already holds (a ProblemSpec's, or the one
+principal_eigenpair passes to each inner solve): linearize
 at the policy active at the last iterate, solve the Jacobian system
 (PolicyMatrix.solve: LAPACK's tridiagonal gtsv in 1-D, its banded LU
 gbsv in 2-D), repeat.  At gamma = 0 (g = 1) this is Howard's policy
@@ -32,10 +34,9 @@ import os
 import numpy as np
 import scipy
 
-from .grids import GridFunction, Scheme
+from .grids import GridFunction
 
-__all__ = ["IterationControl", "RhsProblem", "RhsReport", "SolveError",
-           "solve_rhs"]
+__all__ = ["IterationControl", "RhsReport", "SolveError", "solve_rhs"]
 
 class SolveError(RuntimeError):
     pass
@@ -69,23 +70,6 @@ class IterationControl:
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-
-
-@dataclass
-class RhsProblem:
-    grid: object
-    spec: object
-    gamma: float
-    f: GridFunction
-
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if self.f.grid != self.grid:
-            raise ValueError("right-hand side sampled on %r, not on the "
-                             "problem grid %r" % (self.f.grid, self.grid))
-        if not np.all(np.isfinite(self.f.values)):
-            raise ValueError("right-hand side must be finite")
 
 
 @dataclass
@@ -254,8 +238,9 @@ def _same_policy(w1, w2):
     return w1 is w2 or all(np.array_equal(w1[k], w2[k]) for k in w1)
 
 
-def solve_rhs(p, ctl=None, u0=None):
-    """Solve |Du|^gamma F(x, D^2 u) = f with zero Dirichlet data.
+def solve_rhs(scheme, f, ctl=None, u0=None):
+    """Solve |Du|^gamma F(x, D^2 u) = f with zero Dirichlet data, on the
+    Scheme of (grid, F, gamma); f is a finite GridFunction on its grid.
 
     Newton-Howard iteration for G(u) = g(u) F_h(u) - f = 0, any gamma >= 0.
     Each step linearizes G at the last iterate u_k (u0 first, or 0; u0
@@ -277,8 +262,12 @@ def solve_rhs(p, ctl=None, u0=None):
     the step.  Checks Scheme.require_policy before the first step.
     """
     ctl = ctl or IterationControl()
-    grid = p.grid
-    scheme = Scheme(grid, p.spec, p.gamma)
+    grid = scheme.grid
+    if f.grid != grid:
+        raise ValueError("right-hand side sampled on %r, not on the "
+                         "problem grid %r" % (f.grid, grid))
+    if not np.all(np.isfinite(f.values)):
+        raise ValueError("right-hand side must be finite")
     scheme.require_policy()
     op = PolicyMatrix(scheme)
     vals = np.zeros(grid.shape)
@@ -286,7 +275,7 @@ def solve_rhs(p, ctl=None, u0=None):
     if u0 is not None:
         u_int[...] = grid.interior(u0.values if isinstance(u0, GridFunction)
                                    else np.asarray(u0, dtype=float))
-    f_int = grid.interior(p.f.values)
+    f_int = grid.interior(f.values)
     g, c, slopes = scheme.grad_factor_parts(vals)
     F = scheme.F(vals)
     rsup = float(np.abs(g * F - f_int).max())

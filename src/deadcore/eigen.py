@@ -6,16 +6,18 @@ warm-started from the last solution: Newton-Howard at every gamma, a few
 sparse solves each), fit lambda by least squares of -|grad u|^gamma F_h(u)
 against u^(gamma+1) over interior nodes (robust where u^(gamma+1) is
 tiny), and renormalize.  Iteration stops when lambda is relatively
-stationary and the eigen-residual meets the declared tolerance.
+stationary and the eigen-residual meets the declared tolerance.  One
+Scheme serves every inner solve_rhs and the eigen-residual, which is its
+residual_interior with the weight lambda and the exponent gamma + 1.
 """
 
 from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridFunction, Scheme
-from .dirichlet import IterationControl, RhsProblem, solve_rhs
+from .dirichlet import IterationControl, solve_rhs
 
-__all__ = ["EigenControl", "EigenPair", "principal_eigenpair", "eigen_residual"]
+__all__ = ["EigenControl", "EigenPair", "principal_eigenpair"]
 
 
 # inverse-power steps per eigensolve
@@ -24,10 +26,18 @@ MAX_OUTER = 200
 
 @dataclass
 class EigenControl:
+    """Tolerances of an eigensolve: the relative change of lambda, the
+    eigen-residual (inf checks only lambda and the inner solves), and the
+    inner Dirichlet solves' control."""
     tol_lambda: float = 1e-8
     tol_residual: float = 1e-6
     inner: IterationControl = field(
         default_factory=lambda: IterationControl(tolerance=1e-10))
+
+    def __post_init__(self):
+        for name in ("tol_lambda", "tol_residual"):
+            if not getattr(self, name) > 0:
+                raise ValueError("%s must be positive" % name)
 
 
 @dataclass
@@ -37,20 +47,6 @@ class EigenPair:
     residual: float
     iterations: int
     converged: bool = True
-
-
-def eigen_residual(lam, phi, spec, gamma, delta=0.0):
-    """Sup norm of |D phi|^gamma_delta F_h(phi) + lambda phi^(gamma+1).
-
-    With delta = 0 (default) the defect is exactly (gamma+1)-homogeneous
-    in phi; pass delta = max(h) to match the regularized solver operator.
-    """
-    grid = phi.grid
-    scheme = Scheme(grid, spec, gamma)
-    g = 1.0 if gamma == 0.0 else \
-        (sum(scheme.upwind_mag2(phi.values)) + delta * delta) ** (gamma / 2.0)
-    r = g * scheme.F(phi.values) + lam * grid.interior(phi.values) ** (gamma + 1.0)
-    return float(np.max(np.abs(r)))
 
 
 def principal_eigenpair(grid, spec, gamma, ctl=None):
@@ -76,7 +72,7 @@ def principal_eigenpair(grid, spec, gamma, ctl=None):
 
     for it in range(1, MAX_OUTER + 1):
         f = GridFunction(grid, -(phi ** power), dirichlet=False)
-        rep = solve_rhs(RhsProblem(grid, spec, gamma, f), ctl.inner, u0=u_prev)
+        rep = solve_rhs(scheme, f, ctl.inner, u0=u_prev)
         inner_ok = inner_ok and rep.converged
         u = rep.solution.values
         usup = float(np.max(u))
@@ -93,14 +89,13 @@ def principal_eigenpair(grid, spec, gamma, ctl=None):
         lam_ok = (lam_prev is not None
                   and abs(lam - lam_prev) <= ctl.tol_lambda * abs(lam))
         if lam_ok:
-            res = eigen_residual(lam, GridFunction(grid, phi, dirichlet=False),
-                                 spec, gamma, delta=scheme.delta)
+            res = float(np.abs(scheme.residual_interior(phi, lam, power)).max())
             if res <= ctl.tol_residual:
                 break
         lam_prev = lam
 
     pair_phi = GridFunction(grid, phi, dirichlet=False)
-    res = eigen_residual(lam, pair_phi, spec, gamma, delta=scheme.delta)
+    res = float(np.abs(scheme.residual_interior(phi, lam, power)).max())
     converged = bool(inner_ok and lam_ok and res <= ctl.tol_residual)
     if lam <= 0:
         raise RuntimeError("principal eigenvalue came out nonpositive")

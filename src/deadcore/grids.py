@@ -489,18 +489,21 @@ def _stencil_all_below(near):
     return out
 
 
-def residual_field(u, spec, gamma, q, weight):
-    """Pointwise residual of |Du|^gamma F + a u^q as a GridFunction.
+def residual_field(u, scheme, q, weight):
+    """Pointwise residual of |Du|^gamma F + a u^q as a GridFunction, on the
+    scheme that discretizes |Du|^gamma F.
 
     Interior nodes carry the regularized scheme residual; boundary nodes
-    carry the Dirichlet defect r = u.  Requires u >= 0.
+    carry the Dirichlet defect r = u.  Requires u >= 0 on the scheme's grid.
     """
+    if u.grid != scheme.grid:
+        raise ValueError("field sampled on %r, not on the scheme grid %r"
+                         % (u.grid, scheme.grid))
     if np.min(u.values) < 0:
         raise ValueError("residual requires a nonnegative field")
-    sch = Scheme(u.grid, spec, gamma)
     a_int = u.grid.interior(weight.samples)
     r = np.array(u.values)
-    u.grid.interior(r)[...] = sch.residual_interior(u.values, a_int, q)
+    u.grid.interior(r)[...] = scheme.residual_interior(u.values, a_int, q)
     return GridFunction(u.grid, r, dirichlet=False)
 
 

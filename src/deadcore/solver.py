@@ -17,17 +17,19 @@ grid; from the subsolution it returns the minimal solution.  The
 monotone iteration also finishes a gamma = 0 Newton run that stalls
 above the tolerance.  Iterates are clamped at 0, which is itself a
 solution.  The supersolution's Dirichlet problem and the ball eigenpair
-go through solve_rhs, which is Newton-Howard at every gamma.
+go through solve_rhs, which is Newton-Howard at every gamma.  All of
+them, the loops and every residual read the one Scheme a ProblemSpec
+builds, `problem.scheme`.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 import math
 import numpy as np
 
 from .grids import (Grid, GridFunction, WeightField, Scheme, residual_field,
                     _stencil_all_below)
-from .dirichlet import (IterationControl, RhsProblem, SolveError, PolicyMatrix,
-                        solve_rhs, _same_policy)
+from .dirichlet import (IterationControl, SolveError, PolicyMatrix, solve_rhs,
+                        _same_policy)
 from .eigen import EigenControl, principal_eigenpair
 
 __all__ = [
@@ -41,14 +43,20 @@ class SubsolutionError(SolveError):
     pass
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
-    """Full data of the reaction problem on one grid."""
+    """Full data of the reaction problem on one grid.
+
+    `scheme` is the Scheme of (grid, operator, gamma), built once here:
+    every residual, bracket end and loop of the problem reads it.  The
+    spec is frozen, so the scheme cannot go stale.
+    """
     grid: Grid
     operator: object
     gamma: float
     q: float
     weight: WeightField
+    scheme: Scheme = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.gamma < 0:
@@ -59,6 +67,8 @@ class ProblemSpec:
         if self.weight.grid != self.grid:
             raise ValueError("weight sampled on %r, not on the problem grid %r"
                              % (self.weight.grid, self.grid))
+        object.__setattr__(self, "scheme",
+                           Scheme(self.grid, self.operator, self.gamma))
 
 
 @dataclass
@@ -83,8 +93,7 @@ class SolveReport:
 
 def residual(problem, u):
     """Pointwise residual field of the problem at u (boundary defect r = u)."""
-    return residual_field(u, problem.operator, problem.gamma, problem.q,
-                          problem.weight)
+    return residual_field(u, problem.scheme, problem.q, problem.weight)
 
 
 # the last ball eigenpair as (key, pair): every probe of a parameter sweep
@@ -149,13 +158,12 @@ def _ball_mask(grid, ball):
                                   for x, (lo, hi) in zip(grid.coords(), ball)])
 
 
-def extend_ball_function(grid, ball_pair, ball):
+def extend_ball_function(grid, ball_pair):
     """Inject a ball eigenfunction into the host grid, 0 outside.
 
     The ball sub-grid is snapped to host nodes (_ball_grid), so the
     transfer is a slice copy of the sub-grid values, clamped at 0.
     """
-    _norm_ball(grid, ball)
     sub = ball_pair.phi_plus.grid
     start = [int(round((lo - glo) / hk)) for (lo, _), (glo, _), hk
              in zip(sub.bounds, grid.bounds, grid.h)]
@@ -187,7 +195,7 @@ def build_subsolution(problem, ball):
             "ball %r is not contained in the positive set of the weight" % (ball,))
 
     pair = ball_eigenpair(problem, ball)
-    phi = extend_ball_function(grid, pair, ball)
+    phi = extend_ball_function(grid, pair)
     gamma, q = problem.gamma, problem.q
 
     pos = mask & (phi.values > 1e-8)
@@ -226,8 +234,7 @@ def build_supersolution(problem, ctl=None):
     if anorm == 0.0:
         return GridFunction.zeros(grid)
     f = GridFunction(grid, np.full(grid.shape, -anorm), dirichlet=False)
-    psi = solve_rhs(RhsProblem(grid, problem.operator, problem.gamma, f),
-                    ctl or IterationControl()).solution
+    psi = solve_rhs(problem.scheme, f, ctl or IterationControl()).solution
     gamma, q = problem.gamma, problem.q
     k = (psi.sup_norm() ** q + 1.0) ** (1.0 / (1.0 + gamma - q)) * 1.05
     for _ in range(12):
@@ -363,7 +370,7 @@ def _howard_inner(op, scheme, a_minus, b, v, q, tol):
         w = w_next
 
 
-def _relax_monotone(problem, scheme, vals, ctl, init, op=None):
+def _relax_monotone(problem, vals, ctl, init, op=None):
     """Sattinger's monotone iteration for gamma = 0 and a policy-form F.
 
     Outer step k solves  -F_h(u_{k+1}) + a- u_{k+1}^q = a+ u_k^q  by
@@ -382,7 +389,7 @@ def _relax_monotone(problem, scheme, vals, ctl, init, op=None):
     (_relax_ptc's, when it finishes a stalled solve).  `steps` of the
     report counts outer steps.
     """
-    grid, q = problem.grid, problem.q
+    grid, q, scheme = problem.grid, problem.q, problem.scheme
     op = op or PolicyMatrix(scheme)
     a_int = grid.interior(problem.weight.samples)
     a_plus = grid.interior(problem.weight.a_plus).ravel()
@@ -444,7 +451,7 @@ def _outside(grid, diff, what):
                          "node %r" % (what, node))
 
 
-def _relax_ptc(problem, scheme, vals, ctl, init, bracket):
+def _relax_ptc(problem, vals, ctl, init, bracket):
     """Pseudo-transient Newton (Kelley & Keyes, SIAM J. Numer. Anal. 35,
     1998).
 
@@ -483,7 +490,7 @@ def _relax_ptc(problem, scheme, vals, ctl, init, bracket):
     answer must lie in it within BRACKET_TOL, else SolveError names the
     node.
     """
-    grid, q = problem.grid, problem.q
+    grid, q, scheme = problem.grid, problem.q, problem.scheme
     op = PolicyMatrix(scheme)
     a_int = grid.interior(problem.weight.samples)
     a = a_int.ravel()
@@ -540,7 +547,7 @@ def _relax_ptc(problem, scheme, vals, ctl, init, bracket):
             stale += 1
     if problem.gamma == 0.0 and rsup > ctl.tolerance and steps < ctl.max_steps:
         rest = replace(ctl, max_steps=ctl.max_steps - steps)
-        steps += _relax_monotone(problem, scheme, vals, rest, init, op).steps
+        steps += _relax_monotone(problem, vals, rest, init, op).steps
     if bracket is not None:
         _outside(grid, vals - bracket[0].values, "falls below the subsolution")
         _outside(grid, bracket[1].values - vals, "lies above the supersolution")
@@ -626,11 +633,10 @@ def solve(problem, init="zero", ctl=None, ball=None, u0=None):
     work; a non-finite residual raises SolveError naming the step.
     """
     ctl = ctl or IterationControl()
-    scheme = Scheme(problem.grid, problem.operator, problem.gamma)
-    scheme.require_policy()
+    problem.scheme.require_policy()
     vals, bracket = _start(problem, init, ctl, ball, u0)
     # one error state for the whole loop (_implicit_damping relies on it)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if problem.gamma == 0.0 and init in ("zero", "given"):
-            return _relax_monotone(problem, scheme, vals, ctl, init)
-        return _relax_ptc(problem, scheme, vals, ctl, init, bracket)
+            return _relax_monotone(problem, vals, ctl, init)
+        return _relax_ptc(problem, vals, ctl, init, bracket)

@@ -44,15 +44,14 @@ def explicit_step(scheme, v):
     return g * F, SAFETY / stiff
 
 
-def _relax_rhs(p, ctl, u0):
+def _relax_rhs(scheme, f, ctl, u0):
     """Explicit pseudo-time relaxation of solve_rhs from u0 (or 0); it
     does not clamp at 0, since f may be positive."""
-    grid = p.grid
-    scheme = Scheme(grid, p.spec, p.gamma)
+    grid = scheme.grid
     vals = np.zeros(grid.shape) if u0 is None else np.array(
         u0.values if isinstance(u0, GridFunction) else u0, dtype=float)
     u_int = grid.interior(vals)
-    f_int = grid.interior(p.f.values)
+    f_int = grid.interior(f.values)
 
     steps = 0
     rsup = np.inf
@@ -70,7 +69,7 @@ def _relax_rhs(p, ctl, u0):
                      rsup, steps, False)
 
 
-def _relax_explicit(problem, scheme, vals, ctl, init, bracket, super_u):
+def _relax_explicit(problem, vals, ctl, init, bracket, super_u):
     """Explicit pseudo-time relaxation of solve by the step of explicit_step.
 
     The damping part a- u^q takes an exact backward substep
@@ -83,7 +82,7 @@ def _relax_explicit(problem, scheme, vals, ctl, init, bracket, super_u):
     10 sup(super_u) (or 100 max(1, sup u0)) it reports a blow-up, with
     the residual of its last step.  Runs under the caller's np.errstate.
     """
-    grid, q = problem.grid, problem.q
+    grid, q, scheme = problem.grid, problem.q, problem.scheme
     a_plus = grid.interior(problem.weight.a_plus)
     a_minus = grid.interior(problem.weight.a_minus)
     u_int = grid.interior(vals)
@@ -133,3 +132,14 @@ def _relax_explicit(problem, scheme, vals, ctl, init, bracket, super_u):
             snapshot = u_new.tobytes()
         u_int[...] = u_new
     return solver._certified(problem, vals, steps, ctl, init, bracket)
+
+
+def eigen_residual(lam, phi, spec, gamma):
+    """Sup norm of |D phi|^gamma F_h(phi) + lambda phi^(gamma+1) with the
+    unregularized gradient factor (delta = 0), so the defect is exactly
+    (gamma+1)-homogeneous in phi.  principal_eigenpair's own residual
+    regularizes g by the scheme's delta = max(h)."""
+    scheme, v = Scheme(phi.grid, spec, gamma), phi.values
+    g = 1.0 if gamma == 0.0 else sum(scheme.upwind_mag2(v)) ** (gamma / 2.0)
+    r = g * scheme.F(v) + lam * phi.grid.interior(v) ** (gamma + 1.0)
+    return float(np.max(np.abs(r)))

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from deadcore import (Grid, GridFunction, WeightField, OperatorSpec,
-                      IterationControl, ProblemSpec, residual_field,
-                      principal_eigenpair, check_axioms, solve, residual,
-                      classify, hopf_bound, ball_eigenpair, barrier_check,
-                      estimate_threshold, to_w, w_residual_sup,
-                      example_instance, build_subsolution)
+                      IterationControl, ProblemSpec, principal_eigenpair,
+                      check_axioms, solve, residual, classify, hopf_bound,
+                      ball_eigenpair, barrier_check, estimate_threshold,
+                      to_w, w_residual_sup, example_instance,
+                      build_subsolution)
 
 SPEC1 = OperatorSpec.linear_trace(np.eye(1))
 
@@ -35,8 +35,8 @@ def test_criterion_1_oracle_consistency(capsys):
     n = 149
     for _ in range(3):
         g = Grid.interval(*inst.domain, n)
-        r = residual_field(inst.solution_on(g), SPEC1, inst.gamma, inst.q,
-                           inst.weight_on(g))
+        r = residual(ProblemSpec(g, SPEC1, inst.gamma, inst.q, inst.weight_on(g)),
+                     inst.solution_on(g))
         sups.append(float(np.max(np.abs(g.interior(r.values)))))
         n = 2 * n + 1
     orders = [np.log2(sups[i] / sups[i + 1]) for i in range(2)]

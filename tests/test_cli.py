@@ -261,6 +261,19 @@ def test_eigen_summary_and_artifact(tmp_path, monkeypatch, capsys):
     assert "lambda_plus" in text
 
 
+def test_eigen_tolerances_checked_before_any_step(tmp_path, monkeypatch, capsys):
+    # a tolerance that no step can meet is a validation error, as it is
+    # for solve, not 200 inverse-power steps and exit 3
+    cfg = _write(tmp_path / "eigen.ini", EIGEN_CFG.replace("n = 401", "n = 39"))
+    monkeypatch.chdir(tmp_path)
+    for override, name in (("control.tolerance=-1", "tol_lambda"),
+                           ("control.tolerance=0", "tol_lambda"),
+                           ("control.eigen_residual=nan", "tol_residual")):
+        assert main(["eigen", "--config", cfg, "--set", override]) == 2
+        assert "%s must be positive" % name in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def test_classify_command(tmp_path, monkeypatch, capsys):
     g = Grid.interval(0.0, np.pi, 99)
     u = GridFunction.from_callable(g, np.sin)

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from deadcore import (Grid, GridFunction, OperatorSpec, IterationControl,
-                      RhsProblem, SolveError, solve_rhs)
+                      SolveError, solve_rhs)
 from deadcore.dirichlet import PolicyMatrix
 from deadcore.grids import Scheme
 from reference import _relax_rhs
@@ -19,8 +19,9 @@ def _const_rhs(grid, c):
 def test_linear_poisson_parabola():
     # u'' = -2 on (0,1): u = x(1-x)
     g = Grid.interval(0.0, 1.0, 99)
-    p = RhsProblem(g, OperatorSpec.linear_trace(np.eye(1)), 0.0, _const_rhs(g, -2.0))
-    rep = solve_rhs(p, IterationControl(tolerance=1e-10))
+    sch = Scheme(g, OperatorSpec.linear_trace(np.eye(1)), 0.0)
+    f = _const_rhs(g, -2.0)
+    rep = solve_rhs(sch, f, IterationControl(tolerance=1e-10))
     assert rep.converged
     x = g.axis(0)
     assert np.max(np.abs(rep.solution.values - x * (1.0 - x))) <= 1e-9
@@ -28,8 +29,9 @@ def test_linear_poisson_parabola():
 
 def test_zero_rhs_zero_solution():
     g = Grid.interval(0.0, 1.0, 19)
-    p = RhsProblem(g, OperatorSpec.linear_trace(np.eye(1)), 0.0, _const_rhs(g, 0.0))
-    rep = solve_rhs(p)
+    sch = Scheme(g, OperatorSpec.linear_trace(np.eye(1)), 0.0)
+    f = _const_rhs(g, 0.0)
+    rep = solve_rhs(sch, f)
     assert rep.converged and rep.solution.sup_norm() == 0.0
 
 
@@ -37,9 +39,10 @@ def test_degenerate_profile_against_ode_oracle():
     # |u'| u'' = -1 on (0,1).  By symmetry u'(1/2)=0 and (u'^2)' = -2 on the
     # left half, so u(x) = (1 - (1-2x)^(3/2)) / 3 there; u(1/2) = 1/3.
     g = Grid.interval(0.0, 1.0, 199)
-    p = RhsProblem(g, OperatorSpec.pucci_plus(1.0, 1.0), 1.0, _const_rhs(g, -1.0))
+    sch = Scheme(g, OperatorSpec.pucci_plus(1.0, 1.0), 1.0)
+    f = _const_rhs(g, -1.0)
     ctl = IterationControl(tolerance=1e-8, max_steps=2_000_000)
-    rep = solve_rhs(p, ctl)
+    rep = solve_rhs(sch, f, ctl)
     assert rep.converged
     x = g.axis(0)
     left = x <= 0.5
@@ -62,15 +65,15 @@ def test_comparison_property():
         f1 = GridFunction(g, base, dirichlet=False)
         f2 = GridFunction(g, base + np.abs(rng.standard_normal(g.shape)),
                           dirichlet=False)
-        u1 = solve_rhs(RhsProblem(g, spec, 0.0, f1), ctl).solution
-        u2 = solve_rhs(RhsProblem(g, spec, 0.0, f2), ctl).solution
+        u1 = solve_rhs(Scheme(g, spec, 0.0), f1, ctl).solution
+        u2 = solve_rhs(Scheme(g, spec, 0.0), f2, ctl).solution
         assert np.all(u1.values >= u2.values - 2e-10)
 
 
 def test_sign_property():
     g = Grid.interval(0.0, 1.0, 49)
     f = _const_rhs(g, -1.0)
-    rep = solve_rhs(RhsProblem(g, OperatorSpec.pucci_minus(1.0, 2.0), 0.0, f),
+    rep = solve_rhs(Scheme(g, OperatorSpec.pucci_minus(1.0, 2.0), 0.0), f,
                     IterationControl(tolerance=1e-9))
     assert rep.converged
     assert np.min(g.interior(rep.solution.values)) > 0
@@ -87,9 +90,9 @@ def test_homogeneity_transfer():
     defects = []
     for n in (99, 199):
         g = Grid.interval(0.0, 1.0, n)
-        u1 = solve_rhs(RhsProblem(g, spec, 1.0, _const_rhs(g, -1.0)),
+        u1 = solve_rhs(Scheme(g, spec, 1.0), _const_rhs(g, -1.0),
                        ctl).solution
-        u2 = solve_rhs(RhsProblem(g, spec, 1.0, _const_rhs(g, -t ** 2.0)),
+        u2 = solve_rhs(Scheme(g, spec, 1.0), _const_rhs(g, -t ** 2.0),
                        ctl).solution
         defects.append(np.max(np.abs(u2.values - t * u1.values)))
     assert defects[0] <= 3e-4
@@ -100,23 +103,24 @@ def test_p_laplacian_where_linear():
     # the 1-D p-Laplacian is (p - 1) u'' and the 2-D one at p = 2 the
     # Laplacian: one policy, so Newton takes one sparse solve at gamma = 0
     g = Grid.interval(0.0, 1.0, 49)
-    rep = solve_rhs(RhsProblem(g, OperatorSpec.p_laplacian(3.0), 0.0,
-                               _const_rhs(g, -1.0)), IterationControl(tolerance=1e-10))
+    rep = solve_rhs(Scheme(g, OperatorSpec.p_laplacian(3.0), 0.0),
+                    _const_rhs(g, -1.0), IterationControl(tolerance=1e-10))
     assert rep.converged and rep.steps == 1
     x = g.axis(0)
     assert np.max(np.abs(rep.solution.values - x * (1.0 - x) / 4.0)) <= 1e-12
     g = Grid.rectangle(0.0, 2.0, 0.0, 1.0, 19, 9)
     for gamma in (0.0, 1.0):
-        rep = solve_rhs(RhsProblem(g, OperatorSpec.p_laplacian(2.0), gamma,
-                                   _const_rhs(g, -1.0)))
+        rep = solve_rhs(Scheme(g, OperatorSpec.p_laplacian(2.0), gamma),
+                        _const_rhs(g, -1.0))
         assert rep.converged and rep.steps <= (1 if gamma == 0.0 else 20)
 
 
 def test_max_steps_partial_report():
     g = Grid.interval(0.0, 1.0, 49)
-    p = RhsProblem(g, OperatorSpec.pucci_plus(1.0, 1.0), 1.0, _const_rhs(g, -1.0))
+    sch = Scheme(g, OperatorSpec.pucci_plus(1.0, 1.0), 1.0)
+    f = _const_rhs(g, -1.0)
     # Newton reaches 1e-13 in 10 steps here; 5 leave it short
-    rep = solve_rhs(p, IterationControl(tolerance=1e-12, max_steps=5))
+    rep = solve_rhs(sch, f, IterationControl(tolerance=1e-12, max_steps=5))
     assert not rep.converged and rep.steps == 5
     assert np.all(np.isfinite(rep.solution.values))
 
@@ -139,10 +143,10 @@ def test_non_finite_residual_stops_at_once():
     # the update overflows within a few steps; the loop must name the step
     # instead of relaxing NaN until max_steps
     g = Grid.interval(0.0, 1.0, 49)
-    p = RhsProblem(g, OperatorSpec.linear_trace(np.eye(1)), 1.0,
-                   _const_rhs(g, -1e300))
+    sch = Scheme(g, OperatorSpec.linear_trace(np.eye(1)), 1.0)
+    f = _const_rhs(g, -1e300)
     with pytest.raises(SolveError, match="non-finite residual at step"):
-        solve_rhs(p, IterationControl(max_steps=20_000))
+        solve_rhs(sch, f, IterationControl(max_steps=20_000))
 
 
 # --- Howard policy iteration (gamma = 0, trace / Pucci / Bellman) ----------
@@ -238,9 +242,9 @@ def test_howard_solve_rhs_parity(dim):
                      dirichlet=False)
     tol = 1e-9
     for spec in _policy_specs(dim):
-        p = RhsProblem(g, spec, 0.0, f)
-        howard = solve_rhs(p, IterationControl(tolerance=tol))
-        explicit = _relax_rhs(p, IterationControl(tolerance=tol), None)
+        sch = Scheme(g, spec, 0.0)
+        howard = solve_rhs(sch, f, IterationControl(tolerance=tol))
+        explicit = _relax_rhs(sch, f, IterationControl(tolerance=tol), None)
         assert howard.converged and explicit.converged
         assert howard.residual_sup <= tol
         assert howard.steps <= 8 < explicit.steps
@@ -255,11 +259,11 @@ def test_howard_policy_evaluations_capped():
         steps = []
         for n in (19, 39, 79):
             g = Grid.rectangle(0.0, 2.0, 0.0, 1.0, n, n // 2)
-            rep = solve_rhs(RhsProblem(g, spec, 0.0, _const_rhs(g, -1.0)))
+            rep = solve_rhs(Scheme(g, spec, 0.0), _const_rhs(g, -1.0))
             assert rep.converged
             steps.append(rep.steps)
         assert max(steps) <= 12
-        warm = solve_rhs(RhsProblem(g, spec, 0.0, _const_rhs(g, -1.0)),
+        warm = solve_rhs(Scheme(g, spec, 0.0), _const_rhs(g, -1.0),
                          u0=rep.solution)
         assert warm.converged and warm.steps == 1
 
@@ -274,15 +278,16 @@ def test_howard_comparison_property():
         f1 = GridFunction(g, base, dirichlet=False)
         f2 = GridFunction(g, base + np.abs(rng.standard_normal(g.shape)),
                           dirichlet=False)
-        u1 = solve_rhs(RhsProblem(g, spec, 0.0, f1), ctl).solution
-        u2 = solve_rhs(RhsProblem(g, spec, 0.0, f2), ctl).solution
+        u1 = solve_rhs(Scheme(g, spec, 0.0), f1, ctl).solution
+        u2 = solve_rhs(Scheme(g, spec, 0.0), f2, ctl).solution
         assert np.all(u1.values >= u2.values - 2e-10)
 
 
 def test_howard_max_steps_partial_report():
     g = Grid.rectangle(0.0, 2.0, 0.0, 1.0, 19, 9)
-    p = RhsProblem(g, OperatorSpec.pucci_plus(1.0, 2.0), 0.0, _const_rhs(g, 1.0))
-    rep = solve_rhs(p, IterationControl(max_steps=1))
+    sch = Scheme(g, OperatorSpec.pucci_plus(1.0, 2.0), 0.0)
+    f = _const_rhs(g, 1.0)
+    rep = solve_rhs(sch, f, IterationControl(max_steps=1))
     assert not rep.converged and rep.steps == 1
     assert np.all(np.isfinite(rep.solution.values))
 
@@ -305,9 +310,9 @@ def test_newton_solve_rhs_parity(dim, gamma):
                      dirichlet=False)
     tol = 1e-9
     for spec in _newton_specs(dim):
-        p = RhsProblem(g, spec, gamma, f)
-        newton = solve_rhs(p, IterationControl(tolerance=tol))
-        explicit = _relax_rhs(p, IterationControl(tolerance=tol), None)
+        sch = Scheme(g, spec, gamma)
+        newton = solve_rhs(sch, f, IterationControl(tolerance=tol))
+        explicit = _relax_rhs(sch, f, IterationControl(tolerance=tol), None)
         assert newton.converged and explicit.converged
         assert newton.residual_sup <= tol
         assert newton.steps <= 25 < explicit.steps
@@ -321,7 +326,7 @@ def test_newton_steps_do_not_follow_the_grid():
     for spec in _newton_specs(1):
         for n in (49, 99, 199, 399, 799):
             g = Grid.interval(0.0, 2.0, n)
-            rep = solve_rhs(RhsProblem(g, spec, 1.0, _const_rhs(g, -1.0)))
+            rep = solve_rhs(Scheme(g, spec, 1.0), _const_rhs(g, -1.0))
             assert rep.converged and rep.steps <= 20
 
 
@@ -333,9 +338,9 @@ def test_newton_comparison_property():
         for spec in _newton_specs(g.dim):
             base = -np.abs(rng.standard_normal(g.shape)) - 0.1
             f2 = np.minimum(base + np.abs(rng.standard_normal(g.shape)), 0.0)
-            u1, u2 = (solve_rhs(RhsProblem(g, spec, 1.0,
-                                           GridFunction(g, f, dirichlet=False)),
-                                ctl).solution for f in (base, f2))
+            u1, u2 = (solve_rhs(Scheme(g, spec, 1.0),
+                                GridFunction(g, f, dirichlet=False), ctl).solution
+                      for f in (base, f2))
             assert np.all(u1.values >= u2.values - 2e-10)
 
 
@@ -344,8 +349,9 @@ def test_newton_stall_stop():
     # 1e-13 and stops after NEWTON_STALL solves that do not halve its kept
     # low instead of spending the budget
     g = Grid.interval(0.0, 1.0, 49)
-    p = RhsProblem(g, OperatorSpec.pucci_plus(1.0, 1.0), 1.0, _const_rhs(g, -1.0))
-    rep = solve_rhs(p, IterationControl(tolerance=1e-30, max_steps=40))
+    sch = Scheme(g, OperatorSpec.pucci_plus(1.0, 1.0), 1.0)
+    f = _const_rhs(g, -1.0)
+    rep = solve_rhs(sch, f, IterationControl(tolerance=1e-30, max_steps=40))
     assert not rep.converged and rep.steps <= 20
     assert rep.residual_sup <= 1e-12
 
@@ -355,9 +361,9 @@ def test_newton_floor_stop_1d():
     # default tolerance; the solve returns converged=False within a few
     # dozen solves (it used to relax explicitly to max_steps)
     g = Grid.interval(0.0, 2.0, 3199)
-    p = RhsProblem(g, OperatorSpec.linear_trace(np.eye(1)), 1.0,
-                   _const_rhs(g, -30.0))
-    rep = solve_rhs(p, IterationControl(max_steps=2000))
+    sch = Scheme(g, OperatorSpec.linear_trace(np.eye(1)), 1.0)
+    f = _const_rhs(g, -30.0)
+    rep = solve_rhs(sch, f, IterationControl(max_steps=2000))
     assert not rep.converged and rep.steps <= 100
     assert rep.residual_sup <= 1e-7
 
@@ -387,11 +393,12 @@ def test_newton_stall_stop_does_not_follow_the_rounding(monkeypatch, dim, spec, 
     # same number of solves (in 1-D, by any new low they took 18 and 24,
     # 25 and 18, 39 and 40 here)
     g = Grid.interval(0.0, 1.0, 49) if dim == 1 else _grid(2)
-    p = RhsProblem(g, spec, gamma, _const_rhs(g, -1.0))
+    sch = Scheme(g, spec, gamma)
+    f = _const_rhs(g, -1.0)
     ctl = IterationControl(tolerance=1e-30, max_steps=40)
-    rep = solve_rhs(p, ctl)
+    rep = solve_rhs(sch, f, ctl)
     monkeypatch.setattr(PolicyMatrix, "solve", _superlu)
-    ref = solve_rhs(p, ctl)
+    ref = solve_rhs(sch, f, ctl)
     assert not rep.converged and not ref.converged
     assert rep.steps == ref.steps < ctl.max_steps
 
@@ -424,8 +431,8 @@ def test_policy_solve_matches_superlu_1d(monkeypatch, n):
     rng = np.random.default_rng(n)
     for spec in _policy_specs(1) + (OperatorSpec.linear_trace(np.eye(1)),):
         for gamma in (0.0, 1.0):
-            rep = solve_rhs(RhsProblem(g, spec, gamma, _const_rhs(g, -30.0)))
             sch = Scheme(g, spec, gamma)
+            rep = solve_rhs(sch, _const_rhs(g, -30.0))
             op = PolicyMatrix(sch)
             op.set_policy(sch.policy(rep.solution.values))
             op.solve(op.shifted(rng.random(n) * op.diagonal()), np.ones(n))
@@ -469,8 +476,8 @@ def test_policy_solve_matches_superlu_2d(monkeypatch, shape):
     rng = np.random.default_rng(shape[0])
     for spec in _policy_specs(2) + (OperatorSpec.linear_trace(np.eye(2)),):
         for gamma in (0.0, 1.0):
-            rep = solve_rhs(RhsProblem(g, spec, gamma, _const_rhs(g, -30.0)))
             sch = Scheme(g, spec, gamma)
+            rep = solve_rhs(sch, _const_rhs(g, -30.0))
             op = PolicyMatrix(sch)
             op.set_policy(sch.policy(rep.solution.values))
             size = op.A.shape[1]
@@ -500,5 +507,5 @@ def test_rhs_on_another_grid_refused():
     spec = OperatorSpec.linear_trace(np.eye(1))
     for other in (Grid.interval(0.0, 2.0, 19), Grid.interval(0.0, 1.0, 39)):
         with pytest.raises(ValueError, match="problem grid"):
-            RhsProblem(g, spec, 0.0, _const_rhs(other, -1.0))
+            solve_rhs(Scheme(g, spec, 0.0), _const_rhs(other, -1.0))
 

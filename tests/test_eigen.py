@@ -4,11 +4,21 @@ import numpy as np
 import pytest
 
 from deadcore import (Grid, GridFunction, OperatorSpec, EigenControl,
-                      IterationControl, principal_eigenpair, eigen_residual,
+                      IterationControl, principal_eigenpair,
                       laplace_eigenpair_1d)
+from reference import eigen_residual
 
 
 SPEC1 = OperatorSpec.linear_trace(np.eye(1))
+
+
+def test_control_validation():
+    for kwargs in ({"tol_lambda": 0.0}, {"tol_lambda": -1.0},
+                   {"tol_residual": np.nan}, {"tol_residual": -1e-6}):
+        with pytest.raises(ValueError, match="must be positive"):
+            EigenControl(**kwargs)
+    # inf checks only lambda and the inner solves (the ball eigenpair's)
+    assert EigenControl(tol_residual=np.inf).tol_residual == np.inf
 
 
 def test_laplace_oracle_values():

@@ -210,8 +210,8 @@ def test_scheme_policy_reproduces_F(dim):
 def test_residual_zero_field():
     g = Grid.interval(0.0, 1.0, 9)
     w = WeightField.sinsplit(g, 1.0)
-    r = residual_field(GridFunction.zeros(g), OperatorSpec.linear_trace(np.eye(1)),
-                       0.0, 0.5, w)
+    r = residual_field(GridFunction.zeros(g),
+                       Scheme(g, OperatorSpec.linear_trace(np.eye(1)), 0.0), 0.5, w)
     assert r.sup_norm() == 0.0
 
 
@@ -223,7 +223,7 @@ def test_residual_analytic_sin():
         g = Grid.interval(0.0, np.pi, n)
         u = GridFunction.from_callable(g, np.sin)
         w = WeightField.constant(g, 1.0)
-        r = residual_field(u, spec, 0.0, 1.0, w)
+        r = residual_field(u, Scheme(g, spec, 0.0), 1.0, w)
         sups.append(float(np.max(np.abs(g.interior(r.values)))))
         assert sups[-1] <= 1.0 * g.h[0] ** 2
     assert sups[1] <= sups[0] / 3.0
@@ -234,16 +234,21 @@ def test_residual_rejects_negative():
     vals = np.zeros(g.shape)
     vals[3] = -0.1
     u = GridFunction(g, vals, dirichlet=False)
-    with pytest.raises(ValueError):
-        residual_field(u, OperatorSpec.linear_trace(np.eye(1)), 0.0, 0.5,
-                       WeightField.constant(g, 1.0))
+    sch = Scheme(g, OperatorSpec.linear_trace(np.eye(1)), 0.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        residual_field(u, sch, 0.5, WeightField.constant(g, 1.0))
+    # same shape or not, u must be sampled on the scheme's grid
+    for other in (Grid.interval(0.0, 2.0, 9), Grid.interval(0.0, 1.0, 19)):
+        with pytest.raises(ValueError, match="scheme grid"):
+            residual_field(GridFunction.zeros(other), sch, 0.5,
+                           WeightField.constant(g, 1.0))
 
 
 def test_residual_reflection_symmetry():
     g = Grid.interval(0.0, 2.0, 49)
     u = GridFunction.from_callable(g, lambda x: x * (2.0 - x))
     w = WeightField.from_callable(g, lambda x: np.cos(np.pi * (x - 1.0)))
-    r = residual_field(u, OperatorSpec.pucci_plus(1.0, 2.0), 1.0, 0.5, w)
+    r = residual_field(u, Scheme(g, OperatorSpec.pucci_plus(1.0, 2.0), 1.0), 0.5, w)
     assert np.allclose(r.values, r.values[::-1], atol=1e-12)
 
 

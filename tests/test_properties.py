@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from deadcore import (Grid, GridFunction, IterationControl, OperatorSpec,
-                      ProblemSpec, RhsProblem, SubsolutionError, WeightField,
+                      ProblemSpec, Scheme, SubsolutionError, WeightField,
                       build_subsolution, classify, solve, solve_rhs)
 
 GRID = Grid.interval(0.0, 2.0, 79)
@@ -88,8 +88,8 @@ def test_rhs_2d_converges_and_compares(op, gamma, ny, c, seed):
     f1 = -c * (0.1 + U)
     f2 = np.minimum(f1 + c * V, 0.0)
     ctl = IterationControl(tolerance=1e-9)
-    reps = [solve_rhs(RhsProblem(g, SPECS2[op], gamma,
-                                 GridFunction(g, f, dirichlet=False)), ctl)
+    sch = Scheme(g, SPECS2[op], gamma)
+    reps = [solve_rhs(sch, GridFunction(g, f, dirichlet=False), ctl)
             for f in (f1, f2)]
     for rep in reps:
         assert rep.converged and rep.steps <= 60

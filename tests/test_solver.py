@@ -1,5 +1,6 @@
 """Sub/supersolution construction and relaxation to steady states."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -9,8 +10,7 @@ from deadcore import (Grid, GridFunction, WeightField, OperatorSpec,
                       EigenControl, IterationControl, ProblemSpec, SolveError,
                       SubsolutionError, ball_eigenpair, build_subsolution,
                       build_supersolution, classify, example_instance,
-                      principal_eigenpair, solve, residual,
-                      RhsProblem, solve_rhs)
+                      principal_eigenpair, solve, residual, solve_rhs)
 from deadcore import eigen as eigen_mod, solver as solver_mod
 from deadcore.dirichlet import PolicyMatrix
 from deadcore.grids import Scheme
@@ -24,9 +24,9 @@ def _problem(grid, weight, gamma=0.0, q=0.5, spec=SPEC1):
     return ProblemSpec(grid, spec, gamma, q, weight)
 
 
-def _relax_rhs(p, ctl=None, u0=None):
+def _relax_rhs(sch, f, ctl=None, u0=None):
     """solve_rhs by the explicit reference loop alone."""
-    return reference._relax_rhs(p, ctl or IterationControl(), u0)
+    return reference._relax_rhs(sch, f, ctl or IterationControl(), u0)
 
 
 def _explicit_solve(p, init="zero", ctl=None, ball=None, u0=None):
@@ -38,8 +38,7 @@ def _explicit_solve(p, init="zero", ctl=None, ball=None, u0=None):
     if bracket is not None:
         vals, super_u = bracket[0].values.copy(), bracket[1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return reference._relax_explicit(p, Scheme(p.grid, p.operator, p.gamma),
-                                         vals, ctl, init, bracket, super_u)
+        return reference._relax_explicit(p, vals, ctl, init, bracket, super_u)
 
 
 def test_problem_validation():
@@ -49,6 +48,38 @@ def test_problem_validation():
         ProblemSpec(g, SPEC1, 0.0, 1.0, w)   # q = gamma+1 rejected
     with pytest.raises(ValueError):
         ProblemSpec(g, SPEC1, 0.0, -0.1, w)
+
+
+def test_problem_spec_is_frozen():
+    # the spec owns the Scheme of its (grid, operator, gamma); no field can
+    # change under it
+    g = Grid.interval(0.0, 1.0, 9)
+    p = ProblemSpec(g, SPEC1, 0.0, 0.5, WeightField.constant(g, 1.0))
+    assert (p.scheme.grid, p.scheme.spec, p.scheme.gamma) == (g, SPEC1, 0.0)
+    for name, value in (("gamma", 1.0), ("q", 0.25), ("scheme", None)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, value)
+
+
+def test_subsolution_solve_builds_no_scheme_of_its_own(monkeypatch):
+    # a bracketed gamma = 1 solve reads its ProblemSpec's Scheme for the
+    # bracket, the loop and every residual; only the ball eigensolve,
+    # on its sub-grid, builds one
+    inst = example_instance(1.0, 0.8)
+    g = Grid.interval(*inst.domain, 79)
+    p = ProblemSpec(g, SPEC1, inst.gamma, inst.q, inst.weight_on(g))
+    built = []
+    init = Scheme.__init__
+
+    def counted(self, grid, spec, gamma):
+        built.append(grid)
+        init(self, grid, spec, gamma)
+
+    monkeypatch.setattr(Scheme, "__init__", counted)
+    monkeypatch.setattr(solver_mod, "_eig_memo", (None, None))
+    rep = solve(p, init="subsolution", ball=(1.15, 1.95))
+    assert rep.converged
+    assert built == [ball_eigenpair(p, (1.15, 1.95)).phi_plus.grid]
 
 
 def test_weight_on_another_grid_refused():
@@ -412,7 +443,7 @@ def test_p_laplacian_2d_refused_before_any_step(monkeypatch):
                 with pytest.raises(ValueError, match="p-Laplacian"):
                     solve(p, init=init, **kwargs)
             with pytest.raises(ValueError, match="p-Laplacian"):
-                solve_rhs(RhsProblem(g, spec, gamma, f))
+                solve_rhs(p.scheme, f)
             with pytest.raises(ValueError, match="p-Laplacian"):
                 principal_eigenpair(g, spec, gamma)
 
@@ -427,7 +458,7 @@ def test_extend_ball_function_is_injection():
         p = _problem(g, WeightField.constant(g, 1.0),
                      spec=OperatorSpec.linear_trace(np.eye(g.dim)))
         pair = ball_eigenpair(p, ball)
-        phi = extend_ball_function(g, pair, ball).values
+        phi = extend_ball_function(g, pair).values
         sub = pair.phi_plus.grid
         idx = []
         for k in range(g.dim):
@@ -512,9 +543,9 @@ def test_gamma0_stall_finishes_monotone(monkeypatch):
         made.append(matrix(scheme))
         return made[-1]
 
-    def counting(problem, scheme, vals, ctl, init, op=None):
+    def counting(problem, vals, ctl, init, op=None):
         ops.append(op)
-        return monotone(problem, scheme, vals, ctl, init, op)
+        return monotone(problem, vals, ctl, init, op)
 
     monkeypatch.setattr(solver_mod, "PolicyMatrix", recording)
     monkeypatch.setattr(solver_mod, "_relax_monotone", counting)
