@@ -120,11 +120,11 @@ def w_residual(w, problem):
     # the diagonal of the matrix field, per axis
     M = {name: k[name] + c * gk ** 2 / wi
          for name, gk in zip(scheme.stencil.axes, grads)}
-    # the continuum operator on the matrix field where the scheme has
-    # none (the 2-D p-Laplacian at p != 2) or its wide stencil sees only
-    # axis and diagonal curvatures (2-D Pucci)
+    # the continuum operator on the matrix field where the scheme has no
+    # members (the 2-D p-Laplacian at p != 2) or its wide stencil sees
+    # only axis and diagonal curvatures (2-D Pucci)
     wide = len(scheme.directions) > g.dim
-    if wide or (spec.variant == "p_laplacian" and not scheme._linear):
+    if wide or not scheme.members:
         Mxy = scheme.cross_difference(w.values) + c * grads[0] * grads[1] / wi
         X = np.moveaxis(np.array([[M["x"], Mxy], [Mxy, M["y"]]]), (0, 1), (-2, -1))
         if wide:

@@ -181,11 +181,6 @@ def _build_problem(cp, command):
     prob = _problem_section(cp, command)
     gamma = prob.getfloat("gamma", 0.0)
     q = prob.getfloat("q", 0.5)
-    if gamma < 0:
-        raise ValidationError("gamma must satisfy gamma >= 0")
-    if not 0 < q < gamma + 1:
-        raise ValidationError("q must satisfy 0 < q and q < gamma+1 "
-                              "(got q=%g, gamma=%g)" % (q, gamma))
     grid = _build_grid(cp)
     op = _build_operator(cp)
     weight = _build_weight(cp, grid, gamma, q)
@@ -248,10 +243,7 @@ def cmd_solve(cp):
 
 def cmd_eigen(cp):
     # the eigenproblem only needs grid/operator/gamma
-    prob = _problem_section(cp, "eigen")
-    gamma = prob.getfloat("gamma", 0.0)
-    if gamma < 0:
-        raise ValidationError("gamma must satisfy gamma >= 0")
+    gamma = _problem_section(cp, "eigen").getfloat("gamma", 0.0)
     grid = _build_grid(cp)
     op = _build_operator(cp)
     ctl = EigenControl(

@@ -70,6 +70,9 @@ class IterationControl:
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
+        if not (isinstance(self.max_steps, (int, np.integer)) and self.max_steps >= 1):
+            raise ValueError("max_steps must be an integer >= 1, got %r"
+                             % (self.max_steps,))
 
 
 @dataclass

@@ -4,10 +4,9 @@ Grids are 1-D intervals or 2-D rectangles with homogeneous Dirichlet
 boundary nodes.  Every neighbour access of a node array goes through the
 index tuples of one `Stencil` per dimension (STENCILS), built at import
 from the lattice directions of `_direction_set`.  `Scheme` is the
-vectorized monotone realization of |Du|^gamma F(x, D^2 u): axis second
-differences for trace-form operators, a wide stencil (axes + diagonals)
-for the Pucci/Bellman envelopes.  The pointwise residual of the reaction
-problem is
+vectorized monotone realization of |Du|^gamma F(x, D^2 u): F_h is the
+min or max of its members, constant-weight linear stencils built once
+in Scheme.__init__.  The pointwise residual of the reaction problem is
 
     r = (|grad_h u|^2 + delta^2)^(gamma/2) * F_h(u) + a(x) u^q,
 
@@ -243,8 +242,22 @@ def _weighted(w, k):
     return total
 
 
-# envelope operators: how F reduces its candidate stencils, and how the
-# active one is picked (the first on ties)
+def _stack(members, name, dim):
+    """The members' weights along direction name on a leading axis (0
+    where a member lacks it), broadcastable against interior arrays (a
+    scalar becomes 1 x ... x 1).  An array weight of a member becomes a
+    view of its row, so it is stored once."""
+    weights = [m.get(name, 0.0) for m in members]
+    shape = np.broadcast_shapes((1,) * dim, *map(np.shape, weights))
+    stack = np.stack([np.broadcast_to(w, shape) for w in weights])
+    for m, row in zip(members, stack):
+        if np.ndim(m.get(name)):
+            m[name] = row
+    return stack
+
+
+# envelope operators: how F reduces its members' values, and how the
+# active member is picked (the first on ties)
 ENVELOPES = {
     "hjb_inf": (np.minimum, np.argmin), "pucci_minus": (np.minimum, np.argmin),
     "hjb_sup": (np.maximum, np.argmax), "pucci_plus": (np.maximum, np.argmax),
@@ -254,10 +267,10 @@ ENVELOPES = {
 class Scheme:
     """Vectorized interior-node evaluation of the monotone discretization.
 
-    Precomputes coefficient tables for the chosen operator; all methods
-    take the full node-value array and return interior-shaped arrays.
-    `stencil` is the grid's Stencil and `he2` holds |step h|^2 per
-    direction of it.
+    Builds the members of F_h once; all methods take the full node-value
+    array and return interior-shaped arrays.  `stencil` is the grid's
+    Stencil, `he2` holds |step h|^2 per direction of it, and `directions`
+    the directions the members weigh.
     """
 
     def __init__(self, grid, spec, gamma):
@@ -272,28 +285,38 @@ class Scheme:
         self.stencil = st = grid.stencil
         self.he2 = tuple([sum([(s * hk) ** 2 for s, hk in zip(step, h)])
                           for _, step in st.directions])
-        v = spec.variant
-        if v in ("pucci_plus", "pucci_minus") and max(h) - min(h) > 1e-12 * max(h):
-            raise ValueError("2-D Pucci wide stencil needs square cells")
-        # a linear F is a trace: the p-Laplacian is one in 1-D and at p = 2,
-        # where it is (p - 1) times the Laplacian
-        self._linear = v == "linear_trace" or (
-            v == "p_laplacian" and (grid.dim == 1 or spec.p == 2.0))
+        # the members: the constant-weight stencils whose envelope is F_h,
+        # each a dict of interior weights by stencil direction.  A linear F
+        # is one: a trace, or the p-Laplacian in 1-D and at p = 2, (p - 1)
+        # times the Laplacian.  The 2-D p-Laplacian at p != 2 has none.
+        v, axes = spec.variant, st.axes
         if v == "linear_trace":
-            self._tables = (self._sample_diag(spec.coeff),)
-        elif v == "p_laplacian" and self._linear:
-            self._tables = (tuple(np.full(tuple(grid.n), spec.p - 1.0)
-                                  for _ in range(grid.dim)),)
+            members = [dict(zip(axes, self._sample_diag(spec.coeff)))]
+        elif v == "p_laplacian" and (grid.dim == 1 or spec.p == 2.0):
+            members = [dict.fromkeys(axes, np.full(tuple(grid.n), spec.p - 1.0))]
         elif v in ("hjb_inf", "hjb_sup"):
-            self._tables = tuple(self._sample_diag(c) for c in spec.family)
+            members = [dict(zip(axes, self._sample_diag(c))) for c in spec.family]
+        elif v in ("pucci_plus", "pucci_minus"):
+            if max(h) - min(h) > 1e-12 * max(h):
+                raise ValueError("2-D Pucci wide stencil needs square cells")
+            # a corner of {lam, Lam}^frame per member, in the axis frame and
+            # (2-D) the diagonal frame; per direction the slope of k <= 0
+            # comes first, so an exact zero curvature keeps it
+            slopes = (spec.lam, spec.Lam) if v == "pucci_plus" else \
+                (spec.Lam, spec.lam)
+            members = [dict(zip(frame, corner))
+                       for frame in (axes, st.diagonals) if frame
+                       for corner in product(slopes, repeat=len(frame))]
         else:
-            self._tables = ()
-        # stencil directions of the policy weights (see policy)
-        self.directions = st.names if v in ("pucci_plus", "pucci_minus") \
-            else st.axes
-        # the one policy of a linear F
-        self._fixed_policy = dict(zip(self.directions, self._tables[0])) \
-            if self._linear else None
+            members = []
+        self.members = members
+        self._envelope = ENVELOPES.get(v)
+        # the directions the members weigh, and per direction the stack of
+        # their weights that policy picks from
+        self.directions = tuple(name for name in st.names
+                                if any(name in m for m in members))
+        self._stacks = {name: _stack(members, name, self.dim)
+                        for name in self.directions if len(members) > 1}
 
     def _sample_diag(self, coeff):
         """Per-axis diagonal coefficient samples at interior nodes.
@@ -400,72 +423,52 @@ class Scheme:
     def F_of(self, k):
         """F at interior nodes from the curvatures k (dict keyed by direction).
 
-        F(v) passes the second differences of v.  Every variant but the 2-D
-        Pucci stencil (which reads the diagonals d1, d2) reads only k['x']
-        and k['y'], so the w-residual passes the diagonal of its matrix
-        field there.  An operator without a policy form (require_policy)
-        has no grid scheme.
+        F(v) passes the second differences of v.  F_h is the envelope of
+        the members' values (_candidates); only the 2-D Pucci members read
+        the diagonals d1, d2, so the w-residual passes the diagonal of its
+        matrix field to every other variant.  An operator without members
+        (require_policy) has no grid scheme.
         """
-        var = self.spec.variant
-        if self._linear:
-            return _weighted(self._fixed_policy, k)
-        if var in ENVELOPES:
-            _, values = self._candidates(k)
-            if len(values) == 1:
-                return values[0]
-            return ENVELOPES[var][0].reduce(values)
-        raise TypeError("operator variant %r has no %d-D grid scheme"
-                        % (var, self.dim))
+        if len(self.members) == 1:
+            return _weighted(self.members[0], k)
+        if not self.members:
+            raise TypeError("operator variant %r has no %d-D grid scheme"
+                            % (self.spec.variant, self.dim))
+        return self._envelope[0].reduce(self._candidates(k))
 
     def _candidates(self, k):
-        """The linear stencils an envelope picks from, at curvatures k.
+        """sum_d w_d k_d per member at curvatures k, in member order.
 
-        Returns (weights, values): per candidate a dict of interior
-        weights by direction and its value sum_d w_d k_d.  A Bellman
-        candidate is a family member.  A Pucci candidate takes, per
-        direction, the slope Lam or lam of its envelope on the sign of k_d
-        (k_d <= 0 gets the slope of the negative side); in 2-D the axis
-        pair and the diagonal pair are the two candidates.
+        Rounding is monotone, so the min (max) over the Pucci corners of
+        these rounded sums is the rounded sum of the per-direction minima
+        (maxima) slope(k_d) k_d: the sign rule, per frame.
         """
-        var = self.spec.variant
-        if var in ("hjb_inf", "hjb_sup"):
-            weights = [dict(zip(self.directions, d)) for d in self._tables]
-        else:
-            lam, Lam = self.spec.lam, self.spec.Lam
-            up, down = (Lam, lam) if var == "pucci_plus" else (lam, Lam)
-            w = {name: np.where(k[name] > 0.0, up, down) for name in k}
-            st = self.stencil
-            weights = [{name: w[name] for name in group}
-                       for group in (st.axes, st.diagonals) if group]
-        return weights, [_weighted(w, k) for w in weights]
+        return [_weighted(m, k) for m in self.members]
 
     def policy(self, v):
         """Active policy at v: interior weights w_d per stencil direction.
 
         F(v) == sum_d w_d * k_d exactly, with k_d the second differences
-        along self.directions: the candidate of _candidates that attains
-        the envelope, the others weighing 0.  That is the arg-min
-        (hjb_inf, pucci_minus) or arg-max (hjb_sup, pucci_plus); ties go
-        to the first candidate (the first family member, the axis pair).
-        A linear F (a trace, the 1-D p-Laplacian, the 2-D one at p = 2)
-        has one policy, returned as the same object on every call.
+        along self.directions: the weights of the member attaining the
+        envelope (arg-min or arg-max), 0 along directions it lacks.  Ties
+        go to the first member: the first family member; for Pucci the
+        axis frame, and within a frame the k <= 0 slope.  A one-member F
+        returns that member, the same object on every call.
         """
-        if self._fixed_policy is not None:
-            return self._fixed_policy
+        if len(self.members) == 1:
+            return self.members[0]
         self.require_policy()
-        weights, values = self._candidates(self.second_differences(v))
-        if len(weights) == 1:
-            return weights[0]
-        pick = ENVELOPES[self.spec.variant][1](values, axis=0)
-        return {name: np.choose(pick, [w.get(name, 0.0) for w in weights])
-                for name in self.directions}
+        pick = self._envelope[1](
+            self._candidates(self.second_differences(v)), axis=0)[None]
+        return {name: np.take_along_axis(w, pick, axis=0)[0]
+                for name, w in self._stacks.items()}
 
     def require_policy(self):
-        """Raise ValueError unless F_h has a policy form, which every solver
-        iterates on.  The 2-D p-Laplacian at p != 2 has none: a centred
-        cross difference would make F_h fall when an anti-diagonal
-        neighbour rises."""
-        if self._fixed_policy is None and self.spec.variant not in ENVELOPES:
+        """Raise ValueError unless F_h has a policy form (members), which
+        every solver iterates on.  The 2-D p-Laplacian at p != 2 has none:
+        a centred cross difference would make F_h fall when an
+        anti-diagonal neighbour rises."""
+        if not self.members:
             raise ValueError("%s has no monotone %d-D scheme (the 2-D "
                              "p-Laplacian is monotone only at p = 2)"
                              % (self.spec.variant, self.dim))

@@ -424,8 +424,8 @@ PTC_CUT = 4.0
 # a trial step is rejected when it multiplies max|R| by more than this
 PTC_REJECT = 2.0
 # the loop gives up after PTC_WINDOW accepted steps in a row that each
-# moved u by at most PTC_SETTLED * sup u (the floating-point floor), or
-# after PTC_STALL accepted steps without a new lowest max|R| (a cycle)
+# moved u by at most PTC_SETTLED * sup u and set no new lowest max|R| (the
+# floating-point floor), or after PTC_STALL steps without one (a cycle)
 PTC_WINDOW = 8
 PTC_SETTLED = 1e-6
 PTC_STALL = 128
@@ -478,14 +478,15 @@ def _relax_ptc(problem, vals, ctl, init, bracket):
     max|R| is not finite or more than doubles is rejected and divides dt
     by 4.  Stops at ctl.tolerance, at an exact fixed point, after
     PTC_WINDOW accepted steps in a row that each moved u by at most
-    PTC_SETTLED sup u, or after PTC_STALL accepted steps without a new low
-    of max|R| (a cycle; far from the answer max|R| can rise and fall for
-    71 steps at n = 3200 while u moves by O(1)).  At gamma = 0 a run
-    stopped above the tolerance with steps left hands its iterate and the
-    rest of ctl.max_steps to _relax_monotone with the same PolicyMatrix
-    (sinsplit x 30, q = 0.5, s = 2.5, n = 1599 needs it); `steps` counts
-    the sparse solves and the finisher's steps.  At gamma = 0, g = 1 and
-    c = 0, so the Newton matrix is the policy matrix A itself.  With a
+    PTC_SETTLED sup u and set no new low of max|R| (a converging run's
+    last Newton steps move u that little while max|R| still falls by
+    orders), or after PTC_STALL accepted steps without a new low of
+    max|R| (a cycle; far from the answer max|R| can rise and fall for 71
+    steps at n = 3200 while u moves by O(1)).  At gamma = 0 a run stopped
+    above the tolerance with steps left hands its iterate and the rest of
+    ctl.max_steps to _relax_monotone with the same PolicyMatrix; `steps`
+    counts the sparse solves and the finisher's steps.  At gamma = 0,
+    g = 1 and c = 0, so the Newton matrix is the policy matrix A itself.  With a
     bracket (init='subsolution', started from the supersolution) the
     answer must lie in it within BRACKET_TOL, else SolveError names the
     node.
@@ -540,11 +541,11 @@ def _relax_ptc(problem, vals, ctl, init, bracket):
         vals[...] = trial
         R, parts, rsup = R_t, parts_t, r_t
         dt *= PTC_GROW
-        quiet = 0 if moved else quiet + 1
         if rsup < best:
-            best, stale = rsup, 0
+            best, stale, quiet = rsup, 0, 0
         else:
             stale += 1
+            quiet = 0 if moved else quiet + 1
     if problem.gamma == 0.0 and rsup > ctl.tolerance and steps < ctl.max_steps:
         rest = replace(ctl, max_steps=ctl.max_steps - steps)
         steps += _relax_monotone(problem, vals, rest, init, op).steps

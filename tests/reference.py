@@ -143,3 +143,35 @@ def eigen_residual(lam, phi, spec, gamma):
     g = 1.0 if gamma == 0.0 else sum(scheme.upwind_mag2(v)) ** (gamma / 2.0)
     r = g * scheme.F(v) + lam * phi.grid.interior(v) ** (gamma + 1.0)
     return float(np.max(np.abs(r)))
+
+
+def pucci_sign_rule(scheme, k):
+    """(F_h, policy) of a Pucci scheme at curvatures k by the sign rule,
+    the spelling Scheme had before its corner members.
+
+    Per direction the slope of the envelope on the sign of k_d (k_d <= 0
+    gets the slope of the negative side: lam for Pucci+, Lam for Pucci-),
+    summed per frame (the axes, in 2-D also the diagonals); F_h is the
+    envelope over the frames, and the policy carries the weights of the
+    attaining frame (the axes on ties) and 0 along the other directions.
+    """
+    spec, st = scheme.spec, scheme.stencil
+    plus = spec.variant == "pucci_plus"
+    up, down = (spec.Lam, spec.lam) if plus else (spec.lam, spec.Lam)
+    w = {name: np.where(k[name] > 0.0, up, down) for name in st.names}
+    frames = [{name: w[name] for name in group}
+              for group in (st.axes, st.diagonals) if group]
+    values = []
+    for frame in frames:
+        (a, wa), *rest = frame.items()
+        value = wa * k[a]
+        for b, wb in rest:
+            value = value + wb * k[b]
+        values.append(value)
+    if len(values) == 1:
+        return values[0], frames[0]
+    reduce, arg = (np.maximum, np.argmax) if plus else (np.minimum, np.argmin)
+    pick = arg(values, axis=0)
+    return reduce.reduce(values), {
+        name: np.choose(pick, [f.get(name, 0.0) for f in frames])
+        for name in st.names}

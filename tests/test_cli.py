@@ -274,6 +274,23 @@ def test_eigen_tolerances_checked_before_any_step(tmp_path, monkeypatch, capsys)
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_steps_checked_before_any_step(tmp_path, monkeypatch, capsys, value):
+    # a step budget below 1 is a validation error naming the key, not a
+    # solve of no steps whose untouched bracket end exits 3
+    from deadcore import cli
+    calls = []
+    monkeypatch.setattr(cli, "solve", lambda *a, **k: calls.append(a))
+    cfg = _write(tmp_path / "solve.ini", BASE_SOLVE.replace(
+        "n = 79", "n = 99").replace("weight_s = 0.3", "weight_s = 2.5"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--config", cfg, "--set",
+                 "control.max_steps=" + value]) == 2
+    assert "max_steps must be an integer >= 1" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_classify_command(tmp_path, monkeypatch, capsys):
     g = Grid.interval(0.0, np.pi, 99)
     u = GridFunction.from_callable(g, np.sin)

@@ -1,5 +1,7 @@
 """Grids, discrete calculus, residuals, and the CSV schema."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from deadcore import (Grid, GridFunction, WeightField, OperatorSpec,
 from deadcore.analysis import _boundary_margin
 from deadcore.dirichlet import PolicyMatrix
 from deadcore.grids import Scheme, _stencil_all_below, _zero_boundary
-from reference import explicit_step
+from reference import explicit_step, pucci_sign_rule
 from test_dirichlet import _accepted_specs
 
 
@@ -184,11 +186,16 @@ def test_scheme_policy_reproduces_F(dim):
     g = Grid.interval(0.0, 1.0, 9) if dim == 1 else \
         Grid.rectangle(0.0, 1.0, 0.0, 1.0, 7, 7)
     fam = (np.eye(dim), np.diag([2.0, 1.0][:dim]), 1.5 * np.eye(dim))
+    # three coefficient fields that cross one another
+    fields = tuple((lambda x, c=c: np.diag(1.5 + 0.5 * np.sin(3.0 * x + c)))
+                   for c in (0.0, 2.0, 4.0))
     specs = (OperatorSpec.pucci_plus(0.5, 2.0),
              OperatorSpec.pucci_minus(0.5, 2.0),
              OperatorSpec.linear_trace(np.eye(dim)),
              OperatorSpec.hjb_inf(fam, 1.0, 2.0),
              OperatorSpec.hjb_sup(fam, 1.0, 2.0),
+             OperatorSpec.hjb_inf(fields, 1.0, 2.0),
+             OperatorSpec.hjb_sup(fields, 1.0, 2.0),
              OperatorSpec.p_laplacian(2.0))
     if dim == 1:
         specs += (OperatorSpec.p_laplacian(3.0),)
@@ -205,6 +212,54 @@ def test_scheme_policy_reproduces_F(dim):
             assert np.array_equal(total, sch.F(v))
         w0, w1 = sch.policy(np.zeros(g.shape)), sch.policy(np.zeros(g.shape))
         assert all(np.array_equal(w0[d], w1[d]) for d in w0)
+
+
+def _rough_field(rng, shape):
+    """Mixed signs over magnitudes 1 down to 1e-300, exact zeros (both
+    signs) at random nodes and on a block wider than the stencil."""
+    scale = rng.choice([1.0, 1e-8, 1e-160, 1e-300, 0.0], size=shape)
+    v = rng.standard_normal(shape) * scale
+    v[tuple(slice(1, 5) for _ in shape)] = 0.0
+    return v
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("variant", ["pucci_plus", "pucci_minus"])
+@pytest.mark.parametrize("Lam", [2.0, 5.0])
+def test_pucci_corners_match_sign_rule(dim, variant, Lam):
+    # F_h over the corners of {lam, Lam}^frame equals the sign rule bit
+    # for bit (rounding is monotone), and so does the policy wherever no
+    # two corners tie after rounding but through an exact zero curvature
+    rng = np.random.default_rng(int(Lam) + 10 * dim)
+    g = Grid.interval(0.0, 1.0, 30) if dim == 1 else \
+        Grid.rectangle(0.0, 2.0, 0.0, 1.0, 23, 11)
+    sch = Scheme(g, getattr(OperatorSpec, variant)(1.0, Lam), 0.0)
+    st, envelope = sch.stencil, np.maximum if variant == "pucci_plus" else np.minimum
+    frames = [f for f in (st.axes, st.diagonals) if f]
+    corners = [(i, dict(zip(f, c))) for i, f in enumerate(frames)
+               for c in product((1.0, Lam), repeat=len(f))]
+    fields = [_rough_field(rng, g.shape) for _ in range(20)] + [np.zeros(g.shape)]
+    checked = 0.0
+    for v in fields:
+        k = sch.second_differences(v)
+        F, policy = pucci_sign_rule(sch, k)
+        assert _same(sch.F(v), F)
+        values = np.array([sum(c[d] * k[d] for d in c) for _, c in corners])
+        attained = values == envelope.reduce(values)
+        first = np.min([np.where(a, i, len(frames))
+                        for a, (i, _) in zip(attained, corners)], axis=0)
+        clean = np.ones(first.shape, dtype=bool)
+        for d in st.names:
+            slopes = [np.where(a & (first == i), c[d], np.nan)
+                      for a, (i, c) in zip(attained, corners) if d in c]
+            lo, hi = np.fmin.reduce(slopes), np.fmax.reduce(slopes)
+            clean &= (lo == hi) | np.isnan(lo) | (k[d] == 0.0)
+        w = sch.policy(v)
+        assert set(w) == set(policy)
+        assert all(np.array_equal(w[d][clean], policy[d][clean]) for d in w)
+        checked += clean.mean() / len(fields)
+    # the magnitudes absorb one another at about a quarter of the 2-D nodes
+    assert checked > 0.6
 
 
 def test_residual_zero_field():

@@ -533,9 +533,10 @@ def test_monotone_inner_work_is_capped(monkeypatch):
 
 def test_gamma0_stall_finishes_monotone(monkeypatch):
     # gamma = 0 from the supersolution: pseudo-transient Newton crosses a
-    # small-q dead core by itself (q = 0.2, n = 99), and where it stalls at
-    # the residual's rounding floor (q = 0.5, n = 1599) it hands its
-    # iterate to the monotone iteration, on its own policy matrix
+    # small-q dead core by itself (q = 0.2, n = 99) and converges alone at
+    # q = 0.5, n = 1599; where it stops at the residual's rounding floor
+    # (q = 0.8, n = 1599, sup u = 878) it hands its iterate to the
+    # monotone iteration, on its own policy matrix
     made, ops = [], []
     matrix, monotone = solver_mod.PolicyMatrix, solver_mod._relax_monotone
 
@@ -557,10 +558,25 @@ def test_gamma0_stall_finishes_monotone(monkeypatch):
     assert ops == []
     g = Grid.interval(0.0, 2.0, 1599)
     p = _problem(g, WeightField.sinsplit(g, 2.5).scaled(30.0), q=0.5)
-    made.clear()
     rep = solve(p, init="subsolution", ball=(0.2, 0.8))
     assert rep.converged and rep.steps < 100
+    assert ops == []
+    p = _problem(g, WeightField.sinsplit(g, 2.5).scaled(30.0), q=0.8)
+    made.clear()
+    solve(p, init="subsolution", ball=(0.2, 0.8))
     assert len(made) == 1 and len(ops) == 1 and ops[0] is made[0]
+
+
+def test_ptc_new_residual_low_is_not_quiet():
+    # the last Newton steps of a converging run move u by less than
+    # PTC_SETTLED sup u while max|R| still falls (4.6e-4, 1.7e-5, 1.8e-7);
+    # counted as quiet, they stopped PTC at 1.5e-7 at n = 3199, and the
+    # monotone finisher then ended at 2.0e-3 after 65 steps
+    g = Grid.interval(0.0, 2.0, 3199)
+    p = _problem(g, WeightField.sinsplit(g, 2.5).scaled(30.0), q=0.5)
+    rep = solve(p, init="subsolution", ball=(0.2, 0.8))
+    assert rep.converged and rep.steps < 100
+    assert classify(rep.solution).verdict == "dead_core"
 
 
 def test_monotone_stops_on_cycle():
