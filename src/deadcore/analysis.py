@@ -234,12 +234,20 @@ def estimate_threshold(family, parameter, bracket, ball, ctl=None,
     `family(value) -> ProblemSpec`; each probe solves from the subsolution
     seeded on `ball` and classifies the result.  The initial `probes`
     equispaced verdicts are recorded (and checked for monotonicity), then
-    the flip interval is bisected `bisect_steps` times.  Probes run one
-    after another, and a family with one grid, operator and gamma shares
-    one ball eigenpair (see ball_eigenpair).  If the
-    endpoint verdicts agree a 'no_threshold' report is returned.  A probe
-    whose subsolution cannot be built counts as 'trivial' and adds an
+    the flip interval is bisected `bisect_steps` times.  If the endpoint
+    verdicts agree a 'no_threshold' report is returned.  A probe whose
+    subsolution cannot be built counts as 'trivial' and adds an
     `anomalies` entry naming the value and the error.
+
+    Probes run one after another, and a family with one grid, operator and
+    gamma shares one ball eigenpair (see ball_eigenpair).  Each probe
+    offers solve the answer of its nearest solved probe below (the
+    previous one in the scan, the one at the lower end in the bisection)
+    as the upper end of its bracket, which solve takes only if it passes
+    the supersolution certificate.  With a = a+ - s a-, the answer at
+    s' < s has the residual -(s - s') a- u^q <= 0 at s, so an s-sweep
+    builds a supersolution only for its first probe; a family without
+    this order (a sweep in q) builds one for every probe.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
@@ -250,23 +258,34 @@ def estimate_threshold(family, parameter, bracket, ball, ctl=None,
         raise ValueError("bisect_steps must be >= 0")
     report = ThresholdReport(parameter, (lo, hi))
 
-    def probe(val):
+    def probe(val, below):
+        """(record, the answer at val, or `below` if it has none)."""
         p = family(val)
+        if below is not None and below.grid != p.grid:
+            below = None
         try:
-            rep = solve(p, init="subsolution", ball=ball, ctl=ctl)
-            cls = classify(rep.solution)
-            return ProbeRecord(val, cls.verdict, rep.residual_sup,
-                               cls.interior_min, cls.hopf_margin)
+            rep = solve(p, init="subsolution", ball=ball, ctl=ctl, u0=below)
         except SubsolutionError as exc:
             report.anomalies.append("%s = %.17g: SubsolutionError: %s"
                                     % (parameter, val, exc))
-            return ProbeRecord(val, "trivial", np.nan, 0.0, 0.0)
+            return ProbeRecord(val, "trivial", np.nan, 0.0, 0.0), below
+        cls = classify(rep.solution)
+        return (ProbeRecord(val, cls.verdict, rep.residual_sup,
+                            cls.interior_min, cls.hopf_margin), rep.solution)
 
     values = np.linspace(lo, hi, probes)
-    records = [probe(v) for v in values]
-    report.probes.extend(records)
+    # below: the answer offered to the next scan probe; low: the answer
+    # of the probe that becomes blo, offered to the bisection: the last
+    # positive one if the first is positive, else the last of the
+    # leading run of others
+    flags, below, low = [], None, None
+    for v in values:
+        rec, below = probe(v, below)
+        report.probes.append(rec)
+        flags.append(rec.verdict in POSITIVE_VERDICTS)
+        if flags[0] and flags[-1] or not any(flags):
+            low = below
 
-    flags = [r.verdict in POSITIVE_VERDICTS for r in records]
     if flags[0] == flags[-1]:
         report.status = "no_threshold"
         return report
@@ -280,10 +299,10 @@ def estimate_threshold(family, parameter, bracket, ball, ctl=None,
 
     for _ in range(bisect_steps):
         mid = 0.5 * (blo + bhi)
-        rec = probe(mid)
+        rec, u = probe(mid, low)
         report.probes.append(rec)
         if (rec.verdict in POSITIVE_VERDICTS) == flo:
-            blo = mid
+            blo, low = mid, u
         else:
             bhi = mid
     report.final_bracket = (blo, bhi)

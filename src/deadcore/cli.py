@@ -188,9 +188,14 @@ def _build_problem(cp, command):
 
 
 def _control(cp):
+    # a float spelling such as 1e6 is a count too; 2.7 is not
+    steps = cp.getfloat("control", "max_steps", fallback=1e6)
+    if not steps.is_integer():
+        raise ValidationError("control.max_steps must be an integer, got %s"
+                              % cp.get("control", "max_steps"))
     return IterationControl(
         tolerance=cp.getfloat("control", "tolerance", fallback=1e-8),
-        max_steps=int(cp.getfloat("control", "max_steps", fallback=1_000_000)))
+        max_steps=int(steps))
 
 
 def _ball(cp, needed_by):

@@ -226,7 +226,8 @@ def build_supersolution(problem, ctl=None):
     k = (||psi||_inf^q + 1)^(1/(1+gamma-q)) * 1.05, doubled while the
     discrete supersolution inequality (residual <= BRACKET_TOL) fails; the
     inequality only improves with k since q < gamma+1.  That inequality at
-    every interior node is the certificate, so psi is taken also where its
+    every interior node is the certificate (_is_supersolution, which also
+    admits a given upper end in solve), so psi is taken also where its
     solve stopped at the residual's rounding floor above the tolerance.
     """
     grid = problem.grid
@@ -239,11 +240,17 @@ def build_supersolution(problem, ctl=None):
     k = (psi.sup_norm() ** q + 1.0) ** (1.0 / (1.0 + gamma - q)) * 1.05
     for _ in range(12):
         u = GridFunction(grid, np.maximum(k * psi.values, 0.0))
-        r = residual(problem, u)
-        if float(np.max(grid.interior(r.values))) <= BRACKET_TOL:
+        if _is_supersolution(problem, u):
             return u
         k *= 2.0
     raise SolveError("could not verify the supersolution inequality")
+
+
+def _is_supersolution(problem, u):
+    """The certificate of an upper bracket end: the discrete supersolution
+    inequality, residual <= BRACKET_TOL at every interior node."""
+    r = residual(problem, u)
+    return float(np.max(problem.grid.interior(r.values))) <= BRACKET_TOL
 
 
 _FLOAT_MAX = np.finfo(float).max
@@ -562,45 +569,56 @@ def _certified(problem, vals, steps, ctl, init, bracket):
     return SolveReport(u, rsup, steps, rsup <= ctl.tolerance, init, bracket)
 
 
+def _given(grid, u0):
+    """u0 as the values of a start on grid: finite, >= 0 and 0 on the
+    boundary (the loops hold boundary values fixed as Dirichlet data)."""
+    if isinstance(u0, GridFunction):
+        if u0.grid != grid:
+            raise ValueError("initial values sampled on %r, not on the "
+                             "problem grid %r" % (u0.grid, grid))
+        u0 = u0.values
+    vals = np.array(u0, dtype=float)
+    if vals.shape != grid.shape:
+        raise ValueError("initial values have shape %r, the problem grid %r"
+                         % (vals.shape, grid.shape))
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("initialization must be finite")
+    if np.min(vals) < -1e-15:
+        raise ValueError("initialization must be nonnegative")
+    vals = np.maximum(vals, 0.0)
+    edge = vals.copy()
+    grid.interior(edge)[...] = 0.0
+    if np.any(edge):
+        raise ValueError("initialization must be 0 on the boundary "
+                         "(max there %.3g)" % np.max(edge))
+    return vals
+
+
 def _start(problem, init, ctl, ball, u0):
     """The start of solve: (vals, the bracket or None)."""
     grid = problem.grid
+    if init not in ("zero", "subsolution", "supersolution", "given"):
+        raise ValueError("unknown init %r" % init)
+    if u0 is not None and init not in ("subsolution", "given"):
+        raise ValueError("init=%r reads no u0" % init)
     bracket = None
     if init == "zero":
         vals = np.zeros(grid.shape)
     elif init == "subsolution":
         if ball is None:
             raise ValueError("init='subsolution' needs a ball")
+        upper = None if u0 is None else GridFunction(grid, _given(grid, u0))
         sub = build_subsolution(problem, ball)
-        bracket = (sub, build_supersolution(problem, ctl))
-        vals = bracket[1].values.copy()
+        if upper is None or not _is_supersolution(problem, upper):
+            upper = build_supersolution(problem, ctl)
+        bracket = (sub, upper)
+        vals = upper.values.copy()
     elif init == "supersolution":
         vals = build_supersolution(problem, ctl).values
-    elif init == "given":
+    else:
         if u0 is None:
             raise ValueError("init='given' needs u0")
-        if isinstance(u0, GridFunction):
-            if u0.grid != grid:
-                raise ValueError("initial values sampled on %r, not on the "
-                                 "problem grid %r" % (u0.grid, grid))
-            u0 = u0.values
-        vals = np.array(u0, dtype=float)
-        if vals.shape != grid.shape:
-            raise ValueError("initial values have shape %r, the problem grid %r"
-                             % (vals.shape, grid.shape))
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("initialization must be finite")
-        if np.min(vals) < -1e-15:
-            raise ValueError("initialization must be nonnegative")
-        vals = np.maximum(vals, 0.0)
-        # the loops hold boundary values fixed as Dirichlet data
-        edge = vals.copy()
-        grid.interior(edge)[...] = 0.0
-        if np.any(edge):
-            raise ValueError("initialization must be 0 on the boundary "
-                             "(max there %.3g)" % np.max(edge))
-    else:
-        raise ValueError("unknown init %r" % init)
+        vals = _given(grid, u0)
     return vals, bracket
 
 
@@ -608,8 +626,9 @@ def solve(problem, init="zero", ctl=None, ball=None, u0=None):
     """Solve the reaction problem for a nonnegative steady state.
 
     init is one of 'zero', 'subsolution' (requires ball), 'given'
-    (requires finite u0 >= 0 that is 0 on the boundary: a GridFunction on
-    the problem grid or an array of its shape), or 'supersolution'.
+    (requires u0), or 'supersolution'.  A u0 is finite, >= 0 and 0 on the
+    boundary, a GridFunction on the problem grid or an array of its shape;
+    'zero' and 'supersolution' read none and refuse one with ValueError.
     Iterates are clamped at zero; with init='subsolution' the report
     carries the (subsolution, supersolution) bracket.  The start picks
     the iteration:
@@ -618,7 +637,11 @@ def solve(problem, init="zero", ctl=None, ball=None, u0=None):
       Newton (_relax_ptc) at every gamma, finished by the monotone loop
       where it stalls above the tolerance at gamma = 0.  It returns the
       maximal solution; 'subsolution' raises SolveError unless the answer
-      lies in the bracket.
+      lies in the bracket.  With a u0, 'subsolution' takes u0 as the
+      upper end if it passes build_supersolution's certificate, and
+      builds the supersolution otherwise; the answer is the maximal
+      solution when u0 lies above it, as the answer at a smaller
+      negative part does (see estimate_threshold).
     - from below at gamma = 0, 'zero' and 'given': the monotone
       Sattinger-Howard-Newton iteration of _relax_monotone, whose step
       count does not grow with the grid.

@@ -302,6 +302,109 @@ def test_threshold_sweep_computes_one_eigenpair(monkeypatch):
     assert len(calls) == 1
 
 
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper; returns the list it appends to."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _recording_solve(monkeypatch, reports, warm):
+    """estimate_threshold's solve, recording each report; with warm=False
+    the probes are cold: the neighbour's answer is not offered."""
+    import deadcore.analysis as analysis_mod
+
+    def run(problem, **kwargs):
+        if not warm:
+            kwargs["u0"] = None
+        rep = solve(problem, **kwargs)
+        reports.append(rep)
+        return rep
+
+    monkeypatch.setattr(analysis_mod, "solve", run)
+
+
+def test_threshold_sweep_builds_one_supersolution(monkeypatch):
+    # in s every probe after the first starts from its solved neighbour
+    # below, a certified supersolution
+    import deadcore.solver as solver_mod
+    built = _counting(monkeypatch, solver_mod, "build_supersolution")
+    g = Grid.interval(0.0, 2.0, 39)
+    base = WeightField.sinsplit(g, 1.0).scaled(30.0)
+
+    def family(s):
+        return ProblemSpec(g, SPEC1, 0.0, 0.5, base.with_negative_scale(s))
+
+    rep = estimate_threshold(family, "s", (0.5, 2.5), (0.2, 0.8), probes=4,
+                             bisect_steps=2)
+    assert rep.status == "ok" and len(rep.probes) == 6
+    assert len(built) == 1
+
+
+def test_threshold_unordered_family_builds_every_supersolution(monkeypatch):
+    # a constant weight c: u grows with c, so the neighbour below is a
+    # subsolution and fails the certificate; each probe whose subsolution
+    # exists (c > 0) builds the supersolution, and the records are those
+    # of cold probes
+    import deadcore.solver as solver_mod
+    built = _counting(monkeypatch, solver_mod, "build_supersolution")
+    g = Grid.interval(0.0, 1.0, 39)
+
+    def family(c):
+        return ProblemSpec(g, SPEC1, 0.0, 0.5, WeightField.constant(g, c))
+
+    def sweep():
+        return estimate_threshold(family, "c", (-1.0, 1.0), (0.2, 0.8),
+                                  ctl=IterationControl(tolerance=1e-6),
+                                  probes=6, bisect_steps=3)
+
+    warm = sweep()
+    solved = [r for r in warm.probes if r.value > 0]
+    assert len(solved) >= 4 and len(built) == len(solved)
+    _recording_solve(monkeypatch, [], warm=False)
+    cold = sweep()
+    assert [r.csv_row() for r in warm.probes] == \
+        [r.csv_row() for r in cold.probes]
+    assert warm.to_text() == cold.to_text()
+
+
+def test_warm_sweep_matches_cold_probes(monkeypatch):
+    # the sweep_s problem: 8 probes and 8 bisections over s in [0.5, 2.5]
+    # give the values, verdicts and estimate of cold probes, each answer
+    # within the tolerance of the cold one, in fewer PTC steps
+    g = Grid.interval(0.0, 2.0, 99)
+    base = WeightField.sinsplit(g, 1.0).scaled(30.0)
+    ctl = IterationControl(tolerance=1e-8)
+
+    def family(s):
+        return ProblemSpec(g, SPEC1, 0.0, 0.5, base.with_negative_scale(s))
+
+    reports, sweeps = {}, {}
+    for warm in (True, False):
+        reports[warm] = []
+        _recording_solve(monkeypatch, reports[warm], warm)
+        sweeps[warm] = estimate_threshold(family, "s", (0.5, 2.5), (0.2, 0.8),
+                                          ctl=ctl, probes=8, bisect_steps=8)
+    warm, cold = sweeps[True], sweeps[False]
+    assert [(r.value, r.verdict) for r in warm.probes] == \
+        [(r.value, r.verdict) for r in cold.probes]
+    assert warm.final_bracket == cold.final_bracket
+    assert warm.estimate == cold.estimate == 1.3219866071428572
+    assert len(reports[True]) == len(reports[False]) == 16
+    for a, b in zip(reports[True], reports[False]):
+        assert a.converged and b.converged
+        assert np.max(np.abs(a.solution.values - b.solution.values)) \
+            <= 2 * ctl.tolerance
+    assert sum(r.steps for r in reports[True]) < \
+        sum(r.steps for r in reports[False])
+
+
 def test_example_threshold_probe_rows():
     # criterion 9's sweep (gamma = 1, q = 0.8, n = 199): every probe row and
     # the estimate are pinned to the ones the explicit reference loop gives

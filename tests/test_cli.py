@@ -291,6 +291,44 @@ def test_max_steps_checked_before_any_step(tmp_path, monkeypatch, capsys, value)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["2.7", "0.5", "1e-3", "inf", "nan"])
+def test_max_steps_refuses_a_fraction(tmp_path, monkeypatch, capsys, value):
+    # a fractional step budget is refused, naming the key, not truncated
+    # (2.7 ran 2 steps) or reported as the budget it truncates to
+    from deadcore import cli
+    calls = []
+    monkeypatch.setattr(cli, "solve", lambda *a, **k: calls.append(a))
+    cfg = _write(tmp_path / "solve.ini", BASE_SOLVE)
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--config", cfg, "--set",
+                 "control.max_steps=" + value]) == 2
+    assert ("control.max_steps must be an integer, got %s" % value
+            in capsys.readouterr().err)
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value, steps, code", [
+    ("1e6", 1_000_000, 0), ("40.0", 40, 0), ("7", 7, 3)])
+def test_max_steps_accepts_integral_spellings(tmp_path, monkeypatch, value,
+                                              steps, code):
+    # integral spellings of the budget are read as that many steps
+    from deadcore import cli
+    budgets = []
+    real = cli.solve
+
+    def recording(*args, **kwargs):
+        budgets.append(kwargs["ctl"].max_steps)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", recording)
+    cfg = _write(tmp_path / "solve.ini", BASE_SOLVE)
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--config", cfg, "--set",
+                 "control.max_steps=" + value]) == code
+    assert budgets == [steps] and isinstance(budgets[0], int)
+
+
 def test_classify_command(tmp_path, monkeypatch, capsys):
     g = Grid.interval(0.0, np.pi, 99)
     u = GridFunction.from_callable(g, np.sin)

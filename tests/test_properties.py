@@ -7,6 +7,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from deadcore import (Grid, GridFunction, IterationControl, OperatorSpec,
                       ProblemSpec, Scheme, SubsolutionError, WeightField,
                       build_subsolution, classify, solve, solve_rhs)
+from deadcore.analysis import POSITIVE_VERDICTS
+from deadcore.solver import _is_supersolution
 
 GRID = Grid.interval(0.0, 2.0, 79)
 BALL = (0.2, 0.8)
@@ -57,6 +59,31 @@ def test_degenerate_from_above_meets_from_below(gamma, q, s, scale):
         <= 2 * ctl.tolerance
     assert classify(hi.solution).verdict == classify(lo.solution).verdict
     assert np.all(lo.solution.values >= sub.values - 1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(gamma=st.sampled_from([0.0, 1.0]), s1=st.floats(0.0, 3.0),
+       ds=st.floats(0.01, 1.5), q=st.floats(0.2, 0.8),
+       scale=st.floats(5.0, 40.0))
+def test_maximal_solution_falls_with_the_negative_part(gamma, s1, ds, q,
+                                                       scale):
+    # a = a+ - s a-: the solution at s1 < s2 has the residual
+    # -(s2 - s1) a- u^q <= 0 at s2, up to its own, so it is a
+    # supersolution there (the certificate that estimate_threshold's
+    # probes start from) and lies above the maximal solution at s2; the
+    # positive verdicts therefore come first in s
+    base = WeightField.sinsplit(GRID, 1.0).scaled(scale)
+    p1, p2 = (ProblemSpec(GRID, OperatorSpec.linear_trace(np.eye(1)), gamma,
+                          q, base.with_negative_scale(s))
+              for s in (s1, s1 + ds))
+    tol = IterationControl().tolerance
+    u1, u2 = (solve(p, init="subsolution", ball=BALL) for p in (p1, p2))
+    assert u1.converged and u2.converged
+    assert _is_supersolution(p2, u1.solution)
+    assert np.all(u2.solution.values <= u1.solution.values + 2 * tol)
+    positive = [classify(u.solution).verdict in POSITIVE_VERDICTS
+                for u in (u1, u2)]
+    assert positive[0] or not positive[1]
 
 
 FAM2 = (np.eye(2), 2.0 * np.eye(2))

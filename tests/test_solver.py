@@ -246,6 +246,71 @@ def test_subsolution_start_is_the_supersolution():
     assert not np.shares_memory(vals, bracket[1].values)
 
 
+@pytest.mark.parametrize("init", ["zero", "supersolution"])
+def test_solve_refuses_an_unread_u0(monkeypatch, init):
+    # 'zero' and 'supersolution' read no u0: one is refused before any
+    # work rather than dropped without a word
+    g = Grid.interval(0.0, 2.0, 39)
+    p = _problem(g, WeightField.sinsplit(g, 0.3).scaled(30.0))
+    built = []
+    monkeypatch.setattr(solver_mod, "build_supersolution",
+                        lambda *a, **k: built.append(a))
+    with pytest.raises(ValueError, match="init='%s' reads no u0" % init):
+        solve(p, init=init, u0=GridFunction.zeros(g))
+    assert built == []
+
+
+def test_subsolution_u0_checked(monkeypatch):
+    # a u0 offered as the upper bracket end gets the checks of
+    # init='given', before either bracket end is built
+    g = Grid.interval(0.0, 2.0, 39)
+    p = _problem(g, WeightField.sinsplit(g, 0.3).scaled(30.0))
+    built = []
+    monkeypatch.setattr(solver_mod, "build_subsolution",
+                        lambda *a, **k: built.append(a))
+    other = GridFunction(Grid.interval(0.0, 3.0, 39), np.ones(g.shape))
+    negative = np.zeros(g.shape)
+    negative[5] = -0.5
+    for u0, match in ((other, "problem grid"), (np.ones(20), "shape"),
+                      (np.full(g.shape, np.nan), "finite"),
+                      (negative, "nonnegative"),
+                      (np.ones(g.shape), "0 on the boundary")):
+        with pytest.raises(ValueError, match=match):
+            solve(p, init="subsolution", ball=(0.2, 0.8), u0=u0)
+    assert built == []
+
+
+def test_subsolution_u0_is_the_upper_end_only_if_certified(monkeypatch):
+    # the answer at a smaller negative part is a supersolution and becomes
+    # the upper bracket end as given; the answer at a larger one is not,
+    # and the supersolution is built as without a u0
+    g = Grid.interval(0.0, 2.0, 79)
+    w = WeightField.sinsplit(g, 1.0).scaled(30.0)
+    ball, ctl = (0.2, 0.8), IterationControl()
+    below, here, above = (_problem(g, w.with_negative_scale(s))
+                          for s in (0.6, 0.9, 1.2))
+    u_below = solve(below, init="subsolution", ball=ball).solution
+    u_above = solve(above, init="subsolution", ball=ball).solution
+    cold = solve(here, init="subsolution", ball=ball, ctl=ctl)
+    assert solver_mod._is_supersolution(here, u_below)
+    assert not solver_mod._is_supersolution(here, u_above)
+    built = []
+    real = solver_mod.build_supersolution
+    monkeypatch.setattr(solver_mod, "build_supersolution",
+                        lambda *a, **k: built.append(a) or real(*a, **k))
+    warm = solve(here, init="subsolution", ball=ball, ctl=ctl, u0=u_below)
+    assert built == []
+    assert np.array_equal(warm.bracket[1].values, u_below.values)
+    assert warm.converged and warm.steps < cold.steps
+    assert np.max(np.abs(warm.solution.values - cold.solution.values)) \
+        <= 2 * ctl.tolerance
+    _assert_in_bracket(warm)
+    again = solve(here, init="subsolution", ball=ball, ctl=ctl, u0=u_above)
+    assert len(built) == 1
+    assert np.array_equal(again.solution.values, cold.solution.values)
+    assert again.steps == cold.steps
+
+
 def _assert_in_bracket(rep):
     sub, sup = rep.bracket
     u = rep.solution.values
