@@ -236,8 +236,9 @@ def estimate_threshold(family, parameter, bracket, ball, ctl=None,
     equispaced verdicts are recorded (and checked for monotonicity), then
     the flip interval is bisected `bisect_steps` times.  If the endpoint
     verdicts agree a 'no_threshold' report is returned.  A probe whose
-    subsolution cannot be built counts as 'trivial' and adds an
-    `anomalies` entry naming the value and the error.
+    subsolution cannot be built counts as 'trivial', one whose solve does
+    not converge keeps its verdict; each adds an `anomalies` entry naming
+    the value and the error (the residual and the steps).
 
     Probes run one after another, and a family with one grid, operator and
     gamma shares one ball eigenpair (see ball_eigenpair).  Each probe
@@ -269,6 +270,10 @@ def estimate_threshold(family, parameter, bracket, ball, ctl=None,
             report.anomalies.append("%s = %.17g: SubsolutionError: %s"
                                     % (parameter, val, exc))
             return ProbeRecord(val, "trivial", np.nan, 0.0, 0.0), below
+        if not rep.converged:
+            report.anomalies.append(
+                "%s = %.17g: not converged: residual %.6e after %d steps"
+                % (parameter, val, rep.residual_sup, rep.steps))
         cls = classify(rep.solution)
         return (ProbeRecord(val, cls.verdict, rep.residual_sup,
                             cls.interior_min, cls.hopf_margin), rep.solution)

@@ -13,16 +13,15 @@ across the dead cores.  At gamma > 0 it also runs from a given start.
 From below at gamma = 0 it runs Sattinger's monotone iteration
 -F_h(u_{k+1}) + a- u_{k+1}^q = a+ u_k^q with Howard policy iteration
 around Newton inner solves, whose step count does not grow with the
-grid; from the subsolution it returns the minimal solution.  The
-monotone iteration also finishes a gamma = 0 Newton run that stalls
-above the tolerance.  Iterates are clamped at 0, which is itself a
-solution.  The supersolution's Dirichlet problem and the ball eigenpair
-go through solve_rhs, which is Newton-Howard at every gamma.  All of
-them, the loops and every residual read the one Scheme a ProblemSpec
-builds, `problem.scheme`.
+grid; from the subsolution it returns the minimal solution.  The two
+loops never call each other.  Iterates are clamped at 0, which is
+itself a solution.  The supersolution's Dirichlet problem and the ball
+eigenpair go through solve_rhs, which is Newton-Howard at every gamma.
+All of them, the loops and every residual read the one Scheme a
+ProblemSpec builds, `problem.scheme`.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 import math
 import numpy as np
 
@@ -377,8 +376,8 @@ def _howard_inner(op, scheme, a_minus, b, v, q, tol):
         w = w_next
 
 
-def _relax_monotone(problem, vals, ctl, init, op=None):
-    """Sattinger's monotone iteration for gamma = 0 and a policy-form F.
+def _relax_monotone(problem, vals, ctl, init):
+    """Sattinger's monotone iteration: solve's loop from below at gamma = 0.
 
     Outer step k solves  -F_h(u_{k+1}) + a- u_{k+1}^q = a+ u_k^q  by
     _howard_inner (Howard's policy iteration around Newton), warm-started
@@ -392,12 +391,10 @@ def _relax_monotone(problem, vals, ctl, init, op=None):
     an M-matrix, so the inner map stays strictly monotone and, from a
     subsolution, the outer iterates increase inside the (subsolution,
     supersolution) bracket.  At most INNER_CAP = 30 sparse solves per
-    outer step.  `op` is the PolicyMatrix to reuse
-    (_relax_ptc's, when it finishes a stalled solve).  `steps` of the
-    report counts outer steps.
+    outer step; `steps` of the report counts outer steps.
     """
     grid, q, scheme = problem.grid, problem.q, problem.scheme
-    op = op or PolicyMatrix(scheme)
+    op = PolicyMatrix(scheme)
     a_int = grid.interior(problem.weight.samples)
     a_plus = grid.interior(problem.weight.a_plus).ravel()
     a_minus = grid.interior(problem.weight.a_minus).ravel()
@@ -489,12 +486,11 @@ def _relax_ptc(problem, vals, ctl, init, bracket):
     last Newton steps move u that little while max|R| still falls by
     orders), or after PTC_STALL accepted steps without a new low of
     max|R| (a cycle; far from the answer max|R| can rise and fall for 71
-    steps at n = 3200 while u moves by O(1)).  At gamma = 0 a run stopped
-    above the tolerance with steps left hands its iterate and the rest of
-    ctl.max_steps to _relax_monotone with the same PolicyMatrix; `steps`
-    counts the sparse solves and the finisher's steps.  At gamma = 0,
-    g = 1 and c = 0, so the Newton matrix is the policy matrix A itself.  With a
-    bracket (init='subsolution', started from the supersolution) the
+    steps at n = 3200 while u moves by O(1)).  It runs alone at every
+    gamma: a run stopped above the tolerance returns its iterate as it
+    is, unconverged.  `steps` counts the sparse solves.  At gamma = 0,
+    g = 1 and c = 0, so the Newton matrix is the policy matrix A itself.
+    With a bracket (init='subsolution', started from the supersolution) the
     answer must lie in it within BRACKET_TOL, else SolveError names the
     node.
     """
@@ -553,9 +549,6 @@ def _relax_ptc(problem, vals, ctl, init, bracket):
         else:
             stale += 1
             quiet = 0 if moved else quiet + 1
-    if problem.gamma == 0.0 and rsup > ctl.tolerance and steps < ctl.max_steps:
-        rest = replace(ctl, max_steps=ctl.max_steps - steps)
-        steps += _relax_monotone(problem, vals, rest, init, op).steps
     if bracket is not None:
         _outside(grid, vals - bracket[0].values, "falls below the subsolution")
         _outside(grid, bracket[1].values - vals, "lies above the supersolution")
@@ -634,9 +627,9 @@ def solve(problem, init="zero", ctl=None, ball=None, u0=None):
     the iteration:
     - from above, 'supersolution' and 'subsolution' (which builds both
       bracket ends and starts from the supersolution): pseudo-transient
-      Newton (_relax_ptc) at every gamma, finished by the monotone loop
-      where it stalls above the tolerance at gamma = 0.  It returns the
-      maximal solution; 'subsolution' raises SolveError unless the answer
+      Newton (_relax_ptc) alone at every gamma; a run that stalls above
+      the tolerance comes back unconverged.  It returns the maximal
+      solution; 'subsolution' raises SolveError unless the answer
       lies in the bracket.  With a u0, 'subsolution' takes u0 as the
       upper end if it passes build_supersolution's certificate, and
       builds the supersolution otherwise; the answer is the maximal

@@ -260,6 +260,31 @@ def test_threshold_subsolution_error_is_an_anomaly():
                                "estimate = 0.375\n")
 
 
+def test_threshold_unconverged_probe_is_an_anomaly():
+    # a q-sweep whose last probe (q = 0.9, sup u about 6e3) stops above the
+    # tolerance: its verdict stands, and the anomalies name its value, its
+    # residual and its steps; the converged probes add none
+    g = Grid.interval(0.0, 2.0, 99)
+    w = WeightField.sinsplit(g, 1.3).scaled(30.0)
+
+    def family(q):
+        return ProblemSpec(g, SPEC1, 0.0, q, w)
+
+    rep = estimate_threshold(family, "q", (0.2, 0.9), (0.2, 0.8), probes=4,
+                             bisect_steps=0)
+    assert rep.status == "ok"
+    tol = IterationControl().tolerance
+    late = [r for r in rep.probes if r.residual > tol]
+    assert [r.value for r in late] == [0.9]
+    assert late[0].verdict == "positivity_cone"
+    assert len(rep.anomalies) == 1
+    a = rep.anomalies[0]
+    assert a.startswith("q = %.17g: not converged: residual %.6e after "
+                        % (0.9, late[0].residual))
+    assert a.endswith(" steps")
+    assert "anomaly = %s" % a in rep.to_text().splitlines()
+
+
 def test_threshold_bisect_steps_exact():
     # bisect_steps bisections exactly, no hidden minimum; negative raises
     g = Grid.interval(0.0, 1.0, 39)

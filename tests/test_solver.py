@@ -596,47 +596,37 @@ def test_monotone_inner_work_is_capped(monkeypatch):
     assert 0 < len(calls) <= solver_mod.INNER_CAP * rep.steps
 
 
-def test_gamma0_stall_finishes_monotone(monkeypatch):
-    # gamma = 0 from the supersolution: pseudo-transient Newton crosses a
-    # small-q dead core by itself (q = 0.2, n = 99) and converges alone at
-    # q = 0.5, n = 1599; where it stops at the residual's rounding floor
-    # (q = 0.8, n = 1599, sup u = 878) it hands its iterate to the
-    # monotone iteration, on its own policy matrix
-    made, ops = [], []
-    matrix, monotone = solver_mod.PolicyMatrix, solver_mod._relax_monotone
-
-    def recording(scheme):
-        made.append(matrix(scheme))
-        return made[-1]
-
-    def counting(problem, vals, ctl, init, op=None):
-        ops.append(op)
-        return monotone(problem, vals, ctl, init, op)
-
-    monkeypatch.setattr(solver_mod, "PolicyMatrix", recording)
-    monkeypatch.setattr(solver_mod, "_relax_monotone", counting)
+def test_gamma0_ptc_stands_alone():
+    # gamma = 0 from the supersolution: pseudo-transient Newton runs alone.
+    # It crosses a small-q dead core by itself (q = 0.2, n = 99) and
+    # converges at q = 0.5, n = 1599.  Where it stops at the residual's
+    # rounding floor it returns its own iterate: 1.3e-7 after 30 steps at
+    # q = 0.8, n = 1599 (sup u = 878), and 3.2e-8 at n = 3199 on
+    # sinsplit x 60, which the monotone loop's absolute Jacobi gate would
+    # raise to 8.0e-3
     g = Grid.interval(0.0, 2.0, 99)
     p = _problem(g, WeightField.sinsplit(g, 2.5).scaled(30.0), q=0.2)
     rep = solve(p, init="subsolution", ball=(0.2, 0.8))
     assert rep.converged and rep.steps <= 60
     assert classify(rep.solution).verdict == "dead_core"
-    assert ops == []
     g = Grid.interval(0.0, 2.0, 1599)
     p = _problem(g, WeightField.sinsplit(g, 2.5).scaled(30.0), q=0.5)
     rep = solve(p, init="subsolution", ball=(0.2, 0.8))
     assert rep.converged and rep.steps < 100
-    assert ops == []
     p = _problem(g, WeightField.sinsplit(g, 2.5).scaled(30.0), q=0.8)
-    made.clear()
-    solve(p, init="subsolution", ball=(0.2, 0.8))
-    assert len(made) == 1 and len(ops) == 1 and ops[0] is made[0]
+    rep = solve(p, init="subsolution", ball=(0.2, 0.8))
+    assert not rep.converged and rep.residual_sup < 2e-7
+    assert rep.steps <= 40
+    g = Grid.interval(0.0, 2.0, 3199)
+    p = _problem(g, WeightField.sinsplit(g, 2.5).scaled(60.0), q=0.5)
+    rep = solve(p, init="subsolution", ball=(0.2, 0.8))
+    assert rep.residual_sup <= 1e-7
 
 
 def test_ptc_new_residual_low_is_not_quiet():
     # the last Newton steps of a converging run move u by less than
     # PTC_SETTLED sup u while max|R| still falls (4.6e-4, 1.7e-5, 1.8e-7);
-    # counted as quiet, they stopped PTC at 1.5e-7 at n = 3199, and the
-    # monotone finisher then ended at 2.0e-3 after 65 steps
+    # counted as quiet, they stopped PTC at 1.5e-7 at n = 3199
     g = Grid.interval(0.0, 2.0, 3199)
     p = _problem(g, WeightField.sinsplit(g, 2.5).scaled(30.0), q=0.5)
     rep = solve(p, init="subsolution", ball=(0.2, 0.8))
@@ -648,8 +638,8 @@ def test_monotone_stops_on_cycle():
     # n = 1599: the floating-point floor of the residual (about 1.5e-7 at
     # sup u = 878) lies above tol, and from the subsolution the monotone
     # map ends in a 2-cycle there; it stops on it instead of running to
-    # max_steps (1,000,000 steps at about 1 ms each), and so does the
-    # bracketed solve, whose stalled Newton run hands over to it
+    # max_steps (1,000,000 steps at about 1 ms each).  The bracketed solve
+    # stops at the floor too, by pseudo-transient Newton's own rules
     g = Grid.interval(0.0, 2.0, 1599)
     p = _problem(g, WeightField.sinsplit(g, 2.5).scaled(30.0), q=0.8)
     t0 = time.perf_counter()
@@ -660,7 +650,6 @@ def test_monotone_stops_on_cycle():
     for rep in (lo, hi):
         assert not rep.converged and tol < rep.residual_sup < 1e-6
         assert rep.steps < 1_000
-    assert np.max(np.abs(lo.solution.values - hi.solution.values)) <= 1e-9
 
 
 def test_degenerate_example_auto_matches_explicit(monkeypatch):
@@ -749,17 +738,13 @@ def _front_case(case, n):
 
 @pytest.mark.parametrize("case", ["sinsplit", "example"])
 @pytest.mark.parametrize("n", [79, 199])
-def test_small_q_fronts_need_no_finisher(monkeypatch, case, n):
+def test_small_q_fronts_certify(case, n):
     # gamma = 0.5, q = 0.3: Newton's reaction slope at the zero set used
     # to pin the fronts of these dead cores, and an explicit finish took
     # 1,488 to 9,834 steps; the zero-set rules certify them in a few dozen
     # solves.  The example's two components of {a > 0} let the explicit
     # reference from the subsolution end at another solution, so only
     # sinsplit is compared with it
-    def no_finisher(*args, **kwargs):
-        raise AssertionError("a finisher ran")
-
-    monkeypatch.setattr(solver_mod, "_relax_monotone", no_finisher)
     p, ball = _front_case(case, n)
     tol = IterationControl().tolerance
     rep = solve(p, init="subsolution", ball=ball)
