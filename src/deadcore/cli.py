@@ -8,8 +8,10 @@ sections and no other section or key (also from --set); every artifact
 embeds the config hash and seed in a comment header.  Option names are
 case-insensitive, so the ellipticity bounds are problem.lam and
 problem.lam_upper (both default 1); problem.dim is 1 or 2, with at most
-dim problem.n values.  control.init defaults to zero, which returns u = 0
-at every gamma (in 1 step at gamma = 0, 0 steps otherwise).  Exit codes:
+dim problem.n values.  The counts (problem.n, problem.dim, control.seed,
+control.max_steps, sweep.probes, sweep.bisect_steps) take any integral
+spelling, such as 1e6 or 40.0.  control.init defaults to zero, which
+returns u = 0 in 0 steps at every gamma.  Exit codes:
 0 success, 2 validation error, 3 solver non-convergence / no threshold,
 4 internal error.
 """
@@ -43,6 +45,18 @@ class NonConvergence(RuntimeError):
 
 def _parse_floats(s):
     return tuple(float(t) for t in str(s).replace(";", ",").split(","))
+
+
+def _integer(raw, key):
+    """The count that raw spells, for config key `key`: a float spelling
+    such as 1e6 is a count too; 2.7, inf and words are refused."""
+    try:
+        value = float(raw)
+        if value.is_integer():
+            return int(value)
+    except ValueError:
+        pass
+    raise ValidationError("%s must be an integer, got %s" % (key, raw))
 
 
 # every option a command reads, by section
@@ -88,7 +102,7 @@ def config_hash(cp):
 
 
 def _dim(prob):
-    dim = prob.getint("dim", 1)
+    dim = _integer(prob.get("dim", "1"), "problem.dim")
     if dim not in (1, 2):
         raise ValidationError("problem.dim must be 1 or 2, got %d" % dim)
     return dim
@@ -98,7 +112,7 @@ def _build_grid(cp):
     prob = cp["problem"]
     dim = _dim(prob)
     domain = _parse_floats(prob.get("domain", "0,1"))
-    ns = tuple(int(t) for t in prob.get("n", "100").split(","))
+    ns = tuple(_integer(t, "problem.n") for t in prob.get("n", "100").split(","))
     if len(ns) > dim:
         raise ValidationError("problem.n has %d values for dim = %d"
                               % (len(ns), dim))
@@ -188,14 +202,10 @@ def _build_problem(cp, command):
 
 
 def _control(cp):
-    # a float spelling such as 1e6 is a count too; 2.7 is not
-    steps = cp.getfloat("control", "max_steps", fallback=1e6)
-    if not steps.is_integer():
-        raise ValidationError("control.max_steps must be an integer, got %s"
-                              % cp.get("control", "max_steps"))
     return IterationControl(
         tolerance=cp.getfloat("control", "tolerance", fallback=1e-8),
-        max_steps=int(steps))
+        max_steps=_integer(cp.get("control", "max_steps", fallback="1000000"),
+                           "control.max_steps"))
 
 
 def _ball(cp, needed_by):
@@ -206,7 +216,7 @@ def _ball(cp, needed_by):
 
 
 def _seed(cp):
-    return cp.getint("control", "seed", fallback=0)
+    return _integer(cp.get("control", "seed", fallback="0"), "control.seed")
 
 
 def _outdir(cp):
@@ -293,8 +303,8 @@ def cmd_sweep(cp):
         raise ValidationError("sweep bracket for q must satisfy 0 < lo and "
                               "hi < gamma+1 (got %g,%g, gamma=%g)"
                               % (*bracket, base.gamma))
-    probes = int(sw.get("probes", 16))
-    bisect_steps = int(sw.get("bisect_steps", 8))
+    probes = _integer(sw.get("probes", "16"), "sweep.probes")
+    bisect_steps = _integer(sw.get("bisect_steps", "8"), "sweep.bisect_steps")
     ball = _ball(cp, "sweep")
     ctl = _control(cp)
 
@@ -371,7 +381,9 @@ def main(argv=None):
                     metavar="section.key=value")
     args = ap.parse_args(argv)
     try:
-        DISPATCH[args.command](load_config(args.config, args.overrides))
+        cp = load_config(args.config, args.overrides)
+        _seed(cp)   # every artifact header carries it: refuse it before any work
+        DISPATCH[args.command](cp)
     except (ValidationError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -94,8 +94,8 @@ class PolicyMatrix:
     boundary nodes seen through the interior block moved by the offset's
     step), which in 2-D includes the couplings that would wrap from one
     grid row to the next.  A policy (set_policy) rewrites the rows of A in
-    place, a Newton diagonal (shifted, newton) those of a second array of
-    the same shape.
+    place, a Newton matrix (newton) those of a second array of the same
+    shape.
     A is an M-matrix for every policy.  Every product with A goes through
     `apply`, every linear system through `solve`.
     """
@@ -143,7 +143,7 @@ class PolicyMatrix:
         self._w = None
 
     def solve(self, M, b):
-        """x with M x = b, M = A or the array shifted/newton wrote.
+        """x with M x = b, M = A or the array newton wrote.
 
         Two LAPACK solvers, one per dimension: in 1-D gtsv (Gaussian
         elimination with partial pivoting, O(n)) takes copies of the three
@@ -196,13 +196,6 @@ class PolicyMatrix:
         """The diagonal of A, a view of its centre row."""
         return self.A[self._centre]
 
-    def shifted(self, d):
-        """A + diag(d), written into the second array (A is kept)."""
-        W = self._work
-        W[...] = self.A
-        W[self._centre] += d
-        return W
-
     def newton(self, g, cF, slopes, shift=None):
         """-J = diag(g) A - diag(cF) D, written into the second array.
 
@@ -235,10 +228,6 @@ class PolicyMatrix:
 # before solve_rhs stops; a converging solve has been seen to take 5
 # (239x119 Pucci-, gamma = 2, f = -30)
 NEWTON_STALL = 8
-
-
-def _same_policy(w1, w2):
-    return w1 is w2 or all(np.array_equal(w1[k], w2[k]) for k in w1)
 
 
 def solve_rhs(scheme, f, ctl=None, u0=None):

@@ -175,8 +175,8 @@ def _zero_boundary(v):
 class WeightField:
     """Sign-changing reaction weight a(x) sampled at grid nodes.
 
-    Records the decomposition a = a+ - a- used by the monotone iteration
-    and by the negative-part sweeps.
+    Records the decomposition a = a+ - a- used by the negative-part
+    sweeps.
     """
 
     __slots__ = ("grid", "samples")

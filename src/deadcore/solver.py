@@ -5,20 +5,15 @@ eps * phi+(ball) supported on a ball inside {a > 0}, a supersolution
 k * psi built from the Dirichlet problem with right-hand side -||a||_inf,
 and an iteration in between.  The reaction is split a = a+ - a-.  Every
 accepted F has a policy form F_h(u) = L_alpha(u) u over banded policy
-matrices (Scheme.require_policy).  The start picks the loop.  From above
-(the supersolution, also the start of a bracketed solve) `solve` runs
-pseudo-transient Newton (_relax_ptc) on the policy matrices at every
-gamma and returns the maximal solution; its zero-set rules carry it
-across the dead cores.  At gamma > 0 it also runs from a given start.
-From below at gamma = 0 it runs Sattinger's monotone iteration
--F_h(u_{k+1}) + a- u_{k+1}^q = a+ u_k^q with Howard policy iteration
-around Newton inner solves, whose step count does not grow with the
-grid; from the subsolution it returns the minimal solution.  The two
-loops never call each other.  Iterates are clamped at 0, which is
-itself a solution.  The supersolution's Dirichlet problem and the ball
-eigenpair go through solve_rhs, which is Newton-Howard at every gamma.
-All of them, the loops and every residual read the one Scheme a
-ProblemSpec builds, `problem.scheme`.
+matrices (Scheme.require_policy).  `solve` runs one loop from every
+start at every gamma: pseudo-transient Newton (_relax_ptc) on the policy
+matrices, whose zero-set rules carry it across the dead cores.  From the
+supersolution (also the start of a bracketed solve) it returns the
+maximal solution, from the subsolution the minimal one.  Iterates are
+clamped at 0, which is itself a solution.  The supersolution's Dirichlet
+problem and the ball eigenpair go through solve_rhs, which is
+Newton-Howard at every gamma.  All of them, the loop and every residual
+read the one Scheme a ProblemSpec builds, `problem.scheme`.
 """
 
 from dataclasses import dataclass, field
@@ -27,8 +22,7 @@ import numpy as np
 
 from .grids import (Grid, GridFunction, WeightField, Scheme, residual_field,
                     _stencil_all_below)
-from .dirichlet import (IterationControl, SolveError, PolicyMatrix, solve_rhs,
-                        _same_policy)
+from .dirichlet import IterationControl, SolveError, PolicyMatrix, solve_rhs
 from .eigen import EigenControl, principal_eigenpair
 
 __all__ = [
@@ -269,9 +263,9 @@ def _implicit_damping(w, c, q):
     root is at the underflow threshold too, and the node is set to 0 up
     front (Newton would turn 0/0 into NaN there).  Stops once
     max|z + c z^q - w| <= 1e-16 max(1, w) or after DAMPING_ITERS steps.
-    The callers (_newton_inner, _relax_ptc) run with divide, overflow
-    and invalid floating-point errors ignored; non-finite roots come out
-    as 0 (NaN) or the largest float (+inf).
+    The caller (_relax_ptc) runs with divide, overflow and invalid
+    floating-point errors ignored; non-finite roots come out as 0 (NaN)
+    or the largest float (+inf).
     """
     z = np.maximum(w, 0.0)
     idx = np.flatnonzero((z > 0.0) & (c > 0.0))
@@ -305,121 +299,6 @@ def _implicit_damping(w, c, q):
     return z
 
 
-# sparse solves allowed per outer step of the monotone iteration
-INNER_CAP = 30
-
-
-def _newton_inner(op, a_minus, b, z, q, tol, cap):
-    """Solve A z + a- z^q = b (A = op.A = -L_alpha, an M-matrix) for z >= 0.
-
-    Newton's method: the map is concave in z, so its tangent at any anchor
-    t > 0 lies above it, and the linear solve of
-    A y + a- (t^q + q t^(q-1) (y - t)) = b gives, clamped at 0, a
-    subsolution.  Once the iterate is a subsolution (within 10 * tol), so
-    is its nodewise (Jacobi) update, and the next iterate is the pointwise
-    max of the two and the linear solve: it stays a subsolution and never
-    decreases.  The anchor is the Jacobi value there (the current value
-    before that); where it is 0 the anchor is zeta, the value at which the
-    slope of a- z^q is a tenth of diag(A), so the zero set ahead of a
-    front can turn positive in one step rather than one layer per step.
-    Stops at tol, when the residual stops decreasing (the floating-point
-    floor of A z), or after cap sparse solves.  Returns (z, solves).
-    """
-    Ad = op.diagonal()
-    zeta = (10.0 * q * a_minus / Ad) ** (1.0 / (1.0 - q))
-    prev = np.inf
-    solves = 0
-    while solves < cap:
-        Az = op.apply(z)
-        g = Az + a_minus * z ** q - b
-        rho = float(np.max(np.abs(g)))
-        if rho <= tol or rho >= prev:
-            break
-        prev = rho
-        if np.max(g) <= 10.0 * tol:
-            low = np.maximum(_implicit_damping(
-                np.maximum(b - Az + Ad * z, 0.0) / Ad, a_minus / Ad, q), z)
-            t = low
-        else:
-            low, t = 0.0, z
-        t = np.maximum(np.where(t > 0.0, t, zeta), 1e-300)
-        d = a_minus * q * t ** (q - 1.0)
-        y = op.solve(op.shifted(d), b - a_minus * (1.0 - q) * t ** q)
-        solves += 1
-        z = np.maximum(y, low)
-    return z, solves
-
-
-def _howard_inner(op, scheme, a_minus, b, v, q, tol):
-    """Solve -F_h(z) + a- z^q = b by policy iteration, z in v's interior.
-
-    The policy is fixed at the active one of the current z (F_h(z) =
-    L_alpha z exactly there) and -L_alpha z + a- z^q = b is solved by
-    _newton_inner; this repeats until the policy repeats, Newton has
-    nothing left to do at the new policy (the residual there is the true
-    one), or INNER_CAP sparse solves in all.  A linear trace has one
-    policy, so it takes a single round.  Updates v in place.
-    """
-    z_int = scheme.grid.interior(v)
-    budget = INNER_CAP
-    w = scheme.policy(v)
-    while budget > 0:
-        op.set_policy(w)
-        z, solves = _newton_inner(op, a_minus, b, z_int.ravel(), q, tol, budget)
-        if solves == 0:
-            break
-        budget -= solves
-        z_int[...] = z.reshape(z_int.shape)
-        w_next = scheme.policy(v)
-        if _same_policy(w_next, w):
-            break
-        w = w_next
-
-
-def _relax_monotone(problem, vals, ctl, init):
-    """Sattinger's monotone iteration: solve's loop from below at gamma = 0.
-
-    Outer step k solves  -F_h(u_{k+1}) + a- u_{k+1}^q = a+ u_k^q  by
-    _howard_inner (Howard's policy iteration around Newton), warm-started
-    from u_k, to 0.1 * tolerance; it stops once the interior residual
-    F_h(u) + a u^q is at most ctl.tolerance, or when an outer step returns
-    its own input or the iterate of the last snapshot, taken every 16
-    steps: a cycle of period up to 16 stops within 32 steps of its start.
-    At the floating-point floor of the residual the map settles into such
-    a cycle (a 2-cycle at residual 1.5e-7 on sinsplit x 30, n = 1599, from
-    the subsolution), which no later step leaves.  Every policy matrix is
-    an M-matrix, so the inner map stays strictly monotone and, from a
-    subsolution, the outer iterates increase inside the (subsolution,
-    supersolution) bracket.  At most INNER_CAP = 30 sparse solves per
-    outer step; `steps` of the report counts outer steps.
-    """
-    grid, q, scheme = problem.grid, problem.q, problem.scheme
-    op = PolicyMatrix(scheme)
-    a_int = grid.interior(problem.weight.samples)
-    a_plus = grid.interior(problem.weight.a_plus).ravel()
-    a_minus = grid.interior(problem.weight.a_minus).ravel()
-    u_int = grid.interior(vals)
-    work = vals.copy()
-    snapshot = vals.copy()
-
-    steps = 0
-    for steps in range(1, ctl.max_steps + 1):
-        rsup = float(np.max(np.abs(scheme.residual_interior(vals, a_int, q))))
-        if not np.isfinite(rsup):
-            raise SolveError("non-finite residual at step %d" % steps)
-        if rsup <= ctl.tolerance:
-            break
-        work[...] = vals
-        _howard_inner(op, scheme, a_minus, a_plus * u_int.ravel() ** q, work,
-                      q, 0.1 * ctl.tolerance)
-        if np.array_equal(work, vals) or np.array_equal(work, snapshot):
-            break
-        vals[...] = work
-        if steps % 16 == 0:
-            snapshot[...] = vals
-    return _certified(problem, vals, steps, ctl, init, None)
-
-
 # pseudo-transient continuation (_relax_ptc): the first pseudo-time step,
 # its growth on an accepted step and its cut on a rejected one
 PTC_DT0 = 1e-3
@@ -429,7 +308,8 @@ PTC_CUT = 4.0
 PTC_REJECT = 2.0
 # the loop gives up after PTC_WINDOW accepted steps in a row that each
 # moved u by at most PTC_SETTLED * sup u and set no new lowest max|R| (the
-# floating-point floor), or after PTC_STALL steps without one (a cycle)
+# floating-point floor), or after PTC_STALL steps that set neither a new
+# low nor a new largest count of lit nodes (a cycle)
 PTC_WINDOW = 8
 PTC_SETTLED = 1e-6
 PTC_STALL = 128
@@ -484,12 +364,17 @@ def _relax_ptc(problem, vals, ctl, init, bracket):
     PTC_WINDOW accepted steps in a row that each moved u by at most
     PTC_SETTLED sup u and set no new low of max|R| (a converging run's
     last Newton steps move u that little while max|R| still falls by
-    orders), or after PTC_STALL accepted steps without a new low of
-    max|R| (a cycle; far from the answer max|R| can rise and fall for 71
-    steps at n = 3200 while u moves by O(1)).  It runs alone at every
-    gamma: a run stopped above the tolerance returns its iterate as it
-    is, unconverged.  `steps` counts the sparse solves.  At gamma = 0,
-    g = 1 and c = 0, so the Newton matrix is the policy matrix A itself.
+    orders), or after PTC_STALL accepted steps that set neither a new
+    low of max|R| nor a new largest count of lit nodes, those above
+    PTC_FLOOR sup u (a cycle).  Far from the answer max|R| can rise and
+    fall for 71 steps at n = 3200 while u moves by O(1), and from below a
+    front that lights one node after another holds max|R| high for
+    hundreds of steps (q = 0.2, n = 1599): an advancing front is
+    progress.  The count is bounded by the number of nodes, so every
+    cycle still stops.  It is the only reaction loop: a run stopped above
+    the tolerance returns its iterate as it is, unconverged.  `steps`
+    counts the sparse solves.  At gamma = 0, g = 1 and c = 0, so the
+    Newton matrix is the policy matrix A itself.
     With a bracket (init='subsolution', started from the supersolution) the
     answer must lie in it within BRACKET_TOL, else SolveError names the
     node.
@@ -507,6 +392,7 @@ def _relax_ptc(problem, vals, ctl, init, bracket):
     R, parts = _ptc_residual(scheme, vals, a_int, q)
     rsup = float(np.abs(R).max())
     dt, best, stale, quiet, steps = PTC_DT0, np.inf, 0, 0, 0
+    most = np.count_nonzero(u_int > PTC_FLOOR * u_int.max())
     while steps < ctl.max_steps:
         if not math.isfinite(rsup):
             raise SolveError("non-finite residual at step %d" % steps)
@@ -544,11 +430,13 @@ def _relax_ptc(problem, vals, ctl, init, bracket):
         vals[...] = trial
         R, parts, rsup = R_t, parts_t, r_t
         dt *= PTC_GROW
+        lit = np.count_nonzero(~dark)
         if rsup < best:
             best, stale, quiet = rsup, 0, 0
         else:
-            stale += 1
+            stale = 0 if lit > most else stale + 1
             quiet = 0 if moved else quiet + 1
+        most = max(most, lit)
     if bracket is not None:
         _outside(grid, vals - bracket[0].values, "falls below the subsolution")
         _outside(grid, bracket[1].values - vals, "lies above the supersolution")
@@ -623,24 +511,18 @@ def solve(problem, init="zero", ctl=None, ball=None, u0=None):
     boundary, a GridFunction on the problem grid or an array of its shape;
     'zero' and 'supersolution' read none and refuse one with ValueError.
     Iterates are clamped at zero; with init='subsolution' the report
-    carries the (subsolution, supersolution) bracket.  The start picks
-    the iteration:
+    carries the (subsolution, supersolution) bracket.  Every start at
+    every gamma runs pseudo-transient Newton (_relax_ptc) from its values,
+    and a run that stalls above the tolerance comes back unconverged:
     - from above, 'supersolution' and 'subsolution' (which builds both
-      bracket ends and starts from the supersolution): pseudo-transient
-      Newton (_relax_ptc) alone at every gamma; a run that stalls above
-      the tolerance comes back unconverged.  It returns the maximal
-      solution; 'subsolution' raises SolveError unless the answer
-      lies in the bracket.  With a u0, 'subsolution' takes u0 as the
-      upper end if it passes build_supersolution's certificate, and
-      builds the supersolution otherwise; the answer is the maximal
-      solution when u0 lies above it, as the answer at a smaller
-      negative part does (see estimate_threshold).
-    - from below at gamma = 0, 'zero' and 'given': the monotone
-      Sattinger-Howard-Newton iteration of _relax_monotone, whose step
-      count does not grow with the grid.
-    - 'zero' and 'given' at gamma > 0: pseudo-transient Newton from u0.
-    'zero' returns u = 0 (R(0) = 0) at every gamma: in 1 step at gamma = 0
-    and 0 steps otherwise.
+      bracket ends and starts from the supersolution) return the maximal
+      solution; 'subsolution' raises SolveError unless the answer lies
+      in the bracket.  With a u0, 'subsolution' takes u0 as the upper
+      end if it passes build_supersolution's certificate, and builds the
+      supersolution otherwise; the answer is the maximal solution when
+      u0 lies above it, as the answer at a smaller negative part does
+      (see estimate_threshold).
+    - 'zero' returns u = 0 (R(0) = 0) in 0 steps.
     At every gamma, init='given' with u0=build_subsolution(problem, ball)
     returns the minimal solution.  On sinsplit weights, whose {a > 0} has
     one component, the minimal and the maximal solution agree within the
@@ -654,6 +536,4 @@ def solve(problem, init="zero", ctl=None, ball=None, u0=None):
     vals, bracket = _start(problem, init, ctl, ball, u0)
     # one error state for the whole loop (_implicit_damping relies on it)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if problem.gamma == 0.0 and init in ("zero", "given"):
-            return _relax_monotone(problem, vals, ctl, init)
         return _relax_ptc(problem, vals, ctl, init, bracket)

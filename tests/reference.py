@@ -1,10 +1,10 @@
 """Explicit pseudo-time relaxation, kept as the tests' parity reference.
 
 The library solves the auxiliary Dirichlet problem by Newton-Howard
-iteration and the reaction problem by pseudo-transient Newton and the
-monotone iteration.  The loops here relax the same equations with the
-per-node monotone step of explicit_step: _relax_rhs for solve_rhs and
-_relax_explicit for solve, at every gamma.  They need O(n^2) steps.
+iteration and the reaction problem by pseudo-transient Newton.  The
+loops here relax the same equations with the per-node monotone step of
+explicit_step: _relax_rhs for solve_rhs and _relax_explicit for solve, at
+every gamma.  They need O(n^2) steps.
 """
 
 import math

@@ -166,7 +166,7 @@ def test_criterion_6_barrier(capsys):
 def test_criterion_7_uniqueness(capsys):
     tol = 1e-9
     p = _base_instance()
-    # from below (the monotone iteration from the subsolution) and from
+    # from below (pseudo-transient Newton from the subsolution) and from
     # above (pseudo-transient Newton from the supersolution)
     lo = solve(p, init="given", u0=build_subsolution(p, BALL),
                ctl=IterationControl(tolerance=tol))

@@ -291,42 +291,85 @@ def test_max_steps_checked_before_any_step(tmp_path, monkeypatch, capsys, value)
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("value", ["2.7", "0.5", "1e-3", "inf", "nan"])
-def test_max_steps_refuses_a_fraction(tmp_path, monkeypatch, capsys, value):
-    # a fractional step budget is refused, naming the key, not truncated
-    # (2.7 ran 2 steps) or reported as the budget it truncates to
+# a sweep that finds its threshold in a few dozen small solves
+SWEEP = """
+[sweep]
+parameter = s
+bracket = 0,10
+probes = 8
+bisect_steps = 4
+"""
+
+
+def _count_run(tmp_path, key, value):
+    """Write BASE_SOLVE (and SWEEP for a sweep.* key) and the argv of the
+    command that reads key, with key=value set."""
+    command = "sweep" if key.startswith("sweep.") else "solve"
+    cfg = _write(tmp_path / "run.ini",
+                 BASE_SOLVE + (SWEEP if command == "sweep" else ""))
+    return [command, "--config", cfg, "--set", "%s=%s" % (key, value)]
+
+
+@pytest.mark.parametrize("key, value", [
+    *(pytest.param("control.max_steps", v, id=v)
+      for v in ("2.7", "0.5", "1e-3", "inf", "nan")),
+    pytest.param("problem.n", "99.5", id="problem.n-99.5"),
+    pytest.param("problem.dim", "1.5", id="problem.dim-1.5"),
+    pytest.param("control.seed", "1.5", id="control.seed-1.5"),
+    pytest.param("sweep.probes", "2.5", id="sweep.probes-2.5"),
+    pytest.param("sweep.bisect_steps", "eight", id="sweep.bisect_steps-eight")])
+def test_max_steps_refuses_a_fraction(tmp_path, monkeypatch, capsys, key,
+                                      value):
+    # a count that is not an integer is refused before any work, naming
+    # the key: not truncated (max_steps 2.7 ran 2 steps), and not left to
+    # int(), whose message names no key
     from deadcore import cli
     calls = []
     monkeypatch.setattr(cli, "solve", lambda *a, **k: calls.append(a))
-    cfg = _write(tmp_path / "solve.ini", BASE_SOLVE)
+    monkeypatch.setattr(cli, "estimate_threshold",
+                        lambda *a, **k: calls.append(a))
     monkeypatch.chdir(tmp_path)
-    assert main(["solve", "--config", cfg, "--set",
-                 "control.max_steps=" + value]) == 2
-    assert ("control.max_steps must be an integer, got %s" % value
+    assert main(_count_run(tmp_path, key, value)) == 2
+    assert ("%s must be an integer, got %s" % (key, value)
             in capsys.readouterr().err)
     assert calls == []
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("value, steps, code", [
-    ("1e6", 1_000_000, 0), ("40.0", 40, 0), ("7", 7, 3)])
-def test_max_steps_accepts_integral_spellings(tmp_path, monkeypatch, value,
-                                              steps, code):
-    # integral spellings of the budget are read as that many steps
+@pytest.mark.parametrize("key, value, count, code", [
+    pytest.param("control.max_steps", "1e6", 1_000_000, 0, id="1e6-1000000-0"),
+    pytest.param("control.max_steps", "40.0", 40, 0, id="40.0-40-0"),
+    pytest.param("control.max_steps", "7", 7, 3, id="7-7-3"),
+    pytest.param("problem.n", "79.0", 79, 0, id="problem.n-79.0"),
+    pytest.param("problem.dim", "1e0", 1, 0, id="problem.dim-1e0"),
+    pytest.param("control.seed", "7.0", 7, 0, id="control.seed-7.0"),
+    pytest.param("sweep.probes", "1e1", 10, 0, id="sweep.probes-1e1"),
+    pytest.param("sweep.bisect_steps", "4.0", 4, 0,
+                 id="sweep.bisect_steps-4.0")])
+def test_max_steps_accepts_integral_spellings(tmp_path, monkeypatch, key,
+                                              value, count, code):
+    # integral spellings of a count are read as that count
     from deadcore import cli
-    budgets = []
-    real = cli.solve
+    read = {}
+    real_solve, real_sweep = cli.solve, cli.estimate_threshold
 
-    def recording(*args, **kwargs):
-        budgets.append(kwargs["ctl"].max_steps)
-        return real(*args, **kwargs)
+    def solving(p, **kwargs):
+        read.update({"control.max_steps": kwargs["ctl"].max_steps,
+                     "problem.n": p.grid.n[0], "problem.dim": p.grid.dim})
+        return real_solve(p, **kwargs)
 
-    monkeypatch.setattr(cli, "solve", recording)
-    cfg = _write(tmp_path / "solve.ini", BASE_SOLVE)
+    def sweeping(*args, **kwargs):
+        read.update({"sweep.probes": kwargs["probes"],
+                     "sweep.bisect_steps": kwargs["bisect_steps"]})
+        return real_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", solving)
+    monkeypatch.setattr(cli, "estimate_threshold", sweeping)
     monkeypatch.chdir(tmp_path)
-    assert main(["solve", "--config", cfg, "--set",
-                 "control.max_steps=" + value]) == code
-    assert budgets == [steps] and isinstance(budgets[0], int)
+    assert main(_count_run(tmp_path, key, value)) == code
+    report = (tmp_path / "out" / "report.txt").read_text()
+    read["control.seed"] = int(report.split("# seed = ")[1].split()[0])
+    assert read[key] == count and isinstance(read[key], int)
 
 
 def test_classify_command(tmp_path, monkeypatch, capsys):

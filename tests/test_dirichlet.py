@@ -169,8 +169,14 @@ def _grid(dim):
         Grid.rectangle(0.0, 2.0, 0.0, 1.0, 19, 9)
 
 
+def _shifted(op, d, dim):
+    """A + diag(d): the Newton matrix at g = 1 and c F_h = 0, shifted."""
+    zero = np.zeros(len(d))
+    return op.newton(np.ones(len(d)), zero, [(zero, zero)] * dim, shift=d)
+
+
 def _csr(op, M):
-    # a PolicyMatrix array (A or a shifted/Newton matrix) as a general
+    # a PolicyMatrix array (A or a Newton matrix) as a general
     # sparse matrix on the interior entries only: outside neighbours are
     # dropped and policy zeros kept, the pattern a CSR policy matrix had
     rows, slots = np.nonzero(~op.outside.T)
@@ -204,7 +210,11 @@ def test_policy_matrix_is_the_scheme(dim):
             gf, c, slopes = sch.grad_factor_parts(v)
             assert op.newton(gf, c * F, slopes).tobytes() == A.tobytes()
             d = rng.random(A.shape[1])
-            M = _csr(op, op.shifted(d))
+            W = A.copy()
+            W[op.offsets.index(0)] += d
+            M = _shifted(op, d, g.dim)
+            assert M.tobytes() == W.tobytes()
+            M = _csr(op, M)
             assert np.array_equal(M.diagonal(), S.diagonal() + d)
             off = [X.toarray() for X in (M, S)]
             for X in off:
@@ -435,7 +445,7 @@ def test_policy_solve_matches_superlu_1d(monkeypatch, n):
             rep = solve_rhs(sch, _const_rhs(g, -30.0))
             op = PolicyMatrix(sch)
             op.set_policy(sch.policy(rep.solution.values))
-            op.solve(op.shifted(rng.random(n) * op.diagonal()), np.ones(n))
+            op.solve(_shifted(op, rng.random(n) * op.diagonal(), 1), np.ones(n))
     assert len(worst) >= 20 and max(worst) <= tol
 
 
@@ -481,7 +491,8 @@ def test_policy_solve_matches_superlu_2d(monkeypatch, shape):
             op = PolicyMatrix(sch)
             op.set_policy(sch.policy(rep.solution.values))
             size = op.A.shape[1]
-            op.solve(op.shifted(rng.random(size) * op.diagonal()), np.ones(size))
+            op.solve(_shifted(op, rng.random(size) * op.diagonal(), 2),
+                     np.ones(size))
     assert len(worst) >= 20 and max(worst) <= 1.0
 
 
@@ -496,7 +507,7 @@ def test_policy_solve_singular_is_nan(dim):
     w = {k: np.zeros_like(v) for k, v in sch.policy(np.zeros(g.shape)).items()}
     A = op.set_policy(w)
     b = np.ones(A.shape[1])
-    for M in (A, op.shifted(np.zeros(A.shape[1]))):
+    for M in (A, _shifted(op, np.zeros(A.shape[1]), dim)):
         x = op.solve(M, b)
         assert x.shape == b.shape and np.all(np.isnan(x))
 

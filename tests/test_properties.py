@@ -20,7 +20,7 @@ BALL = (0.2, 0.8)
 def test_gamma0_from_above_meets_from_below(s, q, scale):
     # sinsplit's {a > 0} has one component, so the maximal solution (the
     # bracketed solve, pseudo-transient Newton from the supersolution) and
-    # the minimal one (the monotone iteration from the subsolution) agree.
+    # the minimal one (pseudo-transient Newton from the subsolution) agree.
     # The tolerance is absolute; these ranges keep sup u between 0.1 and
     # 2e4, where it sits above the residual's rounding floor
     p = ProblemSpec(GRID, OperatorSpec.linear_trace(np.eye(1)), 0.0, q,
