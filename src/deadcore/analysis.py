@@ -248,7 +248,10 @@ def estimate_threshold(family, parameter, bracket, ball, ctl=None,
     the supersolution certificate.  With a = a+ - s a-, the answer at
     s' < s has the residual -(s - s') a- u^q <= 0 at s, so an s-sweep
     builds a supersolution only for its first probe; a family without
-    this order (a sweep in q) builds one for every probe.
+    this order (a sweep in q) builds one for every probe.  The solve's
+    first pseudo-time step is sized from its start's residual, so a
+    probe started from its neighbour takes 4-11 solves (n = 99), not the
+    16-17 of a climb from dt = 1e-3.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:

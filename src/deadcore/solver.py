@@ -299,9 +299,12 @@ def _implicit_damping(w, c, q):
     return z
 
 
-# pseudo-transient continuation (_relax_ptc): the first pseudo-time step,
-# its growth on an accepted step and its cut on a rejected one
+# pseudo-transient continuation (_relax_ptc): the floor of the first
+# pseudo-time step, the share of sup u0 its explicit move dt max|R(u0)|
+# takes, and the step's growth on an accepted step and its cut on a
+# rejected one
 PTC_DT0 = 1e-3
+PTC_MOVE = 0.05
 PTC_GROW = 2.0
 PTC_CUT = 4.0
 # a trial step is rejected when it multiplies max|R| by more than this
@@ -358,9 +361,22 @@ def _relax_ptc(problem, vals, ctl, init, bracket):
       holds max|R| at a u^q (the example at gamma = 1, q = 0.8, n = 79
       stopped anywhere from 1e-13 to 3e-10 from 1.05 to 1.5 times its
       closed form).
-    dt starts at PTC_DT0 and doubles on each accepted step; a step whose
-    max|R| is not finite or more than doubles is rejected and divides dt
-    by 4.  Stops at ctl.tolerance, at an exact fixed point, after
+    The first dt is max(PTC_DT0, PTC_MOVE sup u0 / max|R(u0)|): its
+    explicit move dt max|R| is 5% of the start's size, so a start near
+    its answer (a sweep's solved neighbour) does not climb a ramp of
+    doublings from PTC_DT0 before Newton's steps take over.  dt doubles
+    on each accepted step; a step whose max|R| is not finite or more than
+    doubles is rejected and divides dt by 4.  From above (init
+    'supersolution' or 'subsolution') a step that darkens a lit node of
+    {a > 0} is rejected the same way: lit at the linearization point, at
+    or below PTC_FLOOR sup u in the trial.  The ball's eps phi lies below
+    the maximal solution, so that solution is positive on every component
+    of {a > 0} that holds a ball, and such a step has jumped below it (at
+    gamma = 0, q = 0.2 over (0, 4) it used to land on u = 0).  A component
+    too small for build_subsolution's ball is kept lit as well: since
+    q < gamma + 1, eps times its indicator is a subsolution for small
+    eps, even on one node.  Stops at ctl.tolerance, at an exact fixed
+    point, after
     PTC_WINDOW accepted steps in a row that each moved u by at most
     PTC_SETTLED sup u and set no new low of max|R| (a converging run's
     last Newton steps move u that little while max|R| still falls by
@@ -391,7 +407,11 @@ def _relax_ptc(problem, vals, ctl, init, bracket):
 
     R, parts = _ptc_residual(scheme, vals, a_int, q)
     rsup = float(np.abs(R).max())
-    dt, best, stale, quiet, steps = PTC_DT0, np.inf, 0, 0, 0
+    dt = PTC_DT0
+    if rsup > 0.0:
+        dt = max(dt, PTC_MOVE * float(u_int.max()) / rsup)
+    above = init in ("supersolution", "subsolution")
+    best, stale, quiet, steps = np.inf, 0, 0, 0
     most = np.count_nonzero(u_int > PTC_FLOOR * u_int.max())
     while steps < ctl.max_steps:
         if not math.isfinite(rsup):
@@ -416,6 +436,9 @@ def _relax_ptc(problem, vals, ctl, init, bracket):
             t_int[dead.reshape(t_int.shape)] = _implicit_damping(
                 N / D[dead], -a[dead] / gD, q)
         dark = t_int <= PTC_FLOOR * t_int.max()
+        if above and (dark.ravel() & source & ~zero).any():
+            dt /= PTC_CUT
+            continue
         if (dark & positive).any():
             near = np.pad(dark, 1, constant_values=True)
             t_int[grid.interior(_stencil_all_below(near)) & positive] = 0.0
@@ -521,7 +544,10 @@ def solve(problem, init="zero", ctl=None, ball=None, u0=None):
       end if it passes build_supersolution's certificate, and builds the
       supersolution otherwise; the answer is the maximal solution when
       u0 lies above it, as the answer at a smaller negative part does
-      (see estimate_threshold).
+      (see estimate_threshold).  The first pseudo-time step is sized
+      from the start's residual, so a start near its answer takes a
+      few Newton steps, not a ramp from PTC_DT0, and a step from above
+      that darkens a lit node of {a > 0} is rejected (_relax_ptc).
     - 'zero' returns u = 0 (R(0) = 0) in 0 steps.
     At every gamma, init='given' with u0=build_subsolution(problem, ball)
     returns the minimal solution.  On sinsplit weights, whose {a > 0} has

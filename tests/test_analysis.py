@@ -428,6 +428,13 @@ def test_warm_sweep_matches_cold_probes(monkeypatch):
             <= 2 * ctl.tolerance
     assert sum(r.steps for r in reports[True]) < \
         sum(r.steps for r in reports[False])
+    # a warm probe's first pseudo-time step is sized from its start's
+    # residual: 141 solves in all, where a climb from dt = 1e-3 took 16-17
+    # per probe (265)
+    P, D = "positivity_cone", "dead_core"
+    assert [r.verdict for r in warm.probes] == [P] * 3 + [D] * 5 + [P] * 3 \
+        + [D] * 5
+    assert sum(r.steps for r in reports[True]) <= 150
 
 
 def test_example_threshold_probe_rows():

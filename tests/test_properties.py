@@ -121,3 +121,30 @@ def test_rhs_2d_converges_and_compares(op, gamma, ny, c, seed):
     for rep in reps:
         assert rep.converged and rep.steps <= 60
     assert np.all(reps[0].solution.values >= reps[1].solution.values - 2e-9)
+
+
+GRID4 = Grid.interval(0.0, 4.0, 79)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(gamma=st.sampled_from([0.0, 0.5]), frac=st.floats(0.05, 0.75),
+       s=st.floats(0.2, 10.0), scale=st.floats(5.0, 40.0))
+def test_from_above_stays_above_the_minimal_solution(gamma, frac, s, scale):
+    # sinsplit over (0, 4): {a > 0} has two components and the ball lies
+    # in the first.  Its subsolution eps phi lies below the maximal
+    # solution, so no step from the supersolution may end below it, and
+    # the answer from above lies above the minimal solution (the answer
+    # from the subsolution).  q stays at or below 3/4 of gamma + 1: above
+    # it sup u passes 1e5 on (0, 4), and an absolute 1e-8 lies below the
+    # rounding of u itself (gamma 0, q 0.84: both answers stop unconverged
+    # at their floor and differ by 1.5e-8 where u = 2e5)
+    q = frac * (gamma + 1.0)
+    p = ProblemSpec(GRID4, OperatorSpec.linear_trace(np.eye(1)), gamma, q,
+                    WeightField.sinsplit(GRID4, s).scaled(scale))
+    try:
+        sub = build_subsolution(p, BALL)
+    except SubsolutionError:
+        assume(False)
+    hi = solve(p, init="subsolution", ball=BALL)
+    lo = solve(p, init="given", u0=sub)
+    assert np.all(hi.solution.values >= lo.solution.values - 1e-8)

@@ -727,7 +727,7 @@ def test_degenerate_floor_stop():
     assert rep.converged and rep.steps <= 40
 
 
-def _two_components(case, n):
+def _two_components(case, n, s):
     """(problem, ball, the nodes of the component of {a > 0} the ball
     leaves out) on a weight whose {a > 0} has two components."""
     if case == "example":
@@ -735,6 +735,14 @@ def _two_components(case, n):
         g = Grid.interval(*inst.domain, n)
         p = ProblemSpec(g, SPEC1, inst.gamma, inst.q, inst.weight_on(g))
         return p, (1.15, 1.95), g.coords()[0] < -0.886
+    # +30 on |x - 1.6| < 0.02 adds a component of {a > 0} that holds one
+    # node of (0, 2) at n = 99, too small for a ball
+    if case == "one-node":
+        g = Grid.interval(0.0, 2.0, n)
+        a = WeightField.sinsplit(g, s).scaled(30.0).samples.copy()
+        node = np.abs(g.coords()[0] - 1.6) < 0.02
+        a[node] = 30.0
+        return _problem(g, WeightField(g, a), q=0.2), (0.2, 0.8), node
     # gamma = 0, q = 0.2: sinsplit on (0, 4) is positive on (0, 1) and
     # (2, 3), and the dead core between them splits the two
     if case == "sinsplit":
@@ -742,22 +750,31 @@ def _two_components(case, n):
     else:
         g = Grid.rectangle(0.0, 4.0, 0.0, 1.0, n, 19)
         spec, ball = OperatorSpec.linear_trace(np.eye(2)), ((0.2, 0.8),) * 2
-    p = _problem(g, WeightField.sinsplit(g, 1.0).scaled(30.0), q=0.2,
+    p = _problem(g, WeightField.sinsplit(g, s).scaled(30.0), q=0.2,
                  spec=spec)
     return p, ball, g.coords()[0] > 2.0
 
 
-@pytest.mark.parametrize("case, n, lit", [
-    pytest.param("example", 79, 2.5e-2, id="79-0.025"),
-    pytest.param("example", 199, 4.5e-2, id="199-0.045"),
-    pytest.param("sinsplit", 199, 11.8, id="gamma0-1d"),
-    pytest.param("sinsplit2d", 79, 2.36, id="gamma0-2d")])
-def test_minimal_below_maximal_on_two_components(case, n, lit):
+@pytest.mark.parametrize("case, n, s, lit", [
+    pytest.param("example", 79, None, 2.5e-2, id="79-0.025"),
+    pytest.param("example", 199, None, 4.5e-2, id="199-0.045"),
+    pytest.param("sinsplit", 199, 1.0, 11.8, id="gamma0-1d"),
+    pytest.param("sinsplit2d", 79, 1.0, 2.36, id="gamma0-2d"),
+    pytest.param("sinsplit", 99, 5.0, 6.68, id="gamma0-1d-s5-99"),
+    pytest.param("sinsplit", 399, 5.0, 6.66, id="gamma0-1d-s5-399"),
+    pytest.param("one-node", 99, 5.0, 1.67e-3, id="one-node")])
+def test_minimal_below_maximal_on_two_components(case, n, s, lit):
     # {a > 0} has two components.  From the subsolution (seeded in one)
     # pseudo-transient Newton returns the minimal solution, which leaves
     # the other one dark; from the supersolution it returns the maximal
-    # one, which lights it
-    p, ball, other = _two_components(case, n)
+    # one, which lights it.  At s = 5 a Newton step from the
+    # supersolution used to jump below the maximal solution, to u = 0
+    # ('supersolution', verdict trivial) or below the subsolution
+    # ('subsolution', SolveError); a step that darkens a lit node of
+    # {a > 0} is now rejected.  That keeps the one-node component lit
+    # too, at its one-node balance 2 u / h^2 = 30 u^q,
+    # u = (15 h^2)^(1/(1-q)) = 1.67e-3
+    p, ball, other = _two_components(case, n, s)
     sub = build_subsolution(p, ball)
     lo = solve(p, init="given", u0=sub)
     hi = solve(p, init="subsolution", ball=ball)
@@ -768,6 +785,8 @@ def test_minimal_below_maximal_on_two_components(case, n, lit):
     assert np.all(lo.solution.values <= hi.solution.values + 1e-12)
     assert np.max(lo.solution.values[other]) <= 1e-12
     assert np.max(hi.solution.values[other]) == pytest.approx(lit, rel=0.05)
+    assert np.array_equal(solve(p, init="supersolution").solution.values,
+                          hi.solution.values)
 
 
 def _front_case(case, n):
