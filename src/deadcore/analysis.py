@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridFunction, _stencil_all_below
-from .operators import p_laplacian_matrix_part, pucci
+from .operators import _pointwise_F
 from .solver import (extend_ball_function, _ball_mask, _norm_ball, solve,
                      SubsolutionError)
 
@@ -123,15 +123,10 @@ def w_residual(w, problem):
     # the continuum operator on the matrix field where the scheme has no
     # members (the 2-D p-Laplacian at p != 2) or its wide stencil sees
     # only axis and diagonal curvatures (2-D Pucci)
-    wide = len(scheme.directions) > g.dim
-    if wide or not scheme.members:
+    if len(scheme.directions) > g.dim or not scheme.members:
         Mxy = scheme.cross_difference(w.values) + c * grads[0] * grads[1] / wi
         X = np.moveaxis(np.array([[M["x"], Mxy], [Mxy, M["y"]]]), (0, 1), (-2, -1))
-        if wide:
-            Fv = pucci(X, spec.lam, spec.Lam,
-                       "+" if spec.variant == "pucci_plus" else "-")
-        else:
-            Fv = p_laplacian_matrix_part(np.stack(grads, -1), X, spec.p)
+        Fv = _pointwise_F(spec, None, X, np.stack(grads, -1))
     else:
         Fv = scheme.F_of(M)
     out = np.zeros(g.shape)

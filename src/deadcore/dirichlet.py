@@ -1,19 +1,23 @@
 """Auxiliary Dirichlet problems |Du|^gamma F(x, D^2 u) = f, u = 0 on the boundary.
 
 Every scheme the solvers accept (Scheme.require_policy) is a min or max
-over linear stencils, F_h(u) = L_alpha(u) u with the active policy alpha(u)
-of Scheme.policy, and every L_alpha is minus an M-matrix (PolicyMatrix):
-a linear trace, the p-Laplacian where it is linear, Pucci or Bellman F.
+over linear stencils, F_h(u) = L_alpha(u) u with the active policy alpha(u),
+and every L_alpha is minus an M-matrix (PolicyMatrix): a linear trace,
+the p-Laplacian where it is linear, Pucci or Bellman F.  Both Newton
+loops of the package, solve_rhs here and the reaction's pseudo-transient
+Newton (solver._relax_ptc), read one linearization of g F_h per iterate,
+Scheme.linearize: g F_h(u) with the policy alpha(u), g, c F_h and the
+one-sided slopes, from which PolicyMatrix.newton writes the Jacobian.
 solve_rhs(scheme, f) runs Newton's method with Howard's policy step on
 g(u) F_h(u) = f, g the gradient factor, for every gamma >= 0, on the
 Scheme its caller already holds (a ProblemSpec's, or the one
-principal_eigenpair passes to each inner solve): linearize
-at the policy active at the last iterate, solve the Jacobian system
-(PolicyMatrix.solve: LAPACK's tridiagonal gtsv in 1-D, its banded LU
-gbsv in 2-D), repeat.  At gamma = 0 (g = 1) this is Howard's policy
-iteration, and a linear F takes one solve.  A policy switch can
-raise the residual for a step, so the loop gives up only after
-NEWTON_STALL solves in a row that do not halve the last low it kept.
+principal_eigenpair passes to each inner solve): linearize the last
+iterate, solve the Jacobian system (PolicyMatrix.solve: LAPACK's
+tridiagonal gtsv in 1-D, its banded LU gbsv in 2-D), repeat.  At
+gamma = 0 (g = 1) this is Howard's policy iteration, and a linear F
+takes one solve.  A policy switch can raise the residual for a step, so
+the loop gives up only after NEWTON_STALL solves in a row that do not
+halve the last low it kept.
 Convergence is declared on the equation residual, not on the update size.
 
 gtsv and gbsv are the wrappers of scipy's compiled f2py module
@@ -196,22 +200,24 @@ class PolicyMatrix:
         """The diagonal of A, a view of its centre row."""
         return self.A[self._centre]
 
-    def newton(self, g, cF, slopes, shift=None):
+    def newton(self, lin, shift=None):
         """-J = diag(g) A - diag(cF) D, written into the second array.
 
-        J is the Jacobian of g(u) F_h(u) at the policy set in A, where
-        F_h(u) = -A u and g = grad_factor(u); (g, c, slopes) come from
-        Scheme.grad_factor_parts, cF = c * F_h(u), and D is the derivative
-        of the summed squared one-sided slopes: f_k / h_k at the +e_k
-        neighbour, -b_k / h_k at the -e_k one and sum_k (b_k - f_k) / h_k
-        at the centre.  The entries of outside neighbours are then set
-        back to 0.  When g = 1 and cF = 0 the result is A bit for bit.  A
-        `shift` array is added to the diagonal afterwards.
+        lin is the Linearization of u (Scheme.linearize): newton sets its
+        policy in A (set_policy), and J is the Jacobian of g(u) F_h(u) at
+        that policy, where F_h(u) = -A u, with (g, cF, slopes) read from
+        lin and D the derivative of the summed squared one-sided slopes:
+        f_k / h_k at the +e_k neighbour, -b_k / h_k at the -e_k one and
+        sum_k (b_k - f_k) / h_k at the centre.  The entries of outside
+        neighbours are then set back to 0.  When g = 1 and cF = 0 (gamma
+        = 0) the result is A bit for bit.  A `shift` array is added to
+        the diagonal afterwards.
         """
-        W = np.multiply(self.A, g.ravel(), out=self._work)
-        cF = cF.ravel()
+        W = np.multiply(self.set_policy(lin.policy), lin.g.ravel(),
+                        out=self._work)
+        cF = lin.cF.ravel()
         centre = 0.0
-        for (jp, jm, hk), (f, b) in zip(self._axes, slopes):
+        for (jp, jm, hk), (f, b) in zip(self._axes, lin.slopes):
             up = cF * f.ravel() / hk
             down = cF * b.ravel() / hk
             W[jp] -= up
@@ -235,11 +241,12 @@ def solve_rhs(scheme, f, ctl=None, u0=None):
     Scheme of (grid, F, gamma); f is a finite GridFunction on its grid.
 
     Newton-Howard iteration for G(u) = g(u) F_h(u) - f = 0, any gamma >= 0.
-    Each step linearizes G at the last iterate u_k (u0 first, or 0; u0
-    warm-starts nested iterations): the active policy alpha fixes
-    F_h = L_alpha exactly there, and with Dg = d grad_factor / du the
-    Jacobian is J = diag(g) L_alpha + diag(F_h) Dg (PolicyMatrix.newton).
-    The step solves J u_{k+1} = f + F_h(u_k) (Dg u_k).  For gamma = 0
+    Each iterate u_k (u0 first, or 0; u0 warm-starts nested iterations)
+    is linearized once (Scheme.linearize), which gives max|G(u_k)| and
+    the step: the active policy alpha fixes F_h = L_alpha exactly there,
+    and with Dg = d grad_factor / du the Jacobian is
+    J = diag(g) L_alpha + diag(F_h) Dg (PolicyMatrix.newton).  The step
+    solves J u_{k+1} = f + F_h(u_k) (Dg u_k).  For gamma = 0
     (g = 1, Dg = 0) this is Howard's policy iteration, L_alpha u_{k+1} = f.
     The loop stops once |G(u)| <= ctl.tolerance, at a floating-point fixed
     point (the step returns u_k itself), or after NEWTON_STALL solves in a
@@ -268,33 +275,26 @@ def solve_rhs(scheme, f, ctl=None, u0=None):
         u_int[...] = grid.interior(u0.values if isinstance(u0, GridFunction)
                                    else np.asarray(u0, dtype=float))
     f_int = grid.interior(f.values)
-    g, c, slopes = scheme.grad_factor_parts(vals)
-    F = scheme.F(vals)
-    rsup = float(np.abs(g * F - f_int).max())
     steps, best, stall = 0, np.inf, 0
-    for steps in range(1, ctl.max_steps + 1):
-        cF = c * F
-        dgu = sum(f * f + b * b for f, b in slopes)   # (Dg u_k) / c
-        op.set_policy(scheme.policy(vals))
-        new = op.solve(op.newton(g, cF, slopes),
-                       -(f_int + cF * dgu).ravel()).reshape(u_int.shape)
+    while True:
+        lin = scheme.linearize(vals)
+        rsup = float(np.abs(lin.gF - f_int).max())
+        if steps:
+            if not np.isfinite(rsup):
+                raise SolveError("non-finite residual at step %d" % steps)
+            if rsup <= 0.5 * best:
+                best, stall = rsup, 0
+            else:
+                stall += 1
+            if rsup <= ctl.tolerance or stall == NEWTON_STALL \
+                    or steps == ctl.max_steps:
+                break
+        steps += 1
+        dgu = sum(f * f + b * b for f, b in lin.slopes)   # (Dg u_k) / c
+        new = op.solve(op.newton(lin), -(f_int + lin.cF * dgu).ravel()) \
+            .reshape(u_int.shape)
         if np.array_equal(new, u_int):
             break
         u_int[...] = new
-        g, c, slopes = scheme.grad_factor_parts(vals)
-        F = scheme.F(vals)
-        rsup = float(np.abs(g * F - f_int).max())
-        if not np.isfinite(rsup):
-            raise SolveError("non-finite residual at step %d" % steps)
-        if rsup <= ctl.tolerance:
-            return RhsReport(GridFunction(grid, vals, dirichlet=False),
-                             rsup, steps, True)
-        if rsup <= 0.5 * best:
-            best, stall = rsup, 0
-        else:
-            stall += 1
-            if stall == NEWTON_STALL:
-                break
     return RhsReport(GridFunction(grid, vals, dirichlet=False),
                      rsup, steps, rsup <= ctl.tolerance)
-

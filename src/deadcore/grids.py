@@ -6,7 +6,9 @@ index tuples of one `Stencil` per dimension (STENCILS), built at import
 from the lattice directions of `_direction_set`.  `Scheme` is the
 vectorized monotone realization of |Du|^gamma F(x, D^2 u): F_h is the
 min or max of its members, constant-weight linear stencils built once
-in Scheme.__init__.  The pointwise residual of the reaction problem is
+in Scheme.__init__; Scheme.linearize hands both Newton loops g F_h with
+its active member and the derivative data of the gradient factor, in one
+pass.  The pointwise residual of the reaction problem is
 
     r = (|grad_h u|^2 + delta^2)^(gamma/2) * F_h(u) + a(x) u^q,
 
@@ -14,6 +16,7 @@ with the gradient regularization delta = max(h); boundary nodes carry the
 Dirichlet defect r = u.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import product
 import csv
@@ -264,6 +267,12 @@ ENVELOPES = {
 }
 
 
+# what Scheme.linearize(v) returns: gF = g F_h(v) at interior nodes, and
+# the Newton data of v that PolicyMatrix.newton takes: the active policy,
+# g, cF = c F_h(v) and the one-sided slopes
+Linearization = namedtuple("Linearization", "gF policy g cF slopes")
+
+
 class Scheme:
     """Vectorized interior-node evaluation of the monotone discretization.
 
@@ -312,7 +321,7 @@ class Scheme:
         self.members = members
         self._envelope = ENVELOPES.get(v)
         # the directions the members weigh, and per direction the stack of
-        # their weights that policy picks from
+        # their weights that linearize picks the policy from
         self.directions = tuple(name for name in st.names
                                 if any(name in m for m in members))
         self._stacks = {name: _stack(members, name, self.dim)
@@ -395,25 +404,6 @@ class Scheme:
             return 1.0
         return self._s2(self.upwind_mag2(v)) ** (self.gamma / 2.0)
 
-    def grad_factor_parts(self, v):
-        """g = grad_factor(v) as an interior array, with its derivative.
-
-        Returns (g, c, slopes), slopes the per-axis one_sided quotients
-        (f_k, b_k) and c = (gamma / 2) s2^(gamma/2 - 1), s2 = |grad|^2 +
-        delta^2: dg_i / du_{i+e_k} = c f_k / h_k, dg_i / du_{i-e_k} =
-        -c b_k / h_k, and dg_i / du_i is minus the sum of those (g sees
-        differences only).  When gamma = 0, g = 1 and c = 0 exactly and
-        the slopes are zero arrays.
-        """
-        shape = tuple(n - 2 for n in v.shape)
-        if self.gamma == 0.0:
-            zero = np.zeros(shape)
-            return np.ones(shape), 0.0, ((zero, zero),) * self.dim
-        slopes = self.one_sided(v)
-        s2 = self._s2(_mean_squares(slopes))
-        return (s2 ** (self.gamma / 2.0),
-                0.5 * self.gamma * s2 ** (self.gamma / 2.0 - 1.0), slopes)
-
     # -- operator -------------------------------------------------------
 
     def F(self, v):
@@ -445,23 +435,44 @@ class Scheme:
         """
         return [_weighted(m, k) for m in self.members]
 
-    def policy(self, v):
-        """Active policy at v: interior weights w_d per stencil direction.
+    def linearize(self, v):
+        """g F_h(v) at interior nodes and the Newton data of v, from one
+        pass over the second differences and one over the members.
 
-        F(v) == sum_d w_d * k_d exactly, with k_d the second differences
-        along self.directions: the weights of the member attaining the
-        envelope (arg-min or arg-max), 0 along directions it lacks.  Ties
-        go to the first member: the first family member; for Pucci the
-        axis frame, and within a frame the k <= 0 slope.  A one-member F
-        returns that member, the same object on every call.
+        Returns a Linearization whose `policy` holds the interior weights
+        w_d per stencil direction of the member attaining the envelope
+        (arg-min or arg-max), 0 along directions it lacks, so that
+        F_h(v) == sum_d w_d k_d exactly.  Ties go to the first member: the
+        first family member; for Pucci the axis frame, and within a frame
+        the k <= 0 slope.  A one-member F returns that member, the same
+        object on every call.  g = grad_factor(v) as an array and
+        cF = c F_h(v), with c = (gamma / 2) s2^(gamma/2 - 1) (see _s2) and
+        `slopes` the per-axis one_sided quotients (f_k, b_k):
+        dg_i / du_{i+e_k} = c f_k / h_k, dg_i / du_{i-e_k} = -c b_k / h_k,
+        and dg_i / du_i is minus the sum of those (g sees differences
+        only).  When gamma = 0, g = 1 and c = 0 exactly, the slopes are
+        zero arrays and gF is F_h(v) itself.
         """
+        k = self.second_differences(v)
         if len(self.members) == 1:
-            return self.members[0]
-        self.require_policy()
-        pick = self._envelope[1](
-            self._candidates(self.second_differences(v)), axis=0)[None]
-        return {name: np.take_along_axis(w, pick, axis=0)[0]
-                for name, w in self._stacks.items()}
+            policy = self.members[0]
+            F = _weighted(policy, k)
+        else:
+            self.require_policy()
+            values = np.array(self._candidates(k))
+            F = self._envelope[0].reduce(values)
+            pick = self._envelope[1](values, axis=0)[None]
+            policy = {name: np.take_along_axis(w, pick, axis=0)[0]
+                      for name, w in self._stacks.items()}
+        if self.gamma == 0.0:
+            zero = np.zeros(F.shape)
+            return Linearization(F, policy, np.ones(F.shape), 0.0 * F,
+                                 ((zero, zero),) * self.dim)
+        slopes = self.one_sided(v)
+        s2 = self._s2(_mean_squares(slopes))
+        g = s2 ** (self.gamma / 2.0)
+        c = 0.5 * self.gamma * s2 ** (self.gamma / 2.0 - 1.0)
+        return Linearization(g * F, policy, g, c * F, slopes)
 
     def require_policy(self):
         """Raise ValueError unless F_h has a policy form (members), which

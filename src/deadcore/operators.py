@@ -249,6 +249,8 @@ class AxiomReport:
 
 
 def _pointwise_F(spec, x, X, xi):
+    """F(x, X) of any variant, the p-Laplacian's at gradient xi: the
+    continuum evaluator of check_axioms and of analysis.w_residual."""
     if spec.variant == "p_laplacian":
         return p_laplacian_matrix_part(xi, X, spec.p)
     return evaluate_operator(spec, x, X)

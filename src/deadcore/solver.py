@@ -261,11 +261,17 @@ def _implicit_damping(w, c, q):
     concave under side, so the iteration increases monotonically to the
     root.  Where z0 underflows to 0 (a subnormal w next to a front) the
     root is at the underflow threshold too, and the node is set to 0 up
-    front (Newton would turn 0/0 into NaN there).  Stops once
-    max|z + c z^q - w| <= 1e-16 max(1, w) or after DAMPING_ITERS steps.
-    The caller (_relax_ptc) runs with divide, overflow and invalid
-    floating-point errors ignored; non-finite roots come out as 0 (NaN)
-    or the largest float (+inf).
+    front (Newton would turn 0/0 into NaN there).  Stops once every node
+    has |z + c z^q - w| <= max(1e-16, 2 ulp(w)), the rounding floor of a
+    difference of two floats near its own w (a node can flip between two
+    floats whose residuals are +-1 ulp of w), or after DAMPING_ITERS
+    steps.  A node whose residual is NaN does not hold the loop: a step
+    that rounds z to exactly 0, where the root lies below the smallest
+    subnormal, makes the next step's c q z^q / z a 0/0, and the node
+    comes out as 0, its root to within that subnormal.  The caller
+    (_relax_ptc) runs with divide, overflow and invalid floating-point
+    errors ignored; non-finite roots come out as 0 (NaN) or the largest
+    float (+inf).
     """
     z = np.maximum(w, 0.0)
     idx = np.flatnonzero((z > 0.0) & (c > 0.0))
@@ -287,12 +293,12 @@ def _implicit_damping(w, c, q):
         if not idx.size:
             return z
     caq = ca * q
-    scale = 1e-16 * max(1.0, float(wa.max()))
+    tol = np.maximum(1e-16, 2.0 * np.spacing(wa))
     for _ in range(DAMPING_ITERS):
         zq = za ** q
         f = za + ca * zq - wa
         za = za - f / (1.0 + caq * zq / za)
-        if np.abs(f).max() <= scale:
+        if not (np.abs(f) > tol).any():   # NaN compares False
             break
     # fmax drops NaN; + 0.0 turns -0.0 into +0.0, as np.maximum does
     zf[idx] = np.minimum(np.fmax(za, 0.0), _FLOAT_MAX) + 0.0
@@ -321,14 +327,6 @@ PTC_STALL = 128
 PTC_FLOOR = 1e-12
 
 
-def _ptc_residual(scheme, vals, a_int, q):
-    """R(u) = g F_h(u) + a u^q at interior nodes, with the (g, c F_h,
-    slopes) that PolicyMatrix.newton takes for its Jacobian."""
-    g, c, slopes = scheme.grad_factor_parts(vals)
-    F = scheme.F(vals)
-    return g * F + a_int * scheme.grid.interior(vals) ** q, (g, c * F, slopes)
-
-
 def _outside(grid, diff, what):
     """SolveError naming the first interior node where diff < -BRACKET_TOL."""
     bad = grid.interior(diff) < -BRACKET_TOL
@@ -346,8 +344,11 @@ def _relax_ptc(problem, vals, ctl, init, bracket):
     = R(u), with R(u) = g F_h(u) + a u^q and M = -d(g F_h)/du at the active
     policy (PolicyMatrix.newton), then sets u <- max(u + du, 0): backward
     Euler on u_t = R(u), linearized at u, which becomes Newton's method as
-    dt grows.  The nodes at or below PTC_FLOOR sup u are the zero set,
-    where dead cores lie and where that slope would pin the iterate:
+    dt grows.  Each trial that reaches the residual test is linearized
+    once (Scheme.linearize), and an accepted one's record gives R, g and
+    the Jacobian of every step taken from it.  The nodes at or below
+    PTC_FLOOR sup u are the zero set, where dead cores lie and where that
+    slope would pin the iterate:
     - where a > 0 the reaction slope is 0 (the floor slope makes the
       diagonal hugely negative and holds a node at 0 next to positive
       neighbours);
@@ -405,7 +406,8 @@ def _relax_ptc(problem, vals, ctl, init, bracket):
     trial = vals.copy()
     t_int = grid.interior(trial)
 
-    R, parts = _ptc_residual(scheme, vals, a_int, q)
+    lin = scheme.linearize(vals)
+    R = lin.gF + a_int * u_int ** q
     rsup = float(np.abs(R).max())
     dt = PTC_DT0
     if rsup > 0.0:
@@ -423,8 +425,7 @@ def _relax_ptc(problem, vals, ctl, init, bracket):
         zero = u <= floor
         slope = aq * np.maximum(u, floor) ** (q - 1.0)
         slope[zero & source] = 0.0
-        op.set_policy(scheme.policy(vals))
-        du = op.solve(op.newton(*parts, shift=1.0 / dt - slope), R.ravel())
+        du = op.solve(op.newton(lin, shift=1.0 / dt - slope), R.ravel())
         steps += 1
         np.maximum(u_int + du.reshape(u_int.shape), 0.0, out=t_int)
         dead = zero & sink
@@ -432,7 +433,7 @@ def _relax_ptc(problem, vals, ctl, init, bracket):
             t = t_int.ravel()
             D = op.diagonal()
             N = (D * t - op.apply(t))[dead]
-            gD = parts[0].ravel()[dead] * D[dead]
+            gD = lin.g.ravel()[dead] * D[dead]
             t_int[dead.reshape(t_int.shape)] = _implicit_damping(
                 N / D[dead], -a[dead] / gD, q)
         dark = t_int <= PTC_FLOOR * t_int.max()
@@ -444,14 +445,15 @@ def _relax_ptc(problem, vals, ctl, init, bracket):
             t_int[grid.interior(_stencil_all_below(near)) & positive] = 0.0
         if np.array_equal(trial, vals):
             break
-        R_t, parts_t = _ptc_residual(scheme, trial, a_int, q)
+        lin_t = scheme.linearize(trial)
+        R_t = lin_t.gF + a_int * t_int ** q
         r_t = float(np.abs(R_t).max())
         if not r_t <= PTC_REJECT * rsup:
             dt /= PTC_CUT
             continue
         moved = float(np.abs(t_int - u_int).max()) > PTC_SETTLED * u.max()
         vals[...] = trial
-        R, parts, rsup = R_t, parts_t, r_t
+        R, lin, rsup = R_t, lin_t, r_t
         dt *= PTC_GROW
         lit = np.count_nonzero(~dark)
         if rsup < best:

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from deadcore import (Grid, GridFunction, OperatorSpec, IterationControl,
                       SolveError, solve_rhs)
 from deadcore.dirichlet import PolicyMatrix
-from deadcore.grids import Scheme
+from deadcore.grids import Linearization, Scheme
 from reference import _relax_rhs
 
 
@@ -169,10 +169,12 @@ def _grid(dim):
         Grid.rectangle(0.0, 2.0, 0.0, 1.0, 19, 9)
 
 
-def _shifted(op, d, dim):
-    """A + diag(d): the Newton matrix at g = 1 and c F_h = 0, shifted."""
+def _shifted(op, policy, d, dim):
+    """A + diag(d) at the policy: the Newton matrix at g = 1 and c F_h = 0,
+    shifted."""
     zero = np.zeros(len(d))
-    return op.newton(np.ones(len(d)), zero, [(zero, zero)] * dim, shift=d)
+    return op.newton(Linearization(None, policy, np.ones(len(d)), zero,
+                                   [(zero, zero)] * dim), shift=d)
 
 
 def _csr(op, M):
@@ -198,21 +200,22 @@ def test_policy_matrix_is_the_scheme(dim):
         op = PolicyMatrix(sch)
         for _ in range(3):
             v = GridFunction(g, rng.standard_normal(g.shape)).values
-            A = op.set_policy(sch.policy(v))
+            lin = sch.linearize(v)
+            A = op.set_policy(lin.policy)
             S = _csr(op, A)
             assert np.all(A[op.outside] == 0.0)
             u = g.interior(v).ravel()
             Au = op.apply(u)
             assert Au.tobytes() == (S @ u).tobytes()
             F = sch.F(v)
+            assert lin.gF.tobytes() == F.tobytes()
             got = -Au.reshape(F.shape)
             assert np.max(np.abs(got - F)) <= 1e-13 * np.max(np.abs(F))
-            gf, c, slopes = sch.grad_factor_parts(v)
-            assert op.newton(gf, c * F, slopes).tobytes() == A.tobytes()
+            assert op.newton(lin).tobytes() == A.tobytes()
             d = rng.random(A.shape[1])
             W = A.copy()
             W[op.offsets.index(0)] += d
-            M = _shifted(op, d, g.dim)
+            M = _shifted(op, lin.policy, d, g.dim)
             assert M.tobytes() == W.tobytes()
             M = _csr(op, M)
             assert np.array_equal(M.diagonal(), S.diagonal() + d)
@@ -235,7 +238,7 @@ def test_policy_matrices_are_m_matrices(dim):
         op = PolicyMatrix(sch)
         for _ in range(5):
             v = rng.standard_normal(g.shape) * 10.0 ** rng.integers(-3, 4)
-            A = _csr(op, op.set_policy(sch.policy(v))).toarray()
+            A = _csr(op, op.set_policy(sch.linearize(v).policy)).toarray()
             d = np.diag(A).copy()
             np.fill_diagonal(A, 0.0)
             assert np.all(d > 0) and np.all(A <= 0)
@@ -444,8 +447,9 @@ def test_policy_solve_matches_superlu_1d(monkeypatch, n):
             sch = Scheme(g, spec, gamma)
             rep = solve_rhs(sch, _const_rhs(g, -30.0))
             op = PolicyMatrix(sch)
-            op.set_policy(sch.policy(rep.solution.values))
-            op.solve(_shifted(op, rng.random(n) * op.diagonal(), 1), np.ones(n))
+            w = sch.linearize(rep.solution.values).policy
+            op.set_policy(w)
+            op.solve(_shifted(op, w, rng.random(n) * op.diagonal(), 1), np.ones(n))
     assert len(worst) >= 20 and max(worst) <= tol
 
 
@@ -489,9 +493,10 @@ def test_policy_solve_matches_superlu_2d(monkeypatch, shape):
             sch = Scheme(g, spec, gamma)
             rep = solve_rhs(sch, _const_rhs(g, -30.0))
             op = PolicyMatrix(sch)
-            op.set_policy(sch.policy(rep.solution.values))
+            w = sch.linearize(rep.solution.values).policy
+            op.set_policy(w)
             size = op.A.shape[1]
-            op.solve(_shifted(op, rng.random(size) * op.diagonal(), 2),
+            op.solve(_shifted(op, w, rng.random(size) * op.diagonal(), 2),
                      np.ones(size))
     assert len(worst) >= 20 and max(worst) <= 1.0
 
@@ -504,10 +509,11 @@ def test_policy_solve_singular_is_nan(dim):
     g = _grid(dim)
     sch = Scheme(g, OperatorSpec.pucci_plus(1.0, 2.0), 0.0)
     op = PolicyMatrix(sch)
-    w = {k: np.zeros_like(v) for k, v in sch.policy(np.zeros(g.shape)).items()}
+    w = {k: np.zeros_like(v)
+         for k, v in sch.linearize(np.zeros(g.shape)).policy.items()}
     A = op.set_policy(w)
     b = np.ones(A.shape[1])
-    for M in (A, _shifted(op, np.zeros(A.shape[1]), dim)):
+    for M in (A, _shifted(op, w, np.zeros(A.shape[1]), dim)):
         x = op.solve(M, b)
         assert x.shape == b.shape and np.all(np.isnan(x))
 

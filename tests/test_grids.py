@@ -181,7 +181,9 @@ def test_p_laplacian_2d_scheme_not_monotone():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_scheme_policy_reproduces_F(dim):
     # F(v) == sum_d w_d k_d exactly at the active policy, and the policy
-    # is deterministic (an all-tied field gets the same weights twice)
+    # is deterministic (an all-tied field gets the same weights twice);
+    # linearize's g F_h is the certificate's grad_factor * F bit for bit,
+    # at gamma = 0 and above
     rng = np.random.default_rng(22)
     g = Grid.interval(0.0, 1.0, 9) if dim == 1 else \
         Grid.rectangle(0.0, 1.0, 0.0, 1.0, 7, 7)
@@ -200,17 +202,21 @@ def test_scheme_policy_reproduces_F(dim):
     if dim == 1:
         specs += (OperatorSpec.p_laplacian(3.0),)
     for spec in specs:
-        sch = Scheme(g, spec, 0.0)
+        sch, degenerate = Scheme(g, spec, 0.0), Scheme(g, spec, 1.0)
         for v in [rng.standard_normal(g.shape) for _ in range(10)] + \
                 [np.zeros(g.shape)]:
-            w = sch.policy(v)
+            lin = sch.linearize(v)
+            w = lin.policy
             assert set(w) == set(sch.directions)
             k = sch.second_differences(v)
             total = w["x"] * k["x"]
             for name in sch.directions[1:]:
                 total = total + w[name] * k[name]
             assert np.array_equal(total, sch.F(v))
-        w0, w1 = sch.policy(np.zeros(g.shape)), sch.policy(np.zeros(g.shape))
+            assert lin.gF.tobytes() == sch.F(v).tobytes()
+            assert degenerate.linearize(v).gF.tobytes() == \
+                (degenerate.grad_factor(v) * degenerate.F(v)).tobytes()
+        w0, w1 = (sch.linearize(np.zeros(g.shape)).policy for _ in range(2))
         assert all(np.array_equal(w0[d], w1[d]) for d in w0)
 
 
@@ -254,7 +260,7 @@ def test_pucci_corners_match_sign_rule(dim, variant, Lam):
                       for a, (i, c) in zip(attained, corners) if d in c]
             lo, hi = np.fmin.reduce(slopes), np.fmax.reduce(slopes)
             clean &= (lo == hi) | np.isnan(lo) | (k[d] == 0.0)
-        w = sch.policy(v)
+        w = sch.linearize(v).policy
         assert set(w) == set(policy)
         assert all(np.array_equal(w[d][clean], policy[d][clean]) for d in w)
         checked += clean.mean() / len(fields)
@@ -468,7 +474,7 @@ def test_callable_coefficient_is_sampled_once_per_interior_node(dim):
         return [[a]] if dim == 1 else np.diag([a, 2.0 - 0.3 * x[1]])
 
     weights = Scheme(g, OperatorSpec.linear_trace(coeff, 1.0, 2.0), 0.0) \
-        .policy(GridFunction.zeros(g).values)
+        .linearize(GridFunction.zeros(g).values).policy
     nodes = list(np.ndindex(*g.n))
     points = [tuple(g.axis(a)[i[a] + 1] for a in range(dim)) for i in nodes]
     assert calls == points
@@ -646,7 +652,7 @@ def test_stencil_table_matches_reference_spellings(g):
             _reference_zero_boundary(ref)
             assert _same(zeroed, ref)
             op = PolicyMatrix(sch)
-            w = sch.policy(v)
+            w = sch.linearize(v).policy
             offsets, outside, A = _reference_policy_matrix(sch, w)
             assert op.offsets == offsets and _same(op.outside, outside)
             assert _same(op.set_policy(w), A)

@@ -604,6 +604,42 @@ def test_from_below_one_solve_per_step(monkeypatch):
     assert 0 < len(calls) == rep.steps
 
 
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_one_envelope_evaluation_per_newton_step(monkeypatch, gamma):
+    # each iterate is linearized once (Scheme.linearize): its g F_h, its
+    # policy and its Jacobian data come from one evaluation of the
+    # members' candidates, so k steps evaluate them at most k + 1 times
+    # (the start and each new iterate), in solve_rhs and inside pseudo-
+    # transient Newton, whose certificate (_certified) is its own
+    # evaluation; on 2-D Pucci, where F_h has eight members
+    evaluations, in_loop = [], []
+    candidates, certified = Scheme._candidates, solver_mod._certified
+
+    def counting(self, k):
+        evaluations.append(1)
+        return candidates(self, k)
+
+    def certifying(*args):
+        in_loop.append(len(evaluations))
+        return certified(*args)
+
+    monkeypatch.setattr(Scheme, "_candidates", counting)
+    monkeypatch.setattr(solver_mod, "_certified", certifying)
+    g = Grid.rectangle(0.0, 2.0, 0.0, 1.0, 39, 19)
+    p = _problem(g, WeightField.sinsplit(g, 0.3).scaled(30.0), gamma=gamma,
+                 q=0.5 * (1.0 + gamma), spec=_policy_specs(2)[1])
+    evaluations.clear()
+    rep = solve_rhs(p.scheme, GridFunction(g, np.full(g.shape, -30.0),
+                                           dirichlet=False))
+    assert rep.converged and rep.steps > 1
+    assert len(evaluations) <= rep.steps + 1
+    start = build_supersolution(p)
+    evaluations.clear()
+    rep = solve(p, init="given", u0=start)
+    assert rep.converged and rep.steps > 1
+    assert len(in_loop) == 1 and in_loop[0] <= rep.steps + 1
+
+
 def test_gamma0_ptc_stands_alone():
     # gamma = 0 from the supersolution: pseudo-transient Newton runs alone.
     # It crosses a small-q dead core by itself (q = 0.2, n = 99) and
@@ -857,7 +893,9 @@ def test_small_q_ptc_stops():
 
 def _damping_reference(w, c, q):
     # the formula _implicit_damping had before its per-call overhead was
-    # trimmed and before underflowed starts were settled up front
+    # trimmed and before underflowed starts were settled up front, with
+    # its stop rule: each node within max(1e-16, 2 ulp) of its own w, a
+    # NaN node holding nothing
     z = np.maximum(w, 0.0)
     active = (z > 0.0) & (c > 0.0)
     if not np.any(active):
@@ -868,12 +906,12 @@ def _damping_reference(w, c, q):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         beta = ca * za ** (q - 1.0)
         za = za * (1.0 + beta) ** (-1.0 / q)
-        scale = 1e-16 * max(1.0, float(np.max(wa)))
+        tol = np.maximum(1e-16, 2.0 * np.spacing(wa))
         for _ in range(30):
             zq = za ** q
             f = za + ca * zq - wa
             za = za - f / (1.0 + ca * q * zq / za)
-            if np.max(np.abs(f)) <= scale:
+            if not np.any(np.abs(f) > tol):
                 break
     z[active] = np.maximum(np.nan_to_num(za), 0.0)
     return z
@@ -889,9 +927,9 @@ def _underflowed_starts(w, c, q):
 
 
 def test_implicit_damping_matches_reference():
-    # bit for bit where no start underflows; an underflowed start is 0, as
-    # the reference's 0/0 = NaN iterate came out, and the other nodes of
-    # that call stop with the convergence test instead of at the cap
+    # bit for bit, underflowed starts included: such a start is 0, as the
+    # reference's 0/0 = NaN iterate comes out, and a NaN node holds
+    # neither loop
     rng = np.random.default_rng(61)
     odd = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, 1e300])
     underflows = 0
@@ -906,19 +944,51 @@ def test_implicit_damping_matches_reference():
             q = rng.choice([0.3, 0.5, 0.8, 0.95])
             cc = c if trial % 5 else float(c.flat[0])
             got = _implicit_damping(w, cc, q)
-            ref = _damping_reference(w, cc, q)
+            assert got.tobytes() == _damping_reference(w, cc, q).tobytes()
             low = _underflowed_starts(w, cc, q)
-            if not low.any():
-                assert got.tobytes() == ref.tobytes()
-                continue
-            underflows += 1
+            underflows += bool(low.any())
             assert np.all(got[low] == 0.0)
-            # NaN entries of w are not active; the convergence test scales
-            # with the largest of the others
-            np.testing.assert_allclose(
-                got[~low], ref[~low], rtol=0.0,
-                atol=2e-16 * max(1.0, float(np.nanmax(w))))
     assert underflows > 0
+
+
+def test_implicit_damping_stops_at_the_rounding_of_w(monkeypatch):
+    # nodes of three bracketed 1-D solves (trace, sinsplit weights, ball
+    # (0.2, 0.8)) that held their call for all DAMPING_ITERS steps under a
+    # stop test of 1e-16 max(1, max w) on max|f|, f = z + c z^q - w:
+    # - w = 2.354 flips between two floats whose |f| is one ulp of w
+    #   (4.4e-16), above that test;
+    # - w = 9.4e-167 and 1.1e-98 have roots below the smallest subnormal:
+    #   a step rounds z to 0, the next one's c q z^q / z is 0/0, and the
+    #   NaN f of that node never passed the test
+    steps = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def abs(self, x):   # one call per Newton step
+            steps.append(1)
+            return np.abs(x)
+
+    monkeypatch.setattr(solver_mod, "np", CountingNumpy())
+    cases = [(2.3540153657940155, 0.18492317826618943, 0.5),
+             (9.426723576629248e-167, 5.7519461356980915e-05, 0.5),
+             (1.060658066141122e-98, 0.1266491888253023, 0.3)]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for w, c, q in cases:
+            # a well-scaled node beside it, as in the solves
+            w2, c2 = np.array([w, 1.0]), np.array([c, 1.0])
+            steps.clear()
+            z = _implicit_damping(w2, c2, q)
+            assert 0 < len(steps) < solver_mod.DAMPING_ITERS
+            f = z + c2 * z ** q - w2
+            assert abs(f[1]) <= 2.0 * np.spacing(1.0)
+            if w > 1.0:
+                assert abs(f[0]) <= 2.0 * np.spacing(w)
+            else:
+                # the root lies between 0 and the smallest subnormal
+                tiny = np.nextafter(0.0, 1.0)
+                assert z[0] == 0.0 and tiny + c * tiny ** q > w
 
 
 def test_degenerate_example_reference_damping(monkeypatch):
