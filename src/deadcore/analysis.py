@@ -18,7 +18,7 @@ import numpy as np
 
 from .grids import GridFunction, _stencil_all_below
 from .operators import _pointwise_F
-from .solver import (extend_ball_function, _ball_mask, _norm_ball, solve,
+from .solver import (extend_ball_function, _ball_nodes, solve,
                      SubsolutionError)
 
 __all__ = [
@@ -163,13 +163,15 @@ def barrier_check(u, ball, pair, problem, theta, tol=1e-8):
     """Check u >= eps_theta * phi+(ball) - 2 tol on the ball.
 
     eps_theta = (a0 / lam+ - theta)^(1/(gamma+1-q)) with a0 the weight
-    minimum over the closed ball.  Returns an 'inapplicable' status when
-    a0 <= lam+ (the weight can be rescaled upstream to restore it).
+    minimum over the ball's host nodes (solver._ball_nodes, the nodes of
+    its eigenpair's sub-grid), where the slack is taken too.  Returns an
+    'inapplicable' status when a0 <= lam+ (the weight can be rescaled
+    upstream to restore it).
     """
     g = problem.grid
-    ball = _norm_ball(g, ball)
-    mask = _ball_mask(g, ball)
-    a0 = float(np.min(problem.weight.samples[mask]))
+    nodes = _ball_nodes(g, ball)
+    box = tuple(slice(i, j) for i, j in nodes)
+    a0 = float(np.min(problem.weight.samples[box]))
     lamp = pair.lambda_plus
     if a0 <= lamp:
         return BarrierResult("inapplicable")
@@ -177,8 +179,8 @@ def barrier_check(u, ball, pair, problem, theta, tol=1e-8):
     if not ratio - theta > 1:
         raise ValueError("theta must satisfy a0/lam+ - theta > 1")
     eps = (ratio - theta) ** (1.0 / (problem.gamma + 1.0 - problem.q))
-    phi = extend_ball_function(g, pair)
-    slack = u.values[mask] - (eps * phi.values[mask] - 2.0 * tol)
+    phi = extend_ball_function(g, nodes, pair).values[box]
+    slack = u.values[box] - (eps * phi - 2.0 * tol)
     return BarrierResult("checked", eps, bool(np.min(slack) >= 0),
                          float(np.min(slack)))
 

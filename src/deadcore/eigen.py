@@ -88,14 +88,15 @@ def principal_eigenpair(grid, spec, gamma, ctl=None):
 
         lam_ok = (lam_prev is not None
                   and abs(lam - lam_prev) <= ctl.tol_lambda * abs(lam))
-        if lam_ok:
+        # the eigen-residual once lambda is stationary, and at the last
+        # step: the loop's last res is the pair's
+        if lam_ok or it == MAX_OUTER:
             res = float(np.abs(scheme.residual_interior(phi, lam, power)).max())
-            if res <= ctl.tol_residual:
+            if lam_ok and res <= ctl.tol_residual:
                 break
         lam_prev = lam
 
     pair_phi = GridFunction(grid, phi, dirichlet=False)
-    res = float(np.abs(scheme.residual_interior(phi, lam, power)).max())
     converged = bool(inner_ok and lam_ok and res <= ctl.tol_residual)
     if lam <= 0:
         raise RuntimeError("principal eigenvalue came out nonpositive")

@@ -114,7 +114,8 @@ class OperatorSpec:
     linear_trace, `family` (tuple of coeffs) the Bellman variants, `p` the
     p-Laplacian, and `func(x, X) -> float` a custom operator (axiom
     experiments only).  `lipschitz` optionally declares an x-Lipschitz
-    bound, standing in for the continuity modulus.
+    bound, standing in for the continuity modulus.  Specs compare by
+    identity (eq=False): ball_eigenpair keys its pair by the spec object.
     """
     variant: str
     lam: float = 1.0
@@ -174,20 +175,6 @@ class OperatorSpec:
     @classmethod
     def custom(cls, func, lam=1.0, Lam=1.0):
         return cls("custom", lam=lam, Lam=Lam, func=func)
-
-    def key(self):
-        """Structural hash key (used to cache eigenpairs per operator).
-
-        A callable enters the key itself, not its id(): the key keeps it
-        alive, so a later callable can never reuse its id and pick up this
-        operator's cache entries.
-        """
-        def one(c):
-            if c is None or callable(c):
-                return c
-            return np.asarray(c, dtype=float).tobytes()
-        return (self.variant, self.lam, self.Lam, self.p, one(self.coeff),
-                tuple(one(c) for c in self.family), one(self.func))
 
 
 def coeff_at(coeff, x):

@@ -17,6 +17,7 @@ read the one Scheme a ProblemSpec builds, `problem.scheme`.
 """
 
 from dataclasses import dataclass, field
+import functools
 import math
 import numpy as np
 
@@ -89,79 +90,78 @@ def residual(problem, u):
     return residual_field(u, problem.scheme, problem.q, problem.weight)
 
 
-# the last ball eigenpair as (key, pair): every probe of a parameter sweep
-# asks for the same one, so one entry serves the whole sweep
-_eig_memo = (None, None)
 # the ball eigenpair's control: tol_residual = inf, so its converged flag
 # checks only the inner solves
 BALL_EIGEN = EigenControl(tol_lambda=1e-7, tol_residual=np.inf,
                           inner=IterationControl(tolerance=1e-8))
 
 
-def _ball_grid(grid, ball):
-    """Sub-grid on the ball, snapped to host nodes.
+def _ball_nodes(grid, ball):
+    """The host nodes of a ball: per axis the index range (start, stop)
+    of the grid nodes within 1e-12 of [lo, hi].
 
-    Snapping makes the eigenfunction transfer exact (pure injection, no
-    interpolation error), which keeps second differences of the extended
-    function consistent on the host grid.
+    The one place a ball is checked: 2 * dim finite numbers, lo, hi per
+    axis, with lo < hi inside the domain, covering at least 5 nodes per
+    axis.  The eigenpair's sub-grid, the weight on the ball and the
+    injection of phi+ all read this range, so they see the same nodes.
     """
-    bounds, n = [], []
-    for k, (lo, hi) in enumerate(ball):
+    flat = [float(v) for v in np.ravel(ball)]
+    text = "ball " + ",".join(map(repr, flat))
+    if len(flat) != 2 * grid.dim or not all(map(math.isfinite, flat)):
+        raise ValueError("%s: a %d-D ball is %d finite numbers, lo,hi per axis"
+                         % (text, grid.dim, 2 * grid.dim))
+    nodes = []
+    for k, (glo, ghi) in enumerate(grid.bounds):
+        lo, hi = flat[2 * k:2 * k + 2]
+        if not glo <= lo < hi <= ghi:
+            raise ValueError("%s not inside the domain" % text if lo < hi
+                             else "%s: axis %d needs lo < hi" % (text, k))
         x = grid.axis(k)
-        idx = np.nonzero((x >= lo - 1e-12) & (x <= hi + 1e-12))[0]
+        idx = np.flatnonzero((x >= lo - 1e-12) & (x <= hi + 1e-12))
         if len(idx) < 5:
-            raise ValueError("ball %r covers fewer than 5 grid nodes on axis %d"
-                             % (ball, k))
-        bounds.append((float(x[idx[0]]), float(x[idx[-1]])))
-        n.append(len(idx) - 2)
-    return Grid(tuple(bounds), tuple(n))
+            raise ValueError("%s covers fewer than 5 grid nodes on axis %d"
+                             % (text, k))
+        nodes.append((int(idx[0]), int(idx[-1]) + 1))
+    return tuple(nodes)
+
+
+@functools.lru_cache(maxsize=1)
+def _ball_pair(grid, nodes, gamma, operator):
+    """The eigenpair on the sub-grid of the host nodes `nodes`.
+
+    Snapping to host nodes makes the eigenfunction transfer exact (pure
+    injection, no interpolation error), which keeps second differences of
+    the extended function consistent on the host grid.  One entry: every
+    probe of a parameter sweep asks for the same pair.  OperatorSpec
+    compares by identity, and the entry holds it alive.
+    """
+    axes = [grid.axis(k)[i:j] for k, (i, j) in enumerate(nodes)]
+    sub = Grid(tuple((float(x[0]), float(x[-1])) for x in axes),
+               tuple(len(x) - 2 for x in axes))
+    return principal_eigenpair(sub, operator, gamma, BALL_EIGEN)
 
 
 def ball_eigenpair(problem, ball):
     """Principal eigenpair of the problem's operator on a sub-ball, by
-    principal_eigenpair under BALL_EIGEN.
+    principal_eigenpair under BALL_EIGEN on the ball's host nodes
+    (_ball_nodes).
 
-    The last pair is kept, keyed by grid, ball, gamma and operator; a call
-    with any other key computes its own pair and replaces it.
+    The last pair is kept, keyed by grid, nodes, gamma and the operator
+    object; a call with any other key computes its own pair and replaces
+    it.  A sweep shares one pair only if its problems share one operator.
     """
-    global _eig_memo
-    ball = _norm_ball(problem.grid, ball)
-    key = (problem.grid.bounds, problem.grid.n, ball, problem.gamma,
-           problem.operator.key())
-    last_key, last_pair = _eig_memo   # one read: key and pair match
-    if last_key == key:
-        return last_pair
-    sub = _ball_grid(problem.grid, ball)
-    pair = principal_eigenpair(sub, problem.operator, problem.gamma, BALL_EIGEN)
-    _eig_memo = (key, pair)
-    return pair
+    return _ball_pair(problem.grid, _ball_nodes(problem.grid, ball),
+                      problem.gamma, problem.operator)
 
 
-def _norm_ball(grid, ball):
-    b = np.asarray(ball, dtype=float)
-    b = tuple(tuple(ax) for ax in b.reshape(grid.dim, 2))
-    for (lo, hi), (glo, ghi) in zip(b, grid.bounds):
-        if not (glo <= lo < hi <= ghi):
-            raise ValueError("ball %r not inside the domain" % (ball,))
-    return b
-
-
-def _ball_mask(grid, ball):
-    return np.logical_and.reduce([(x >= lo) & (x <= hi)
-                                  for x, (lo, hi) in zip(grid.coords(), ball)])
-
-
-def extend_ball_function(grid, ball_pair):
+def extend_ball_function(grid, nodes, ball_pair):
     """Inject a ball eigenfunction into the host grid, 0 outside.
 
-    The ball sub-grid is snapped to host nodes (_ball_grid), so the
-    transfer is a slice copy of the sub-grid values, clamped at 0.
+    The pair's sub-grid lies on the host nodes `nodes` (_ball_nodes), so
+    the transfer is a slice copy of the sub-grid values, clamped at 0.
     """
-    sub = ball_pair.phi_plus.grid
-    start = [int(round((lo - glo) / hk)) for (lo, _), (glo, _), hk
-             in zip(sub.bounds, grid.bounds, grid.h)]
     vals = np.zeros(grid.shape)
-    vals[tuple(slice(i, i + m) for i, m in zip(start, sub.shape))] = \
+    vals[tuple(slice(i, j) for i, j in nodes)] = \
         np.maximum(ball_pair.phi_plus.values, 0.0)
     return GridFunction(grid, vals)
 
@@ -173,26 +173,29 @@ BRACKET_TOL = 1e-8
 def build_subsolution(problem, ball):
     """eps * phi+(ball) extended by zero, with eps fixed by dyadic search.
 
-    eps starts at the analytic admissibility bound from
+    The weight is checked and eps bounded on the ball's host nodes
+    (_ball_nodes), the nodes of its eigenpair's sub-grid.  eps starts at
+    the analytic admissibility bound from
     lam+ eps^(1+gamma-q) phi^(1-q) <= a and halves until the discrete
     subsolution inequality (residual >= -BRACKET_TOL) holds at every
-    interior node.  Raises SubsolutionError naming the violated node when
-    no admissible eps exists.
+    interior node.  Raises SubsolutionError when the weight is not
+    positive on the ball, and naming the violated node when no admissible
+    eps exists.
     """
-    ball = _norm_ball(problem.grid, ball)
     grid = problem.grid
-    mask = _ball_mask(grid, ball)
-    a = problem.weight.samples
-    if np.min(a[mask]) <= 0:
-        raise SubsolutionError(
-            "ball %r is not contained in the positive set of the weight" % (ball,))
+    nodes = _ball_nodes(grid, ball)
+    box = tuple(slice(i, j) for i, j in nodes)
+    a = problem.weight.samples[box]
+    if np.min(a) <= 0:
+        raise SubsolutionError("ball is not contained in the positive set "
+                               "of the weight (min a = %.6g)" % np.min(a))
 
     pair = ball_eigenpair(problem, ball)
-    phi = extend_ball_function(grid, pair)
+    phi = extend_ball_function(grid, nodes, pair)
     gamma, q = problem.gamma, problem.q
 
-    pos = mask & (phi.values > 1e-8)
-    bound = (a[pos] / (pair.lambda_plus * phi.values[pos] ** (1.0 - q)))
+    pos = phi.values[box] > 1e-8
+    bound = a[pos] / (pair.lambda_plus * phi.values[box][pos] ** (1.0 - q))
     eps_max = float(np.min(bound) ** (1.0 / (1.0 + gamma - q)))
 
     # the analytic bound is tight at the worst node, so the discrete
@@ -206,7 +209,8 @@ def build_subsolution(problem, ball):
         worst = float(np.min(rint))
         if worst >= -BRACKET_TOL:
             return u
-        last_bad = (eps, np.unravel_index(np.argmin(rint), rint.shape), worst)
+        node = np.unravel_index(np.argmin(rint), rint.shape)
+        last_bad = (eps, tuple(int(i) for i in node), worst)
         eps *= 0.5
     raise SubsolutionError(
         "no admissible eps <= %g; last violation %.3e at interior node %r (eps=%g)"

@@ -69,7 +69,23 @@ def test_ball_outside_domain_exit_2(tmp_path, monkeypatch, capsys):
                  BASE_SOLVE.replace("ball = 0.2,0.8", "ball = 1.5,2.5"))
     monkeypatch.chdir(tmp_path)
     assert main(["solve", "--config", cfg]) == 2
-    assert "not inside the domain" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: ball 1.5,2.5 not inside the "
+                                       "domain\n")
+
+
+@pytest.mark.parametrize("ball, message", [
+    ("0.2,0.5,0.8", "ball 0.2,0.5,0.8: a 1-D ball is 2 finite numbers, "
+                    "lo,hi per axis"),
+    ("0.2,nan", "ball 0.2,nan: a 1-D ball is 2 finite numbers, lo,hi per axis"),
+    ("0.8,0.2", "ball 0.8,0.2: axis 0 needs lo < hi"),
+])
+def test_malformed_ball_exit_2(tmp_path, monkeypatch, capsys, ball, message):
+    # the message names the ball in plain floats, as the config spells it
+    cfg = _write(tmp_path / "ball.ini",
+                 BASE_SOLVE.replace("ball = 0.2,0.8", "ball = " + ball))
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_missing_config_exit_2(tmp_path):

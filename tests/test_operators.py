@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from deadcore import (SymMatrix, OperatorSpec, AxiomReport, eigenvalues, pucci,
-                      evaluate_operator, check_axioms)
+                      evaluate_operator, check_axioms, Grid, ProblemSpec,
+                      WeightField, ball_eigenpair)
 from deadcore.operators import p_laplacian_matrix_part
 
 
@@ -204,18 +205,31 @@ def test_axioms_strict_homogeneity_fails_for_pucci():
 
 
 def test_key_keeps_callables_alive():
-    # the key holds the coefficient itself: while a cached key exists its
-    # callable cannot be collected and its id() handed to another one
+    # the ball eigenpair's cache keys the operator object itself: while a
+    # pair is cached, its operator and that operator's callable cannot be
+    # collected and their id() handed to another one
     def coeff(x):
         return np.eye(1)
 
-    ref = weakref.ref(coeff)
-    key = OperatorSpec.linear_trace(coeff, 1.0, 1.0).key()
-    del coeff
+    g = Grid.interval(0.0, 1.0, 19)
+    w = WeightField.constant(g, 1.0)
+    spec = OperatorSpec.linear_trace(coeff, 1.0, 1.0)
+    ref, spec_ref = weakref.ref(coeff), weakref.ref(spec)
+    pair = ball_eigenpair(ProblemSpec(g, spec, 0.0, 0.5, w), (0.2, 0.8))
+    del coeff, spec
     gc.collect()
-    assert ref() is not None and ref() in key
-    assert key == OperatorSpec.linear_trace(ref(), 1.0, 1.0).key()
-    assert key != OperatorSpec.linear_trace(lambda x: np.eye(1), 1.0, 1.0).key()
+    assert ref() is not None and spec_ref() is not None
+    assert spec_ref().coeff is ref()
+    # the same operator object hits the cached pair; another one with an
+    # equal structure but its own callable does not
+    assert ball_eigenpair(ProblemSpec(g, spec_ref(), 0.0, 0.5, w),
+                          (0.2, 0.8)) is pair
+    other = OperatorSpec.linear_trace(lambda x: np.eye(1), 1.0, 1.0)
+    assert ball_eigenpair(ProblemSpec(g, other, 0.0, 0.5, w),
+                          (0.2, 0.8)) is not pair
+    # replaced in the one-entry cache, the first operator is released
+    gc.collect()
+    assert spec_ref() is None and ref() is None
 
 
 # --- batched check_axioms against the per-trial loop -------------------------

@@ -8,9 +8,10 @@ import pytest
 
 from deadcore import (Grid, GridFunction, WeightField, OperatorSpec,
                       EigenControl, IterationControl, ProblemSpec, SolveError,
-                      SubsolutionError, ball_eigenpair, build_subsolution,
-                      build_supersolution, classify, example_instance,
-                      principal_eigenpair, solve, residual, solve_rhs)
+                      SubsolutionError, ball_eigenpair, barrier_check,
+                      build_subsolution, build_supersolution, classify,
+                      example_instance, principal_eigenpair, solve, residual,
+                      solve_rhs)
 from deadcore import eigen as eigen_mod, solver as solver_mod
 from deadcore.dirichlet import PolicyMatrix
 from deadcore.grids import Scheme
@@ -76,7 +77,7 @@ def test_subsolution_solve_builds_no_scheme_of_its_own(monkeypatch):
         init(self, grid, spec, gamma)
 
     monkeypatch.setattr(Scheme, "__init__", counted)
-    monkeypatch.setattr(solver_mod, "_eig_memo", (None, None))
+    solver_mod._ball_pair.cache_clear()
     rep = solve(p, init="subsolution", ball=(1.15, 1.95))
     assert rep.converged
     assert built == [ball_eigenpair(p, (1.15, 1.95)).phi_plus.grid]
@@ -479,7 +480,7 @@ def test_p_laplacian_1d_degenerate_matches_explicit(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(solver_mod, "solve_rhs", _relax_rhs)
         m.setattr(eigen_mod, "solve_rhs", _relax_rhs)
-        m.setattr(solver_mod, "_eig_memo", (None, None))
+        solver_mod._ball_pair.cache_clear()
         reps.append(_explicit_solve(p, init="subsolution", ball=(0.2, 0.8),
                                     ctl=IterationControl(tolerance=tol)))
     assert all(r.converged for r in reps)
@@ -526,13 +527,15 @@ def test_extend_ball_function_is_injection():
         p = _problem(g, WeightField.constant(g, 1.0),
                      spec=OperatorSpec.linear_trace(np.eye(g.dim)))
         pair = ball_eigenpair(p, ball)
-        phi = extend_ball_function(g, pair).values
+        nodes = solver_mod._ball_nodes(g, ball)
+        phi = extend_ball_function(g, nodes, pair).values
         sub = pair.phi_plus.grid
         idx = []
         for k in range(g.dim):
             x = g.axis(k)
             lo, hi = sub.bounds[k]
             idx.append(np.nonzero((x >= lo - 1e-12) & (x <= hi + 1e-12))[0])
+            assert (idx[k][0], idx[k][-1] + 1) == nodes[k]
         on = np.ix_(*idx)
         assert np.array_equal(phi[on], pair.phi_plus.values)
         rest = np.ones(g.shape, dtype=bool)
@@ -1029,6 +1032,29 @@ def test_explicit_stops_on_cycle():
     assert earlier.solution.values.tobytes() == rep.solution.values.tobytes()
 
 
+@pytest.mark.parametrize("n", [9, 19])
+def test_ball_is_one_node_set(n):
+    # the ball (0.3, 0.7) snaps to the node x = 0.7000000000000001 on
+    # these grids, where the weight 0.7 - x is -1.1e-16: that node is in
+    # the eigenpair's sub-grid, so the weight check sees it too
+    g = Grid.interval(0.0, 1.0, n)
+    ball = (0.3, 0.7)
+    x = g.axis(0)
+    p = _problem(g, WeightField.from_callable(g, lambda x: 0.7 - x))
+    edge = ball_eigenpair(p, ball).phi_plus.grid.bounds[0][1]
+    assert edge == x[np.argmin(np.abs(x - 0.7))] > 0.7
+    with pytest.raises(SubsolutionError, match="positive set of the weight"):
+        build_subsolution(p, ball)
+    # barrier_check's a0 is the weight's minimum over the same nodes:
+    # 1e4 (2 - x) is least at the sub-grid's last node
+    p = _problem(g, WeightField.from_callable(g, lambda x: 1e4 * (2.0 - x)))
+    pair = ball_eigenpair(p, ball)
+    rep = barrier_check(GridFunction.zeros(g), ball, pair, p, 1.0)
+    a0 = 1e4 * (2.0 - edge)
+    assert rep.status == "checked"
+    assert rep.eps_theta == (a0 / pair.lambda_plus - 1.0) ** (1.0 / 0.5)
+
+
 def test_ball_eigenpair_memo_holds_one_entry(monkeypatch):
     calls = []
 
@@ -1037,7 +1063,7 @@ def test_ball_eigenpair_memo_holds_one_entry(monkeypatch):
         return principal_eigenpair(*args, **kwargs)
 
     monkeypatch.setattr(solver_mod, "principal_eigenpair", counting)
-    monkeypatch.setattr(solver_mod, "_eig_memo", (None, None))
+    solver_mod._ball_pair.cache_clear()
     g = Grid.interval(0.0, 1.0, 41)
     p = _problem(g, WeightField.constant(g, 1.0))
     a = ball_eigenpair(p, (0.1, 0.9))
