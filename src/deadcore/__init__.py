@@ -9,8 +9,8 @@ sub-homogeneous reaction 0 < q < gamma + 1, on 1-D intervals and 2-D
 rectangles.
 """
 
-from .operators import (SymMatrix, OperatorSpec, AxiomReport, eigenvalues,
-                        pucci, evaluate_operator, check_axioms)
+from .operators import (OperatorSpec, AxiomReport, eigenvalues, pucci,
+                        evaluate_operator, check_axioms)
 from .grids import (Grid, GridFunction, WeightField, Scheme, residual_field,
                     write_csv, read_csv)
 from .dirichlet import IterationControl, RhsReport, solve_rhs

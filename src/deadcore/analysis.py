@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridFunction, _stencil_all_below
-from .operators import _pointwise_F
+from .operators import evaluate_operator
 from .solver import (extend_ball_function, _ball_nodes, solve,
                      SubsolutionError)
 
@@ -103,9 +103,12 @@ def w_residual(w, problem):
     """Residual of the transformed equation at w (interior nodes).
 
     Evaluates |grad w|^gamma_delta * F(x, D^2 w + c grad w (x) grad w / w) + a
-    with c = q / (1 + gamma - q).  w must be positive inside.
+    with c = q / (1 + gamma - q), F the continuum operator
+    (evaluate_operator) on the matrix field of centred differences: the
+    axis curvatures on the diagonal and, in 2-D, the cross difference off
+    it.  w must be positive inside.
     """
-    g, spec, scheme = problem.grid, problem.operator, problem.scheme
+    g, scheme = problem.grid, problem.scheme
     q = problem.q
     c = q / (1.0 + problem.gamma - q)
     wi = g.interior(w.values)
@@ -114,23 +117,17 @@ def w_residual(w, problem):
 
     k = scheme.second_differences(w.values)
     grads = scheme.grad(w.values)
-    gfac = scheme.grad_factor(w.values)
-    a_int = g.interior(problem.weight.samples)
-
-    # the diagonal of the matrix field, per axis
-    M = {name: k[name] + c * gk ** 2 / wi
-         for name, gk in zip(scheme.stencil.axes, grads)}
-    # the continuum operator on the matrix field where the scheme has no
-    # members (the 2-D p-Laplacian at p != 2) or its wide stencil sees
-    # only axis and diagonal curvatures (2-D Pucci)
-    if len(scheme.directions) > g.dim or not scheme.members:
-        Mxy = scheme.cross_difference(w.values) + c * grads[0] * grads[1] / wi
-        X = np.moveaxis(np.array([[M["x"], Mxy], [Mxy, M["y"]]]), (0, 1), (-2, -1))
-        Fv = _pointwise_F(spec, None, X, np.stack(grads, -1))
-    else:
-        Fv = scheme.F_of(M)
+    X = np.empty((g.dim, g.dim) + wi.shape)
+    for i, (name, gi) in enumerate(zip(scheme.stencil.axes, grads)):
+        X[i, i] = k[name] + c * gi ** 2 / wi
+    if g.dim == 2:
+        X[0, 1] = X[1, 0] = scheme.cross_difference(w.values) \
+            + c * grads[0] * grads[1] / wi
+    Fv = evaluate_operator(problem.operator, g.interior_nodes(),
+                           np.moveaxis(X, (0, 1), (-2, -1)), np.stack(grads, -1))
     out = np.zeros(g.shape)
-    g.interior(out)[...] = gfac * Fv + a_int
+    g.interior(out)[...] = scheme.grad_factor(w.values) * Fv \
+        + g.interior(problem.weight.samples)
     return GridFunction(g, out, dirichlet=False)
 
 

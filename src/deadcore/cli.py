@@ -43,8 +43,13 @@ class NonConvergence(RuntimeError):
     pass
 
 
-def _parse_floats(s):
-    return tuple(float(t) for t in str(s).replace(";", ",").split(","))
+def _parse_floats(raw, key):
+    """The numbers of the comma (or semicolon) list raw, for config key
+    `key`; a word is refused."""
+    try:
+        return tuple(float(t) for t in str(raw).replace(";", ",").split(","))
+    except ValueError:
+        raise ValidationError("%s must be a list of numbers, got %s" % (key, raw)) from None
 
 
 def _integer(raw, key):
@@ -111,7 +116,7 @@ def _dim(prob):
 def _build_grid(cp):
     prob = cp["problem"]
     dim = _dim(prob)
-    domain = _parse_floats(prob.get("domain", "0,1"))
+    domain = _parse_floats(prob.get("domain", "0,1"), "problem.domain")
     ns = tuple(_integer(t, "problem.n") for t in prob.get("n", "100").split(","))
     if len(ns) > dim:
         raise ValidationError("problem.n has %d values for dim = %d"
@@ -212,7 +217,7 @@ def _ball(cp, needed_by):
     raw = cp.get("control", "ball", fallback="")
     if not raw:
         raise ValidationError("%s needs control.ball" % needed_by)
-    return _parse_floats(raw)
+    return _parse_floats(raw, "control.ball")
 
 
 def _seed(cp):
@@ -296,7 +301,7 @@ def cmd_sweep(cp):
     parameter = sw.get("parameter", "s")
     if parameter not in ("s", "q"):
         raise ValidationError("sweep parameter must be 's' or 'q'")
-    bracket = _parse_floats(sw.get("bracket", "0,1"))
+    bracket = _parse_floats(sw.get("bracket", "0,1"), "sweep.bracket")
     if len(bracket) != 2 or not bracket[1] > bracket[0]:
         raise ValidationError("sweep bracket must be lo,hi with hi > lo")
     if parameter == "q" and not 0 < bracket[0] < bracket[1] < base.gamma + 1:

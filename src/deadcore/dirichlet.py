@@ -38,7 +38,7 @@ import os
 import numpy as np
 import scipy
 
-from .grids import GridFunction
+from .grids import GridFunction, _values_on
 
 __all__ = ["IterationControl", "RhsReport", "SolveError", "solve_rhs"]
 
@@ -272,8 +272,7 @@ def solve_rhs(scheme, f, ctl=None, u0=None):
     vals = np.zeros(grid.shape)
     u_int = grid.interior(vals)
     if u0 is not None:
-        u_int[...] = grid.interior(u0.values if isinstance(u0, GridFunction)
-                                   else np.asarray(u0, dtype=float))
+        u_int[...] = grid.interior(_values_on(grid, u0, "start values u0"))
     f_int = grid.interior(f.values)
     steps, best, stall = 0, np.inf, 0
     while True:

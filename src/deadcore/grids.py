@@ -126,6 +126,10 @@ class Grid:
     def interior(self, a):
         return a[self.stencil.interior]
 
+    def interior_nodes(self):
+        """Interior node coordinates as an (n..., dim) stack."""
+        return np.stack([self.interior(x) for x in self.coords()], -1)
+
     def refine(self):
         """Grid with halved spacing (n -> 2n + 1)."""
         return Grid(self.bounds, tuple(2 * ni + 1 for ni in self.n))
@@ -162,6 +166,21 @@ class GridFunction:
 
     def sup_norm(self):
         return float(np.max(np.abs(self.values)))
+
+
+def _values_on(grid, u, what):
+    """A copy of the node values of u, a GridFunction or an array, as
+    floats; ValueError naming `what` unless they lie on grid."""
+    if isinstance(u, GridFunction):
+        if u.grid != grid:
+            raise ValueError("%s sampled on %r, not on the problem grid %r"
+                             % (what, u.grid, grid))
+        u = u.values
+    vals = np.array(u, dtype=float)
+    if vals.shape != grid.shape:
+        raise ValueError("%s of shape %s do not match the grid's %s"
+                         % (what, vals.shape, grid.shape))
+    return vals
 
 
 def _sample(grid, f):
@@ -283,8 +302,8 @@ class Scheme:
     """
 
     def __init__(self, grid, spec, gamma):
-        if gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        if not 0.0 <= gamma < np.inf:
+            raise ValueError("gamma must be >= 0 and finite, got %g" % gamma)
         self.grid = grid
         self.spec = spec
         self.gamma = float(gamma)
@@ -335,8 +354,7 @@ class Scheme:
         """
         g = self.grid
         if callable(coeff):
-            nodes = np.stack([x[self.stencil.interior] for x in g.coords()], -1)
-            A = coeff_at(coeff, nodes).reshape(tuple(g.n) + (g.dim, g.dim))
+            A = coeff_at(coeff, g.interior_nodes())
         else:
             A = np.asarray(coeff, dtype=float)
             if A.shape != (g.dim, g.dim):
@@ -407,18 +425,12 @@ class Scheme:
     # -- operator -------------------------------------------------------
 
     def F(self, v):
-        """discrete F at all interior nodes (degenerate elliptic form)."""
-        return self.F_of(self.second_differences(v))
-
-    def F_of(self, k):
-        """F at interior nodes from the curvatures k (dict keyed by direction).
-
-        F(v) passes the second differences of v.  F_h is the envelope of
-        the members' values (_candidates); only the 2-D Pucci members read
-        the diagonals d1, d2, so the w-residual passes the diagonal of its
-        matrix field to every other variant.  An operator without members
-        (require_policy) has no grid scheme.
+        """Discrete F at all interior nodes (degenerate elliptic form): the
+        envelope of the members' values (_candidates) at the second
+        differences of v.  An operator without members (require_policy)
+        has no grid scheme.
         """
+        k = self.second_differences(v)
         if len(self.members) == 1:
             return _weighted(self.members[0], k)
         if not self.members:

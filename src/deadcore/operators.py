@@ -17,51 +17,23 @@ import numpy as np
 from numpy.random import default_rng
 
 __all__ = [
-    "SymMatrix", "OperatorSpec", "AxiomReport",
+    "OperatorSpec", "AxiomReport",
     "eigenvalues", "pucci", "evaluate_operator", "check_axioms",
 ]
 
 
-class SymMatrix:
-    """Small (dim <= 3) symmetric matrix; symmetry enforced on construction."""
-
-    __slots__ = ("entries", "dim")
-
-    def __init__(self, entries):
-        a = np.asarray(entries, dtype=float)
-        if a.ndim == 0:
-            a = a.reshape(1, 1)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("SymMatrix requires a square array")
-        if not 1 <= a.shape[0] <= 3:
-            raise ValueError("SymMatrix supports dim 1..3")
-        self.entries = 0.5 * (a + a.T)
-        self.dim = a.shape[0]
-
-    @classmethod
-    def diag(cls, *d):
-        return cls(np.diag(np.asarray(d, dtype=float)))
-
-    @classmethod
-    def identity(cls, dim):
-        return cls(np.eye(dim))
-
-    def trace(self):
-        return float(np.trace(self.entries))
-
-    def __repr__(self):
-        return "SymMatrix(%r)" % (self.entries.tolist(),)
-
-
 def _stack(X):
-    """Entries of a SymMatrix, or of one matrix or a (..., d, d) stack of
-    them, each symmetrized as SymMatrix does."""
-    if isinstance(X, SymMatrix):
-        return X.entries
+    """One matrix or a (..., d, d) stack of them as a float array, each
+    symmetrized to 0.5 (X + X^T); a scalar is a 1 x 1 matrix.  Raises
+    ValueError unless the matrices are square with d in 1..3."""
     a = np.asarray(X, dtype=float)
-    if a.ndim > 2 and a.shape[-1] == a.shape[-2] and 1 <= a.shape[-1] <= 3:
-        return 0.5 * (a + np.swapaxes(a, -1, -2))
-    return SymMatrix(a).entries
+    if a.ndim == 0:
+        a = a.reshape(1, 1)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError("operators need square matrices, got shape %s" % (a.shape,))
+    if not 1 <= a.shape[-1] <= 3:
+        raise ValueError("operators support dim 1..3, got %d" % a.shape[-1])
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def _dot(a, b):
@@ -141,7 +113,7 @@ class OperatorSpec:
         if lam is None or Lam is None:
             if callable(coeff):
                 raise ValueError("lam/Lam required for callable coefficients")
-            e = eigenvalues(SymMatrix(coeff))
+            e = eigenvalues(coeff)
             lam = float(e[0]) if lam is None else lam
             Lam = float(e[-1]) if Lam is None else Lam
         return cls("linear_trace", lam=lam, Lam=Lam, coeff=coeff,
@@ -179,22 +151,25 @@ class OperatorSpec:
 
 def coeff_at(coeff, x):
     """Evaluate a coefficient field (constant matrix or callable) at x, one
-    point or a (..., dim) stack of them; a callable is called per point."""
+    point or a (..., dim) stack of them; a callable is called per point,
+    and its values become (..., dim, dim)."""
     if not callable(coeff):
         return np.asarray(coeff, dtype=float)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     A = np.array([coeff(p) for p in x.reshape(-1, x.shape[-1])], dtype=float)
-    return A.reshape(x.shape[:-1] + A.shape[1:])
+    return A.reshape(x.shape[:-1] + (x.shape[-1],) * 2)
 
 
-def evaluate_operator(spec, x, X):
-    """F(x, X) for gradient-free variants.
+def evaluate_operator(spec, x, X, xi=None):
+    """F(x, X) of any variant, the p-Laplacian's at the gradient xi: the
+    one continuum evaluator, of check_axioms and of analysis.w_residual.
 
     x is a point or a (..., dim) stack, X a matrix or a (..., d, d) stack,
-    and their leading axes broadcast: one pair gives a float, stacks an
-    array.  Coefficients are evaluated once per point of x; a custom
-    `func` is called once per broadcast pair.  The p-Laplacian depends on
-    the gradient direction: its matrix part is `p_laplacian_matrix_part`.
+    xi (the p-Laplacian only) a vector or a (..., d) stack, and their
+    leading axes broadcast: one pair gives a float, stacks an array.
+    Coefficients are evaluated once per point of x; a custom `func` is
+    called once per broadcast pair.  The p-Laplacian without a gradient
+    raises TypeError.
     """
     X = _stack(X)
     v = spec.variant
@@ -208,19 +183,18 @@ def evaluate_operator(spec, x, X):
         func = np.vectorize(spec.func, otypes=[float], signature="(n),(d,d)->()")
         return _scalar(func(np.atleast_1d(np.asarray(x, dtype=float)), X))
     if v == "p_laplacian":
-        raise TypeError("p-Laplacian needs a gradient; use p_laplacian_matrix_part")
+        if xi is None:
+            raise TypeError("the p-Laplacian needs the gradient xi")
+        # Tr[(I + (p-2) xi (x) xi / |xi|^2) X]; at xi = 0 Tr(X), but in
+        # 1-D (p-1) X, its value at every xi != 0
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        n2 = _dot(xi, xi)
+        tr = np.trace(X, axis1=-2, axis2=-1)
+        quad = (xi[..., None, :] @ X @ xi[..., :, None])[..., 0, 0]
+        at0 = tr if X.shape[-1] > 1 else (spec.p - 1.0) * tr
+        return _scalar(np.where(n2 == 0.0, at0, tr + (spec.p - 2.0) * quad
+                                / np.where(n2 == 0.0, 1.0, n2)))
     raise ValueError("unknown variant %r" % v)
-
-
-def p_laplacian_matrix_part(xi, X, p):
-    """F_p(xi, X) = Tr[(I + (p-2) xi (x) xi / |xi|^2) X], Tr(X) at xi = 0;
-    takes stacks as `evaluate_operator` does, xi in place of x."""
-    X = _stack(X)
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    n2 = _dot(xi, xi)
-    tr = np.trace(X, axis1=-2, axis2=-1)
-    quad = (xi[..., None, :] @ X @ xi[..., :, None])[..., 0, 0]
-    return _scalar(np.where(n2 == 0.0, tr, tr + (p - 2.0) * quad / np.where(n2 == 0.0, 1.0, n2)))
 
 
 @dataclass
@@ -233,14 +207,6 @@ class AxiomReport:
 
     def __bool__(self):
         return self.passed
-
-
-def _pointwise_F(spec, x, X, xi):
-    """F(x, X) of any variant, the p-Laplacian's at gradient xi: the
-    continuum evaluator of check_axioms and of analysis.w_residual."""
-    if spec.variant == "p_laplacian":
-        return p_laplacian_matrix_part(xi, X, spec.p)
-    return evaluate_operator(spec, x, X)
 
 
 def check_axioms(spec, trials, seed, dim=2, strict_homogeneity=False):
@@ -281,7 +247,7 @@ def check_axioms(spec, trials, seed, dim=2, strict_homogeneity=False):
     Y = _stack(B @ B.swapaxes(1, 2))
     Xf, Yf = X.reshape(trials, -1), Y.reshape(trials, -1)
     sX = s[:, None, None] * X
-    F = _pointwise_F(spec, x[:, None], np.stack(
+    F = evaluate_operator(spec, x[:, None], np.stack(
         [X, X + Y, sX] + ([-sX] if strict_homogeneity else []), axis=1), xi[:, None])
     FX, d, sFX = F[:, 0], F[:, 1] - F[:, 0], s * F[:, 0]
     lo = pucci(Y, spec.lam, spec.Lam, "-")
@@ -300,7 +266,7 @@ def check_axioms(spec, trials, seed, dim=2, strict_homogeneity=False):
                       np.abs(F[:, 3] - sFX) > 1e-9 * np.maximum(1.0, np.abs(sFX)),
                       {"x": x, "X": X, "s": -s, "F_sX": F[:, 3], "abs_s_FX": sFX}))
     if spec.lipschitz is not None:
-        dF = np.abs(FX - _pointwise_F(spec, y, X, xi))
+        dF = np.abs(FX - evaluate_operator(spec, y, X, xi))
         bound = spec.lipschitz * np.sqrt(_dot(x - y, x - y)) * np.sqrt(_dot(Xf, Xf))
         tests.append(("lipschitz", dF > bound + 1e-9,
                       {"x": x, "y": y, "X": X, "dF": dF, "bound": bound}))

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .grids import (Grid, GridFunction, WeightField, Scheme, residual_field,
-                    _stencil_all_below)
+                    _stencil_all_below, _values_on)
 from .dirichlet import IterationControl, SolveError, PolicyMatrix, solve_rhs
 from .eigen import EigenControl, principal_eigenpair
 
@@ -53,16 +53,15 @@ class ProblemSpec:
     scheme: Scheme = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        # the Scheme checks gamma, before q is checked against it
+        scheme = Scheme(self.grid, self.operator, self.gamma)
         if not 0 < self.q < self.gamma + 1:
             raise ValueError("q < gamma+1 (strict) and q > 0 required, got q=%g"
                              % self.q)
         if self.weight.grid != self.grid:
             raise ValueError("weight sampled on %r, not on the problem grid %r"
                              % (self.weight.grid, self.grid))
-        object.__setattr__(self, "scheme",
-                           Scheme(self.grid, self.operator, self.gamma))
+        object.__setattr__(self, "scheme", scheme)
 
 
 @dataclass
@@ -482,15 +481,7 @@ def _certified(problem, vals, steps, ctl, init, bracket):
 def _given(grid, u0):
     """u0 as the values of a start on grid: finite, >= 0 and 0 on the
     boundary (the loops hold boundary values fixed as Dirichlet data)."""
-    if isinstance(u0, GridFunction):
-        if u0.grid != grid:
-            raise ValueError("initial values sampled on %r, not on the "
-                             "problem grid %r" % (u0.grid, grid))
-        u0 = u0.values
-    vals = np.array(u0, dtype=float)
-    if vals.shape != grid.shape:
-        raise ValueError("initial values have shape %r, the problem grid %r"
-                         % (vals.shape, grid.shape))
+    vals = _values_on(grid, u0, "initial values")
     if not np.all(np.isfinite(vals)):
         raise ValueError("initialization must be finite")
     if np.min(vals) < -1e-15:

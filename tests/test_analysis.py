@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from deadcore import (Grid, GridFunction, WeightField, OperatorSpec,
-                      IterationControl, ProblemSpec, SymMatrix, classify,
+                      IterationControl, ProblemSpec, classify,
                       hopf_bound, to_w, w_residual, barrier_check,
                       estimate_threshold, evaluate_operator, example_instance,
                       solve, ball_eigenpair, ThresholdReport)
-from deadcore.operators import p_laplacian_matrix_part
 
 SPEC1 = OperatorSpec.linear_trace(np.eye(1))
 
@@ -124,11 +123,14 @@ def _w_operators(dim):
     return [OperatorSpec.linear_trace(np.diag([1.0, 1.7][:dim]), lam=1.0, Lam=2.0),
             OperatorSpec.pucci_plus(1.0, 2.0), OperatorSpec.pucci_minus(0.5, 3.0),
             OperatorSpec.hjb_inf(fam, 1.0, 2.0), OperatorSpec.hjb_sup(fam, 1.0, 2.0),
-            OperatorSpec.p_laplacian(3.0)]
+            OperatorSpec.p_laplacian(3.0),
+            # a coefficient field is read at the interior nodes
+            OperatorSpec.linear_trace(lambda x: np.diag([1.0 + 0.3 * x[0], 1.5][:dim]),
+                                      lam=1.0, Lam=2.0)]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("index", range(6))
+@pytest.mark.parametrize("index", range(7))
 def test_w_residual_is_the_pointwise_operator(dim, index):
     # gamma = 0 and a = 0: the w-residual is F(x, M) at every interior node,
     # M = D^2 w + c grad w (x) grad w / w from centred differences
@@ -161,10 +163,24 @@ def test_w_residual_is_the_pointwise_operator(dim, index):
                 / (4 * h[0] * h[1])
         M += c * np.outer(grad, grad) / v[i]
         x = [g.axis(a)[i[a]] for a in range(dim)]
-        ref[node] = (p_laplacian_matrix_part(grad, M, spec.p)
-                     if spec.variant == "p_laplacian"
-                     else evaluate_operator(spec, x, SymMatrix(M)))
+        ref[node] = evaluate_operator(spec, x, M, grad)
     assert np.max(np.abs(r - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_w_residual_1d_p_laplacian_at_a_zero_gradient():
+    # in 1-D the p-Laplacian is (p - 1) w'' at every gradient, also at the
+    # node where the centred gradient of a symmetric w is exactly 0
+    g = Grid.interval(0.0, 2.0, 31)
+    w = GridFunction.from_callable(g, lambda x: 2.0 + x * (2.0 - x),
+                                   dirichlet=False)
+    p = ProblemSpec(g, OperatorSpec.p_laplacian(3.0), 0.0, 0.5,
+                    WeightField.constant(g, 0.0))
+    grad, = p.scheme.grad(w.values)
+    assert np.count_nonzero(grad == 0.0) == 1
+    c = p.q / (1.0 + p.gamma - p.q)
+    M = p.scheme.second_differences(w.values)["x"] + c * grad ** 2 / g.interior(w.values)
+    np.testing.assert_allclose(g.interior(w_residual(w, p).values), 2.0 * M,
+                               rtol=1e-15, atol=0)
 
 
 # --- barrier ---------------------------------------------------------------

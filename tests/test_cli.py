@@ -1,6 +1,7 @@
 """Command line front end: config parsing, artifacts, exit codes."""
 
 import importlib.util
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,38 @@ def test_malformed_ball_exit_2(tmp_path, monkeypatch, capsys, ball, message):
     monkeypatch.chdir(tmp_path)
     assert main(["solve", "--config", cfg]) == 2
     assert capsys.readouterr().err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("command", ["solve", "eigen"])
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-1"])
+def test_gamma_not_a_finite_number_exit_2(tmp_path, monkeypatch, capsys,
+                                          command, gamma):
+    # one check, in Scheme, refuses gamma before any step: inf used to run
+    # eigen to a non-finite residual (exit 3) and nan to fail as a grid
+    # function there, and to be blamed on q by solve
+    cfg = _write(tmp_path / "gamma.ini",
+                 BASE_SOLVE.replace("gamma = 0", "gamma = " + gamma))
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == \
+        "error: gamma must be >= 0 and finite, got %s\n" % gamma
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("solve", "problem.domain", "0,2x"),
+    ("solve", "control.ball", "0.2,x"),
+    ("sweep", "sweep.bracket", "0;one")])
+def test_list_with_a_word_names_its_key(tmp_path, monkeypatch, capsys,
+                                        command, key, value):
+    # a word in a number list used to print only float()'s complaint
+    cfg = _write(tmp_path / "list.ini", BASE_SOLVE + "\n[sweep]\nparameter = s\n")
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", cfg, "--set", "%s=%s" % (key, value)]) == 2
+    assert capsys.readouterr().err == \
+        "error: %s must be a list of numbers, got %s\n" % (key, value)
 
 
 def test_missing_config_exit_2(tmp_path):

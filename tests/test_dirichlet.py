@@ -526,3 +526,21 @@ def test_rhs_on_another_grid_refused():
         with pytest.raises(ValueError, match="problem grid"):
             solve_rhs(Scheme(g, spec, 0.0), _const_rhs(other, -1.0))
 
+
+
+def test_start_on_another_grid_refused():
+    # u0 must lie on the problem's grid, as f must: a field sampled on
+    # (0, 2) used to be read onto (0, 1) without a word, and an array of
+    # another shape failed in numpy's broadcast
+    g = Grid.interval(0.0, 1.0, 19)
+    sch = Scheme(g, OperatorSpec.linear_trace(np.eye(1)), 0.0)
+    f = _const_rhs(g, -1.0)
+    other = GridFunction(Grid.interval(0.0, 2.0, 19), np.ones(g.shape))
+    with pytest.raises(ValueError, match="problem grid"):
+        solve_rhs(sch, f, u0=other)
+    with pytest.raises(ValueError, match=r"shape \(5,\) do not match the grid's \(21,\)"):
+        solve_rhs(sch, f, u0=np.ones(5))
+    # a start on the grid, as a field or as its values, is read
+    u = solve_rhs(sch, f).solution
+    for u0 in (u, u.values):
+        assert np.array_equal(solve_rhs(sch, f, u0=u0).solution.values, u.values)

@@ -6,21 +6,25 @@ import weakref
 import numpy as np
 import pytest
 
-from deadcore import (SymMatrix, OperatorSpec, AxiomReport, eigenvalues, pucci,
+from deadcore import (OperatorSpec, AxiomReport, eigenvalues, pucci,
                       evaluate_operator, check_axioms, Grid, ProblemSpec,
                       WeightField, ball_eigenpair)
-from deadcore.operators import p_laplacian_matrix_part
+from deadcore.operators import _stack
+
+
+def _sym(a):
+    return 0.5 * (a + a.T)
 
 
 # --- spectral kernel -----------------------------------------------------
 
 def test_eigenvalues_diagonal():
-    e = eigenvalues(SymMatrix.diag(3.0, 1.0))
+    e = eigenvalues(np.diag([3.0, 1.0]))
     assert np.allclose(e, [1.0, 3.0], atol=0)
 
 
 def test_eigenvalues_offdiagonal():
-    e = eigenvalues(SymMatrix([[0.0, 1.0], [1.0, 0.0]]))
+    e = eigenvalues([[0.0, 1.0], [1.0, 0.0]])
     assert np.allclose(e, [-1.0, 1.0], atol=1e-14)
 
 
@@ -28,9 +32,8 @@ def test_eigenvalues_random_3x3_against_charpoly():
     # independent oracle: roots of the characteristic polynomial
     rng = np.random.default_rng(11)
     for _ in range(50):
-        X = SymMatrix(rng.standard_normal((3, 3)))
-        got = eigenvalues(X)
-        A = X.entries
+        A = _sym(rng.standard_normal((3, 3)))
+        got = eigenvalues(A)
         c2 = -np.trace(A)
         c1 = 0.5 * (np.trace(A) ** 2 - np.trace(A @ A))
         c0 = -np.linalg.det(A)
@@ -41,85 +44,84 @@ def test_eigenvalues_random_3x3_against_charpoly():
 def test_eigenvalues_trace_consistency():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        X = SymMatrix(rng.standard_normal((3, 3)))
+        X = _sym(rng.standard_normal((3, 3)))
         e = eigenvalues(X)
         assert len(e) == 3
-        assert abs(e.sum() - X.trace()) <= 1e-12 * max(1.0, abs(X.trace()))
+        assert abs(e.sum() - np.trace(X)) <= 1e-12 * max(1.0, abs(np.trace(X)))
 
 
 def test_eigenvalues_orthogonal_invariance():
     rng = np.random.default_rng(4)
     for _ in range(20):
-        X = SymMatrix(rng.standard_normal((3, 3)))
+        X = _sym(rng.standard_normal((3, 3)))
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        Y = SymMatrix(Q.T @ X.entries @ Q)
+        Y = Q.T @ X @ Q
         assert np.allclose(eigenvalues(X), eigenvalues(Y),
-                           atol=1e-12 * np.linalg.norm(X.entries) + 1e-13)
+                           atol=1e-12 * np.linalg.norm(X) + 1e-13)
 
 
 def test_eigenvalues_known_spectra():
     # 1x1, repeated eigenvalues and a rotated 3x3 with a double root
-    assert np.array_equal(eigenvalues(SymMatrix([[-2.5]])), [-2.5])
-    assert np.allclose(eigenvalues(SymMatrix.diag(4.0, 4.0, 4.0)),
+    assert np.array_equal(eigenvalues([[-2.5]]), [-2.5])
+    assert np.allclose(eigenvalues(np.diag([4.0, 4.0, 4.0])),
                        [4.0, 4.0, 4.0], rtol=0, atol=1e-15)
-    e = eigenvalues(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
+    e = eigenvalues([[2.0, 1.0], [1.0, 2.0]])
     assert np.allclose(e, [1.0, 3.0], rtol=0, atol=1e-14)
     rng = np.random.default_rng(5)
     Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     for spec in ([-1.0, 2.0, 2.0], [-3.0, -3.0, 0.5], [0.0, 0.0, 1.0]):
-        X = SymMatrix(Q @ np.diag(spec) @ Q.T)
+        X = Q @ np.diag(spec) @ Q.T
         e = eigenvalues(X)
         assert np.all(np.diff(e) >= 0)
         assert np.allclose(e, sorted(spec), rtol=0, atol=1e-14)
-    e = eigenvalues(SymMatrix([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0],
-                               [0.0, 0.0, 3.0]]))
+    e = eigenvalues([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
     assert np.allclose(e, [-1.0, 3.0, 3.0], rtol=0, atol=1e-14)
 
 
 # --- Pucci extremes ------------------------------------------------------
 
 def test_pucci_identity():
-    assert pucci(SymMatrix.identity(2), 1.0, 2.0, "+") == pytest.approx(4.0)
+    assert pucci(np.eye(2), 1.0, 2.0, "+") == pytest.approx(4.0)
 
 
 def test_pucci_mixed_signs():
-    X = SymMatrix.diag(1.0, -1.0)
+    X = np.diag([1.0, -1.0])
     assert pucci(X, 1.0, 2.0, "+") == pytest.approx(1.0)
     assert pucci(X, 1.0, 2.0, "-") == pytest.approx(-1.0)
 
 
 def test_pucci_via_eigenvalue_oracle():
     # eigenvalues of [[0,1],[1,0]] are +-1
-    X = SymMatrix([[0.0, 1.0], [1.0, 0.0]])
+    X = [[0.0, 1.0], [1.0, 0.0]]
     assert pucci(X, 1.0, 2.0, "+") == pytest.approx(1.0, abs=1e-13)
 
 
 def test_pucci_duality():
     rng = np.random.default_rng(5)
     for _ in range(100):
-        X = SymMatrix(rng.standard_normal((2, 2)))
-        assert pucci(-X.entries, 1.0, 2.5, "+") == pytest.approx(
+        X = _sym(rng.standard_normal((2, 2)))
+        assert pucci(-X, 1.0, 2.5, "+") == pytest.approx(
             -pucci(X, 1.0, 2.5, "-"), abs=1e-13)
 
 
 def test_pucci_monotone_in_Lam():
     rng = np.random.default_rng(6)
     for _ in range(100):
-        X = SymMatrix(rng.standard_normal((2, 2)))
+        X = _sym(rng.standard_normal((2, 2)))
         assert pucci(X, 1.0, 3.0, "+") >= pucci(X, 1.0, 2.0, "+") - 1e-13
         assert pucci(X, 1.0, 3.0, "-") <= pucci(X, 1.0, 2.0, "-") + 1e-13
 
 
 def test_pucci_rejects_bad_ellipticity():
     with pytest.raises(ValueError):
-        pucci(SymMatrix.identity(2), 2.0, 1.0, "+")
+        pucci(np.eye(2), 2.0, 1.0, "+")
 
 
 # --- pointwise evaluation ------------------------------------------------
 
 def test_linear_trace_value():
     spec = OperatorSpec.linear_trace(np.diag([1.0, 2.0]))
-    assert evaluate_operator(spec, (0.0, 0.0), SymMatrix.diag(3.0, 4.0)) \
+    assert evaluate_operator(spec, (0.0, 0.0), np.diag([3.0, 4.0])) \
         == pytest.approx(11.0)
 
 
@@ -127,7 +129,7 @@ def test_hjb_inf_brute_force():
     # family {I, diag(2,1)}, X=diag(1,-1): traces are 0 and 1, min is 0
     fam = (np.eye(2), np.diag([2.0, 1.0]))
     spec = OperatorSpec.hjb_inf(fam, 1.0, 2.0)
-    X = SymMatrix.diag(1.0, -1.0)
+    X = np.diag([1.0, -1.0])
     assert evaluate_operator(spec, (0.0, 0.0), X) == pytest.approx(0.0)
     sup = OperatorSpec.hjb_sup(fam, 1.0, 2.0)
     assert evaluate_operator(sup, (0.0, 0.0), X) == pytest.approx(1.0)
@@ -136,30 +138,35 @@ def test_hjb_inf_brute_force():
 def test_p_laplacian_requires_gradient():
     spec = OperatorSpec.p_laplacian(3.0)
     with pytest.raises(TypeError):
-        evaluate_operator(spec, (0.0,), SymMatrix.identity(2))
+        evaluate_operator(spec, (0.0,), np.eye(2))
 
 
 def test_gradient_operator_p3():
     # Tr[(I + (p - 2) e1 (x) e1) I] = 2 + 1 at p = 3, for every xi on the x-axis
+    spec = OperatorSpec.p_laplacian(3.0)
     for xi in ((1.0, 0.0), (0.25, 0.0), (-4.0, 0.0)):
-        assert p_laplacian_matrix_part(xi, SymMatrix.identity(2), 3.0) \
-            == pytest.approx(3.0)
+        assert evaluate_operator(spec, None, np.eye(2), xi) == pytest.approx(3.0)
     # Tr X + (p - 2) <xi, X xi> / |xi|^2 = 1 + 2 / 2 along xi = (1, 1)
-    X = SymMatrix([[2.0, 0.5], [0.5, -1.0]])
-    assert p_laplacian_matrix_part((1.0, 1.0), X, 3.0) == pytest.approx(2.0)
+    X = [[2.0, 0.5], [0.5, -1.0]]
+    assert evaluate_operator(spec, None, X, (1.0, 1.0)) == pytest.approx(2.0)
 
 
 def test_gradient_operator_p2_reduces_to_laplacian():
-    X = SymMatrix.diag(2.0, -0.5)
-    val = p_laplacian_matrix_part((0.3, -0.7), X, 2.0)
-    assert val == pytest.approx(X.trace())
+    X = np.diag([2.0, -0.5])
+    val = evaluate_operator(OperatorSpec.p_laplacian(2.0), None, X, (0.3, -0.7))
+    assert val == pytest.approx(np.trace(X))
 
 
 def test_degenerate_gradient_convention():
-    # at xi = 0 the matrix part is Tr(X) for every p, as in Scheme.F
-    X = SymMatrix([[1.5, 0.2], [0.2, -0.25]])
+    # at xi = 0 the matrix part is Tr(X) for every p; in 1-D it is (p - 1) X,
+    # its value at every xi != 0 and the 1-D Scheme.F's weight
+    X = np.array([[1.5, 0.2], [0.2, -0.25]])
     for p in (1.5, 2.0, 3.0):
-        assert p_laplacian_matrix_part((0.0, 0.0), X, p) == X.trace()
+        spec = OperatorSpec.p_laplacian(p)
+        assert evaluate_operator(spec, None, X, (0.0, 0.0)) == np.trace(X)
+        assert evaluate_operator(spec, None, [[-2.0]], 0.0) == (p - 1.0) * -2.0
+        assert evaluate_operator(spec, None, [[-2.0]], 0.5) == \
+            pytest.approx((p - 1.0) * -2.0, rel=1e-15)
 
 
 # --- axiom suite ----------------------------------------------------------
@@ -238,9 +245,7 @@ def _reference_check_axioms(spec, trials, seed, dim=2, strict_homogeneity=False)
     """The per-trial loop `check_axioms` replaced: one trial at a time,
     stopping at the first counterexample."""
     def F(x, X, xi):
-        if spec.variant == "p_laplacian":
-            return p_laplacian_matrix_part(xi, X, spec.p)
-        return evaluate_operator(spec, x, X)
+        return evaluate_operator(spec, x, X, xi)
 
     rng = np.random.default_rng(seed)
     checked = ("ellipticity", "homogeneity") + \
@@ -249,9 +254,9 @@ def _reference_check_axioms(spec, trials, seed, dim=2, strict_homogeneity=False)
     for k in range(trials):
         x = rng.uniform(0.0, 1.0, size=dim)
         y = rng.uniform(0.0, 1.0, size=dim)
-        X = SymMatrix(rng.standard_normal((dim, dim))).entries
+        X = _sym(rng.standard_normal((dim, dim)))
         B = rng.standard_normal((dim, dim))
-        Y = SymMatrix(B @ B.T).entries
+        Y = _sym(B @ B.T)
         s = float(np.exp(rng.uniform(-2.0, 2.0)))
         xi = rng.standard_normal(dim)
         FX = F(x, X, xi)
@@ -375,16 +380,17 @@ def test_eigenvalues_and_pucci_on_a_stack(dim):
 
 
 def test_single_matrix_results_are_python_floats():
-    X = SymMatrix([[1.0, 0.3], [0.3, -2.0]])
+    X = np.array([[1.0, 0.3], [0.3, -2.0]])
     assert type(pucci(X, 1.0, 2.0, "+")) is float
-    assert type(pucci(X.entries, 1.0, 2.0, "-")) is float
+    assert type(pucci(X.tolist(), 1.0, 2.0, "-")) is float
     assert eigenvalues(X).shape == (2,)
     for spec in (OperatorSpec.linear_trace(np.diag([1.0, 2.0])),
                  OperatorSpec.hjb_sup(_FAMILY, 1.0, 2.0),
                  OperatorSpec.pucci_minus(1.0, 2.0),
                  OperatorSpec.custom(lambda x, X: np.trace(X))):
         assert type(evaluate_operator(spec, (0.5, 0.5), X)) is float
-    assert type(p_laplacian_matrix_part((1.0, 2.0), X, 3.0)) is float
+    assert type(evaluate_operator(OperatorSpec.p_laplacian(3.0), None, X,
+                                  (1.0, 2.0))) is float
 
 
 def test_evaluate_operator_on_a_stack():
@@ -407,8 +413,9 @@ def test_evaluate_operator_on_a_stack():
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
     xi = rng.standard_normal((30, 1, 2))
     xi[0] = 0.0
-    got = p_laplacian_matrix_part(xi, X, 3.0)
-    want = [[p_laplacian_matrix_part(xi[t, 0], X[t, j], 3.0) for j in range(3)]
+    plap = OperatorSpec.p_laplacian(3.0)
+    got = evaluate_operator(plap, None, X, xi)
+    want = [[evaluate_operator(plap, None, X[t, j], xi[t, 0]) for j in range(3)]
             for t in range(30)]
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
 
@@ -430,3 +437,22 @@ def test_check_axioms_validates_input(spec, kw, match):
     args = {"trials": 10, "seed": 1, **kw}
     with pytest.raises(ValueError, match=match):
         check_axioms(spec, **args)
+
+
+@pytest.mark.parametrize("X, match", [
+    (np.ones((2, 3)), "square"), (np.ones((4, 3, 2)), "square"),
+    (np.eye(4), "dim 1..3"), (np.zeros((5, 4, 4)), "dim 1..3"),
+    (np.ones(3), "square")], ids=["2x3", "stack_3x2", "4x4", "stack_4x4", "vector"])
+def test_stack_refuses_what_is_not_a_matrix(X, match):
+    # every continuum operator reads its matrices through _stack
+    for f in (_stack, eigenvalues, lambda X: pucci(X, 1.0, 2.0, "+")):
+        with pytest.raises(ValueError, match=match):
+            f(X)
+
+
+def test_stack_is_the_symmetric_part():
+    # a scalar is a 1 x 1 matrix; a matrix and a stack become 0.5 (X + X^T)
+    assert np.array_equal(_stack(2.5), [[2.5]])
+    A = np.random.default_rng(7).standard_normal((6, 3, 3))
+    assert np.array_equal(_stack(A[0]), 0.5 * (A[0] + A[0].T))
+    assert np.array_equal(_stack(A), [0.5 * (M + M.T) for M in A])

@@ -6,7 +6,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from deadcore import (Grid, GridFunction, IterationControl, OperatorSpec,
                       ProblemSpec, Scheme, SubsolutionError, WeightField,
-                      build_subsolution, classify, solve, solve_rhs)
+                      build_subsolution, classify, evaluate_operator, solve,
+                      solve_rhs)
 from deadcore.analysis import POSITIVE_VERDICTS
 from deadcore.solver import _is_supersolution
 
@@ -148,3 +149,45 @@ def test_from_above_stays_above_the_minimal_solution(gamma, frac, s, scale):
     hi = solve(p, init="subsolution", ball=BALL)
     lo = solve(p, init="given", u0=sub)
     assert np.all(hi.solution.values >= lo.solution.values - 1e-8)
+
+
+QUADRATIC_GRIDS = {1: Grid.interval(0.0, 1.0, 15),
+                   2: Grid.rectangle(0.0, 2.0, 0.0, 1.0, 31, 15)}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(dim=st.sampled_from([1, 2]),
+       variant=st.sampled_from(["linear_trace", "hjb_inf", "hjb_sup",
+                                "pucci_plus", "pucci_minus"]),
+       lam=st.floats(0.1, 2.0), ratio=st.floats(1.0, 5.0),
+       hess=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2),
+       slope=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2),
+       t=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
+def test_scheme_F_is_the_continuum_operator_on_quadratics(dim, variant, lam,
+                                                          ratio, hess, slope, t):
+    # on u = sum_k (hess_k x_k^2 / 2 + slope_k x_k), D^2 u = diag(hess) at
+    # every node and the monotone scheme is exact up to rounding: Scheme.F
+    # equals evaluate_operator there, for a diagonal trace, HJB over three
+    # diagonal coefficients and Pucci, whose diagonal frame never beats the
+    # axis frame on a diagonal Hessian (the corners' sign rule is convex,
+    # resp. concave, in the curvature).  The 2-D cells are square
+    Lam = lam * ratio
+    coeffs = [np.diag(lam + (Lam - lam) * np.array(t[j:j + dim]))
+              for j in (0, 2, 4)]
+    if variant == "linear_trace":
+        spec = OperatorSpec.linear_trace(coeffs[0], lam, Lam)
+    elif variant.startswith("hjb"):
+        spec = getattr(OperatorSpec, variant)(coeffs, lam, Lam)
+    else:
+        spec = getattr(OperatorSpec, variant)(lam, Lam)
+    g = QUADRATIC_GRIDS[dim]
+    u = GridFunction.from_callable(
+        g, lambda *x: sum(0.5 * c * xk ** 2 + b * xk
+                          for c, b, xk in zip(hess, slope, x)), dirichlet=False)
+    nodes = g.interior_nodes()
+    want = evaluate_operator(spec, nodes, np.broadcast_to(
+        np.diag(hess[:dim]), nodes.shape[:-1] + (dim, dim)))
+    # the second differences' rounding: a few ulps of max|u| per h^2
+    tol = 64 * np.finfo(float).eps * Lam * np.abs(u.values).max() / min(g.h) ** 2
+    np.testing.assert_allclose(Scheme(g, spec, 0.0).F(u.values), want,
+                               rtol=0, atol=tol)
