@@ -20,6 +20,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from itertools import product
 import csv
+import math
 import numpy as np
 
 from .operators import coeff_at
@@ -83,9 +84,14 @@ class Grid:
     def __post_init__(self):
         if len(self.bounds) != len(self.n) or len(self.n) not in STENCILS:
             raise ValueError("grid must be 1-D or 2-D")
-        for (lo, hi), ni in zip(self.bounds, self.n):
+        for k, ((lo, hi), ni) in enumerate(zip(self.bounds, self.n)):
+            # inf - lo would make h infinite and the nodes NaN
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError("grid axis %d bounds (%r, %r) are not finite"
+                                 % (k, lo, hi))
             if not hi > lo:
-                raise ValueError("empty axis bounds")
+                raise ValueError("grid axis %d bounds (%r, %r) are empty"
+                                 % (k, lo, hi))
             if ni < 3:
                 raise ValueError("need at least 3 interior points per axis")
 

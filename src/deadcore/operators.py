@@ -232,17 +232,19 @@ def check_axioms(spec, trials, seed, dim=2, strict_homogeneity=False):
             raise ValueError("%s coefficient of shape %s does not match dim=%d"
                              % (spec.variant, np.shape(c), dim))
     rng = default_rng(seed)
-    x, y, xi = np.empty((3, trials, dim))
-    A, B = np.empty((2, trials, dim, dim))
-    s = np.empty(trials)
-    for k in range(trials):  # fixed draw order; rng.random is uniform(0, 1)
-        rng.random(out=x[k])
-        rng.random(out=y[k])
-        rng.standard_normal(out=A[k])
-        rng.standard_normal(out=B[k])
-        s[k] = rng.uniform(-2.0, 2.0)
+    xy = np.empty((trials, 2, dim))
+    AB = np.empty((trials, 2, dim, dim))
+    r, xi = np.empty(trials), np.empty((trials, dim))
+    # fixed draw order, per trial x, y, A, B, s, xi; rng.random is
+    # uniform(0, 1), and uniform(-2, 2) is -2 + 4 r of it
+    for k in range(trials):
+        rng.random(out=xy[k])
+        rng.standard_normal(out=AB[k])
+        r[k] = rng.random()
         rng.standard_normal(out=xi[k])
-    s = np.exp(s)
+    x, y = xy.swapaxes(0, 1).copy()
+    A, B = AB.swapaxes(0, 1).copy()
+    s = np.exp(-2.0 + 4.0 * r)
     X = _stack(A)
     Y = _stack(B @ B.swapaxes(1, 2))
     Xf, Yf = X.reshape(trials, -1), Y.reshape(trials, -1)

@@ -107,6 +107,22 @@ def test_gamma_not_a_finite_number_exit_2(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("domain", ["0,inf", "-inf,1"])
+def test_infinite_domain_exit_2(tmp_path, monkeypatch, capsys, domain):
+    # the grid refuses it: it used to be blamed on the weight or the ball,
+    # after numpy warnings from the NaN node coordinates
+    cfg = _write(tmp_path / "domain.ini", BASE_SOLVE)
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--config", cfg,
+                     "--set", "problem.domain=" + domain]) == 2
+    lo, hi = (float(t) for t in domain.split(","))
+    assert capsys.readouterr().err == \
+        "error: grid axis 0 bounds (%r, %r) are not finite\n" % (lo, hi)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("solve", "problem.domain", "0,2x"),
     ("solve", "control.ball", "0.2,x"),

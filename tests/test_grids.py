@@ -29,6 +29,20 @@ def test_grid_rejects_tiny():
         Grid.interval(1.0, 1.0, 10)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bounds", [(0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan),
+                                    (np.nan, 1.0)])
+def test_grid_refuses_non_finite_bounds(bounds):
+    # (0, inf) used to build h = inf and NaN nodes, with numpy warnings,
+    # and a NaN bound read as an empty axis
+    lo, hi = bounds
+    with pytest.raises(ValueError, match=r"^grid axis 0 bounds \(%r, %r\) "
+                       "are not finite$" % (lo, hi)):
+        Grid.interval(lo, hi, 9)
+    with pytest.raises(ValueError, match=r"^grid axis 1 bounds .* not finite$"):
+        Grid.rectangle(0.0, 1.0, lo, hi, 5, 5)
+
+
 def test_gridfunction_dirichlet_trace():
     g = Grid.interval(0.0, 1.0, 9)
     u = GridFunction.from_callable(g, lambda x: x + 1.0)

@@ -9,6 +9,7 @@ from deadcore import (Grid, GridFunction, IterationControl, OperatorSpec,
                       build_subsolution, classify, evaluate_operator, solve,
                       solve_rhs)
 from deadcore.analysis import POSITIVE_VERDICTS
+from deadcore.dirichlet import PolicyMatrix
 from deadcore.solver import _is_supersolution
 
 GRID = Grid.interval(0.0, 2.0, 79)
@@ -153,12 +154,26 @@ def test_from_above_stays_above_the_minimal_solution(gamma, frac, s, scale):
 
 QUADRATIC_GRIDS = {1: Grid.interval(0.0, 1.0, 15),
                    2: Grid.rectangle(0.0, 2.0, 0.0, 1.0, 31, 15)}
+VARIANTS = ["linear_trace", "hjb_inf", "hjb_sup", "pucci_plus", "pucci_minus"]
+
+
+def _diagonal_spec(dim, variant, lam, ratio, t):
+    """The operator `variant` with ellipticity constants lam and
+    Lam = lam * ratio; the trace and HJB over diagonal coefficients with
+    entries lam + (Lam - lam) t, from the six numbers t in [0, 1]."""
+    Lam = lam * ratio
+    coeffs = [np.diag(lam + (Lam - lam) * np.array(t[j:j + dim]))
+              for j in (0, 2, 4)]
+    if variant == "linear_trace":
+        return OperatorSpec.linear_trace(coeffs[0], lam, Lam)
+    if variant.startswith("hjb"):
+        return getattr(OperatorSpec, variant)(coeffs, lam, Lam)
+    return getattr(OperatorSpec, variant)(lam, Lam)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(dim=st.sampled_from([1, 2]),
-       variant=st.sampled_from(["linear_trace", "hjb_inf", "hjb_sup",
-                                "pucci_plus", "pucci_minus"]),
+       variant=st.sampled_from(VARIANTS),
        lam=st.floats(0.1, 2.0), ratio=st.floats(1.0, 5.0),
        hess=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2),
        slope=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2),
@@ -171,15 +186,8 @@ def test_scheme_F_is_the_continuum_operator_on_quadratics(dim, variant, lam,
     # diagonal coefficients and Pucci, whose diagonal frame never beats the
     # axis frame on a diagonal Hessian (the corners' sign rule is convex,
     # resp. concave, in the curvature).  The 2-D cells are square
-    Lam = lam * ratio
-    coeffs = [np.diag(lam + (Lam - lam) * np.array(t[j:j + dim]))
-              for j in (0, 2, 4)]
-    if variant == "linear_trace":
-        spec = OperatorSpec.linear_trace(coeffs[0], lam, Lam)
-    elif variant.startswith("hjb"):
-        spec = getattr(OperatorSpec, variant)(coeffs, lam, Lam)
-    else:
-        spec = getattr(OperatorSpec, variant)(lam, Lam)
+    spec = _diagonal_spec(dim, variant, lam, ratio, t)
+    Lam = spec.Lam
     g = QUADRATIC_GRIDS[dim]
     u = GridFunction.from_callable(
         g, lambda *x: sum(0.5 * c * xk ** 2 + b * xk
@@ -191,3 +199,35 @@ def test_scheme_F_is_the_continuum_operator_on_quadratics(dim, variant, lam,
     tol = 64 * np.finfo(float).eps * Lam * np.abs(u.values).max() / min(g.h) ** 2
     np.testing.assert_allclose(Scheme(g, spec, 0.0).F(u.values), want,
                                rtol=0, atol=tol)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dim=st.sampled_from([1, 2]), variant=st.sampled_from(VARIANTS),
+       gamma=st.floats(0.0, 2.0) | st.just(0.0),
+       lam=st.floats(0.1, 2.0), ratio=st.floats(1.0, 5.0),
+       t=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+       n=st.integers(3, 20), dead=st.floats(0.0, 1.0),
+       scale=st.integers(-3, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_policy_matrix_is_an_m_matrix(dim, variant, gamma, lam, ratio, t, n,
+                                      dead, scale, seed):
+    # at the active policy of a nonnegative field, zero on about a share
+    # `dead` of the nodes (dead cores, where the envelope ties), the policy
+    # matrix A has off-diagonals <= 0, a positive diagonal and row sums
+    # >= 0 (0 up to the rounding of the summed diagonal away from the
+    # boundary), at every gamma: the policy is the arg of F_h alone.  At
+    # gamma = 0 the Newton matrix is A bit for bit.  The 2-D cells are
+    # square
+    g = (Grid.interval(0.0, 1.0, n) if dim == 1 else
+         Grid.rectangle(0.0, 2.0, 0.0, 1.0, 2 * n + 1, n))
+    rng = np.random.default_rng(seed)
+    v = rng.random(g.shape) * (rng.random(g.shape) >= dead) * 10.0 ** scale
+    sch = Scheme(g, _diagonal_spec(dim, variant, lam, ratio, t), gamma)
+    lin = sch.linearize(GridFunction(g, v).values)
+    op = PolicyMatrix(sch)
+    A = op.set_policy(lin.policy)
+    d = op.diagonal()
+    off = np.delete(A, op.offsets.index(0), axis=0)
+    assert np.all(off <= 0) and np.all(d > 0)
+    assert np.all(A.sum(axis=0) >= -4 * np.finfo(float).eps * d)
+    if gamma == 0.0:
+        assert op.newton(lin).tobytes() == A.tobytes()

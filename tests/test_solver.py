@@ -121,6 +121,59 @@ def test_subsolution_constant_weight_analytic_window():
     assert float(np.min(g.interior(r.values))) >= -1e-8
 
 
+def _benchmark_ball_problem(name):
+    """(problem, ball) of perfbench's solve1d_q05, solve1d_degenerate and
+    both solve2d_wide problems, at fixed draws."""
+    if name == "q05":
+        g = Grid.interval(0.0, 2.0, 199)
+        return _problem(g, WeightField.sinsplit(g, 0.3).scaled(30.0)), (0.2, 0.8)
+    if name == "degenerate":
+        inst = example_instance(1.0, 0.8)
+        g = Grid.interval(*inst.domain, 199)
+        return (ProblemSpec(g, SPEC1, inst.gamma, inst.q, inst.weight_on(g)),
+                (1.15, 1.95))
+    g = Grid.rectangle(0.0, 2.0, 0.0, 1.0, 59, 29)
+    op = (OperatorSpec.pucci_minus(1.0, 2.0) if name == "pucci_minus" else
+          OperatorSpec.hjb_inf((np.eye(2), 2.0 * np.eye(2)), 1.0, 2.0))
+    return (_problem(g, WeightField.sinsplit(g, 0.3).scaled(30.0), spec=op),
+            ((0.2, 0.8), (0.2, 0.8)))
+
+
+@pytest.mark.parametrize("name, iterations", [
+    ("q05", 3), ("degenerate", 4), ("pucci_minus", 4), ("hjb_inf", 3)])
+def test_ball_pair_is_as_accurate_as_the_eps_search_needs(monkeypatch, name,
+                                                          iterations):
+    # the ball pair only starts the eps search, whose certificate is the
+    # residual: under BALL_EIGEN (lambda settled to 1e-3) the search makes
+    # as many residual evaluations as from a pair settled to 1e-10, and
+    # lands on the same subsolution to 1e-3, in `iterations` steps
+    problem, ball = _benchmark_ball_problem(name)
+    evals = []
+    counted = solver_mod.residual
+
+    def counting(p, u):
+        evals[-1] += 1
+        return counted(p, u)
+
+    monkeypatch.setattr(solver_mod, "residual", counting)
+    found = []
+    for ctl in (solver_mod.BALL_EIGEN,
+                EigenControl(tol_lambda=1e-10, tol_residual=np.inf)):
+        monkeypatch.setattr(solver_mod, "BALL_EIGEN", ctl)
+        solver_mod._ball_pair.cache_clear()
+        evals.append(0)
+        u = build_subsolution(problem, ball)
+        pair = ball_eigenpair(problem, ball)
+        assert pair.converged
+        found.append((u.sup_norm(), pair.lambda_plus, pair.iterations))
+    solver_mod._ball_pair.cache_clear()
+    (sup, lam, iters), (tight_sup, tight_lam, _) = found
+    assert evals[0] == evals[1]
+    assert sup == pytest.approx(tight_sup, rel=1e-3)
+    assert lam == pytest.approx(tight_lam, rel=1e-3)
+    assert iters == iterations
+
+
 def test_subsolution_rejects_nonpositive_weight():
     g = Grid.interval(0.0, 2.0, 99)
     p = _problem(g, WeightField.constant(g, 0.0).scaled(1.0))
