@@ -18,8 +18,7 @@ import numpy as np
 
 from .grids import GridFunction, _stencil_all_below
 from .operators import evaluate_operator
-from .solver import (extend_ball_function, _ball_nodes, solve,
-                     SubsolutionError)
+from .solver import BRACKET_TOL, _ball_nodes, solve, SubsolutionError
 
 __all__ = [
     "ClassificationReport", "ThresholdReport", "BarrierResult", "ProbeRecord",
@@ -131,20 +130,14 @@ def w_residual(w, problem):
     return GridFunction(g, out, dirichlet=False)
 
 
-def w_residual_sup(w, problem, margin=None):
-    """Sup of the w-residual away from the 1/w singularity.
-
-    By default restricted to nodes with w >= sqrt(max h); with `margin`
-    restricted instead to the fixed compact subset of nodes at distance
-    >= margin from the boundary (grid-independent, for refinement
-    studies).
+def w_residual_sup(w, problem, margin):
+    """Sup of the w-residual away from the 1/w singularity: over the
+    fixed compact subset of nodes at distance >= margin from the boundary
+    (grid-independent, for refinement studies).
     """
     r = w_residual(w, problem)
     g = problem.grid
-    if margin is None:
-        mask = g.interior(w.values) >= np.sqrt(max(g.h))
-    else:
-        mask = g.interior(g.distance_to_boundary()) >= margin
+    mask = g.interior(g.distance_to_boundary()) >= margin
     return float(np.max(np.abs(g.interior(r.values)[mask])))
 
 
@@ -156,18 +149,17 @@ class BarrierResult:
     worst_slack: float = None
 
 
-def barrier_check(u, ball, pair, problem, theta, tol=1e-8):
-    """Check u >= eps_theta * phi+(ball) - 2 tol on the ball.
+def barrier_check(u, ball, pair, problem, theta):
+    """Check u >= eps_theta * phi+(ball) - 2 BRACKET_TOL on the ball.
 
     eps_theta = (a0 / lam+ - theta)^(1/(gamma+1-q)) with a0 the weight
     minimum over the ball's host nodes (solver._ball_nodes, the nodes of
-    its eigenpair's sub-grid), where the slack is taken too.  Returns an
+    its eigenpair's sub-grid), where the slack is taken too, against
+    max(phi+, 0) of the pair on its own sub-grid.  Returns an
     'inapplicable' status when a0 <= lam+ (the weight can be rescaled
     upstream to restore it).
     """
-    g = problem.grid
-    nodes = _ball_nodes(g, ball)
-    box = tuple(slice(i, j) for i, j in nodes)
+    box = tuple(slice(i, j) for i, j in _ball_nodes(problem.grid, ball))
     a0 = float(np.min(problem.weight.samples[box]))
     lamp = pair.lambda_plus
     if a0 <= lamp:
@@ -176,8 +168,8 @@ def barrier_check(u, ball, pair, problem, theta, tol=1e-8):
     if not ratio - theta > 1:
         raise ValueError("theta must satisfy a0/lam+ - theta > 1")
     eps = (ratio - theta) ** (1.0 / (problem.gamma + 1.0 - problem.q))
-    phi = extend_ball_function(g, nodes, pair).values[box]
-    slack = u.values[box] - (eps * phi - 2.0 * tol)
+    phi = np.maximum(pair.phi_plus.values, 0.0)
+    slack = u.values[box] - (eps * phi - 2.0 * BRACKET_TOL)
     return BarrierResult("checked", eps, bool(np.min(slack) >= 0),
                          float(np.min(slack)))
 

@@ -10,8 +10,11 @@ case-insensitive, so the ellipticity bounds are problem.lam and
 problem.lam_upper (both default 1); problem.dim is 1 or 2, with at most
 dim problem.n values.  The counts (problem.n, problem.dim, control.seed,
 control.max_steps, sweep.probes, sweep.bisect_steps) take any integral
-spelling, such as 1e6 or 40.0.  control.init defaults to zero, which
-returns u = 0 in 0 steps at every gamma.  Exit codes:
+spelling, such as 1e6 or 40.0; the other numbers (problem.gamma, q, lam,
+lam_upper, p, weight_scale, weight_value, weight_s, control.tolerance,
+eigen_residual) any float spelling, nan and inf included, and a word in
+any of them is refused naming its key.  control.init defaults to zero,
+which returns u = 0 in 0 steps at every gamma.  Exit codes:
 0 success, 2 validation error, 3 solver non-convergence / no threshold,
 4 internal error.
 """
@@ -32,9 +35,6 @@ from .analysis import classify, estimate_threshold
 from .operators import OperatorSpec
 from .oracle import example_instance
 
-COMMANDS = ("solve", "eigen", "classify", "sweep", "oracle-check")
-
-
 class ValidationError(ValueError):
     pass
 
@@ -50,6 +50,15 @@ def _parse_floats(raw, key):
         return tuple(float(t) for t in str(raw).replace(";", ",").split(","))
     except ValueError:
         raise ValidationError("%s must be a list of numbers, got %s" % (key, raw)) from None
+
+
+def _number(raw, key):
+    """The float that raw spells, for config key `key` (nan and inf
+    included); a word is refused."""
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValidationError("%s must be a number, got %s" % (key, raw)) from None
 
 
 def _integer(raw, key):
@@ -133,8 +142,8 @@ def _build_operator(cp):
     prob = cp["problem"]
     name = prob.get("operator", "linear_trace")
     # configparser lowercases option names: "Lam" would read "lam"
-    lam = prob.getfloat("lam", 1.0)
-    Lam = prob.getfloat("lam_upper", 1.0)
+    lam = _number(prob.get("lam", 1.0), "problem.lam")
+    Lam = _number(prob.get("lam_upper", 1.0), "problem.lam_upper")
     dim = _dim(prob)
     if name == "linear_trace":
         return OperatorSpec.linear_trace(np.eye(dim) if lam == Lam == 1.0
@@ -145,7 +154,7 @@ def _build_operator(cp):
     if name == "pucci_minus":
         return OperatorSpec.pucci_minus(lam, Lam)
     if name == "p_laplacian":
-        return OperatorSpec.p_laplacian(prob.getfloat("p", 3.0))
+        return OperatorSpec.p_laplacian(_number(prob.get("p", 3.0), "problem.p"))
     if name in ("hjb_inf", "hjb_sup"):
         fam = (np.eye(dim) * lam, np.eye(dim) * Lam)
         ctor = OperatorSpec.hjb_inf if name == "hjb_inf" else OperatorSpec.hjb_sup
@@ -156,15 +165,15 @@ def _build_operator(cp):
 def _build_weight(cp, grid, gamma, q):
     prob = cp["problem"]
     kind = prob.get("weight", "constant")
-    scale = prob.getfloat("weight_scale", 1.0)
+    scale = _number(prob.get("weight_scale", 1.0), "problem.weight_scale")
+    s = _number(prob.get("weight_s", 1.0), "problem.weight_s")
     if kind == "constant":
-        w = WeightField.constant(grid, prob.getfloat("weight_value", 1.0))
+        w = WeightField.constant(
+            grid, _number(prob.get("weight_value", 1.0), "problem.weight_value"))
     elif kind == "sinsplit":
-        w = WeightField.sinsplit(grid, prob.getfloat("weight_s", 1.0))
+        w = WeightField.sinsplit(grid, s)
     elif kind == "example":
-        inst = example_instance(gamma, q)
-        w = inst.weight_on(grid)
-        s = prob.getfloat("weight_s", 1.0)
+        w = example_instance(gamma, q).weight_on(grid)
         if s != 1.0:
             w = w.with_negative_scale(s)
     elif kind == "tabulated":
@@ -198,8 +207,8 @@ def _problem_section(cp, command):
 
 def _build_problem(cp, command):
     prob = _problem_section(cp, command)
-    gamma = prob.getfloat("gamma", 0.0)
-    q = prob.getfloat("q", 0.5)
+    gamma = _number(prob.get("gamma", 0.0), "problem.gamma")
+    q = _number(prob.get("q", 0.5), "problem.q")
     grid = _build_grid(cp)
     op = _build_operator(cp)
     weight = _build_weight(cp, grid, gamma, q)
@@ -208,7 +217,8 @@ def _build_problem(cp, command):
 
 def _control(cp):
     return IterationControl(
-        tolerance=cp.getfloat("control", "tolerance", fallback=1e-8),
+        tolerance=_number(cp.get("control", "tolerance", fallback=1e-8),
+                          "control.tolerance"),
         max_steps=_integer(cp.get("control", "max_steps", fallback="1000000"),
                            "control.max_steps"))
 
@@ -263,14 +273,16 @@ def cmd_solve(cp):
 
 def cmd_eigen(cp):
     # the eigenproblem only needs grid/operator/gamma
-    gamma = _problem_section(cp, "eigen").getfloat("gamma", 0.0)
+    gamma = _number(_problem_section(cp, "eigen").get("gamma", 0.0), "problem.gamma")
     grid = _build_grid(cp)
     op = _build_operator(cp)
     ctl = EigenControl(
-        tol_lambda=cp.getfloat("control", "tolerance",
-                               fallback=EigenControl.tol_lambda),
-        tol_residual=cp.getfloat("control", "eigen_residual",
-                                 fallback=EigenControl.tol_residual))
+        tol_lambda=_number(cp.get("control", "tolerance",
+                                  fallback=EigenControl.tol_lambda),
+                           "control.tolerance"),
+        tol_residual=_number(cp.get("control", "eigen_residual",
+                                    fallback=EigenControl.tol_residual),
+                             "control.eigen_residual"))
     pair = principal_eigenpair(grid, op, gamma, ctl)
     out = _outdir(cp)
     write_csv(pair.phi_plus, out / "eigen.csv",
@@ -336,8 +348,8 @@ def cmd_sweep(cp):
 
 
 def cmd_oracle_check(cp):
-    gamma = cp.getfloat("problem", "gamma", fallback=1.0)
-    q = cp.getfloat("problem", "q", fallback=0.8)
+    gamma = _number(cp.get("problem", "gamma", fallback=1.0), "problem.gamma")
+    q = _number(cp.get("problem", "q", fallback=0.8), "problem.q")
     inst = example_instance(gamma, q)
     # pointwise identity
     x = np.linspace(inst.domain[0] + 1e-9, inst.domain[1] - 1e-9, 1000)
@@ -380,7 +392,7 @@ DISPATCH = {
 
 def main(argv=None):
     ap = argparse.ArgumentParser(prog="deadcore", description=__doc__)
-    ap.add_argument("command", choices=COMMANDS)
+    ap.add_argument("command", choices=DISPATCH)
     ap.add_argument("--config", required=True)
     ap.add_argument("--set", dest="overrides", action="append", default=[],
                     metavar="section.key=value")
@@ -389,7 +401,7 @@ def main(argv=None):
         cp = load_config(args.config, args.overrides)
         _seed(cp)   # every artifact header carries it: refuse it before any work
         DISPATCH[args.command](cp)
-    except (ValidationError, ValueError) as e:
+    except ValueError as e:   # ValidationError included
         print("error: %s" % e, file=sys.stderr)
         return 2
     except (NonConvergence, SolveError) as e:

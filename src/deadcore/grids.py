@@ -433,15 +433,13 @@ class Scheme:
     def F(self, v):
         """Discrete F at all interior nodes (degenerate elliptic form): the
         envelope of the members' values (_candidates) at the second
-        differences of v.  An operator without members (require_policy)
-        has no grid scheme.
+        differences of v.  An operator without members has no grid
+        scheme, and require_policy refuses it.
         """
         k = self.second_differences(v)
         if len(self.members) == 1:
             return _weighted(self.members[0], k)
-        if not self.members:
-            raise TypeError("operator variant %r has no %d-D grid scheme"
-                            % (self.spec.variant, self.dim))
+        self.require_policy()
         return self._envelope[0].reduce(self._candidates(k))
 
     def _candidates(self, k):

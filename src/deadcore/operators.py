@@ -99,10 +99,11 @@ class OperatorSpec:
     lipschitz: float = None
 
     def __post_init__(self):
-        if not 0 < self.lam <= self.Lam:
-            raise ValueError("require 0 < lam <= Lam")
+        # p first: a p <= 1 also makes p_laplacian's lam = p - 1 <= 0
         if self.variant == "p_laplacian" and not self.p > 1:
             raise ValueError("p-Laplacian requires p > 1")
+        if not 0 < self.lam <= self.Lam:
+            raise ValueError("require 0 < lam <= Lam")
         if self.variant in ("hjb_inf", "hjb_sup") and not self.family:
             raise ValueError("Bellman variants need a nonempty family")
 
@@ -139,8 +140,6 @@ class OperatorSpec:
 
     @classmethod
     def p_laplacian(cls, p):
-        if not p > 1:
-            raise ValueError("p-Laplacian requires p > 1")
         return cls("p_laplacian", lam=min(1.0, p - 1.0),
                    Lam=max(1.0, p - 1.0), p=p)
 
@@ -209,17 +208,16 @@ class AxiomReport:
         return self.passed
 
 
-def check_axioms(spec, trials, seed, dim=2, strict_homogeneity=False):
+def check_axioms(spec, trials, seed, dim=2):
     """Randomized certification of ellipticity, homogeneity and continuity.
 
     For `trials` random tuples (x, y, X, Y >= 0, s > 0) asserts the Pucci
     sandwich M-(Y) <= F(x, X+Y) - F(x, X) <= M+(Y), positive 1-homogeneity
     F(x, sX) = s F(x, X) to 1e-12 relative, and, when a Lipschitz bound L
-    is declared, |F(x,X) - F(y,X)| <= L |x-y| ||X||.  With
-    strict_homogeneity the literal two-sided form F(x, sX) = |s| F(x, X)
-    is tested as well (the Pucci operators fail it for s < 0, by design).
-    The trials are drawn one by one from default_rng(seed) and evaluated as
-    one batch, so a `custom` func is called for every trial.  A failure
+    is declared, |F(x,X) - F(y,X)| <= L |x-y| ||X||.  Homogeneity is
+    checked for s > 0 only: the Pucci operators are not odd.  The trials
+    are drawn one by one from default_rng(seed) and evaluated as one
+    batch, so a `custom` func is called for every trial.  A failure
     reports the lowest failing trial and a witness of its first failing
     axiom, in the order above.
     """
@@ -249,8 +247,8 @@ def check_axioms(spec, trials, seed, dim=2, strict_homogeneity=False):
     Y = _stack(B @ B.swapaxes(1, 2))
     Xf, Yf = X.reshape(trials, -1), Y.reshape(trials, -1)
     sX = s[:, None, None] * X
-    F = evaluate_operator(spec, x[:, None], np.stack(
-        [X, X + Y, sX] + ([-sX] if strict_homogeneity else []), axis=1), xi[:, None])
+    F = evaluate_operator(spec, x[:, None], np.stack([X, X + Y, sX], axis=1),
+                          xi[:, None])
     FX, d, sFX = F[:, 0], F[:, 1] - F[:, 0], s * F[:, 0]
     lo = pucci(Y, spec.lam, spec.Lam, "-")
     hi = pucci(Y, spec.lam, spec.Lam, "+")
@@ -262,11 +260,6 @@ def check_axioms(spec, trials, seed, dim=2, strict_homogeneity=False):
                "pucci_plus": hi}),
              ("homogeneity", np.abs(F[:, 2] - sFX) > 1e-12 * np.maximum(1.0, np.abs(sFX)),
               {"x": x, "X": X, "s": s, "F_sX": F[:, 2], "s_FX": sFX})]
-    if strict_homogeneity:
-        # literal two-sided form: F(x, sX) = |s| F(x, X) also for s < 0
-        tests.append(("strict_homogeneity",
-                      np.abs(F[:, 3] - sFX) > 1e-9 * np.maximum(1.0, np.abs(sFX)),
-                      {"x": x, "X": X, "s": -s, "F_sX": F[:, 3], "abs_s_FX": sFX}))
     if spec.lipschitz is not None:
         dF = np.abs(FX - evaluate_operator(spec, y, X, xi))
         bound = spec.lipschitz * np.sqrt(_dot(x - y, x - y)) * np.sqrt(_dot(Xf, Xf))

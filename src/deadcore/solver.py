@@ -162,27 +162,25 @@ def ball_eigenpair(problem, ball):
                       problem.gamma, problem.operator)
 
 
-def extend_ball_function(grid, nodes, ball_pair):
-    """Inject a ball eigenfunction into the host grid, 0 outside.
-
-    The pair's sub-grid lies on the host nodes `nodes` (_ball_nodes), so
-    the transfer is a slice copy of the sub-grid values, clamped at 0.
-    """
-    vals = np.zeros(grid.shape)
-    vals[tuple(slice(i, j) for i, j in nodes)] = \
-        np.maximum(ball_pair.phi_plus.values, 0.0)
-    return GridFunction(grid, vals)
-
-
 # slack of the discrete sub- and supersolution inequalities
 BRACKET_TOL = 1e-8
+
+
+def _lowest(grid, field):
+    """The least interior value of field and its interior node: the one
+    test of every bracket inequality (field >= -BRACKET_TOL inside)."""
+    f = grid.interior(field)
+    k = int(np.argmin(f))
+    return float(f.flat[k]), tuple(int(i) for i in np.unravel_index(k, f.shape))
 
 
 def build_subsolution(problem, ball):
     """eps * phi+(ball) extended by zero, with eps fixed by dyadic search.
 
     The weight is checked and eps bounded on the ball's host nodes
-    (_ball_nodes), the nodes of its eigenpair's sub-grid.  eps starts at
+    (_ball_nodes), the nodes of its eigenpair's sub-grid, and max(phi+, 0)
+    is written into those nodes of a zero field: the pair's sub-grid lies
+    on them, so the transfer is a slice copy.  eps starts at
     the analytic admissibility bound from
     lam+ eps^(1+gamma-q) phi^(1-q) <= a and halves until the discrete
     subsolution inequality (residual >= -BRACKET_TOL) holds at every
@@ -199,11 +197,12 @@ def build_subsolution(problem, ball):
                                "of the weight (min a = %.6g)" % np.min(a))
 
     pair = ball_eigenpair(problem, ball)
-    phi = extend_ball_function(grid, nodes, pair)
+    phi = np.zeros(grid.shape)
+    phi[box] = np.maximum(pair.phi_plus.values, 0.0)
     gamma, q = problem.gamma, problem.q
 
-    pos = phi.values[box] > 1e-8
-    bound = a[pos] / (pair.lambda_plus * phi.values[box][pos] ** (1.0 - q))
+    pos = phi[box] > 1e-8
+    bound = a[pos] / (pair.lambda_plus * phi[box][pos] ** (1.0 - q))
     eps_max = float(np.min(bound) ** (1.0 / (1.0 + gamma - q)))
 
     # the analytic bound is tight at the worst node, so the discrete
@@ -211,14 +210,11 @@ def build_subsolution(problem, ball):
     eps = 0.98 * eps_max
     last_bad = None
     for _ in range(48):
-        u = GridFunction(grid, eps * phi.values)
-        r = residual(problem, u)
-        rint = grid.interior(r.values)
-        worst = float(np.min(rint))
+        u = GridFunction(grid, eps * phi)
+        worst, node = _lowest(grid, residual(problem, u).values)
         if worst >= -BRACKET_TOL:
             return u
-        node = np.unravel_index(np.argmin(rint), rint.shape)
-        last_bad = (eps, tuple(int(i) for i in node), worst)
+        last_bad = (eps, node, worst)
         eps *= 0.5
     raise SubsolutionError(
         "no admissible eps <= %g; last violation %.3e at interior node %r (eps=%g)"
@@ -254,8 +250,7 @@ def build_supersolution(problem, ctl=None):
 def _is_supersolution(problem, u):
     """The certificate of an upper bracket end: the discrete supersolution
     inequality, residual <= BRACKET_TOL at every interior node."""
-    r = residual(problem, u)
-    return float(np.max(problem.grid.interior(r.values))) <= BRACKET_TOL
+    return _lowest(problem.grid, -residual(problem, u).values)[0] >= -BRACKET_TOL
 
 
 _FLOAT_MAX = np.finfo(float).max
@@ -264,7 +259,8 @@ DAMPING_ITERS = 30
 
 
 def _implicit_damping(w, c, q):
-    """Solve z + c z^q = w (z >= 0) nodewise; the damping a- u^q backward step.
+    """Solve z + c z^q = w (z >= 0) nodewise, c an array shaped like w;
+    the damping a- u^q backward step.
 
     Exact implicitness makes the time map's fixed point coincide with the
     zero-residual state (a semi-implicit factor evaluated at the old
@@ -290,18 +286,13 @@ def _implicit_damping(w, c, q):
     if not idx.size:
         return z
     zf = z.reshape(-1)
-    za, wa = zf[idx], w.reshape(-1)[idx]
-    ca = np.asarray(c, dtype=float)
-    if ca.ndim:
-        ca = ca.reshape(-1)[idx]
+    za, wa, ca = zf[idx], w.reshape(-1)[idx], c.reshape(-1)[idx]
     beta = ca * za ** (q - 1.0)
     za = za * (1.0 + beta) ** (-1.0 / q)
     live = za > 0.0
     if not live.all():
         zf[idx[~live]] = 0.0
-        idx, za, wa = idx[live], za[live], wa[live]
-        if ca.ndim:
-            ca = ca[live]
+        idx, za, wa, ca = idx[live], za[live], wa[live], ca[live]
         if not idx.size:
             return z
     caq = ca * q
@@ -339,16 +330,7 @@ PTC_STALL = 128
 PTC_FLOOR = 1e-12
 
 
-def _outside(grid, diff, what):
-    """SolveError naming the first interior node where diff < -BRACKET_TOL."""
-    bad = grid.interior(diff) < -BRACKET_TOL
-    if bad.any():
-        node = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise SolveError("the solution from the supersolution %s at interior "
-                         "node %r" % (what, node))
-
-
-def _relax_ptc(problem, vals, ctl, init, bracket):
+def _relax_ptc(problem, vals, ctl, above):
     """Pseudo-transient Newton (Kelley & Keyes, SIAM J. Numer. Anal. 35,
     1998).
 
@@ -379,7 +361,7 @@ def _relax_ptc(problem, vals, ctl, init, bracket):
     its answer (a sweep's solved neighbour) does not climb a ramp of
     doublings from PTC_DT0 before Newton's steps take over.  dt doubles
     on each accepted step; a step whose max|R| is not finite or more than
-    doubles is rejected and divides dt by 4.  From above (init
+    doubles is rejected and divides dt by 4.  From above (`above`, init
     'supersolution' or 'subsolution') a step that darkens a lit node of
     {a > 0} is rejected the same way: lit at the linearization point, at
     or below PTC_FLOOR sup u in the trial.  The ball's eps phi lies below
@@ -388,25 +370,25 @@ def _relax_ptc(problem, vals, ctl, init, bracket):
     gamma = 0, q = 0.2 over (0, 4) it used to land on u = 0).  A component
     too small for build_subsolution's ball is kept lit as well: since
     q < gamma + 1, eps times its indicator is a subsolution for small
-    eps, even on one node.  Stops at ctl.tolerance, at an exact fixed
-    point, after
-    PTC_WINDOW accepted steps in a row that each moved u by at most
-    PTC_SETTLED sup u and set no new low of max|R| (a converging run's
-    last Newton steps move u that little while max|R| still falls by
-    orders), or after PTC_STALL accepted steps that set neither a new
-    low of max|R| nor a new largest count of lit nodes, those above
-    PTC_FLOOR sup u (a cycle).  Far from the answer max|R| can rise and
+    eps, even on one node.  Stops at ctl.tolerance, after PTC_WINDOW
+    accepted steps in a row that each moved u by at most PTC_SETTLED
+    sup u and set no new low of max|R| (a converging run's last Newton
+    steps move u that little while max|R| still falls by orders; a step
+    that lands exactly on its start moves u by nothing and sets no new
+    low, so a run that keeps doing so ends within PTC_WINDOW solves), or
+    after PTC_STALL accepted steps that set neither a new low of max|R|
+    nor a new largest count of lit nodes, those above PTC_FLOOR sup u (a
+    cycle).  Far from the answer max|R| can rise and
     fall for 71 steps at n = 3200 while u moves by O(1), and from below a
     front that lights one node after another holds max|R| high for
     hundreds of steps (q = 0.2, n = 1599): an advancing front is
     progress.  The count is bounded by the number of nodes, so every
-    cycle still stops.  It is the only reaction loop: a run stopped above
-    the tolerance returns its iterate as it is, unconverged.  `steps`
-    counts the sparse solves.  At gamma = 0, g = 1 and c = 0, so the
+    cycle still stops, and the cycle stop is the loop's only bound short
+    of ctl.max_steps.  It is the only reaction loop: it iterates `vals`
+    in place and returns the number of sparse solves it took; a run
+    stopped above the tolerance leaves its iterate as it is, and solve
+    reports it unconverged.  At gamma = 0, g = 1 and c = 0, so the
     Newton matrix is the policy matrix A itself.
-    With a bracket (init='subsolution', started from the supersolution) the
-    answer must lie in it within BRACKET_TOL, else SolveError names the
-    node.
     """
     grid, q, scheme = problem.grid, problem.q, problem.scheme
     op = PolicyMatrix(scheme)
@@ -424,7 +406,6 @@ def _relax_ptc(problem, vals, ctl, init, bracket):
     dt = PTC_DT0
     if rsup > 0.0:
         dt = max(dt, PTC_MOVE * float(u_int.max()) / rsup)
-    above = init in ("supersolution", "subsolution")
     best, stale, quiet, steps = np.inf, 0, 0, 0
     most = np.count_nonzero(u_int > PTC_FLOOR * u_int.max())
     while steps < ctl.max_steps:
@@ -455,8 +436,6 @@ def _relax_ptc(problem, vals, ctl, init, bracket):
         if (dark & positive).any():
             near = np.pad(dark, 1, constant_values=True)
             t_int[grid.interior(_stencil_all_below(near)) & positive] = 0.0
-        if np.array_equal(trial, vals):
-            break
         lin_t = scheme.linearize(trial)
         R_t = lin_t.gF + a_int * t_int ** q
         r_t = float(np.abs(R_t).max())
@@ -474,10 +453,7 @@ def _relax_ptc(problem, vals, ctl, init, bracket):
             stale = 0 if lit > most else stale + 1
             quiet = 0 if moved else quiet + 1
         most = max(most, lit)
-    if bracket is not None:
-        _outside(grid, vals - bracket[0].values, "falls below the subsolution")
-        _outside(grid, bracket[1].values - vals, "lies above the supersolution")
-    return _certified(problem, vals, steps, ctl, init, bracket)
+    return steps
 
 
 def _certified(problem, vals, steps, ctl, init, bracket):
@@ -545,8 +521,9 @@ def solve(problem, init="zero", ctl=None, ball=None, u0=None):
     and a run that stalls above the tolerance comes back unconverged:
     - from above, 'supersolution' and 'subsolution' (which builds both
       bracket ends and starts from the supersolution) return the maximal
-      solution; 'subsolution' raises SolveError unless the answer lies
-      in the bracket.  With a u0, 'subsolution' takes u0 as the upper
+      solution; 'subsolution' raises SolveError, naming the worst
+      interior node, unless the answer lies in the bracket within
+      BRACKET_TOL.  With a u0, 'subsolution' takes u0 as the upper
       end if it passes build_supersolution's certificate, and builds the
       supersolution otherwise; the answer is the maximal solution when
       u0 lies above it, as the answer at a smaller negative part does
@@ -566,6 +543,17 @@ def solve(problem, init="zero", ctl=None, ball=None, u0=None):
     ctl = ctl or IterationControl()
     problem.scheme.require_policy()
     vals, bracket = _start(problem, init, ctl, ball, u0)
-    # one error state for the whole loop (_implicit_damping relies on it)
+    # one error state for the loop (_implicit_damping relies on it) and
+    # the bracket's check
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _relax_ptc(problem, vals, ctl, init, bracket)
+        steps = _relax_ptc(problem, vals, ctl,
+                           init in ("supersolution", "subsolution"))
+        if bracket is not None:
+            sub, upper = (end.values for end in bracket)
+            for lo, hi, what in ((sub, vals, "falls below the subsolution"),
+                                 (vals, upper, "lies above the supersolution")):
+                worst, node = _lowest(problem.grid, hi - lo)
+                if worst < -BRACKET_TOL:
+                    raise SolveError("the solution from the supersolution %s at "
+                                     "interior node %r" % (what, node))
+        return _certified(problem, vals, steps, ctl, init, bracket)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from deadcore.cli import main, load_config, config_hash, _build_operator
-from deadcore import Grid, GridFunction, write_csv
+from deadcore import (Grid, GridFunction, IterationControl, OperatorSpec,
+                      ProblemSpec, WeightField, estimate_threshold,
+                      example_instance, solve, write_csv)
 
 
 def _write(path, text):
@@ -135,6 +137,109 @@ def test_list_with_a_word_names_its_key(tmp_path, monkeypatch, capsys,
     assert main([command, "--config", cfg, "--set", "%s=%s" % (key, value)]) == 2
     assert capsys.readouterr().err == \
         "error: %s must be a list of numbers, got %s\n" % (key, value)
+
+
+@pytest.mark.parametrize("command, key, extra", [
+    pytest.param(command, key, extra, id=key) for command, key, extra in (
+        ("eigen", "problem.gamma", ()),
+        ("oracle-check", "problem.q", ()),
+        ("solve", "problem.lam", ()),
+        ("eigen", "problem.lam_upper", ()),
+        ("solve", "problem.p", ("problem.operator=p_laplacian",)),
+        ("sweep", "problem.weight_scale", ()),
+        ("solve", "problem.weight_value", ("problem.weight=constant",)),
+        ("solve", "problem.weight_s", ()),
+        ("eigen", "control.tolerance", ()),
+        ("eigen", "control.eigen_residual", ()))])
+def test_number_with_a_word_names_its_key(tmp_path, monkeypatch, capsys,
+                                          command, key, extra):
+    # a word in a float key used to print only float()'s complaint
+    cfg = _write(tmp_path / "number.ini", BASE_SOLVE + "\n[sweep]\nparameter = s\n")
+    monkeypatch.chdir(tmp_path)
+    sets = [arg for item in extra + (key + "=abc",) for arg in ("--set", item)]
+    assert main([command, "--config", cfg] + sets) == 2
+    assert capsys.readouterr().err == "error: %s must be a number, got abc\n" % key
+    assert not (tmp_path / "out").exists()
+
+
+def _cli_solution(tmp_path, monkeypatch, sets):
+    """The data rows of solution.csv from deadcore solve on BASE_SOLVE at
+    n = 59 with the --set items `sets`."""
+    cfg = _write(tmp_path / "solve.ini", BASE_SOLVE.replace("n = 79", "n = 59"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--config", cfg]
+                + [arg for item in sets for arg in ("--set", item)]) == 0
+    text = (tmp_path / "out" / "solution.csv").read_text()
+    return [line for line in text.splitlines() if not line.startswith("#")]
+
+
+def _rows(tmp_path, problem, ball):
+    """The data rows write_csv gives solve's answer on a hand-built problem,
+    from the subsolution at BASE_SOLVE's tolerance."""
+    rep = solve(problem, init="subsolution", ball=ball,
+                ctl=IterationControl(tolerance=1e-6))
+    write_csv(rep.solution, tmp_path / "want.csv")
+    return (tmp_path / "want.csv").read_text().splitlines()
+
+
+@pytest.mark.parametrize("name", ["pucci_plus", "pucci_minus", "hjb_inf", "hjb_sup"])
+def test_solve_operator_matches_hand_built(tmp_path, monkeypatch, name):
+    # every branch of _build_operator builds the problem solve is given
+    g = Grid.interval(0.0, 2.0, 59)
+    if name.startswith("pucci"):
+        spec = getattr(OperatorSpec, name)(1.0, 2.0)
+    else:
+        spec = getattr(OperatorSpec, name)((np.eye(1), 2.0 * np.eye(1)), 1.0, 2.0)
+    p = ProblemSpec(g, spec, 0.0, 0.5, WeightField.sinsplit(g, 0.3).scaled(30.0))
+    got = _cli_solution(tmp_path, monkeypatch,
+                        ["problem.operator=" + name, "problem.lam_upper=2"])
+    assert got == _rows(tmp_path, p, (0.2, 0.8))
+
+
+@pytest.mark.parametrize("kind", ["constant", "example", "tabulated"])
+def test_solve_weight_matches_hand_built(tmp_path, monkeypatch, kind):
+    # every branch of _build_weight samples the weight solve is given; the
+    # tabulated weight is the sinsplit samples written out with write_csv
+    spec, gamma, q, ball = OperatorSpec.linear_trace(np.eye(1)), 0.0, 0.5, (0.2, 0.8)
+    sets = ["problem.weight=" + kind]
+    if kind == "constant":
+        g = Grid.interval(0.0, 2.0, 59)
+        w = WeightField.constant(g, 2.0).scaled(30.0)
+        sets.append("problem.weight_value=2")
+    elif kind == "example":
+        # weight_s = 0.3 scales the negative part, weight_scale = 30 the whole
+        gamma, q, ball = 1.0, 0.8, (1.15, 1.95)
+        inst = example_instance(gamma, q)
+        g = Grid.interval(*inst.domain, 59)
+        w = inst.weight_on(g).with_negative_scale(0.3).scaled(30.0)
+        sets += ["problem.gamma=1", "problem.q=0.8", "control.ball=1.15,1.95",
+                 "problem.domain=%r,%r" % inst.domain]
+    else:
+        g = Grid.interval(0.0, 2.0, 59)
+        write_csv(WeightField.sinsplit(g, 0.3), tmp_path / "weight.csv")
+        w = WeightField.sinsplit(g, 0.3).scaled(30.0)
+        sets.append("problem.weight_path=%s" % (tmp_path / "weight.csv"))
+    got = _cli_solution(tmp_path, monkeypatch, sets)
+    assert got == _rows(tmp_path, ProblemSpec(g, spec, gamma, q, w), ball)
+
+
+def test_sweep_in_q_matches_estimate_threshold(tmp_path, monkeypatch, capsys):
+    # the q-family of cmd_sweep: every probe is the base problem at its q.
+    # The bracket stays below q = 0.9, where a probe stops unconverged
+    cfg = _write(tmp_path / "sweep.ini", BASE_SOLVE.replace("n = 79", "n = 59")
+                 + "\n[sweep]\nparameter = q\nbracket = 0.2,0.8\nprobes = 4\n"
+                 "bisect_steps = 2\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", cfg, "--set", "problem.weight_s=1"]) == 0
+    g = Grid.interval(0.0, 2.0, 59)
+    spec, w = OperatorSpec.linear_trace(np.eye(1)), WeightField.sinsplit(g, 1.0).scaled(30.0)
+    rep = estimate_threshold(lambda q: ProblemSpec(g, spec, 0.0, q, w), "q",
+                             (0.2, 0.8), (0.2, 0.8), IterationControl(tolerance=1e-6),
+                             probes=4, bisect_steps=2)
+    assert rep.status == "ok" and not rep.anomalies
+    text = (tmp_path / "out" / "report.txt").read_text()
+    assert "estimate = %.17g\n" % rep.estimate in text
+    assert "estimate=%.12g " % rep.estimate in capsys.readouterr().out
 
 
 def test_missing_config_exit_2(tmp_path):

@@ -175,8 +175,8 @@ def test_scheme_degenerate_ellipticity_randomized():
 def test_p_laplacian_2d_scheme_not_monotone():
     # the 2-D p-Laplacian at p != 2 has no monotone scheme (a centred cross
     # difference makes F fall when the anti-diagonal neighbour rises, by
-    # (p - 2) gx gy / (2 hx hy |g|^2) per unit): the solvers refuse it, and
-    # Scheme.F has no grid scheme for it; at p = 2 it is a trace
+    # (p - 2) gx gy / (2 hx hy |g|^2) per unit): the solvers and Scheme.F
+    # refuse it by the same require_policy; at p = 2 it is a trace
     g = Grid.rectangle(0.0, 1.0, 0.0, 1.0, 7, 7)
     v = GridFunction.from_callable(
         g, lambda x, y: np.sin(2.0 * x + y) + x * y, dirichlet=False).values
@@ -184,7 +184,7 @@ def test_p_laplacian_2d_scheme_not_monotone():
         sch = Scheme(g, OperatorSpec.p_laplacian(p), 0.0)
         with pytest.raises(ValueError, match="p-Laplacian"):
             sch.require_policy()
-        with pytest.raises(TypeError, match="no 2-D grid scheme"):
+        with pytest.raises(ValueError, match="no monotone 2-D scheme"):
             sch.F(v)
     sch = Scheme(g, OperatorSpec.p_laplacian(2.0), 0.0)
     sch.require_policy()

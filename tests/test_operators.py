@@ -117,6 +117,14 @@ def test_pucci_rejects_bad_ellipticity():
         pucci(np.eye(2), 2.0, 1.0, "+")
 
 
+@pytest.mark.parametrize("p", [1.0, 0.5, float("nan")])
+def test_p_laplacian_refuses_p_at_most_1(p):
+    # OperatorSpec checks p before lam = min(1, p - 1), so the message
+    # names p and not the ellipticity bounds
+    with pytest.raises(ValueError, match=r"^p-Laplacian requires p > 1$"):
+        OperatorSpec.p_laplacian(p)
+
+
 # --- pointwise evaluation ------------------------------------------------
 
 def test_linear_trace_value():
@@ -204,13 +212,6 @@ def test_axioms_broken_operator_caught():
     assert rep.counterexample["axiom"] == "homogeneity"
 
 
-def test_axioms_strict_homogeneity_fails_for_pucci():
-    rep = check_axioms(OperatorSpec.pucci_plus(1.0, 2.0), 200, seed=13,
-                       strict_homogeneity=True)
-    assert not rep.passed
-    assert rep.counterexample["axiom"] == "strict_homogeneity"
-
-
 def test_key_keeps_callables_alive():
     # the ball eigenpair's cache keys the operator object itself: while a
     # pair is cached, its operator and that operator's callable cannot be
@@ -241,7 +242,7 @@ def test_key_keeps_callables_alive():
 
 # --- batched check_axioms against the per-trial loop -------------------------
 
-def _reference_check_axioms(spec, trials, seed, dim=2, strict_homogeneity=False):
+def _reference_check_axioms(spec, trials, seed, dim=2):
     """The per-trial loop `check_axioms` replaced: one trial at a time,
     stopping at the first counterexample."""
     def F(x, X, xi):
@@ -249,7 +250,6 @@ def _reference_check_axioms(spec, trials, seed, dim=2, strict_homogeneity=False)
 
     rng = np.random.default_rng(seed)
     checked = ("ellipticity", "homogeneity") + \
-        (("strict_homogeneity",) if strict_homogeneity else ()) + \
         (("lipschitz",) if spec.lipschitz is not None else ())
     for k in range(trials):
         x = rng.uniform(0.0, 1.0, size=dim)
@@ -273,13 +273,6 @@ def _reference_check_axioms(spec, trials, seed, dim=2, strict_homogeneity=False)
             return AxiomReport(False, k + 1, checked, {
                 "axiom": "homogeneity", "x": x, "X": X, "s": s,
                 "F_sX": lhs, "s_FX": s * FX})
-        if strict_homogeneity:
-            lhs = F(x, (-s) * X, xi)
-            ref = s * FX
-            if abs(lhs - ref) > 1e-9 * max(1.0, abs(ref)):
-                return AxiomReport(False, k + 1, checked, {
-                    "axiom": "strict_homogeneity", "x": x, "X": X,
-                    "s": -s, "F_sX": lhs, "abs_s_FX": ref})
         if spec.lipschitz is not None:
             dxy = float(np.linalg.norm(x - y))
             dF = abs(F(x, X, xi) - F(y, X, xi))
@@ -303,9 +296,8 @@ PARITY_CASES = {
     "hjb_sup": (OperatorSpec.hjb_sup(_FAMILY, 1.0, 2.0), {}),
     "p_laplacian": (OperatorSpec.p_laplacian(3.0), {}),
     "trace_lipschitz": (OperatorSpec.linear_trace(_x_coeff, 1.0, 1.2, lipschitz=0.2), {}),
-    # failing specs: homogeneity, strict homogeneity, Lipschitz
+    # failing specs: homogeneity, Lipschitz
     "broken_custom": (OperatorSpec.custom(lambda x, X: float(np.trace(X)) + 1.0), {}),
-    "pucci_strict": (OperatorSpec.pucci_plus(1.0, 2.0), {"strict_homogeneity": True}),
     "trace_tight_lipschitz": (OperatorSpec.linear_trace(_x_coeff, 1.0, 1.2,
                                                         lipschitz=0.01), {}),
     "pucci_minus_3d": (OperatorSpec.pucci_minus(0.5, 2.0), {"dim": 3}),
@@ -314,7 +306,7 @@ PARITY_CASES = {
     # off by a relative 1e-11: homogeneity is tested to 1e-12
     "near_homogeneous": (OperatorSpec.custom(lambda x, X: float(np.trace(X)) + 1e-11), {}),
 }
-FAILING = ("broken_custom", "pucci_strict", "trace_tight_lipschitz", "two_axioms",
+FAILING = ("broken_custom", "trace_tight_lipschitz", "two_axioms",
            "near_homogeneous")
 
 

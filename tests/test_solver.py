@@ -15,7 +15,7 @@ from deadcore import (Grid, GridFunction, WeightField, OperatorSpec,
 from deadcore import eigen as eigen_mod, solver as solver_mod
 from deadcore.dirichlet import PolicyMatrix
 from deadcore.grids import Scheme
-from deadcore.solver import _implicit_damping, extend_ball_function
+from deadcore.solver import _implicit_damping
 import reference
 
 SPEC1 = OperatorSpec.linear_trace(np.eye(1))
@@ -570,9 +570,9 @@ def test_p_laplacian_2d_refused_before_any_step(monkeypatch):
                 principal_eigenpair(g, spec, gamma)
 
 
-def test_extend_ball_function_is_injection():
-    # ball edges off the host nodes: phi+ lands on the snapped nodes
-    # unchanged, and everything else is 0
+def test_subsolution_is_an_injection_of_phi_plus():
+    # ball edges off the host nodes: eps phi+ lands on the snapped nodes,
+    # and everything else is 0
     cases = ((Grid.interval(0.0, 2.0, 79), (0.23, 0.81)),
              (Grid.rectangle(0.0, 2.0, 0.0, 1.0, 39, 19),
               ((0.21, 0.79), (0.17, 0.83))))
@@ -581,7 +581,8 @@ def test_extend_ball_function_is_injection():
                      spec=OperatorSpec.linear_trace(np.eye(g.dim)))
         pair = ball_eigenpair(p, ball)
         nodes = solver_mod._ball_nodes(g, ball)
-        phi = extend_ball_function(g, nodes, pair).values
+        u = build_subsolution(p, ball).values
+        phi = np.maximum(pair.phi_plus.values, 0.0)
         sub = pair.phi_plus.grid
         idx = []
         for k in range(g.dim):
@@ -590,10 +591,14 @@ def test_extend_ball_function_is_injection():
             idx.append(np.nonzero((x >= lo - 1e-12) & (x <= hi + 1e-12))[0])
             assert (idx[k][0], idx[k][-1] + 1) == nodes[k]
         on = np.ix_(*idx)
-        assert np.array_equal(phi[on], pair.phi_plus.values)
+        k = np.argmax(phi)
+        eps = u[on].flat[k] / phi.flat[k]
+        assert eps > 0.0
+        assert np.array_equal(u[on] > 0.0, phi > 0.0)
+        assert np.max(np.abs(u[on] - eps * phi)) <= 4.0 * np.spacing(u.max())
         rest = np.ones(g.shape, dtype=bool)
         rest[on] = False
-        assert np.all(phi[rest] == 0.0)
+        assert np.all(u[rest] == 0.0)
 
 
 @pytest.mark.parametrize("s", [0.2, 2.5])
@@ -748,6 +753,32 @@ def test_from_below_advancing_front_is_progress(gamma, q, s, n, ball):
     assert lo.converged and hi.converged
     assert classify(lo.solution).verdict == "positivity_cone"
     assert np.max(np.abs(lo.solution.values - hi.solution.values)) <= 1e-9
+
+
+def test_ptc_cycle_stop_returns_its_iterate(monkeypatch):
+    # no run of the suite ends at PTC_STALL, the loop's only bound short
+    # of max_steps.  A front from below on a small ball (gamma 0.5, q 0.2)
+    # sets neither a new low of max|R| nor a new count of lit nodes on two
+    # accepted steps in a row after 7 solves: with PTC_STALL = 2, and the
+    # quiet window out of reach, the run stops there and comes back
+    # unconverged with its iterate; under the default it converges
+    g = Grid.interval(0.0, 2.0, 99)
+    p = _problem(g, WeightField.sinsplit(g, 0.2).scaled(30.0), gamma=0.5,
+                 q=0.2)
+    u0 = build_subsolution(p, (0.3, 0.6))
+    full = solve(p, init="given", u0=u0)
+    assert full.converged
+    assert classify(full.solution).verdict == "positivity_cone"
+    monkeypatch.setattr(solver_mod, "PTC_WINDOW", 10 ** 9)
+    monkeypatch.setattr(solver_mod, "PTC_STALL", 2)
+    rep = solve(p, init="given", u0=u0)
+    assert not rep.converged and rep.steps == 7
+    assert rep.residual_sup > 1.0
+    assert rep.residual_sup == float(np.max(np.abs(
+        g.interior(residual(p, rep.solution).values))))
+    assert np.max(rep.solution.values - u0.values) > 0.1
+    assert np.min(rep.solution.values) >= 0.0
+    assert classify(rep.solution).verdict == "dead_core"
 
 
 def test_monotone_stops_on_cycle():
@@ -998,7 +1029,7 @@ def test_implicit_damping_matches_reference():
                 w.flat[rng.integers(0, w.size, 4)] = rng.choice(odd, 4)
                 c.flat[rng.integers(0, c.size, 4)] = rng.choice(odd, 4)
             q = rng.choice([0.3, 0.5, 0.8, 0.95])
-            cc = c if trial % 5 else float(c.flat[0])
+            cc = c if trial % 5 else np.full(shape, c.flat[0])
             got = _implicit_damping(w, cc, q)
             assert got.tobytes() == _damping_reference(w, cc, q).tobytes()
             low = _underflowed_starts(w, cc, q)
