@@ -126,7 +126,7 @@ def w_residual(w, problem):
                            np.moveaxis(X, (0, 1), (-2, -1)), np.stack(grads, -1))
     out = np.zeros(g.shape)
     g.interior(out)[...] = scheme.grad_factor(w.values) * Fv \
-        + g.interior(problem.weight.samples)
+        + g.interior(problem.weight.values)
     return GridFunction(g, out, dirichlet=False)
 
 
@@ -160,7 +160,7 @@ def barrier_check(u, ball, pair, problem, theta):
     upstream to restore it).
     """
     box = tuple(slice(i, j) for i, j in _ball_nodes(problem.grid, ball))
-    a0 = float(np.min(problem.weight.samples[box]))
+    a0 = float(np.min(problem.weight.values[box]))
     lamp = pair.lambda_plus
     if a0 <= lamp:
         return BarrierResult("inapplicable")
@@ -220,7 +220,8 @@ def estimate_threshold(family, parameter, bracket, ball, ctl=None,
     `family(value) -> ProblemSpec`; each probe solves from the subsolution
     seeded on `ball` and classifies the result.  The initial `probes`
     equispaced verdicts are recorded (and checked for monotonicity), then
-    the flip interval is bisected `bisect_steps` times.  If the endpoint
+    the flip interval is bisected `bisect_steps` times.  A bracket that is
+    not finite with lo < hi is refused before any probe.  If the endpoint
     verdicts agree a 'no_threshold' report is returned.  A probe whose
     subsolution cannot be built counts as 'trivial', one whose solve does
     not converge keeps its verdict; each adds an `anomalies` entry naming
@@ -231,7 +232,8 @@ def estimate_threshold(family, parameter, bracket, ball, ctl=None,
     offers solve the answer of its nearest solved probe below (the
     previous one in the scan, the one at the lower end in the bisection)
     as the upper end of its bracket, which solve takes only if it passes
-    the supersolution certificate.  With a = a+ - s a-, the answer at
+    the supersolution certificate; a probe whose problem lies on another
+    grid starts cold.  With a = a+ - s a-, the answer at
     s' < s has the residual -(s - s') a- u^q <= 0 at s, so an s-sweep
     builds a supersolution only for its first probe; a family without
     this order (a sweep in q) builds one for every probe.  The solve's
@@ -240,8 +242,8 @@ def estimate_threshold(family, parameter, bracket, ball, ctl=None,
     16-17 of a climb from dt = 1e-3.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not hi > lo:
-        raise ValueError("degenerate bracket")
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError("bracket %g,%g must be finite with lo < hi" % (lo, hi))
     if probes < 2:
         raise ValueError("need at least 2 probes")
     if bisect_steps < 0:
@@ -268,17 +270,14 @@ def estimate_threshold(family, parameter, bracket, ball, ctl=None,
                             cls.interior_min, cls.hopf_margin), rep.solution)
 
     values = np.linspace(lo, hi, probes)
-    # below: the answer offered to the next scan probe; low: the answer
-    # of the probe that becomes blo, offered to the bisection: the last
-    # positive one if the first is positive, else the last of the
-    # leading run of others
-    flags, below, low = [], None, None
+    # answers[k]: the answer probe k offers its successor, and the
+    # bisection's start if probe k becomes blo
+    flags, answers, below = [], [], None
     for v in values:
         rec, below = probe(v, below)
         report.probes.append(rec)
         flags.append(rec.verdict in POSITIVE_VERDICTS)
-        if flags[0] and flags[-1] or not any(flags):
-            low = below
+        answers.append(below)
 
     if flags[0] == flags[-1]:
         report.status = "no_threshold"
@@ -289,7 +288,7 @@ def estimate_threshold(family, parameter, bracket, ball, ctl=None,
         report.anomalies.append("verdict flips at probe indices %r" % flips)
     i = flips[-1] if flags[0] else flips[0]
     blo, bhi = float(values[i]), float(values[i + 1])
-    flo = flags[i]
+    flo, low = flags[i], answers[i]
 
     for _ in range(bisect_steps):
         mid = 0.5 * (blo + bhi)

@@ -38,7 +38,7 @@ import os
 import numpy as np
 import scipy
 
-from .grids import GridFunction, _values_on
+from .grids import GridFunction, _on_grid, _values_on
 
 __all__ = ["IterationControl", "RhsReport", "SolveError", "solve_rhs"]
 
@@ -262,9 +262,7 @@ def solve_rhs(scheme, f, ctl=None, u0=None):
     """
     ctl = ctl or IterationControl()
     grid = scheme.grid
-    if f.grid != grid:
-        raise ValueError("right-hand side sampled on %r, not on the "
-                         "problem grid %r" % (f.grid, grid))
+    _on_grid(grid, f, "right-hand side")
     if not np.all(np.isfinite(f.values)):
         raise ValueError("right-hand side must be finite")
     scheme.require_policy()

@@ -146,17 +146,19 @@ class Grid:
 
 
 class GridFunction:
-    """Scalar field on all grid nodes; Dirichlet trace zeroed on request."""
+    """Scalar field on all grid nodes; Dirichlet trace zeroed on request.
+    `noun` names the field in its refusals."""
 
     __slots__ = ("grid", "values")
+    noun = "grid function"
 
     def __init__(self, grid, values, dirichlet=True):
         v = np.array(values, dtype=float)
         if v.shape != grid.shape:
-            raise ValueError("values shape %r does not match grid %r"
-                             % (v.shape, grid.shape))
+            raise ValueError("%s values shape %r does not match grid %r"
+                             % (self.noun, v.shape, grid.shape))
         if not np.all(np.isfinite(v)):
-            raise ValueError("grid function must be finite")
+            raise ValueError("%s must be finite" % self.noun)
         if dirichlet:
             _zero_boundary(v)
         self.grid = grid
@@ -167,21 +169,27 @@ class GridFunction:
         return cls(grid, np.zeros(grid.shape))
 
     @classmethod
-    def from_callable(cls, grid, f, dirichlet=True):
-        return cls(grid, _sample(grid, f), dirichlet=dirichlet)
+    def from_callable(cls, grid, f):
+        return cls(grid, _sample(grid, f))
 
     def sup_norm(self):
         return float(np.max(np.abs(self.values)))
+
+
+def _on_grid(grid, u, what):
+    """u, a field; ValueError naming `what` unless it lies on grid.  The
+    one check that a field is sampled on the problem's grid."""
+    if u.grid != grid:
+        raise ValueError("%s sampled on %r, not on the problem grid %r"
+                         % (what, u.grid, grid))
+    return u
 
 
 def _values_on(grid, u, what):
     """A copy of the node values of u, a GridFunction or an array, as
     floats; ValueError naming `what` unless they lie on grid."""
     if isinstance(u, GridFunction):
-        if u.grid != grid:
-            raise ValueError("%s sampled on %r, not on the problem grid %r"
-                             % (what, u.grid, grid))
-        u = u.values
+        u = _on_grid(grid, u, what).values
     vals = np.array(u, dtype=float)
     if vals.shape != grid.shape:
         raise ValueError("%s of shape %s do not match the grid's %s"
@@ -200,27 +208,19 @@ def _zero_boundary(v):
         v[face] = 0.0
 
 
-class WeightField:
-    """Sign-changing reaction weight a(x) sampled at grid nodes.
+class WeightField(GridFunction):
+    """Sign-changing reaction weight a(x), a GridFunction whose boundary
+    values are kept (from_callable samples every node).
 
     Records the decomposition a = a+ - a- used by the negative-part
     sweeps.
     """
 
-    __slots__ = ("grid", "samples")
+    __slots__ = ()
+    noun = "weight"
 
-    def __init__(self, grid, samples):
-        s = np.asarray(samples, dtype=float)
-        if s.shape != grid.shape:
-            raise ValueError("weight samples do not match grid")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("weight must be finite")
-        self.grid = grid
-        self.samples = s
-
-    @classmethod
-    def from_callable(cls, grid, f):
-        return cls(grid, _sample(grid, f))
+    def __init__(self, grid, values):
+        super().__init__(grid, values, dirichlet=False)
 
     @classmethod
     def constant(cls, grid, c):
@@ -236,17 +236,14 @@ class WeightField:
 
     @property
     def a_plus(self):
-        return np.maximum(self.samples, 0.0)
+        return np.maximum(self.values, 0.0)
 
     @property
     def a_minus(self):
-        return np.maximum(-self.samples, 0.0)
-
-    def sup_norm(self):
-        return float(np.max(np.abs(self.samples)))
+        return np.maximum(-self.values, 0.0)
 
     def scaled(self, c):
-        return WeightField(self.grid, c * self.samples)
+        return WeightField(self.grid, c * self.values)
 
     def with_negative_scale(self, s):
         """a+ - s * a-, the family swept by the positivity threshold."""
@@ -526,12 +523,10 @@ def residual_field(u, scheme, q, weight):
     Interior nodes carry the regularized scheme residual; boundary nodes
     carry the Dirichlet defect r = u.  Requires u >= 0 on the scheme's grid.
     """
-    if u.grid != scheme.grid:
-        raise ValueError("field sampled on %r, not on the scheme grid %r"
-                         % (u.grid, scheme.grid))
+    _on_grid(scheme.grid, u, "field")
     if np.min(u.values) < 0:
         raise ValueError("residual requires a nonnegative field")
-    a_int = u.grid.interior(weight.samples)
+    a_int = u.grid.interior(weight.values)
     r = np.array(u.values)
     u.grid.interior(r)[...] = scheme.residual_interior(u.values, a_int, q)
     return GridFunction(u.grid, r, dirichlet=False)
@@ -540,9 +535,9 @@ def residual_field(u, scheme, q, weight):
 # --- CSV schema ----------------------------------------------------------
 
 def write_csv(obj, path, comments=()):
-    """Write a GridFunction or WeightField: header x[,y],value, row-major."""
-    grid = obj.grid
-    vals = obj.values if isinstance(obj, GridFunction) else obj.samples
+    """Write a GridFunction (a WeightField too): header x[,y],value,
+    row-major."""
+    grid, vals = obj.grid, obj.values
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write("# %s\n" % line)

@@ -57,6 +57,14 @@ def eigenvalues(X):
     return np.linalg.eigvalsh(_stack(X))
 
 
+def _check_ellipticity(lam, Lam):
+    """The one rule for ellipticity constants, of OperatorSpec and pucci:
+    0 < lam <= Lam < inf (nan fails it)."""
+    if not 0 < lam <= Lam < np.inf:
+        raise ValueError("require 0 < lam <= Lam < inf, got lam = %r, Lam = %r"
+                         % (lam, Lam))
+
+
 def pucci(X, lam, Lam, sign):
     """Pucci extremal operator M+ (sign '+') or M- (sign '-') of X.
 
@@ -64,8 +72,7 @@ def pucci(X, lam, Lam, sign):
     M- swaps the roles of lam and Lam.  A float for one matrix, an array
     for a (..., d, d) stack.
     """
-    if not 0 < lam <= Lam:
-        raise ValueError("require 0 < lam <= Lam")
+    _check_ellipticity(lam, Lam)
     e = eigenvalues(X)
     neg = np.minimum(e, 0.0).sum(axis=-1)
     pos = np.maximum(e, 0.0).sum(axis=-1)
@@ -99,11 +106,12 @@ class OperatorSpec:
     lipschitz: float = None
 
     def __post_init__(self):
-        # p first: a p <= 1 also makes p_laplacian's lam = p - 1 <= 0
-        if self.variant == "p_laplacian" and not self.p > 1:
-            raise ValueError("p-Laplacian requires p > 1")
-        if not 0 < self.lam <= self.Lam:
-            raise ValueError("require 0 < lam <= Lam")
+        # p first: a p <= 1 also makes p_laplacian's lam = p - 1 <= 0, and
+        # p = inf its Lam = p - 1
+        if self.variant == "p_laplacian" and not 1 < self.p < np.inf:
+            raise ValueError("p-Laplacian requires %s" % (
+                "a finite p, got p = inf" if self.p > 1 else "p > 1"))
+        _check_ellipticity(self.lam, self.Lam)
         if self.variant in ("hjb_inf", "hjb_sup") and not self.family:
             raise ValueError("Bellman variants need a nonempty family")
 

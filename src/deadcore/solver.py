@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .grids import (Grid, GridFunction, WeightField, Scheme, residual_field,
-                    _stencil_all_below, _values_on)
+                    _on_grid, _stencil_all_below, _values_on)
 from .dirichlet import IterationControl, SolveError, PolicyMatrix, solve_rhs
 from .eigen import EigenControl, principal_eigenpair
 
@@ -58,9 +58,7 @@ class ProblemSpec:
         if not 0 < self.q < self.gamma + 1:
             raise ValueError("q < gamma+1 (strict) and q > 0 required, got q=%g"
                              % self.q)
-        if self.weight.grid != self.grid:
-            raise ValueError("weight sampled on %r, not on the problem grid %r"
-                             % (self.weight.grid, self.grid))
+        _on_grid(self.grid, self.weight, "weight")
         object.__setattr__(self, "scheme", scheme)
 
 
@@ -191,7 +189,7 @@ def build_subsolution(problem, ball):
     grid = problem.grid
     nodes = _ball_nodes(grid, ball)
     box = tuple(slice(i, j) for i, j in nodes)
-    a = problem.weight.samples[box]
+    a = problem.weight.values[box]
     if np.min(a) <= 0:
         raise SubsolutionError("ball is not contained in the positive set "
                                "of the weight (min a = %.6g)" % np.min(a))
@@ -392,7 +390,7 @@ def _relax_ptc(problem, vals, ctl, above):
     """
     grid, q, scheme = problem.grid, problem.q, problem.scheme
     op = PolicyMatrix(scheme)
-    a_int = grid.interior(problem.weight.samples)
+    a_int = grid.interior(problem.weight.values)
     a = a_int.ravel()
     aq, positive = q * a, a_int > 0.0
     source, sink = positive.ravel(), a < 0.0

@@ -152,7 +152,7 @@ def test_criterion_6_barrier(capsys):
                 ctl=IterationControl(tolerance=1e-8))
     pair = ball_eigenpair(p, BALL)
     x = g.axis(0)
-    a0 = float(np.min(w.samples[(x >= BALL[0] - 1e-12) & (x <= BALL[1] + 1e-12)]))
+    a0 = float(np.min(w.values[(x >= BALL[0] - 1e-12) & (x <= BALL[1] + 1e-12)]))
     theta = (a0 / pair.lambda_plus - 1.0) / 2.0
     res = barrier_check(rep.solution, BALL, pair, p, theta)
     ok = rep.converged and res.status == "checked" and res.ok

@@ -103,8 +103,7 @@ def test_to_w_rejects_dead_core():
 def test_w_residual_constant_perturbation_bound():
     # shifting w by a constant only moves the grad w (x) grad w / w term
     g = Grid.interval(0.0, 1.0, 99)
-    w0 = GridFunction.from_callable(g, lambda x: 1.0 + np.sin(np.pi * x),
-                                    dirichlet=False)
+    w0 = GridFunction(g, 1.0 + np.sin(np.pi * g.axis(0)), dirichlet=False)
     p = ProblemSpec(g, SPEC1, 0.0, 0.5, WeightField.constant(g, 1.0))
     r0 = w_residual(w0, p)
     eps = 0.01
@@ -137,13 +136,12 @@ def test_w_residual_is_the_pointwise_operator(dim, index):
     spec = _w_operators(dim)[index]
     if dim == 1:
         g = Grid.interval(0.0, 2.0, 31)
-        w = GridFunction.from_callable(g, lambda x: 2.0 + np.sin(3.0 * x),
-                                       dirichlet=False)
+        w = GridFunction(g, 2.0 + np.sin(3.0 * g.axis(0)), dirichlet=False)
     else:
         g = Grid.rectangle(0.0, 2.0, 0.0, 1.0, 15, 7)
-        w = GridFunction.from_callable(
-            g, lambda x, y: 2.0 + np.sin(3.0 * x) * np.cos(2.0 * y),
-            dirichlet=False)
+        x, y = g.coords()
+        w = GridFunction(g, 2.0 + np.sin(3.0 * x) * np.cos(2.0 * y),
+                         dirichlet=False)
     p = ProblemSpec(g, spec, 0.0, 0.5, WeightField.constant(g, 0.0))
     r = g.interior(w_residual(w, p).values)
     c = p.q / (1.0 + p.gamma - p.q)
@@ -171,8 +169,8 @@ def test_w_residual_1d_p_laplacian_at_a_zero_gradient():
     # in 1-D the p-Laplacian is (p - 1) w'' at every gradient, also at the
     # node where the centred gradient of a symmetric w is exactly 0
     g = Grid.interval(0.0, 2.0, 31)
-    w = GridFunction.from_callable(g, lambda x: 2.0 + x * (2.0 - x),
-                                   dirichlet=False)
+    x = g.axis(0)
+    w = GridFunction(g, 2.0 + x * (2.0 - x), dirichlet=False)
     p = ProblemSpec(g, OperatorSpec.p_laplacian(3.0), 0.0, 0.5,
                     WeightField.constant(g, 0.0))
     grad, = p.scheme.grad(w.values)
@@ -193,7 +191,7 @@ def test_barrier_eps_theta_values():
     p = ProblemSpec(g, SPEC1, 0.0, 0.5, w)
     pair = ball_eigenpair(p, ball)
     x = g.axis(0)
-    a0 = float(np.min(w.samples[(x >= 0.1 - 1e-12) & (x <= 0.9 + 1e-12)]))
+    a0 = float(np.min(w.values[(x >= 0.1 - 1e-12) & (x <= 0.9 + 1e-12)]))
     ratio = a0 / pair.lambda_plus
     tall = GridFunction(g, np.full(g.shape, 10.0), dirichlet=False)
     res = barrier_check(tall, ball, pair, p, theta=0.5)
@@ -231,6 +229,9 @@ def test_threshold_validation():
         estimate_threshold(family, "s", (1.0, 1.0), (0.2, 0.8))
     with pytest.raises(ValueError):
         estimate_threshold(family, "s", (0.0, 1.0), (0.2, 0.8), probes=1)
+    for bracket in ((0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)):
+        with pytest.raises(ValueError, match="^bracket .* must be finite"):
+            estimate_threshold(family, "s", bracket, (0.2, 0.8))
 
 
 def test_threshold_no_flip_report():
@@ -319,6 +320,56 @@ def test_threshold_bisect_steps_exact():
     with pytest.raises(ValueError, match="bisect_steps"):
         estimate_threshold(family, "c", (-1.0, 1.0), (0.2, 0.8), probes=4,
                            bisect_steps=-1)
+
+
+def test_threshold_flipping_family_is_not_monotone():
+    # the probe value picks s = 0.5 (positive) or s = 2.5 (dead core) out of
+    # order, so the scan's verdicts flip three times; the bisection takes
+    # the last flip, as the first verdict is positive
+    g = Grid.interval(0.0, 2.0, 39)
+    base = WeightField.sinsplit(g, 1.0).scaled(30.0)
+
+    def family(v):
+        s = 0.5 if v < 0.1 or 0.4 < v < 0.6 else 2.5
+        return ProblemSpec(g, SPEC1, 0.0, 0.5, base.with_negative_scale(s))
+
+    rep = estimate_threshold(family, "v", (0.0, 1.0), (0.2, 0.8), probes=5,
+                             bisect_steps=1)
+    P, D = "positivity_cone", "dead_core"
+    assert [r.verdict for r in rep.probes] == [P, D, P, D, D, D]
+    assert rep.status == "ok" and rep.monotone is False
+    assert rep.anomalies == ["verdict flips at probe indices [0, 1, 2]"]
+    assert rep.final_bracket == (0.5, 0.625)
+    assert "monotone = False" in rep.to_text().splitlines()
+
+
+def test_threshold_family_changing_grid_probes_cold(monkeypatch):
+    # a probe on another grid than its neighbour's answer starts cold:
+    # solve would refuse that answer as its u0
+    import deadcore.analysis as analysis_mod
+    grids = [Grid.interval(0.0, 2.0, n) for n in (39, 41)]
+    bases = [WeightField.sinsplit(g, 1.0).scaled(30.0) for g in grids]
+
+    def family(s):
+        k = int(s > 1.5)
+        return ProblemSpec(grids[k], SPEC1, 0.0, 0.5,
+                           bases[k].with_negative_scale(s))
+
+    starts = []
+
+    def run(problem, **kwargs):
+        starts.append((problem.grid, kwargs["u0"]))
+        return solve(problem, **kwargs)
+
+    monkeypatch.setattr(analysis_mod, "solve", run)
+    rep = estimate_threshold(family, "s", (0.5, 2.5), (0.2, 0.8), probes=4,
+                             bisect_steps=2)
+    assert rep.status == "ok" and rep.anomalies == []
+    assert [g.n for g, _ in starts] == [(39,), (39,), (41,), (41,), (39,),
+                                        (39,)]
+    assert [u0 is None for _, u0 in starts] == [True, False, True, False,
+                                                False, False]
+    assert all(u0 is None or u0.grid == g for g, u0 in starts)
 
 
 def test_threshold_sweep_computes_one_eigenpair(monkeypatch):

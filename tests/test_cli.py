@@ -125,6 +125,25 @@ def test_infinite_domain_exit_2(tmp_path, monkeypatch, capsys, domain):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("operator, key, message", [
+    ("pucci_plus", "problem.lam_upper",
+     "require 0 < lam <= Lam < inf, got lam = 1.0, Lam = inf"),
+    ("p_laplacian", "problem.p", "p-Laplacian requires a finite p, got p = inf"),
+])
+def test_infinite_operator_parameter_exit_2(tmp_path, monkeypatch, capsys,
+                                            operator, key, message):
+    # OperatorSpec refuses it: it used to warn in PolicyMatrix.set_policy
+    # and exit 3 with a non-finite residual at step 1
+    cfg = _write(tmp_path / "op.ini", BASE_SOLVE)
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--config", cfg, "--set",
+                     "problem.operator=" + operator, "--set", key + "=inf"]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("solve", "problem.domain", "0,2x"),
     ("solve", "control.ball", "0.2,x"),
@@ -632,6 +651,28 @@ bracket = %s
     monkeypatch.chdir(tmp_path)
     assert main(["sweep", "--config", cfg]) == 2
     assert "0 < lo and hi < gamma+1" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bracket", ["0,inf", "-inf,1"])
+def test_sweep_infinite_bracket_exit_2(tmp_path, monkeypatch, capsys, bracket):
+    # estimate_threshold refuses it before any probe: np.linspace used to
+    # warn, and the probes to blame the weight for being non-finite
+    from deadcore import analysis
+    calls = []
+    monkeypatch.setattr(analysis, "solve", lambda *a, **k: calls.append(a))
+    cfg = _write(tmp_path / "sweep.ini", BASE_SOLVE + """
+[sweep]
+parameter = s
+""")
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--config", cfg,
+                     "--set", "sweep.bracket=" + bracket]) == 2
+    assert capsys.readouterr().err == \
+        "error: bracket %s must be finite with lo < hi\n" % bracket
     assert calls == []
     assert not (tmp_path / "out").exists()
 

@@ -59,7 +59,7 @@ def _trace_scheme(g):
 
 def test_gradient_linear_exact():
     g = Grid.interval(0.0, 1.0, 19)
-    u = GridFunction.from_callable(g, lambda x: x, dirichlet=False)
+    u = GridFunction(g, g.axis(0), dirichlet=False)
     (gx,) = _trace_scheme(g).grad(u.values)
     assert gx.shape == (19,)
     assert np.allclose(gx, 1.0, rtol=0, atol=1e-14)
@@ -68,7 +68,7 @@ def test_gradient_linear_exact():
 def test_gradient_quadratic_centered():
     # the centred quotient is exact on quadratics: 2x at every interior node
     g = Grid.interval(0.0, 1.0, 19)
-    u = GridFunction.from_callable(g, lambda x: x ** 2, dirichlet=False)
+    u = GridFunction(g, g.axis(0) ** 2, dirichlet=False)
     (gx,) = _trace_scheme(g).grad(u.values)
     assert np.allclose(gx, 2.0 * g.interior(g.axis(0)), rtol=0, atol=1e-13)
     i = 10  # node at x = 0.5, interior index i - 1
@@ -91,7 +91,7 @@ def test_gradient_sin_second_order():
 
 def test_second_difference_quadratic():
     g = Grid.interval(0.0, 1.0, 9)
-    u = GridFunction.from_callable(g, lambda x: x ** 2, dirichlet=False)
+    u = GridFunction(g, g.axis(0) ** 2, dirichlet=False)
     k = _trace_scheme(g).second_differences(u.values)
     assert set(k) == {"x"}
     assert np.allclose(k["x"], 2.0, rtol=0, atol=1e-12)
@@ -99,7 +99,8 @@ def test_second_difference_quadratic():
 
 def test_second_difference_diagonal_2d():
     g = Grid.rectangle(0.0, 1.0, 0.0, 1.0, 9, 9)
-    u = GridFunction.from_callable(g, lambda x, y: x * y, dirichlet=False)
+    x, y = g.coords()
+    u = GridFunction(g, x * y, dirichlet=False)
     k = _trace_scheme(g).second_differences(u.values)
     assert list(k) == ["x", "y", "d1", "d2"]
     # u_xy = 1: along e=(1,1)/sqrt2 the directional second derivative is 1
@@ -124,13 +125,13 @@ def test_second_difference_sin_sin():
 
 def test_discrete_F_examples():
     g = Grid.interval(0.0, 1.0, 9)
-    u = GridFunction.from_callable(g, lambda x: x ** 2, dirichlet=False)
+    u = GridFunction(g, g.axis(0) ** 2, dirichlet=False)
     spec = OperatorSpec.linear_trace(np.eye(1))
     assert np.allclose(Scheme(g, spec, 0.0).F(u.values), 2.0, rtol=0, atol=1e-12)
 
     r = Grid.rectangle(0.0, 1.0, 0.0, 1.0, 19, 19)
-    saddle = GridFunction.from_callable(r, lambda x, y: 0.5 * (x ** 2 - y ** 2),
-                                        dirichlet=False)
+    x, y = r.coords()
+    saddle = GridFunction(r, 0.5 * (x ** 2 - y ** 2), dirichlet=False)
     got = Scheme(r, OperatorSpec.pucci_plus(1.0, 2.0), 0.0).F(saddle.values)
     # exact Hessian diag(1,-1): M+ = 2*1 + 1*(-1) = 1 at every interior node
     assert got.shape == (19, 19)
@@ -139,8 +140,8 @@ def test_discrete_F_examples():
 
 def test_discrete_F_affine_kernel():
     g = Grid.rectangle(0.0, 1.0, 0.0, 1.0, 9, 9)
-    u = GridFunction.from_callable(g, lambda x, y: 0.3 * x - 0.7 * y + 0.1,
-                                   dirichlet=False)
+    x, y = g.coords()
+    u = GridFunction(g, 0.3 * x - 0.7 * y + 0.1, dirichlet=False)
     for spec in (OperatorSpec.linear_trace(np.eye(2)),
                  OperatorSpec.pucci_plus(1.0, 2.0),
                  OperatorSpec.pucci_minus(0.5, 1.5)):
@@ -178,8 +179,8 @@ def test_p_laplacian_2d_scheme_not_monotone():
     # (p - 2) gx gy / (2 hx hy |g|^2) per unit): the solvers and Scheme.F
     # refuse it by the same require_policy; at p = 2 it is a trace
     g = Grid.rectangle(0.0, 1.0, 0.0, 1.0, 7, 7)
-    v = GridFunction.from_callable(
-        g, lambda x, y: np.sin(2.0 * x + y) + x * y, dirichlet=False).values
+    x, y = g.coords()
+    v = GridFunction(g, np.sin(2.0 * x + y) + x * y, dirichlet=False).values
     for p in (3.0, 1.5):
         sch = Scheme(g, OperatorSpec.p_laplacian(p), 0.0)
         with pytest.raises(ValueError, match="p-Laplacian"):
@@ -314,7 +315,7 @@ def test_residual_rejects_negative():
         residual_field(u, sch, 0.5, WeightField.constant(g, 1.0))
     # same shape or not, u must be sampled on the scheme's grid
     for other in (Grid.interval(0.0, 2.0, 9), Grid.interval(0.0, 1.0, 19)):
-        with pytest.raises(ValueError, match="scheme grid"):
+        with pytest.raises(ValueError, match="problem grid"):
             residual_field(GridFunction.zeros(other), sch, 0.5,
                            WeightField.constant(g, 1.0))
 
@@ -362,11 +363,28 @@ def test_weight_decomposition():
     g = Grid.interval(0.0, 2.0, 99)
     w = WeightField.sinsplit(g, 0.7)
     assert np.all(w.a_plus >= 0) and np.all(w.a_minus >= 0)
-    assert np.allclose(w.samples, w.a_plus - w.a_minus, atol=0)
+    assert np.allclose(w.values, w.a_plus - w.a_minus, atol=0)
     # negative-part rescale keeps the positive part untouched
     w2 = w.with_negative_scale(2.0)
     assert np.allclose(w2.a_plus, w.a_plus, atol=0)
     assert np.allclose(w2.a_minus, 2.0 * w.a_minus, rtol=1e-13)
+
+
+def test_weight_is_a_grid_function_that_keeps_its_boundary():
+    # a weight is sampled at every node, the boundary included, where a
+    # grid function zeroes its Dirichlet trace; the refusals name the field
+    g = Grid.interval(0.0, 2.0, 9)
+    w = WeightField.from_callable(g, lambda x: 1.0 + x)
+    assert isinstance(w, GridFunction)
+    assert np.array_equal(w.values, 1.0 + g.axis(0)) and w.sup_norm() == 3.0
+    u = GridFunction.from_callable(g, lambda x: 1.0 + x)
+    assert u.values[0] == u.values[-1] == 0.0
+    with pytest.raises(ValueError, match="^weight must be finite$"):
+        WeightField.constant(g, np.inf)
+    with pytest.raises(ValueError, match="^grid function must be finite$"):
+        GridFunction(g, np.full(g.shape, np.nan))
+    with pytest.raises(ValueError, match="^weight values shape"):
+        WeightField(g, np.ones(5))
 
 
 # --- CSV schema ------------------------------------------------------------

@@ -189,9 +189,9 @@ def test_scheme_F_is_the_continuum_operator_on_quadratics(dim, variant, lam,
     spec = _diagonal_spec(dim, variant, lam, ratio, t)
     Lam = spec.Lam
     g = QUADRATIC_GRIDS[dim]
-    u = GridFunction.from_callable(
-        g, lambda *x: sum(0.5 * c * xk ** 2 + b * xk
-                          for c, b, xk in zip(hess, slope, x)), dirichlet=False)
+    u = GridFunction(g, sum(0.5 * c * xk ** 2 + b * xk
+                            for c, b, xk in zip(hess, slope, g.coords())),
+                     dirichlet=False)
     nodes = g.interior_nodes()
     want = evaluate_operator(spec, nodes, np.broadcast_to(
         np.diag(hess[:dim]), nodes.shape[:-1] + (dim, dim)))

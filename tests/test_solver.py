@@ -208,6 +208,30 @@ def test_supersolution_zero_weight():
     assert build_supersolution(p).sup_norm() > 0.0
 
 
+@pytest.mark.parametrize("gamma, q, n", [(1.0, 0.8, 5), (2.0, 1.9, 19)])
+def test_supersolution_doubles_k_until_certified(monkeypatch, gamma, q, n):
+    # on a coarse grid of (0, 8) the first k * psi (sup 15.35 at gamma = 1,
+    # n = 5) fails the certificate; k doubled once passes it, and the
+    # solve from it converges
+    g = Grid.interval(0.0, 8.0, n)
+    p = _problem(g, WeightField.sinsplit(g, 0.3), gamma=gamma, q=q)
+    certify = solver_mod._is_supersolution
+    seen = []
+
+    def recording(problem, u):
+        seen.append((u, certify(problem, u)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(solver_mod, "_is_supersolution", recording)
+    u = build_supersolution(p)
+    assert [ok for _, ok in seen] == [False, True]
+    first, last = (c.values for c, _ in seen)
+    assert np.array_equal(last, 2.0 * first)
+    assert np.array_equal(u.values, last) and certify(p, u)
+    monkeypatch.undo()
+    assert solve(p, init="supersolution").converged
+
+
 def test_solve_zero_init_is_fixed_point():
     # R(0) = 0, so the loop stops before its first step at every gamma
     g = Grid.interval(0.0, 2.0, 99)
@@ -862,7 +886,7 @@ def _two_components(case, n, s):
     # node of (0, 2) at n = 99, too small for a ball
     if case == "one-node":
         g = Grid.interval(0.0, 2.0, n)
-        a = WeightField.sinsplit(g, s).scaled(30.0).samples.copy()
+        a = WeightField.sinsplit(g, s).scaled(30.0).values.copy()
         node = np.abs(g.coords()[0] - 1.6) < 0.02
         a[node] = 30.0
         return _problem(g, WeightField(g, a), q=0.2), (0.2, 0.8), node
