@@ -145,6 +145,9 @@ class PolicyMatrix:
         self.A = np.zeros((len(rows), size))
         self._work = np.empty_like(self.A)
         self._w = None
+        # newton at gamma = 0, where -J is A: the policy whose A the second
+        # array holds
+        self._is_A, self._copied = scheme.gamma == 0.0, None
 
     def solve(self, M, b):
         """x with M x = b, M = A or the array newton wrote.
@@ -209,24 +212,35 @@ class PolicyMatrix:
         lin and D the derivative of the summed squared one-sided slopes:
         f_k / h_k at the +e_k neighbour, -b_k / h_k at the -e_k one and
         sum_k (b_k - f_k) / h_k at the centre.  The entries of outside
-        neighbours are then set back to 0.  When g = 1 and cF = 0 (gamma
-        = 0) the result is A bit for bit.  A `shift` array is added to
+        neighbours are then set back to 0.  A `shift` array is added to
         the diagonal afterwards.
+        At gamma = 0 (g = 1, cF = 0) -J is A itself, and newton writes only
+        what changes, bit for bit the full rebuild (A * 1 and the subtracted
+        zeros move no bit): A's rows are copied only when the policy
+        differs, by identity as in set_policy, from the one last copied
+        (A is rewritten in place, so the copy follows the policy, not the
+        array), and the centre row is A's plus the shift.
         """
-        W = np.multiply(self.set_policy(lin.policy), lin.g.ravel(),
-                        out=self._work)
-        cF = lin.cF.ravel()
-        centre = 0.0
-        for (jp, jm, hk), (f, b) in zip(self._axes, lin.slopes):
-            up = cF * f.ravel() / hk
-            down = cF * b.ravel() / hk
-            W[jp] -= up
-            W[jm] += down
-            centre = centre + (down - up)
-        W[self.outside] = 0.0
-        W[self._centre] -= centre
+        W, c = self._work, self._centre
+        A = self.set_policy(lin.policy)
+        if self._is_A:
+            if self._copied is not lin.policy:
+                W[...], self._copied = A, lin.policy
+            W[c] = A[c]
+        else:
+            np.multiply(A, lin.g.ravel(), out=W)
+            cF = lin.cF.ravel()
+            centre = 0.0
+            for (jp, jm, hk), (f, b) in zip(self._axes, lin.slopes):
+                up = cF * f.ravel() / hk
+                down = cF * b.ravel() / hk
+                W[jp] -= up
+                W[jm] += down
+                centre = centre + (down - up)
+            W[self.outside] = 0.0
+            W[c] -= centre
         if shift is not None:
-            W[self._centre] += shift
+            W[c] += shift
         return W
 
 

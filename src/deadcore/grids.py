@@ -348,6 +348,11 @@ class Scheme:
                                 if any(name in m for m in members))
         self._stacks = {name: _stack(members, name, self.dim)
                         for name in self.directions if len(members) > 1}
+        # linearize's (g, cF, slopes) at gamma = 0, the same at every v:
+        # built once, read-only broadcasts of 1 and 0
+        if self.gamma == 0.0:
+            one, zero = (np.broadcast_to(x, grid.n) for x in (1.0, 0.0))
+            self._gamma0 = (one, zero, ((zero, zero),) * self.dim)
 
     def _sample_diag(self, coeff):
         """Per-axis diagonal coefficient samples at interior nodes.
@@ -464,7 +469,8 @@ class Scheme:
         dg_i / du_{i+e_k} = c f_k / h_k, dg_i / du_{i-e_k} = -c b_k / h_k,
         and dg_i / du_i is minus the sum of those (g sees differences
         only).  When gamma = 0, g = 1 and c = 0 exactly, the slopes are
-        zero arrays and gF is F_h(v) itself.
+        zero, gF is F_h(v) itself, and g, cF and the slopes are read-only
+        arrays built once per Scheme, the same objects on every call.
         """
         k = self.second_differences(v)
         if len(self.members) == 1:
@@ -478,9 +484,7 @@ class Scheme:
             policy = {name: np.take_along_axis(w, pick, axis=0)[0]
                       for name, w in self._stacks.items()}
         if self.gamma == 0.0:
-            zero = np.zeros(F.shape)
-            return Linearization(F, policy, np.ones(F.shape), 0.0 * F,
-                                 ((zero, zero),) * self.dim)
+            return Linearization(F, policy, *self._gamma0)
         slopes = self.one_sided(v)
         s2 = self._s2(_mean_squares(slopes))
         g = s2 ** (self.gamma / 2.0)

@@ -200,8 +200,12 @@ def build_subsolution(problem, ball):
     gamma, q = problem.gamma, problem.q
 
     pos = phi[box] > 1e-8
-    bound = a[pos] / (pair.lambda_plus * phi[box][pos] ** (1.0 - q))
-    eps_max = float(np.min(bound) ** (1.0 / (1.0 + gamma - q)))
+    with np.errstate(over="ignore"):
+        bound = a[pos] / (pair.lambda_plus * phi[box][pos] ** (1.0 - q))
+        eps_max = float(np.min(bound) ** (1.0 / (1.0 + gamma - q)))
+    if not math.isfinite(eps_max):
+        raise ValueError("the subsolution's eps bound overflows a float: the "
+                         "weight is too large (max a = %g on the ball)" % np.max(a))
 
     # the analytic bound is tight at the worst node, so the discrete
     # eigen-defect always violates it by a hair; start just below
@@ -236,8 +240,13 @@ def build_supersolution(problem, ctl=None):
     f = GridFunction(grid, np.full(grid.shape, -anorm), dirichlet=False)
     psi = solve_rhs(problem.scheme, f, ctl or IterationControl()).solution
     gamma, q = problem.gamma, problem.q
-    k = (psi.sup_norm() ** q + 1.0) ** (1.0 / (1.0 + gamma - q)) * 1.05
+    with np.errstate(over="ignore"):
+        k = float((np.float64(psi.sup_norm()) ** q + 1.0)
+                  ** (1.0 / (1.0 + gamma - q)) * 1.05)
     for _ in range(12):
+        if not math.isfinite(k * psi.sup_norm()):
+            raise ValueError("the supersolution k * psi overflows a float: the "
+                             "weight is too large (sup |a| = %g)" % anorm)
         u = GridFunction(grid, np.maximum(k * psi.values, 0.0))
         if _is_supersolution(problem, u):
             return u
@@ -385,8 +394,17 @@ def _relax_ptc(problem, vals, ctl, above):
     of ctl.max_steps.  It is the only reaction loop: it iterates `vals`
     in place and returns the number of sparse solves it took; a run
     stopped above the tolerance leaves its iterate as it is, and solve
-    reports it unconverged.  At gamma = 0, g = 1 and c = 0, so the
-    Newton matrix is the policy matrix A itself.
+    reports it unconverged.
+    What depends only on the iterate is computed once per accepted
+    iterate, not once per trial: its sup, the zero set and the reaction
+    slope, the zero set's a > 0 and a < 0 nodes (and whether there are
+    any of the latter) and the lit nodes of {a > 0}.  The accepted
+    trial's own sup and dark set are the next iterate's sup and zero set:
+    the zero flush only zeroes nodes that are already dark, and the
+    largest node is dark only when every node is 0, so it changes
+    neither.  At gamma = 0, g = 1 and c = 0, so the Newton matrix is the
+    policy matrix A itself, and PolicyMatrix.newton rewrites only its
+    diagonal between steps of one policy.
     """
     grid, q, scheme = problem.grid, problem.q, problem.scheme
     op = PolicyMatrix(scheme)
@@ -401,34 +419,37 @@ def _relax_ptc(problem, vals, ctl, above):
     lin = scheme.linearize(vals)
     R = lin.gF + a_int * u_int ** q
     rsup = float(np.abs(R).max())
+    usup = u_int.max()
+    dark = u_int <= PTC_FLOOR * usup
     dt = PTC_DT0
     if rsup > 0.0:
-        dt = max(dt, PTC_MOVE * float(u_int.max()) / rsup)
-    best, stale, quiet, steps = np.inf, 0, 0, 0
-    most = np.count_nonzero(u_int > PTC_FLOOR * u_int.max())
+        dt = max(dt, PTC_MOVE * float(usup) / rsup)
+    best, stale, quiet, steps, fresh = np.inf, 0, 0, 0, True
+    most = dark.size - np.count_nonzero(dark)
     while steps < ctl.max_steps:
         if not math.isfinite(rsup):
             raise SolveError("non-finite residual at step %d" % steps)
         if rsup <= ctl.tolerance or quiet >= PTC_WINDOW or stale >= PTC_STALL:
             break
-        u = u_int.ravel()
-        floor = PTC_FLOOR * u.max()
-        zero = u <= floor
-        slope = aq * np.maximum(u, floor) ** (q - 1.0)
-        slope[zero & source] = 0.0
+        if fresh:   # a new iterate (u_int.ravel() is a copy in 2-D)
+            u, floor, zero = u_int.ravel(), PTC_FLOOR * usup, dark.ravel()
+            slope = aq * np.maximum(u, floor) ** (q - 1.0)
+            slope[zero & source] = 0.0
+            dead = zero & sink
+            damped, lit_source, fresh = dead.any(), source & ~zero, False
         du = op.solve(op.newton(lin, shift=1.0 / dt - slope), R.ravel())
         steps += 1
         np.maximum(u_int + du.reshape(u_int.shape), 0.0, out=t_int)
-        dead = zero & sink
-        if dead.any():
+        if damped:
             t = t_int.ravel()
             D = op.diagonal()
             N = (D * t - op.apply(t))[dead]
             gD = lin.g.ravel()[dead] * D[dead]
             t_int[dead.reshape(t_int.shape)] = _implicit_damping(
                 N / D[dead], -a[dead] / gD, q)
-        dark = t_int <= PTC_FLOOR * t_int.max()
-        if above and (dark.ravel() & source & ~zero).any():
+        t_sup = t_int.max()
+        dark = t_int <= PTC_FLOOR * t_sup
+        if above and (dark.ravel() & lit_source).any():
             dt /= PTC_CUT
             continue
         if (dark & positive).any():
@@ -440,11 +461,11 @@ def _relax_ptc(problem, vals, ctl, above):
         if not r_t <= PTC_REJECT * rsup:
             dt /= PTC_CUT
             continue
-        moved = float(np.abs(t_int - u_int).max()) > PTC_SETTLED * u.max()
+        moved = float(np.abs(t_int - u_int).max()) > PTC_SETTLED * usup
         vals[...] = trial
-        R, lin, rsup = R_t, lin_t, r_t
+        R, lin, rsup, usup, fresh = R_t, lin_t, r_t, t_sup, True
         dt *= PTC_GROW
-        lit = np.count_nonzero(~dark)
+        lit = dark.size - np.count_nonzero(dark)
         if rsup < best:
             best, stale, quiet = rsup, 0, 0
         else:

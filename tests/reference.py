@@ -5,6 +5,11 @@ iteration and the reaction problem by pseudo-transient Newton.  The
 loops here relax the same equations with the per-node monotone step of
 explicit_step: _relax_rhs for solve_rhs and _relax_explicit for solve, at
 every gamma.  They need O(n^2) steps.
+
+_relax_ptc is the pseudo-transient Newton loop as it was before it kept
+per-iterate work out of its trials, on the Newton matrix that
+newton_rebuild writes in full at every step: solver._relax_ptc must take
+the same steps to the same bits.
 """
 
 import math
@@ -12,8 +17,10 @@ import math
 import numpy as np
 
 from deadcore import solver
-from deadcore.dirichlet import RhsReport, SolveError
+from deadcore.dirichlet import PolicyMatrix, RhsReport, SolveError
 from deadcore.grids import GridFunction, Scheme, _stencil_all_below
+from deadcore.solver import (PTC_CUT, PTC_DT0, PTC_FLOOR, PTC_GROW, PTC_MOVE,
+                             PTC_REJECT, PTC_SETTLED, PTC_STALL, PTC_WINDOW)
 
 # fraction of the explicit stability bound each relaxation step takes
 SAFETY = 0.9
@@ -175,3 +182,93 @@ def pucci_sign_rule(scheme, k):
     return reduce.reduce(values), {
         name: np.choose(pick, [f.get(name, 0.0) for f in frames])
         for name in st.names}
+
+
+def newton_rebuild(op, lin, shift=None):
+    """The Newton matrix of PolicyMatrix.newton, rebuilt in full into a new
+    array: A at lin's policy times g, the gradient-factor terms
+    subtracted, the outside entries zeroed and the shift added."""
+    W = op.set_policy(lin.policy) * lin.g.ravel()
+    cF = lin.cF.ravel()
+    centre = 0.0
+    for (jp, jm, hk), (f, b) in zip(op._axes, lin.slopes):
+        up = cF * f.ravel() / hk
+        down = cF * b.ravel() / hk
+        W[jp] -= up
+        W[jm] += down
+        centre = centre + (down - up)
+    W[op.outside] = 0.0
+    W[op._centre] -= centre
+    if shift is not None:
+        W[op._centre] += shift
+    return W
+
+
+def _relax_ptc(problem, vals, ctl, above):
+    """solver._relax_ptc as it was, every per-iterate quantity recomputed
+    for each trial, on newton_rebuild's matrix; runs under the caller's
+    np.errstate."""
+    grid, q, scheme = problem.grid, problem.q, problem.scheme
+    op = PolicyMatrix(scheme)
+    a_int = grid.interior(problem.weight.values)
+    a = a_int.ravel()
+    aq, positive = q * a, a_int > 0.0
+    source, sink = positive.ravel(), a < 0.0
+    u_int = grid.interior(vals)
+    trial = vals.copy()
+    t_int = grid.interior(trial)
+
+    lin = scheme.linearize(vals)
+    R = lin.gF + a_int * u_int ** q
+    rsup = float(np.abs(R).max())
+    dt = PTC_DT0
+    if rsup > 0.0:
+        dt = max(dt, PTC_MOVE * float(u_int.max()) / rsup)
+    best, stale, quiet, steps = np.inf, 0, 0, 0
+    most = np.count_nonzero(u_int > PTC_FLOOR * u_int.max())
+    while steps < ctl.max_steps:
+        if not math.isfinite(rsup):
+            raise SolveError("non-finite residual at step %d" % steps)
+        if rsup <= ctl.tolerance or quiet >= PTC_WINDOW or stale >= PTC_STALL:
+            break
+        u = u_int.ravel()
+        floor = PTC_FLOOR * u.max()
+        zero = u <= floor
+        slope = aq * np.maximum(u, floor) ** (q - 1.0)
+        slope[zero & source] = 0.0
+        du = op.solve(newton_rebuild(op, lin, shift=1.0 / dt - slope), R.ravel())
+        steps += 1
+        np.maximum(u_int + du.reshape(u_int.shape), 0.0, out=t_int)
+        dead = zero & sink
+        if dead.any():
+            t = t_int.ravel()
+            D = op.diagonal()
+            N = (D * t - op.apply(t))[dead]
+            gD = lin.g.ravel()[dead] * D[dead]
+            t_int[dead.reshape(t_int.shape)] = solver._implicit_damping(
+                N / D[dead], -a[dead] / gD, q)
+        dark = t_int <= PTC_FLOOR * t_int.max()
+        if above and (dark.ravel() & source & ~zero).any():
+            dt /= PTC_CUT
+            continue
+        if (dark & positive).any():
+            near = np.pad(dark, 1, constant_values=True)
+            t_int[grid.interior(_stencil_all_below(near)) & positive] = 0.0
+        lin_t = scheme.linearize(trial)
+        R_t = lin_t.gF + a_int * t_int ** q
+        r_t = float(np.abs(R_t).max())
+        if not r_t <= PTC_REJECT * rsup:
+            dt /= PTC_CUT
+            continue
+        moved = float(np.abs(t_int - u_int).max()) > PTC_SETTLED * u.max()
+        vals[...] = trial
+        R, lin, rsup = R_t, lin_t, r_t
+        dt *= PTC_GROW
+        lit = np.count_nonzero(~dark)
+        if rsup < best:
+            best, stale, quiet = rsup, 0, 0
+        else:
+            stale = 0 if lit > most else stale + 1
+            quiet = 0 if moved else quiet + 1
+        most = max(most, lit)
+    return steps

@@ -144,6 +144,35 @@ def test_infinite_operator_parameter_exit_2(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, sets, message", [
+    pytest.param("solve", ["problem.weight_scale=1e200"], "the subsolution's "
+                 "eps bound overflows a float: the weight is too large "
+                 "(max a = 1e+200 on the ball)", id="eps-1e200"),
+    pytest.param("solve", ["problem.weight_scale=1e308"], "the subsolution's "
+                 "eps bound overflows a float: the weight is too large "
+                 "(max a = 1e+308 on the ball)", id="eps-1e308"),
+    pytest.param("sweep", ["sweep.bracket=0,1e300"], "the supersolution "
+                 "k * psi overflows a float: the weight is too large "
+                 "(sup |a| = 1.2e+300)", id="k-psi-1e300"),
+    pytest.param("solve", ["problem.weight_scale=1e5", "problem.q=0.99",
+                           "control.init=supersolution"], "the supersolution "
+                 "k * psi overflows a float: the weight is too large "
+                 "(sup |a| = 100000)", id="k-power")])
+def test_overflowing_weight_exit_2(tmp_path, monkeypatch, capsys, command,
+                                   sets, message):
+    # a finite weight whose bracket ends overflow a float is refused naming
+    # the overflowing end: the eps bound's power used to warn and blame a
+    # grid function for being non-finite, and k's power to exit 4
+    cfg = _write(tmp_path / "big.ini", BASE_SOLVE + "\n[sweep]\nparameter = s\n")
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg]
+                    + [a for kv in sets for a in ("--set", kv)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("solve", "problem.domain", "0,2x"),
     ("solve", "control.ball", "0.2,x"),

@@ -9,7 +9,7 @@ from deadcore import (Grid, GridFunction, OperatorSpec, IterationControl,
                       SolveError, solve_rhs)
 from deadcore.dirichlet import PolicyMatrix
 from deadcore.grids import Linearization, Scheme
-from reference import _relax_rhs
+from reference import _relax_rhs, newton_rebuild
 
 
 def _const_rhs(grid, c):
@@ -223,6 +223,35 @@ def test_policy_matrix_is_the_scheme(dim):
             for X in off:
                 np.fill_diagonal(X, 0.0)
             assert np.array_equal(off[0], off[1])
+
+
+@pytest.mark.parametrize("dim, spec", [(1, OperatorSpec.linear_trace(np.eye(1)))]
+                         + [(2, spec) for spec in _policy_specs(2)[:3]])
+def test_newton_matrix_reuse_is_bit_exact(dim, spec):
+    # at gamma = 0 newton copies A only when the policy changes and
+    # rewrites the centre row: after every call of one PolicyMatrix, with
+    # shifts and without (a solve_rhs call between two _relax_ptc steps),
+    # policies that change, return to an earlier object or are set by
+    # set_policy in between, its matrix is the full rebuild's bit for bit
+    rng = np.random.default_rng(29)
+    g = _grid(dim)
+    sch = Scheme(g, spec, 0.0)
+    op = PolicyMatrix(sch)
+    lins = [sch.linearize(GridFunction(g, rng.standard_normal(g.shape)).values)
+            for _ in range(3)]
+    size = op.A.shape[1]
+    for k in (0, 0, 1, 1, 0, 2, 1, 2):
+        lin = lins[k]
+        for shift in (rng.random(size), None, rng.random(size)):
+            got = op.newton(lin, shift=shift).tobytes()
+            assert got == newton_rebuild(op, lin, shift).tobytes()
+        op.set_policy(lins[(k + 1) % 3].policy)
+    # the policies do change (one member: the same object every time)
+    assert (lins[0].policy is lins[1].policy) == (len(sch.members) == 1)
+    for lin in lins:
+        assert lin.g is lins[0].g and lin.cF is lins[0].cF
+        assert not any(x.flags.writeable for x in
+                       (lin.g, lin.cF) + sum(lin.slopes, ()))
 
 
 @pytest.mark.parametrize("dim", [1, 2])

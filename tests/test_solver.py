@@ -1183,3 +1183,55 @@ def test_ball_eigenpair_memo_holds_one_entry(monkeypatch):
     again = ball_eigenpair(p, (0.1, 0.9))
     assert again is not a and len(calls) == 3
     assert again.lambda_plus == a.lambda_plus
+
+
+def _ptc_parity_case(name):
+    """(problem, ball) of a case the reaction loop is checked on against
+    reference._relax_ptc: sweep_s's problem at s = 1 and 2.5, the gamma = 1
+    example, the 2-D trace dead core of test_2d_manufactured_dead_core and
+    a 2-D Pucci- problem."""
+    from test_oracle import _manufactured_2d
+    if name.startswith("sweep_s"):
+        g = Grid.interval(0.0, 2.0, 99)
+        s = float(name[len("sweep_s="):])
+        return _problem(g, WeightField.sinsplit(g, s).scaled(30.0)), (0.2, 0.8)
+    if name == "example_gamma1":
+        inst = example_instance(1.0, 0.8)
+        g = Grid.interval(*inst.domain, 79)
+        return (ProblemSpec(g, SPEC1, inst.gamma, inst.q, inst.weight_on(g)),
+                (1.15, 1.95))
+    if name == "trace_2d":
+        g = Grid.rectangle(-np.pi / 2, np.pi, 0.0, 1.0, 59, 19)
+        return (_problem(g, _manufactured_2d(g, False, 0.0, 0.5)[1],
+                         spec=OperatorSpec.linear_trace(np.eye(2))),
+                ((1.2, 1.9), (0.3, 0.7)))
+    g = Grid.rectangle(0.0, 2.0, 0.0, 1.0, 39, 19)
+    return (_problem(g, WeightField.sinsplit(g, 0.3).scaled(30.0),
+                     spec=OperatorSpec.pucci_minus(1.0, 2.0)),
+            ((0.2, 0.8), (0.2, 0.8)))
+
+
+@pytest.mark.parametrize("name", ["sweep_s=1", "sweep_s=2.5", "example_gamma1",
+                                  "trace_2d", "pucci_minus_2d"])
+def test_ptc_iterates_match_the_reference_loop(monkeypatch, name):
+    # _relax_ptc computes its per-iterate data once per accepted iterate
+    # and, at gamma = 0, rewrites only the centre row of the Newton matrix:
+    # from above and from below it takes the steps of the loop that
+    # recomputes everything on every trial, to the same bits.  In every
+    # case the a < 0 nodes of the zero set reach _implicit_damping
+    p, ball = _ptc_parity_case(name)
+    damped = []
+    damping = solver_mod._implicit_damping
+    monkeypatch.setattr(solver_mod, "_implicit_damping",
+                        lambda w, c, q: damped.append(w.size) or damping(w, c, q))
+    ctl = IterationControl()
+    for init, u0, above in (("supersolution", None, True),
+                            ("given", build_subsolution(p, ball), False)):
+        vals = solver_mod._start(p, init, ctl, None, u0)[0]
+        ref = vals.copy()
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            steps = solver_mod._relax_ptc(p, vals, ctl, above)
+            ref_steps = reference._relax_ptc(p, ref, ctl, above)
+        assert steps == ref_steps >= 3
+        assert vals.tobytes() == ref.tobytes()
+    assert damped
