@@ -31,6 +31,7 @@ import, where the extension itself loads in 5-9 ms.
 """
 
 from dataclasses import dataclass
+import functools
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import module_from_spec
 import os
@@ -81,10 +82,65 @@ class IterationControl:
 
 @dataclass
 class RhsReport:
+    """A solve_rhs result; gF is g F_h at the solution's interior nodes,
+    the solve's last linearization's (principal_eigenpair fits lambda
+    from it)."""
     solution: GridFunction
     residual_sup: float
     steps: int
     converged: bool
+    gF: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _layout(grid, directions, he2):
+    """The static part of the PolicyMatrix of a scheme on grid whose members
+    weigh `directions` (he2: |step h|^2 per stencil direction), built once
+    per (grid, directions) and shared, read-only, by every PolicyMatrix of
+    them: (offsets, outside, the flat indices of outside, the centre row,
+    the coefficient rows per direction, the rows per axis, the spans per
+    offset).  Eight entries hold the grids and direction sets of a run: a
+    problem grid and its ball's sub-grid per operator."""
+    st = grid.stencil
+    size = int(np.prod(grid.n))
+    # C-order strides of the interior node numbering
+    strides = [int(np.prod(grid.n[k + 1:])) for k in range(grid.dim)]
+    edge = np.ones(grid.shape, dtype=bool)
+    edge[st.interior] = False
+    # per stencil offset: (flat offset, the interior block moved by its
+    # step)
+    rows = [(0, st.interior)]
+    steps = []
+    for (name, step), (fwd, bwd), h2 in zip(st.directions, st.shifted, he2):
+        if name in directions:
+            off = sum(s * k for s, k in zip(step, strides))
+            rows += [(off, fwd), (-off, bwd)]
+            steps.append((name, off, h2))
+    rows.sort(key=lambda r: r[0])
+    offsets = [off for off, _ in rows]
+    outside = np.array([edge[block].ravel() for _, block in rows])
+    # per direction: the rows of A that hold its +step and -step
+    # neighbours, with their coefficient 1 / |step h|^2 (0 where the
+    # neighbour is outside), and the centre's -2 / |step h|^2
+    coef = []
+    for name, off, h2 in steps:
+        jp, jm = offsets.index(off), offsets.index(-off)
+        coef.append((name, jp, ~outside[jp] / h2, jm, ~outside[jm] / h2,
+                     -2.0 / h2))
+    # per axis: the rows of A that hold the +e_k and -e_k neighbours, and
+    # h_k (the derivative of the gradient factor lives there)
+    axes = tuple((offsets.index(s), offsets.index(-s), hk)
+                 for s, hk in zip(strides, grid.h))
+    # per offset: the rows i whose column i + offset is in the matrix, and
+    # those columns
+    spans = tuple((slice(max(0, -o), min(size, size - o)),
+                   slice(max(0, o), min(size, size + o))) for o in offsets)
+    dropped = np.flatnonzero(outside)
+    for x in [outside, dropped] + [c for _, _, cp, _, cm, _ in coef
+                                   for c in (cp, cm)]:
+        x.flags.writeable = False
+    return (offsets, outside, dropped, offsets.index(0), tuple(coef), axes,
+            spans)
 
 
 class PolicyMatrix:
@@ -102,47 +158,18 @@ class PolicyMatrix:
     shape.
     A is an M-matrix for every policy.  Every product with A goes through
     `apply`, every linear system through `solve`.
+    The static layout (the offsets, the outside masks and their flat
+    indices, the coefficient rows per direction, the rows per axis and
+    the row spans per offset) depends only on the grid and the directions
+    the scheme's members weigh: it is built once per pair (_layout) and
+    shared read-only, so a PolicyMatrix allocates only its two arrays.
     """
 
     def __init__(self, scheme):
-        g, st = scheme.grid, scheme.stencil
-        size = int(np.prod(g.n))
-        # C-order strides of the interior node numbering
-        strides = [int(np.prod(g.n[k + 1:])) for k in range(g.dim)]
-        edge = np.ones(g.shape, dtype=bool)
-        edge[st.interior] = False
-        # per stencil offset: (flat offset, the interior block moved by its
-        # step)
-        rows = [(0, st.interior)]
-        steps = []
-        for (name, step), (fwd, bwd), he2 in zip(st.directions, st.shifted,
-                                                 scheme.he2):
-            if name in scheme.directions:
-                off = sum(s * k for s, k in zip(step, strides))
-                rows += [(off, fwd), (-off, bwd)]
-                steps.append((name, off, he2))
-        rows.sort(key=lambda r: r[0])
-        self.offsets = [off for off, _ in rows]
-        self.outside = np.array([edge[block].ravel() for _, block in rows])
-        self._centre = self.offsets.index(0)
-        # per direction: the rows of A that hold its +step and -step
-        # neighbours, with their coefficient 1 / |step h|^2 (0 where the
-        # neighbour is outside), and the centre's -2 / |step h|^2
-        self._coef = []
-        for name, off, he2 in steps:
-            jp, jm = self.offsets.index(off), self.offsets.index(-off)
-            self._coef.append((name, jp, ~self.outside[jp] / he2,
-                               jm, ~self.outside[jm] / he2, -2.0 / he2))
-        # per axis: the rows of A that hold the +e_k and -e_k neighbours,
-        # and h_k (the derivative of the gradient factor lives there)
-        self._axes = [(self.offsets.index(s), self.offsets.index(-s), hk)
-                      for s, hk in zip(strides, g.h)]
-        # per offset: the rows i whose column i + offset is in the matrix,
-        # and those columns
-        self._spans = [(slice(max(0, -o), min(size, size - o)),
-                        slice(max(0, o), min(size, size + o)))
-                       for o in self.offsets]
-        self.A = np.zeros((len(rows), size))
+        (self.offsets, self.outside, self._dropped, self._centre, self._coef,
+         self._axes, self._spans) = _layout(scheme.grid, scheme.directions,
+                                            scheme.he2)
+        self.A = np.zeros(self.outside.shape)
         self._work = np.empty_like(self.A)
         self._w = None
         # newton at gamma = 0, where -J is A: the policy whose A the second
@@ -212,8 +239,10 @@ class PolicyMatrix:
         lin and D the derivative of the summed squared one-sided slopes:
         f_k / h_k at the +e_k neighbour, -b_k / h_k at the -e_k one and
         sum_k (b_k - f_k) / h_k at the centre.  The entries of outside
-        neighbours are then set back to 0.  A `shift` array is added to
-        the diagonal afterwards.
+        neighbours are then set back to 0, through their flat indices in
+        the layout.  A `shift` array is added to the diagonal afterwards.
+        At gamma > 0 every entry changes with the iterate, and the matrix
+        is written from A, g and c F_h into the second array in place.
         At gamma = 0 (g = 1, cF = 0) -J is A itself, and newton writes only
         what changes, bit for bit the full rebuild (A * 1 and the subtracted
         zeros move no bit): A's rows are copied only when the policy
@@ -232,12 +261,15 @@ class PolicyMatrix:
             cF = lin.cF.ravel()
             centre = 0.0
             for (jp, jm, hk), (f, b) in zip(self._axes, lin.slopes):
-                up = cF * f.ravel() / hk
-                down = cF * b.ravel() / hk
+                up = cF * f.ravel()
+                up /= hk
+                down = cF * b.ravel()
+                down /= hk
                 W[jp] -= up
                 W[jm] += down
-                centre = centre + (down - up)
-            W[self.outside] = 0.0
+                down -= up
+                centre = centre + down
+            W.ravel()[self._dropped] = 0.0
             W[c] -= centre
         if shift is not None:
             W[c] += shift
@@ -270,7 +302,9 @@ def solve_rhs(scheme, f, ctl=None, u0=None):
     a matter of rounding); converged then says whether the last iterate
     meets the tolerance.  The first step from 0 overshoots by about
     delta^-gamma and always sets the first low.  `steps` counts linear
-    solves.  On step exhaustion the partial solution is returned
+    solves.  Every exit comes right after the last iterate's
+    linearization (a fixed point is that iterate), so the report's gF is
+    its g F_h.  On step exhaustion the partial solution is returned
     with converged=False; a non-finite residual raises SolveError naming
     the step.  Checks Scheme.require_policy before the first step.
     """
@@ -304,8 +338,8 @@ def solve_rhs(scheme, f, ctl=None, u0=None):
         dgu = sum(f * f + b * b for f, b in lin.slopes)   # (Dg u_k) / c
         new = op.solve(op.newton(lin), -(f_int + lin.cF * dgu).ravel()) \
             .reshape(u_int.shape)
-        if np.array_equal(new, u_int):
+        if (new == u_int).all():
             break
         u_int[...] = new
     return RhsReport(GridFunction(grid, vals, dirichlet=False),
-                     rsup, steps, rsup <= ctl.tolerance)
+                     rsup, steps, rsup <= ctl.tolerance, lin.gF)

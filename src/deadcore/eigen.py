@@ -4,9 +4,10 @@ Normalized inverse-power iteration: given phi_k with sup norm 1, solve the
 Dirichlet problem with right-hand side -(phi_k)^(gamma+1) (solve_rhs,
 warm-started from the last solution: Newton-Howard at every gamma, a few
 sparse solves each), fit lambda by least squares of -|grad u|^gamma F_h(u)
-against u^(gamma+1) over interior nodes (robust where u^(gamma+1) is
-tiny), and renormalize.  Iteration stops when lambda is relatively
-stationary and the eigen-residual meets the declared tolerance.  One
+(the inner solve's last linearization) against u^(gamma+1) over interior
+nodes (robust where u^(gamma+1) is tiny), and renormalize.  Iteration
+stops when lambda is relatively stationary and the eigen-residual meets
+the declared tolerance.  One
 Scheme serves every inner solve_rhs and the eigen-residual, which is its
 residual_interior with the weight lambda and the exponent gamma + 1.
 """
@@ -53,7 +54,11 @@ def principal_eigenpair(grid, spec, gamma, ctl=None):
     """First eigenpair (lambda+, phi+) with phi+ > 0 and sup norm 1.
 
     Initialization is the normalized distance-to-boundary function
-    (positive and boundary compatible).  Raises RuntimeError if the
+    (positive and boundary compatible).  Each step fits lambda from the
+    inner solve's g F_h (RhsReport.gF): solve_rhs linearizes its last
+    iterate, which is the solution it returns, so its g F_h is the
+    solution's grad_factor * F bit for bit, with no stencil pass of its
+    own.  Raises RuntimeError if the
     iterate collapses to zero; returns converged=False on exhaustion and
     when any inner Dirichlet solve reported converged=False.  Checks
     Scheme.require_policy before the first step.
@@ -80,7 +85,7 @@ def principal_eigenpair(grid, spec, gamma, ctl=None):
             raise RuntimeError("inverse iteration collapsed to the zero field")
         u_prev = rep.solution
 
-        lhs = -(scheme.grad_factor(u) * scheme.F(u))
+        lhs = -rep.gF
         rhs = grid.interior(u) ** power
         denom = float(rhs @ rhs.ravel() if rhs.ndim == 1 else np.sum(rhs * rhs))
         lam = float(np.sum(lhs * rhs) / denom)

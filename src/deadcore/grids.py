@@ -246,11 +246,19 @@ class WeightField(GridFunction):
         return WeightField(self.grid, c * self.values)
 
     def with_negative_scale(self, s):
-        """a+ - s * a-, the family swept by the positivity threshold."""
-        return WeightField(self.grid, self.a_plus - s * self.a_minus)
+        """a+ - s * a-, the family swept by the positivity threshold;
+        ValueError naming the weight and s when s * a- overflows a float."""
+        with np.errstate(over="ignore"):
+            sa = s * self.a_minus
+        if not np.all(np.isfinite(sa)):
+            raise ValueError("the weight a+ - s * a- overflows a float at "
+                             "s = %g (sup a- = %g)" % (s, np.max(self.a_minus)))
+        return WeightField(self.grid, self.a_plus - sa)
 
 
 # --- discrete calculus ---------------------------------------------------
+
+_FLOAT_TINY = np.finfo(float).tiny
 
 def _mean_squares(slopes):
     """Per-axis 0.5 (f^2 + b^2) of one-sided quotient pairs (f, b)."""
@@ -340,6 +348,18 @@ class Scheme:
                        for corner in product(slopes, repeat=len(frame))]
         else:
             members = []
+        # a subnormal weight loses its digits in every product, and a
+        # coefficient w / |step h|^2 that overflows is no stencil at all
+        for m in members:
+            for name, w in m.items():
+                low, high = (w.min(), w.max()) if np.ndim(w) else (w, w)
+                if not low >= _FLOAT_TINY:
+                    raise ValueError("%s: a stencil weight of %g is not a "
+                                     "positive normal float" % (v, low))
+                # a float quotient overflows to inf without a warning
+                if not float(high) / self.he2[st.names.index(name)] < math.inf:
+                    raise ValueError("%s: the stencil weight %g over |step h|^2 "
+                                     "overflows a float" % (v, high))
         self.members = members
         self._envelope = ENVELOPES.get(v)
         # the directions the members weigh, and per direction the stack of
@@ -417,12 +437,10 @@ class Scheme:
                       for (fwd, bwd), hk in zip(st.shifted, self.h)])
 
     def _s2(self, mag2):
-        """s2 = |grad_h u|^2 + delta^2 from the per-axis upwind_mag2 terms,
-        the one regularized gradient magnitude of the scheme."""
-        s2 = mag2[0]
-        for m in mag2[1:]:
-            s2 = s2 + m
-        return s2 + self.delta * self.delta
+        """s2 = |grad_h u|^2 + delta^2 from the per-axis upwind_mag2 terms
+        (summed in axis order), the one regularized gradient magnitude of
+        the scheme."""
+        return sum(mag2[1:], mag2[0]) + self.delta * self.delta
 
     def grad_factor(self, v):
         """g = s2^(gamma/2) (see _s2); exactly 1 when gamma = 0."""
@@ -502,8 +520,36 @@ class Scheme:
                              % (self.spec.variant, self.dim))
 
     def residual_interior(self, v, a_int, q):
-        """g * F_h + a u^q at interior nodes (v must be >= 0 there)."""
-        return self.grad_factor(v) * self.F(v) + a_int * self.grid.interior(v) ** q
+        """g * F_h + a u^q at interior nodes (v must be >= 0 there): the
+        first rung of residual_ladder."""
+        return next(self.residual_ladder(v, a_int, q))
+
+    def residual_ladder(self, v, a_int, q):
+        """The residuals g F_h + a u^q of v, v / 2, v / 4, ... at interior
+        nodes, from one stencil pass over v.
+
+        The pass gives F_h(v), the summed upwind_mag2 terms M of v (gamma
+        > 0 only) and the interior values u.  Each rung is
+        g F_h + a u^q with g = (M + delta^2)^(gamma/2) (1 at gamma = 0),
+        the operations of grad_factor and F, and the next rung halves F_h
+        and u and quarters M: F_h and the one-sided quotients are linear
+        in v, and a product by a power of two is exact.  So rung k is the
+        residual of v / 2^k computed by its own stencil pass, bit for bit,
+        while no value of that pass leaves the normal float range; a
+        subnormal value can round differently, and a caller taking a
+        rung past the first confirms it with residual_interior
+        (build_subsolution).
+        """
+        F, u = self.F(v), self.grid.interior(v)
+        mag2 = self.upwind_mag2(v) if self.gamma else None
+        M = None if mag2 is None else sum(mag2[1:], mag2[0])   # as in _s2
+        while True:
+            g = 1.0 if M is None else \
+                (M + self.delta * self.delta) ** (self.gamma / 2.0)
+            yield g * F + a_int * u ** q
+            F, u = 0.5 * F, 0.5 * u
+            if M is not None:
+                M = 0.25 * M
 
 
 def _stencil_all_below(near):
@@ -525,14 +571,20 @@ def residual_field(u, scheme, q, weight):
     scheme that discretizes |Du|^gamma F.
 
     Interior nodes carry the regularized scheme residual; boundary nodes
-    carry the Dirichlet defect r = u.  Requires u >= 0 on the scheme's grid.
+    carry the Dirichlet defect r = u.  Requires u >= 0 on the scheme's grid;
+    a residual that overflows a float (a weight or a field too large for
+    the other) is refused with ValueError.
     """
     _on_grid(scheme.grid, u, "field")
     if np.min(u.values) < 0:
         raise ValueError("residual requires a nonnegative field")
     a_int = u.grid.interior(weight.values)
     r = np.array(u.values)
-    u.grid.interior(r)[...] = scheme.residual_interior(u.values, a_int, q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u.grid.interior(r)[...] = scheme.residual_interior(u.values, a_int, q)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("the residual overflows a float (sup |a| = %g, "
+                         "sup u = %g)" % (weight.sup_norm(), u.sup_norm()))
     return GridFunction(u.grid, r, dirichlet=False)
 
 

@@ -164,10 +164,9 @@ def ball_eigenpair(problem, ball):
 BRACKET_TOL = 1e-8
 
 
-def _lowest(grid, field):
-    """The least interior value of field and its interior node: the one
-    test of every bracket inequality (field >= -BRACKET_TOL inside)."""
-    f = grid.interior(field)
+def _lowest(f):
+    """The least value of f, an interior array, and its interior node: the
+    worst node every bracket refusal names."""
     k = int(np.argmin(f))
     return float(f.flat[k]), tuple(int(i) for i in np.unravel_index(k, f.shape))
 
@@ -178,13 +177,35 @@ def build_subsolution(problem, ball):
     The weight is checked and eps bounded on the ball's host nodes
     (_ball_nodes), the nodes of its eigenpair's sub-grid, and max(phi+, 0)
     is written into those nodes of a zero field: the pair's sub-grid lies
-    on them, so the transfer is a slice copy.  eps starts at
+    on them, so the transfer is a slice copy.  eps starts just below
     the analytic admissibility bound from
     lam+ eps^(1+gamma-q) phi^(1-q) <= a and halves until the discrete
     subsolution inequality (residual >= -BRACKET_TOL) holds at every
     interior node.  Raises SubsolutionError when the weight is not
     positive on the ball, and naming the violated node when no admissible
     eps exists.
+    The whole ladder is tested from one evaluation of the first
+    candidate u0 = 0.98 eps_max phi (Scheme.residual_ladder): candidate k
+    is eps_max 0.98 2^-k phi, and its rung is the residual assembled from
+    F_h(u0) / 2^k, the summed squared one-sided quotients of u0 over 4^k
+    and u0 / 2^k, with no stencil pass.  Why it is exact: a product by a
+    power of two is exact while its result is a normal float, and F_h
+    and the one-sided quotients are linear in u, so as long as no value
+    of u0, of these parts or of the stencil pass of candidate k falls
+    below the normal range, rung k has the bits of candidate k's
+    residual, and the ladder admits what a search at one residual per
+    candidate admits.  Where it stops being exact: once a value goes
+    subnormal (eps phi near 1e-308 at some node) the two can round
+    differently.  So the first candidate is admitted on its rung, which is
+    its residual, and a later one only once its own residual confirms
+    it; one that residual refuses is passed over.  A first rung that
+    overflows is refused as residual refuses it (ValueError); the later
+    rungs are no larger, so they stay finite.  On the sinsplit
+    workloads, at every gamma, the first candidate passes, at one F_h
+    and no upwind_mag2 at gamma = 0; on the gamma = 1 example at n = 199,
+    whose analytic bound is 2^13 to 2^17 too large, the first to pass is
+    the 14th to 18th, and the search takes one F_h, one upwind_mag2 and
+    one confirming residual where it took one residual per candidate.
     """
     grid = problem.grid
     nodes = _ball_nodes(grid, ball)
@@ -210,17 +231,27 @@ def build_subsolution(problem, ball):
     # the analytic bound is tight at the worst node, so the discrete
     # eigen-defect always violates it by a hair; start just below
     eps = 0.98 * eps_max
-    last_bad = None
-    for _ in range(48):
-        u = GridFunction(grid, eps * phi)
-        worst, node = _lowest(grid, residual(problem, u).values)
-        if worst >= -BRACKET_TOL:
+    u = GridFunction(grid, eps * phi)
+    ladder = problem.scheme.residual_ladder(
+        u.values, grid.interior(problem.weight.values), q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = next(ladder)
+    if not np.all(np.isfinite(r)):   # the later rungs are no larger
+        residual(problem, u)         # its refusal names the overflow
+    for k in range(48):
+        if k:
+            r = next(ladder)
+            if r.min() >= -BRACKET_TOL:   # admitted on its own residual
+                u = GridFunction(grid, eps * phi)
+                r = grid.interior(residual(problem, u).values)
+        if r.min() >= -BRACKET_TOL:   # NaN compares False
             return u
-        last_bad = (eps, node, worst)
+        last_bad = (eps, r)
         eps *= 0.5
+    worst, node = _lowest(last_bad[1])
     raise SubsolutionError(
         "no admissible eps <= %g; last violation %.3e at interior node %r (eps=%g)"
-        % (eps_max, last_bad[2], last_bad[1], last_bad[0]))
+        % (eps_max, worst, node, last_bad[0]))
 
 
 def build_supersolution(problem, ctl=None):
@@ -257,7 +288,8 @@ def build_supersolution(problem, ctl=None):
 def _is_supersolution(problem, u):
     """The certificate of an upper bracket end: the discrete supersolution
     inequality, residual <= BRACKET_TOL at every interior node."""
-    return _lowest(problem.grid, -residual(problem, u).values)[0] >= -BRACKET_TOL
+    r = problem.grid.interior(residual(problem, u).values)
+    return _lowest(-r)[0] >= -BRACKET_TOL
 
 
 _FLOAT_MAX = np.finfo(float).max
@@ -398,7 +430,9 @@ def _relax_ptc(problem, vals, ctl, above):
     What depends only on the iterate is computed once per accepted
     iterate, not once per trial: its sup, the zero set and the reaction
     slope, the zero set's a > 0 and a < 0 nodes (and whether there are
-    any of the latter) and the lit nodes of {a > 0}.  The accepted
+    any of the latter), the lit nodes of {a > 0} and, for the damping
+    rule, D and c = |a| / (g D) at the a < 0 nodes (D is the policy's,
+    and g the linearization point's).  The accepted
     trial's own sup and dark set are the next iterate's sup and zero set:
     the zero flush only zeroes nodes that are already dark, and the
     largest node is dark only when every node is 0, so it changes
@@ -437,22 +471,25 @@ def _relax_ptc(problem, vals, ctl, above):
             slope[zero & source] = 0.0
             dead = zero & sink
             damped, lit_source, fresh = dead.any(), source & ~zero, False
+            if damped:   # newton sets the same policy again, for free
+                op.set_policy(lin.policy)
+                D = op.diagonal()
+                D_dead, dead_int = D[dead], dead.reshape(t_int.shape)
+                c_dead = -a[dead] / (lin.g.ravel()[dead] * D_dead)
         du = op.solve(op.newton(lin, shift=1.0 / dt - slope), R.ravel())
         steps += 1
         np.maximum(u_int + du.reshape(u_int.shape), 0.0, out=t_int)
         if damped:
             t = t_int.ravel()
-            D = op.diagonal()
             N = (D * t - op.apply(t))[dead]
-            gD = lin.g.ravel()[dead] * D[dead]
-            t_int[dead.reshape(t_int.shape)] = _implicit_damping(
-                N / D[dead], -a[dead] / gD, q)
+            t_int[dead_int] = _implicit_damping(N / D_dead, c_dead, q)
         t_sup = t_int.max()
         dark = t_int <= PTC_FLOOR * t_sup
-        if above and (dark.ravel() & lit_source).any():
-            dt /= PTC_CUT
-            continue
-        if (dark & positive).any():
+        dark_source = dark & positive   # what the two zero-set rules read
+        if dark_source.any():
+            if above and (dark_source.ravel() & lit_source).any():
+                dt /= PTC_CUT
+                continue
             near = np.pad(dark, 1, constant_values=True)
             t_int[grid.interior(_stencil_all_below(near)) & positive] = 0.0
         lin_t = scheme.linearize(trial)
@@ -571,7 +608,7 @@ def solve(problem, init="zero", ctl=None, ball=None, u0=None):
             sub, upper = (end.values for end in bracket)
             for lo, hi, what in ((sub, vals, "falls below the subsolution"),
                                  (vals, upper, "lies above the supersolution")):
-                worst, node = _lowest(problem.grid, hi - lo)
+                worst, node = _lowest(problem.grid.interior(hi - lo))
                 if worst < -BRACKET_TOL:
                     raise SolveError("the solution from the supersolution %s at "
                                      "interior node %r" % (what, node))

@@ -9,7 +9,13 @@ every gamma.  They need O(n^2) steps.
 _relax_ptc is the pseudo-transient Newton loop as it was before it kept
 per-iterate work out of its trials, on the Newton matrix that
 newton_rebuild writes in full at every step: solver._relax_ptc must take
-the same steps to the same bits.
+the same steps to the same bits.  build_subsolution is the eps search
+with one residual evaluation per candidate, solve_rhs the Newton-Howard
+loop on newton_rebuild's matrix, and principal_eigenpair the
+inverse-power loop on that solve_rhs, fitting lambda from a recomputed
+grad_factor * F: the library's build_subsolution, solve_rhs and
+principal_eigenpair must return the same bits.  They are the loops as
+they were, but for the RhsReport field gF, which solve_rhs reports.
 """
 
 import math
@@ -17,10 +23,15 @@ import math
 import numpy as np
 
 from deadcore import solver
-from deadcore.dirichlet import PolicyMatrix, RhsReport, SolveError
-from deadcore.grids import GridFunction, Scheme, _stencil_all_below
-from deadcore.solver import (PTC_CUT, PTC_DT0, PTC_FLOOR, PTC_GROW, PTC_MOVE,
-                             PTC_REJECT, PTC_SETTLED, PTC_STALL, PTC_WINDOW)
+from deadcore.dirichlet import (NEWTON_STALL, IterationControl, PolicyMatrix,
+                                RhsReport, SolveError)
+from deadcore.eigen import MAX_OUTER, EigenControl, EigenPair
+from deadcore.grids import (GridFunction, Scheme, _on_grid, _stencil_all_below,
+                            _values_on)
+from deadcore.solver import (BRACKET_TOL, PTC_CUT, PTC_DT0, PTC_FLOOR, PTC_GROW,
+                             PTC_MOVE, PTC_REJECT, PTC_SETTLED, PTC_STALL,
+                             PTC_WINDOW, SubsolutionError, _ball_nodes,
+                             ball_eigenpair, residual)
 
 # fraction of the explicit stability bound each relaxation step takes
 SAFETY = 0.9
@@ -70,10 +81,10 @@ def _relax_rhs(scheme, f, ctl, u0):
             raise SolveError("non-finite residual at step %d" % steps)
         if rsup <= ctl.tolerance:
             return RhsReport(GridFunction(grid, vals, dirichlet=False),
-                             rsup, steps, True)
+                             rsup, steps, True, gF)
         u_int += dt * r
     return RhsReport(GridFunction(grid, vals, dirichlet=False),
-                     rsup, steps, False)
+                     rsup, steps, False, explicit_step(scheme, vals)[0])
 
 
 def _relax_explicit(problem, vals, ctl, init, bracket, super_u):
@@ -272,3 +283,137 @@ def _relax_ptc(problem, vals, ctl, above):
             quiet = 0 if moved else quiet + 1
         most = max(most, lit)
     return steps
+
+
+def _lowest(grid, field):
+    """The least interior value of field and its interior node."""
+    f = grid.interior(field)
+    k = int(np.argmin(f))
+    return float(f.flat[k]), tuple(int(i) for i in np.unravel_index(k, f.shape))
+
+
+def build_subsolution(problem, ball):
+    """solver.build_subsolution as it was: one residual evaluation of
+    eps * phi per candidate eps of the dyadic search."""
+    grid = problem.grid
+    nodes = _ball_nodes(grid, ball)
+    box = tuple(slice(i, j) for i, j in nodes)
+    a = problem.weight.values[box]
+    if np.min(a) <= 0:
+        raise SubsolutionError("ball is not contained in the positive set "
+                               "of the weight (min a = %.6g)" % np.min(a))
+
+    pair = ball_eigenpair(problem, ball)
+    phi = np.zeros(grid.shape)
+    phi[box] = np.maximum(pair.phi_plus.values, 0.0)
+    gamma, q = problem.gamma, problem.q
+
+    pos = phi[box] > 1e-8
+    with np.errstate(over="ignore"):
+        bound = a[pos] / (pair.lambda_plus * phi[box][pos] ** (1.0 - q))
+        eps_max = float(np.min(bound) ** (1.0 / (1.0 + gamma - q)))
+    if not math.isfinite(eps_max):
+        raise ValueError("the subsolution's eps bound overflows a float: the "
+                         "weight is too large (max a = %g on the ball)" % np.max(a))
+
+    # the analytic bound is tight at the worst node, so the discrete
+    # eigen-defect always violates it by a hair; start just below
+    eps = 0.98 * eps_max
+    last_bad = None
+    for _ in range(48):
+        u = GridFunction(grid, eps * phi)
+        worst, node = _lowest(grid, residual(problem, u).values)
+        if worst >= -BRACKET_TOL:
+            return u
+        last_bad = (eps, node, worst)
+        eps *= 0.5
+    raise SubsolutionError(
+        "no admissible eps <= %g; last violation %.3e at interior node %r (eps=%g)"
+        % (eps_max, last_bad[2], last_bad[1], last_bad[0]))
+
+
+def solve_rhs(scheme, f, ctl=None, u0=None):
+    """dirichlet.solve_rhs as it was, on newton_rebuild's matrix."""
+    ctl = ctl or IterationControl()
+    grid = scheme.grid
+    _on_grid(grid, f, "right-hand side")
+    if not np.all(np.isfinite(f.values)):
+        raise ValueError("right-hand side must be finite")
+    scheme.require_policy()
+    op = PolicyMatrix(scheme)
+    vals = np.zeros(grid.shape)
+    u_int = grid.interior(vals)
+    if u0 is not None:
+        u_int[...] = grid.interior(_values_on(grid, u0, "start values u0"))
+    f_int = grid.interior(f.values)
+    steps, best, stall = 0, np.inf, 0
+    while True:
+        lin = scheme.linearize(vals)
+        rsup = float(np.abs(lin.gF - f_int).max())
+        if steps:
+            if not np.isfinite(rsup):
+                raise SolveError("non-finite residual at step %d" % steps)
+            if rsup <= 0.5 * best:
+                best, stall = rsup, 0
+            else:
+                stall += 1
+            if rsup <= ctl.tolerance or stall == NEWTON_STALL \
+                    or steps == ctl.max_steps:
+                break
+        steps += 1
+        dgu = sum(f * f + b * b for f, b in lin.slopes)   # (Dg u_k) / c
+        new = op.solve(newton_rebuild(op, lin), -(f_int + lin.cF * dgu).ravel()) \
+            .reshape(u_int.shape)
+        if np.array_equal(new, u_int):
+            break
+        u_int[...] = new
+    return RhsReport(GridFunction(grid, vals, dirichlet=False),
+                     rsup, steps, rsup <= ctl.tolerance, lin.gF)
+
+
+def principal_eigenpair(grid, spec, gamma, ctl=None):
+    """eigen.principal_eigenpair as it was, on this module's solve_rhs,
+    with lambda fitted from a recomputed grad_factor * F."""
+    ctl = ctl or EigenControl()
+    scheme = Scheme(grid, spec, gamma)
+    scheme.require_policy()
+
+    d = grid.distance_to_boundary()
+    phi = d / np.max(d)
+    lam_prev = None
+    u_prev = None
+    lam = None
+    power = gamma + 1.0
+    inner_ok = True
+
+    for it in range(1, MAX_OUTER + 1):
+        f = GridFunction(grid, -(phi ** power), dirichlet=False)
+        rep = solve_rhs(scheme, f, ctl.inner, u0=u_prev)
+        inner_ok = inner_ok and rep.converged
+        u = rep.solution.values
+        usup = float(np.max(u))
+        if not usup > 0:
+            raise RuntimeError("inverse iteration collapsed to the zero field")
+        u_prev = rep.solution
+
+        lhs = -(scheme.grad_factor(u) * scheme.F(u))
+        rhs = grid.interior(u) ** power
+        denom = float(rhs @ rhs.ravel() if rhs.ndim == 1 else np.sum(rhs * rhs))
+        lam = float(np.sum(lhs * rhs) / denom)
+        phi = u / usup
+
+        lam_ok = (lam_prev is not None
+                  and abs(lam - lam_prev) <= ctl.tol_lambda * abs(lam))
+        # the eigen-residual once lambda is stationary, and at the last
+        # step: the loop's last res is the pair's
+        if lam_ok or it == MAX_OUTER:
+            res = float(np.abs(scheme.residual_interior(phi, lam, power)).max())
+            if lam_ok and res <= ctl.tol_residual:
+                break
+        lam_prev = lam
+
+    pair_phi = GridFunction(grid, phi, dirichlet=False)
+    converged = bool(inner_ok and lam_ok and res <= ctl.tol_residual)
+    if lam <= 0:
+        raise RuntimeError("principal eigenvalue came out nonpositive")
+    return EigenPair(lam, pair_phi, res, it, converged)

@@ -157,17 +157,53 @@ def test_infinite_operator_parameter_exit_2(tmp_path, monkeypatch, capsys,
     pytest.param("solve", ["problem.weight_scale=1e5", "problem.q=0.99",
                            "control.init=supersolution"], "the supersolution "
                  "k * psi overflows a float: the weight is too large "
-                 "(sup |a| = 100000)", id="k-power")])
+                 "(sup |a| = 100000)", id="k-power"),
+    pytest.param("sweep", ["sweep.bracket=0,1e308"], "the residual overflows "
+                 "a float (sup |a| = 6e+307, sup u = 29.7455)", id="s-1e308"),
+    pytest.param("solve", ["problem.weight=example", "problem.weight_s=1e308"],
+                 "the weight a+ - s * a- overflows a float at s = 1e+308 "
+                 "(sup a- = 6)", id="weight-s-1e308"),
+    pytest.param("solve", ["problem.weight_scale=1e155"], "the residual "
+                 "overflows a float (sup |a| = 1e+155, sup u = 1.30759e+307)",
+                 id="subsolution-residual-1e155")])
 def test_overflowing_weight_exit_2(tmp_path, monkeypatch, capsys, command,
                                    sets, message):
     # a finite weight whose bracket ends overflow a float is refused naming
     # the overflowing end: the eps bound's power used to warn and blame a
-    # grid function for being non-finite, and k's power to exit 4
+    # grid function for being non-finite, and k's power to exit 4.  A sweep
+    # to s = 1e308 first meets a probe whose weight is finite but whose
+    # start's residual a u^q is not (it used to warn and exit 2 blaming a
+    # grid function, or exit 4 under warnings as errors), and a weight
+    # whose a+ - s * a- overflows is refused naming s.  A finite eps bound
+    # whose first candidate's residual overflows is refused by residual's
+    # refusal too (it used to warn and exit 2 blaming a grid function; a
+    # first rung of the eps ladder taken as it came ran the ladder out)
     cfg = _write(tmp_path / "big.ini", BASE_SOLVE + "\n[sweep]\nparameter = s\n")
     monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([command, "--config", cfg]
+                    + [a for kv in sets for a in ("--set", kv)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sets, message", [
+    pytest.param(["problem.operator=p_laplacian", "problem.p=1e308"],
+                 "p_laplacian: the stencil weight 1e+308 over |step h|^2 "
+                 "overflows a float", id="p-1e308"),
+    pytest.param(["problem.lam=1e-320"], "linear_trace: a stencil weight of "
+                 "9.99989e-321 is not a positive normal float", id="lam-1e-320")])
+def test_extreme_ellipticity_constant_exit_2(tmp_path, monkeypatch, capsys,
+                                             sets, message):
+    # Scheme refuses a member weight that is subnormal or whose coefficient
+    # w / |step h|^2 overflows, naming the operator: both used to warn and
+    # exit 3 (4 under warnings as errors)
+    cfg = _write(tmp_path / "ell.ini", BASE_SOLVE)
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--config", cfg]
                     + [a for kv in sets for a in ("--set", kv)]) == 2
     assert capsys.readouterr().err == "error: %s\n" % message
     assert not (tmp_path / "out").exists()

@@ -225,18 +225,25 @@ def test_policy_matrix_is_the_scheme(dim):
             assert np.array_equal(off[0], off[1])
 
 
-@pytest.mark.parametrize("dim, spec", [(1, OperatorSpec.linear_trace(np.eye(1)))]
-                         + [(2, spec) for spec in _policy_specs(2)[:3]])
-def test_newton_matrix_reuse_is_bit_exact(dim, spec):
+@pytest.mark.parametrize("dim, spec, gamma", [
+    pytest.param(dim, spec, gamma, id="%d-spec%d%s" % (
+        dim, k, "-gamma%g" % gamma if gamma else ""))
+    for k, (dim, spec) in enumerate([(1, OperatorSpec.linear_trace(np.eye(1)))]
+                                    + [(2, spec) for spec in _policy_specs(2)[:3]])
+    for gamma in (0.0, 0.5, 1.0, 2.0)])
+def test_newton_matrix_reuse_is_bit_exact(dim, spec, gamma):
     # at gamma = 0 newton copies A only when the policy changes and
-    # rewrites the centre row: after every call of one PolicyMatrix, with
-    # shifts and without (a solve_rhs call between two _relax_ptc steps),
-    # policies that change, return to an earlier object or are set by
-    # set_policy in between, its matrix is the full rebuild's bit for bit
+    # rewrites the centre row, and at gamma > 0 it rewrites the matrix from
+    # A, g and c F_h into the one array: after every call of one
+    # PolicyMatrix, with shifts and without (a solve_rhs call between two
+    # _relax_ptc steps), policies that change, return to an earlier object
+    # or are set by set_policy in between, its matrix is the full
+    # rebuild's bit for bit, and so is a second PolicyMatrix's, which
+    # shares the first one's layout
     rng = np.random.default_rng(29)
     g = _grid(dim)
-    sch = Scheme(g, spec, 0.0)
-    op = PolicyMatrix(sch)
+    sch = Scheme(g, spec, gamma)
+    op, twin = PolicyMatrix(sch), PolicyMatrix(sch)
     lins = [sch.linearize(GridFunction(g, rng.standard_normal(g.shape)).values)
             for _ in range(3)]
     size = op.A.shape[1]
@@ -245,13 +252,17 @@ def test_newton_matrix_reuse_is_bit_exact(dim, spec):
         for shift in (rng.random(size), None, rng.random(size)):
             got = op.newton(lin, shift=shift).tobytes()
             assert got == newton_rebuild(op, lin, shift).tobytes()
+            assert twin.newton(lin, shift=shift).tobytes() == got
         op.set_policy(lins[(k + 1) % 3].policy)
     # the policies do change (one member: the same object every time)
     assert (lins[0].policy is lins[1].policy) == (len(sch.members) == 1)
-    for lin in lins:
-        assert lin.g is lins[0].g and lin.cF is lins[0].cF
-        assert not any(x.flags.writeable for x in
-                       (lin.g, lin.cF) + sum(lin.slopes, ()))
+    if gamma == 0.0:
+        for lin in lins:
+            assert lin.g is lins[0].g and lin.cF is lins[0].cF
+            assert not any(x.flags.writeable for x in
+                           (lin.g, lin.cF) + sum(lin.slopes, ()))
+    else:
+        assert np.count_nonzero(lins[0].cF)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

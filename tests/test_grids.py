@@ -235,6 +235,28 @@ def test_scheme_policy_reproduces_F(dim):
         assert all(np.array_equal(w0[d], w1[d]) for d in w0)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0])
+def test_residual_ladder_rungs_are_the_halved_fields_residuals(dim, gamma):
+    # rung k of residual_ladder(v) is g F_h + a u^q of v / 2^k, spelled by
+    # grad_factor and F, bit for bit while every value stays normal (v
+    # from 1e-3 to 10, 40 rungs), for every accepted operator
+    rng = np.random.default_rng(31)
+    g = Grid.interval(0.0, 2.0, 39) if dim == 1 else \
+        Grid.rectangle(0.0, 2.0, 0.0, 1.0, 19, 9)
+    q = 0.7
+    for spec in _accepted_specs(dim):
+        sch = Scheme(g, spec, gamma)
+        for _ in range(3):
+            v = 10.0 ** rng.uniform(-3.0, 1.0, g.shape)
+            a = rng.standard_normal(tuple(g.n))
+            ladder = sch.residual_ladder(v, a, q)
+            for k in range(40):
+                w = v * 0.5 ** k
+                want = sch.grad_factor(w) * sch.F(w) + a * g.interior(w) ** q
+                assert next(ladder).tobytes() == want.tobytes()
+
+
 def _rough_field(rng, shape):
     """Mixed signs over magnitudes 1 down to 1e-300, exact zeros (both
     signs) at random nodes and on a block wider than the stencil."""

@@ -1235,3 +1235,165 @@ def test_ptc_iterates_match_the_reference_loop(monkeypatch, name):
         assert steps == ref_steps >= 3
         assert vals.tobytes() == ref.tobytes()
     assert damped
+
+
+def _bracket_parity_case(name):
+    """(problem, ball) of a case build_subsolution, the supersolution's
+    solve_rhs and the ball eigenpair are checked on against the reference
+    loops: the gamma = 1 example at n and ball, sinsplit at gamma, the 2-D
+    trace dead core and a 2-D Pucci- problem at gamma."""
+    from test_oracle import _manufactured_2d
+    kind, *args = name.split(":")
+    if kind == "example":
+        n, lo, hi = (float(t) for t in args)
+        inst = example_instance(1.0, 0.8)
+        g = Grid.interval(*inst.domain, int(n))
+        return ProblemSpec(g, SPEC1, 1.0, 0.8, inst.weight_on(g)), (lo, hi)
+    gamma = float(args[0])
+    if kind == "sinsplit":
+        g = Grid.interval(0.0, 2.0, 79)
+        return (_problem(g, WeightField.sinsplit(g, 0.3).scaled(30.0), gamma),
+                (0.2, 0.8))
+    if kind == "trace_2d":
+        q = 0.5 if gamma == 0.0 else 0.8
+        g = Grid.rectangle(-np.pi / 2, np.pi, 0.0, 1.0, 59, 19)
+        return (_problem(g, _manufactured_2d(g, False, gamma, q)[1], gamma, q,
+                         OperatorSpec.linear_trace(np.eye(2))),
+                ((1.2, 1.9), (0.3, 0.7)))
+    g = Grid.rectangle(0.0, 2.0, 0.0, 1.0, 39, 19)
+    return (_problem(g, WeightField.sinsplit(g, 0.3).scaled(30.0), gamma,
+                     spec=OperatorSpec.pucci_minus(1.0, 2.0)),
+            ((0.2, 0.8), (0.2, 0.8)))
+
+
+BRACKET_PARITY = (
+    ["example:%d:%s:%s" % (n, lo, hi) for n in (79, 199, 399)
+     for lo, hi in ((1.15, 1.95), (1.1, 2.0), (1.65, 2.15))]
+    + ["sinsplit:%s" % gamma for gamma in (0, 0.5, 1, 2)]
+    + ["%s:%s" % (kind, gamma) for kind in ("trace_2d", "pucci_minus_2d")
+       for gamma in (0, 1)])
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the SolveError it raised."""
+    try:
+        return fn(*args)
+    except SolveError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("name", BRACKET_PARITY)
+def test_bracket_ends_match_the_reference_loops(name):
+    # the eps ladder tests every candidate from one evaluation of the first,
+    # and solve_rhs and the eigenpair build nothing twice: the subsolution,
+    # the supersolution's Dirichlet solve and the ball eigenpair (cold and
+    # under BALL_EIGEN) are the reference loops' bit for bit
+    p, ball = _bracket_parity_case(name)
+    got, want = (_outcome(f, p, ball) for f in (build_subsolution,
+                                                reference.build_subsolution))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.values.tobytes() == want.values.tobytes()
+    f = GridFunction(p.grid, np.full(p.grid.shape, -p.weight.sup_norm()),
+                     dirichlet=False)
+    start = None
+    for _ in range(2):   # from 0, then warm-started from half the answer
+        got, want = (solve(p.scheme, f, IterationControl(), start)
+                     for solve in (solve_rhs, reference.solve_rhs))
+        assert (got.steps, got.residual_sup, got.converged) == \
+            (want.steps, want.residual_sup, want.converged)
+        assert got.solution.values.tobytes() == want.solution.values.tobytes()
+        start = GridFunction(p.grid, 0.5 * got.solution.values)
+    nodes = solver_mod._ball_nodes(p.grid, ball)
+    axes = [p.grid.axis(k)[i:j] for k, (i, j) in enumerate(nodes)]
+    sub = Grid(tuple((float(x[0]), float(x[-1])) for x in axes),
+               tuple(len(x) - 2 for x in axes))
+    for ctl in (solver_mod.BALL_EIGEN, None):
+        got, want = (eig(sub, p.operator, p.gamma, ctl) for eig in
+                     (principal_eigenpair, reference.principal_eigenpair))
+        assert (got.lambda_plus, got.residual, got.iterations, got.converged) \
+            == (want.lambda_plus, want.residual, want.iterations, want.converged)
+        assert got.phi_plus.values.tobytes() == want.phi_plus.values.tobytes()
+
+
+def _understated_pair(monkeypatch, factor):
+    """Make build_subsolution and the reference search read the ball
+    eigenvalue times factor, and test the bracket inequality at 0."""
+    pair = solver_mod.ball_eigenpair
+
+    def understated(problem, ball):
+        found = pair(problem, ball)
+        return dataclasses.replace(found, lambda_plus=factor * found.lambda_plus)
+    for mod in (solver_mod, reference):
+        monkeypatch.setattr(mod, "ball_eigenpair", understated)
+        monkeypatch.setattr(mod, "BRACKET_TOL", 0.0)
+
+
+def test_eps_ladder_below_the_normal_range_is_confirmed(monkeypatch):
+    # a crafted ladder that leaves the normal float range: at gamma = 0,
+    # q = 0.99, eps_max is 3.6e-306, and with the eigenvalue understated
+    # by 10% (eps_max 0.9^-100 too large) and the bracket inequality at 0
+    # the first candidate to pass is the 16th.  Its rung and those before
+    # it from the 7th on differ from the candidates' own residuals in the
+    # last bits (subnormal values), so the ladder alone could admit what
+    # the candidate's residual refuses; the residual confirms it, once,
+    # and the answer is the reference search's
+    g = Grid.interval(0.0, 2.0, 39)
+    p = _problem(g, WeightField.sinsplit(g, 0.3).scaled(10.0 ** -1.52), q=0.99)
+    ball = (0.2, 0.8)
+    _understated_pair(monkeypatch, 0.9)
+    want = reference.build_subsolution(p, ball)
+    calls, ladders = [], []
+    monkeypatch.setattr(solver_mod, "residual",
+                        lambda p, u: calls.append(1) or residual(p, u))
+    ladder = Scheme.residual_ladder
+
+    def recorded(self, *args):
+        ladders.append([])
+        for r in ladder(self, *args):
+            ladders[-1].append(r)
+            yield r
+    monkeypatch.setattr(Scheme, "residual_ladder", recorded)
+    u = build_subsolution(p, ball)
+    assert u.values.tobytes() == want.values.tobytes()
+    # the search's ladder, and the confirmation's first rung
+    rungs = ladders[0]
+    assert len(rungs) == 16 and len(calls) == 1 and len(ladders) == 2
+    assert 0.0 < np.min(u.values[u.values > 0]) < np.finfo(float).tiny
+    r = g.interior(residual(p, u).values)
+    assert rungs[-1].tobytes() != r.tobytes()
+    assert np.min(rungs[-1]) >= 0.0 and np.min(r) >= 0.0
+
+
+def test_eps_ladder_passes_over_a_refused_candidate(monkeypatch):
+    # a rung that passes is admitted only once the candidate's residual
+    # confirms it: when the residual refuses the first rung to pass (here
+    # by a residual shifted down by 1), the search goes on to the next
+    # candidate, half the reference answer bit for bit (normal range)
+    p, ball = _bracket_parity_case("example:79:1.15:1.95")
+    want = reference.build_subsolution(p, ball)
+    calls = []
+
+    def refuse_first(p, u):
+        r = residual(p, u)
+        calls.append(1)
+        return GridFunction(p.grid, r.values - (len(calls) == 1),
+                            dirichlet=False)
+    monkeypatch.setattr(solver_mod, "residual", refuse_first)
+    u = build_subsolution(p, ball)
+    assert len(calls) == 2
+    assert u.values.tobytes() == (0.5 * want.values).tobytes()
+
+
+def test_eps_ladder_failure_matches_the_reference(monkeypatch):
+    # with the eigenvalue understated by half at q = 0.99 every candidate
+    # of the ladder fails (eps_max is 2^100 too large): the refusal names
+    # the last candidate's worst node and value, as the reference's does
+    g = Grid.interval(0.0, 2.0, 39)
+    p = _problem(g, WeightField.sinsplit(g, 0.3).scaled(30.0), q=0.99)
+    _understated_pair(monkeypatch, 0.5)
+    got, want = (_outcome(f, p, (0.2, 0.8)) for f in (
+        build_subsolution, reference.build_subsolution))
+    assert got == want and got[0] is SubsolutionError
+    assert "no admissible eps" in got[1]
