@@ -146,19 +146,15 @@ def _build_operator(cp):
     Lam = _number(prob.get("lam_upper", 1.0), "problem.lam_upper")
     dim = _dim(prob)
     if name == "linear_trace":
-        return OperatorSpec.linear_trace(np.eye(dim) if lam == Lam == 1.0
-                                         else np.diag([lam] + [Lam] * (dim - 1)),
+        return OperatorSpec.linear_trace(np.diag([lam] + [Lam] * (dim - 1)),
                                          lam=lam, Lam=Lam)
-    if name == "pucci_plus":
-        return OperatorSpec.pucci_plus(lam, Lam)
-    if name == "pucci_minus":
-        return OperatorSpec.pucci_minus(lam, Lam)
+    if name in ("pucci_plus", "pucci_minus"):
+        return getattr(OperatorSpec, name)(lam, Lam)
     if name == "p_laplacian":
         return OperatorSpec.p_laplacian(_number(prob.get("p", 3.0), "problem.p"))
     if name in ("hjb_inf", "hjb_sup"):
-        fam = (np.eye(dim) * lam, np.eye(dim) * Lam)
-        ctor = OperatorSpec.hjb_inf if name == "hjb_inf" else OperatorSpec.hjb_sup
-        return ctor(fam, lam, Lam)
+        return getattr(OperatorSpec, name)((np.eye(dim) * lam, np.eye(dim) * Lam),
+                                           lam, Lam)
     raise ValidationError("unknown operator %r" % name)
 
 

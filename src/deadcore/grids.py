@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 import csv
 import math
+import numbers
 import numpy as np
 
 from .operators import coeff_at
@@ -92,17 +93,22 @@ class Grid:
             if not hi > lo:
                 raise ValueError("grid axis %d bounds (%r, %r) are empty"
                                  % (k, lo, hi))
+            if not (isinstance(ni, numbers.Real) and float(ni).is_integer()):
+                raise ValueError("grid axis %d point count %r is not an integer"
+                                 % (k, ni))
             if ni < 3:
                 raise ValueError("need at least 3 interior points per axis")
+        # an integral float such as 9.0 counts as the int 9
+        object.__setattr__(self, "n", tuple(int(ni) for ni in self.n))
 
     @classmethod
     def interval(cls, lo, hi, n):
-        return cls(((float(lo), float(hi)),), (int(n),))
+        return cls(((float(lo), float(hi)),), (n,))
 
     @classmethod
     def rectangle(cls, xlo, xhi, ylo, yhi, nx, ny):
         return cls(((float(xlo), float(xhi)), (float(ylo), float(yhi))),
-                   (int(nx), int(ny)))
+                   (nx, ny))
 
     @property
     def dim(self):
@@ -511,13 +517,14 @@ class Scheme:
 
     def require_policy(self):
         """Raise ValueError unless F_h has a policy form (members), which
-        every solver iterates on.  The 2-D p-Laplacian at p != 2 has none:
-        a centred cross difference would make F_h fall when an
-        anti-diagonal neighbour rises."""
+        every solver iterates on.  A custom F has none, and neither has
+        the 2-D p-Laplacian at p != 2: a centred cross difference would
+        make F_h fall when an anti-diagonal neighbour rises."""
+        if self.spec.variant == "custom":
+            raise ValueError("a custom F has no grid scheme")
         if not self.members:
-            raise ValueError("%s has no monotone %d-D scheme (the 2-D "
-                             "p-Laplacian is monotone only at p = 2)"
-                             % (self.spec.variant, self.dim))
+            raise ValueError("p_laplacian has no monotone 2-D scheme at p = %g (the 2-D "
+                             "p-Laplacian is monotone only at p = 2)" % self.spec.p)
 
     def residual_interior(self, v, a_int, q):
         """g * F_h + a u^q at interior nodes (v must be >= 0 there): the

@@ -88,13 +88,14 @@ class OperatorSpec:
     """Enumerated description of the operator F.
 
     variant is one of 'linear_trace', 'pucci_plus', 'pucci_minus',
-    'hjb_inf', 'hjb_sup', 'p_laplacian', 'custom'.  lam/Lam are the
-    ellipticity parameters; `coeff` (matrix or callable x -> matrix) backs
-    linear_trace, `family` (tuple of coeffs) the Bellman variants, `p` the
-    p-Laplacian, and `func(x, X) -> float` a custom operator (axiom
-    experiments only).  `lipschitz` optionally declares an x-Lipschitz
-    bound, standing in for the continuity modulus.  Specs compare by
-    identity (eq=False): ball_eigenpair keys its pair by the spec object.
+    'hjb_inf', 'hjb_sup', 'p_laplacian', 'custom', and any other is
+    refused.  lam/Lam are the ellipticity parameters; `coeff` (matrix or
+    callable x -> matrix) backs linear_trace, `family` (tuple of coeffs)
+    the Bellman variants, `p` the p-Laplacian, and `func(x, X) -> float` a
+    custom operator (axiom experiments only: it has no grid scheme).
+    `lipschitz` optionally declares an x-Lipschitz bound, standing in for
+    the continuity modulus.  Specs compare by identity (eq=False):
+    ball_eigenpair keys its pair by the spec object.
     """
     variant: str
     lam: float = 1.0
@@ -106,6 +107,9 @@ class OperatorSpec:
     lipschitz: float = None
 
     def __post_init__(self):
+        if self.variant not in ("linear_trace", "pucci_plus", "pucci_minus",
+                                "hjb_inf", "hjb_sup", "p_laplacian", "custom"):
+            raise ValueError("unknown operator variant %r" % (self.variant,))
         # p first: a p <= 1 also makes p_laplacian's lam = p - 1 <= 0, and
         # p = inf its Lam = p - 1
         if self.variant == "p_laplacian" and not 1 < self.p < np.inf:
@@ -189,19 +193,18 @@ def evaluate_operator(spec, x, X, xi=None):
     if v == "custom":
         func = np.vectorize(spec.func, otypes=[float], signature="(n),(d,d)->()")
         return _scalar(func(np.atleast_1d(np.asarray(x, dtype=float)), X))
-    if v == "p_laplacian":
-        if xi is None:
-            raise TypeError("the p-Laplacian needs the gradient xi")
-        # Tr[(I + (p-2) xi (x) xi / |xi|^2) X]; at xi = 0 Tr(X), but in
-        # 1-D (p-1) X, its value at every xi != 0
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        n2 = _dot(xi, xi)
-        tr = np.trace(X, axis1=-2, axis2=-1)
-        quad = (xi[..., None, :] @ X @ xi[..., :, None])[..., 0, 0]
-        at0 = tr if X.shape[-1] > 1 else (spec.p - 1.0) * tr
-        return _scalar(np.where(n2 == 0.0, at0, tr + (spec.p - 2.0) * quad
-                                / np.where(n2 == 0.0, 1.0, n2)))
-    raise ValueError("unknown variant %r" % v)
+    # the p-Laplacian, the one variant left
+    if xi is None:
+        raise TypeError("the p-Laplacian needs the gradient xi")
+    # Tr[(I + (p-2) xi (x) xi / |xi|^2) X]; at xi = 0 Tr(X), but in 1-D
+    # (p-1) X, its value at every xi != 0
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    n2 = _dot(xi, xi)
+    tr = np.trace(X, axis1=-2, axis2=-1)
+    quad = (xi[..., None, :] @ X @ xi[..., :, None])[..., 0, 0]
+    at0 = tr if X.shape[-1] > 1 else (spec.p - 1.0) * tr
+    return _scalar(np.where(n2 == 0.0, at0, tr + (spec.p - 2.0) * quad
+                            / np.where(n2 == 0.0, 1.0, n2)))
 
 
 @dataclass
@@ -211,9 +214,6 @@ class AxiomReport:
     trials: int
     checked: tuple
     counterexample: dict = None
-
-    def __bool__(self):
-        return self.passed
 
 
 def check_axioms(spec, trials, seed, dim=2):

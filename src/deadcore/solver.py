@@ -87,12 +87,14 @@ def residual(problem, u):
     return residual_field(u, problem.scheme, problem.q, problem.weight)
 
 
-# the ball eigenpair's control: tol_residual = inf, so its converged flag
-# checks only the inner solves.  The pair only starts build_subsolution's
+# the ball eigenpair's control.  The pair only starts build_subsolution's
 # eps search, whose certificate is the discrete residual at every node, so
 # lambda needs to settle to 1e-3: the search starts 2% below the analytic
 # bound, and a pair good to about 1e-3 still passes at the first candidate
-# (at 1e-2 some balls need one more halving)
+# (at 1e-2 some balls need one more halving).  tol_residual = inf is for
+# speed: the inverse iteration stops on lambda alone (3-4 steps per ball on
+# the benchmark problems), and its converged flag checks only the inner
+# solves
 BALL_EIGEN = EigenControl(tol_lambda=1e-3, tol_residual=np.inf,
                           inner=IterationControl(tolerance=1e-8))
 

@@ -515,6 +515,26 @@ def test_eigen_summary_and_artifact(tmp_path, monkeypatch, capsys):
     assert "lambda_plus" in text
 
 
+@pytest.mark.parametrize("overrides", [
+    ("problem.domain=0,1", "problem.n=49"),
+    ("problem.dim=2", "problem.domain=0,2;0,1", "problem.n=39,19",
+     "problem.operator=pucci_minus", "problem.lam_upper=2")], ids=["1d", "2d"])
+def test_eigen_converges_at_positive_gamma(tmp_path, monkeypatch, capsys,
+                                           overrides):
+    # the default eigen_residual of 1e-6 is met at gamma > 0: it used to
+    # stall at an O(h) floor, run 200 steps and exit 3
+    cfg = _write(tmp_path / "eigen.ini", EIGEN_CFG.replace("gamma = 0", "gamma = 1"))
+    monkeypatch.chdir(tmp_path)
+    args = ["eigen", "--config", cfg]
+    for item in overrides:
+        args += ["--set", item]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert float(out.split("residual=")[1].split()[0]) <= 1e-6
+    assert int(out.split("iterations=")[1]) < 200
+    assert "lambda_plus" in (tmp_path / "out" / "eigen.csv").read_text()
+
+
 def test_eigen_tolerances_checked_before_any_step(tmp_path, monkeypatch, capsys):
     # a tolerance that no step can meet is a validation error, as it is
     # for solve, not 200 inverse-power steps and exit 3

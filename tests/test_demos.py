@@ -17,9 +17,11 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_exits_0(demo):
+    # a RuntimeWarning (overflow, invalid value, division by zero) fails it
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    run = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                         cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr[-2000:]

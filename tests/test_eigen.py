@@ -6,6 +6,8 @@ import pytest
 from deadcore import (Grid, GridFunction, OperatorSpec, EigenControl,
                       IterationControl, principal_eigenpair,
                       laplace_eigenpair_1d)
+from deadcore.grids import Scheme
+import reference
 from reference import eigen_residual
 
 
@@ -134,3 +136,46 @@ def test_inner_failure_reported():
     assert not pair.converged
     ctl.inner = IterationControl(tolerance=1e-8, max_steps=400_000)
     assert principal_eigenpair(g, SPEC1, 1.0, ctl).converged
+
+
+# (grid, operator, gamma): the unit interval and a 2-D rectangle, at the
+# gammas where the eigen-residual at phi = u / sup u has an O(h) floor
+POSITIVE_GAMMA = [
+    pytest.param(Grid.interval(0.0, 1.0, n), SPEC1, gamma, id="1d-%d-%s" % (n, gamma))
+    for n in (49, 199) for gamma in (0.5, 1.0)] + [
+    pytest.param(Grid.rectangle(0.0, 2.0, 0.0, 1.0, 39, 19), spec, 1.0, id=name)
+    for name, spec in (("2d-pucci-minus", OperatorSpec.pucci_minus(1.0, 2.0)),
+                       ("2d-trace", OperatorSpec.linear_trace(np.eye(2))))]
+
+
+@pytest.mark.parametrize("grid, spec, gamma", POSITIVE_GAMMA)
+def test_default_control_converges_at_positive_gamma(grid, spec, gamma):
+    # the residual is the inner solve's g F_h(u) + lambda u^(gamma+1) over
+    # (sup u)^(gamma+1), at the scale where lambda is fitted: it meets the
+    # default 1e-6 at the step where lambda settles, so the pair is the
+    # reference loop's under tol_residual = inf, which stopped there too
+    pair = principal_eigenpair(grid, spec, gamma)
+    want = reference.principal_eigenpair(grid, spec, gamma,
+                                         EigenControl(tol_residual=np.inf))
+    assert pair.converged and pair.residual <= EigenControl.tol_residual
+    assert grid.dim == 2 or pair.iterations <= 12
+    assert (pair.lambda_plus, pair.iterations) == (want.lambda_plus, want.iterations)
+    assert pair.phi_plus.values.tobytes() == want.phi_plus.values.tobytes()
+
+
+@pytest.mark.parametrize("grid, spec", [
+    (Grid.interval(0.0, 1.0, 49), SPEC1),
+    (Grid.interval(0.0, np.pi, 401), SPEC1),
+    (Grid.rectangle(0.0, 2.0, 0.0, 1.0, 39, 19), OperatorSpec.pucci_minus(1.0, 2.0))])
+def test_gamma0_residual_is_the_stencil_residual_at_phi(grid, spec):
+    # F_h is linear in u at gamma = 0, so the residual at u's scale over
+    # sup u is the stencil residual at phi up to rounding, and the pair is
+    # the reference loop's bit for bit
+    pair = principal_eigenpair(grid, spec, 0.0)
+    want = reference.principal_eigenpair(grid, spec, 0.0)
+    at_phi = np.abs(Scheme(grid, spec, 0.0).residual_interior(
+        pair.phi_plus.values, pair.lambda_plus, 1.0)).max()
+    assert pair.residual == pytest.approx(at_phi, rel=1e-4, abs=1e-12)
+    assert (pair.lambda_plus, pair.iterations, pair.converged) == \
+        (want.lambda_plus, want.iterations, want.converged)
+    assert pair.phi_plus.values.tobytes() == want.phi_plus.values.tobytes()

@@ -1,6 +1,7 @@
 """Grids, discrete calculus, residuals, and the CSV schema."""
 
 from itertools import product
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,28 @@ def test_grid_refuses_non_finite_bounds(bounds):
         Grid.interval(lo, hi, 9)
     with pytest.raises(ValueError, match=r"^grid axis 1 bounds .* not finite$"):
         Grid.rectangle(0.0, 1.0, lo, hi, 5, 5)
+
+
+@pytest.mark.parametrize("make, axis, count", [
+    (lambda: Grid.interval(0.0, 1.0, 9.7), 0, 9.7),
+    (lambda: Grid(((0.0, 1.0),), (9.5,)), 0, 9.5),
+    (lambda: Grid.rectangle(0.0, 1.0, 0.0, 1.0, 5, 7.5), 1, 7.5),
+    (lambda: Grid.interval(0.0, 1.0, np.inf), 0, np.inf),
+    (lambda: Grid.interval(0.0, 1.0, np.nan), 0, np.nan),
+    (lambda: Grid.interval(0.0, 1.0, "9"), 0, "9")])
+def test_grid_refuses_a_count_that_is_not_an_integer(make, axis, count):
+    # 9.7 used to build n = 9, and 9.5 to fail later in Grid.axis
+    with pytest.raises(ValueError, match=r"^grid axis %d point count %s is not "
+                       "an integer$" % (axis, re.escape(repr(count)))):
+        make()
+
+
+def test_grid_takes_an_integral_count_as_an_int():
+    for count in (9, 9.0, np.float64(9.0), np.int64(9)):
+        g = Grid.interval(0.0, 1.0, count)
+        assert g.n == (9,) and type(g.n[0]) is int
+        assert g == Grid(((0.0, 1.0),), (9,))
+    assert Grid.rectangle(0.0, 1.0, 0.0, 2.0, 5.0, np.float64(7.0)).n == (5, 7)
 
 
 def test_gridfunction_dirichlet_trace():
@@ -189,6 +212,10 @@ def test_p_laplacian_2d_scheme_not_monotone():
             sch.F(v)
     sch = Scheme(g, OperatorSpec.p_laplacian(2.0), 0.0)
     sch.require_policy()
+    with pytest.raises(ValueError, match=r"^p_laplacian has no monotone 2-D "
+                       r"scheme at p = 3 \(the 2-D p-Laplacian is monotone "
+                       r"only at p = 2\)$"):
+        Scheme(g, OperatorSpec.p_laplacian(3.0), 1.0).require_policy()
     k = sch.second_differences(v)
     assert np.array_equal(sch.F(v), k["x"] + k["y"])
 
@@ -711,3 +738,14 @@ def test_stencil_table_matches_reference_spellings(g):
             assert op.offsets == offsets and _same(op.outside, outside)
             assert _same(op.set_policy(w), A)
     assert _same(g.distance_to_boundary(), _reference_distance_to_boundary(g))
+
+
+@pytest.mark.parametrize("grid", [Grid.interval(0.0, 1.0, 9),
+                                  Grid.rectangle(0.0, 1.0, 0.0, 1.0, 7, 7)],
+                         ids=["1d", "2d"])
+def test_custom_operator_has_no_grid_scheme(grid):
+    # the refusal names the reason, where it used to speak of the 2-D
+    # p-Laplacian in 1-D too
+    sch = Scheme(grid, OperatorSpec.custom(lambda x, X: float(np.trace(X))), 0.0)
+    with pytest.raises(ValueError, match=r"^a custom F has no grid scheme$"):
+        sch.require_policy()

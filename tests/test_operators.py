@@ -1,6 +1,7 @@
 """Operator evaluation and structural-axiom checks."""
 
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -123,6 +124,15 @@ def test_p_laplacian_refuses_p_at_most_1(p):
     # names p and not the ellipticity bounds
     with pytest.raises(ValueError, match=r"^p-Laplacian requires p > 1$"):
         OperatorSpec.p_laplacian(p)
+
+
+@pytest.mark.parametrize("variant", ["foo", "Pucci_plus", "", None])
+def test_operator_spec_refuses_an_unknown_variant(variant):
+    # the one refusal: solve used to blame the 2-D p-Laplacian on it, and
+    # evaluate_operator and check_axioms refused it only when they ran
+    with pytest.raises(ValueError, match=r"^unknown operator variant %s$"
+                       % re.escape(repr(variant))):
+        OperatorSpec(variant)
 
 
 # --- pointwise evaluation ------------------------------------------------
