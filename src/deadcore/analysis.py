@@ -18,7 +18,7 @@ import numpy as np
 
 from .grids import GridFunction, _stencil_all_below
 from .operators import evaluate_operator
-from .solver import BRACKET_TOL, _ball_nodes, solve, SubsolutionError
+from .solver import BRACKET_TOL, _ball_nodes, ball_eigenpair, solve, SubsolutionError
 
 __all__ = [
     "ClassificationReport", "ThresholdReport", "BarrierResult", "ProbeRecord",
@@ -149,29 +149,29 @@ class BarrierResult:
     worst_slack: float = None
 
 
-def barrier_check(u, ball, pair, problem, theta):
+def barrier_check(u, ball, problem, theta):
     """Check u >= eps_theta * phi+(ball) - 2 BRACKET_TOL on the ball.
 
-    eps_theta = (a0 / lam+ - theta)^(1/(gamma+1-q)) with a0 the weight
-    minimum over the ball's host nodes (solver._ball_nodes, the nodes of
-    its eigenpair's sub-grid), where the slack is taken too, against
-    max(phi+, 0) of the pair on its own sub-grid.  Returns an
-    'inapplicable' status when a0 <= lam+ (the weight can be rescaled
-    upstream to restore it).
+    (lam+, phi+) is the problem's ball eigenpair (solver.ball_eigenpair,
+    the pair its subsolution reads).  eps_theta =
+    (a0 / lam+ - theta)^(1/(gamma+1-q)) with a0 the weight minimum over
+    the ball's host nodes (solver._ball_nodes, the nodes of the pair's
+    sub-grid), where the slack is taken too, against max(phi+, 0) on
+    that sub-grid.  Returns an 'inapplicable' status when a0 <= lam+
+    (the weight can be rescaled upstream to restore it).
     """
     box = tuple(slice(i, j) for i, j in _ball_nodes(problem.grid, ball))
     a0 = float(np.min(problem.weight.values[box]))
-    lamp = pair.lambda_plus
-    if a0 <= lamp:
+    pair = ball_eigenpair(problem, ball)
+    if a0 <= pair.lambda_plus:
         return BarrierResult("inapplicable")
-    ratio = a0 / lamp
+    ratio = a0 / pair.lambda_plus
     if not ratio - theta > 1:
         raise ValueError("theta must satisfy a0/lam+ - theta > 1")
     eps = (ratio - theta) ** (1.0 / (problem.gamma + 1.0 - problem.q))
     phi = np.maximum(pair.phi_plus.values, 0.0)
-    slack = u.values[box] - (eps * phi - 2.0 * BRACKET_TOL)
-    return BarrierResult("checked", eps, bool(np.min(slack) >= 0),
-                         float(np.min(slack)))
+    worst = float(np.min(u.values[box] - (eps * phi - 2.0 * BRACKET_TOL)))
+    return BarrierResult("checked", eps, worst >= 0, worst)
 
 
 @dataclass

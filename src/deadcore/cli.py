@@ -23,6 +23,7 @@ import argparse
 import configparser
 import hashlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,14 @@ def _integer(raw, key):
     raise ValidationError("%s must be an integer, got %s" % (key, raw))
 
 
+def _option(cp, key, fallback, parse=_number):
+    """parse of the value of config key `key` ("section.option"), or of
+    fallback where it is unset: the one read of a config value, whose
+    refusal names its key."""
+    section, option = key.split(".")
+    return parse(cp.get(section, option, fallback=fallback), key)
+
+
 # every option a command reads, by section
 KNOWN_KEYS = {
     "problem": set("dim domain n gamma q operator lam lam_upper p weight "
@@ -115,8 +124,8 @@ def config_hash(cp):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
-def _dim(prob):
-    dim = _integer(prob.get("dim", "1"), "problem.dim")
+def _dim(cp):
+    dim = _option(cp, "problem.dim", "1", _integer)
     if dim not in (1, 2):
         raise ValidationError("problem.dim must be 1 or 2, got %d" % dim)
     return dim
@@ -124,8 +133,8 @@ def _dim(prob):
 
 def _build_grid(cp):
     prob = cp["problem"]
-    dim = _dim(prob)
-    domain = _parse_floats(prob.get("domain", "0,1"), "problem.domain")
+    dim = _dim(cp)
+    domain = _option(cp, "problem.domain", "0,1", _parse_floats)
     ns = tuple(_integer(t, "problem.n") for t in prob.get("n", "100").split(","))
     if len(ns) > dim:
         raise ValidationError("problem.n has %d values for dim = %d"
@@ -142,16 +151,16 @@ def _build_operator(cp):
     prob = cp["problem"]
     name = prob.get("operator", "linear_trace")
     # configparser lowercases option names: "Lam" would read "lam"
-    lam = _number(prob.get("lam", 1.0), "problem.lam")
-    Lam = _number(prob.get("lam_upper", 1.0), "problem.lam_upper")
-    dim = _dim(prob)
+    lam = _option(cp, "problem.lam", 1.0)
+    Lam = _option(cp, "problem.lam_upper", 1.0)
+    dim = _dim(cp)
     if name == "linear_trace":
         return OperatorSpec.linear_trace(np.diag([lam] + [Lam] * (dim - 1)),
                                          lam=lam, Lam=Lam)
     if name in ("pucci_plus", "pucci_minus"):
         return getattr(OperatorSpec, name)(lam, Lam)
     if name == "p_laplacian":
-        return OperatorSpec.p_laplacian(_number(prob.get("p", 3.0), "problem.p"))
+        return OperatorSpec.p_laplacian(_option(cp, "problem.p", 3.0))
     if name in ("hjb_inf", "hjb_sup"):
         return getattr(OperatorSpec, name)((np.eye(dim) * lam, np.eye(dim) * Lam),
                                            lam, Lam)
@@ -161,11 +170,10 @@ def _build_operator(cp):
 def _build_weight(cp, grid, gamma, q):
     prob = cp["problem"]
     kind = prob.get("weight", "constant")
-    scale = _number(prob.get("weight_scale", 1.0), "problem.weight_scale")
-    s = _number(prob.get("weight_s", 1.0), "problem.weight_s")
+    scale = _option(cp, "problem.weight_scale", 1.0)
+    s = _option(cp, "problem.weight_s", 1.0)
     if kind == "constant":
-        w = WeightField.constant(
-            grid, _number(prob.get("weight_value", 1.0), "problem.weight_value"))
+        w = WeightField.constant(grid, _option(cp, "problem.weight_value", 1.0))
     elif kind == "sinsplit":
         w = WeightField.sinsplit(grid, s)
     elif kind == "example":
@@ -202,9 +210,9 @@ def _problem_section(cp, command):
 
 
 def _build_problem(cp, command):
-    prob = _problem_section(cp, command)
-    gamma = _number(prob.get("gamma", 0.0), "problem.gamma")
-    q = _number(prob.get("q", 0.5), "problem.q")
+    _problem_section(cp, command)
+    gamma = _option(cp, "problem.gamma", 0.0)
+    q = _option(cp, "problem.q", 0.5)
     grid = _build_grid(cp)
     op = _build_operator(cp)
     weight = _build_weight(cp, grid, gamma, q)
@@ -213,10 +221,8 @@ def _build_problem(cp, command):
 
 def _control(cp):
     return IterationControl(
-        tolerance=_number(cp.get("control", "tolerance", fallback=1e-8),
-                          "control.tolerance"),
-        max_steps=_integer(cp.get("control", "max_steps", fallback="1000000"),
-                           "control.max_steps"))
+        tolerance=_option(cp, "control.tolerance", 1e-8),
+        max_steps=_option(cp, "control.max_steps", "1000000", _integer))
 
 
 def _ball(cp, needed_by):
@@ -227,12 +233,18 @@ def _ball(cp, needed_by):
 
 
 def _seed(cp):
-    return _integer(cp.get("control", "seed", fallback="0"), "control.seed")
+    return _option(cp, "control.seed", "0", _integer)
 
 
 def _outdir(cp):
+    """The output directory, created if missing; one that cannot be
+    created is a validation error."""
     d = Path(cp.get("output", "directory", fallback="out"))
-    d.mkdir(parents=True, exist_ok=True)
+    try:
+        d.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ValidationError("output.directory: cannot create %r (%s)"
+                              % (str(d), e.strerror or e))
     return d
 
 
@@ -269,16 +281,13 @@ def cmd_solve(cp):
 
 def cmd_eigen(cp):
     # the eigenproblem only needs grid/operator/gamma
-    gamma = _number(_problem_section(cp, "eigen").get("gamma", 0.0), "problem.gamma")
+    _problem_section(cp, "eigen")
+    gamma = _option(cp, "problem.gamma", 0.0)
     grid = _build_grid(cp)
     op = _build_operator(cp)
     ctl = EigenControl(
-        tol_lambda=_number(cp.get("control", "tolerance",
-                                  fallback=EigenControl.tol_lambda),
-                           "control.tolerance"),
-        tol_residual=_number(cp.get("control", "eigen_residual",
-                                    fallback=EigenControl.tol_residual),
-                             "control.eigen_residual"))
+        tol_lambda=_option(cp, "control.tolerance", EigenControl.tol_lambda),
+        tol_residual=_option(cp, "control.eigen_residual", EigenControl.tol_residual))
     pair = principal_eigenpair(grid, op, gamma, ctl)
     out = _outdir(cp)
     write_csv(pair.phi_plus, out / "eigen.csv",
@@ -309,26 +318,24 @@ def cmd_sweep(cp):
     parameter = sw.get("parameter", "s")
     if parameter not in ("s", "q"):
         raise ValidationError("sweep parameter must be 's' or 'q'")
-    bracket = _parse_floats(sw.get("bracket", "0,1"), "sweep.bracket")
+    bracket = _option(cp, "sweep.bracket", "0,1", _parse_floats)
     if len(bracket) != 2 or not bracket[1] > bracket[0]:
         raise ValidationError("sweep bracket must be lo,hi with hi > lo")
     if parameter == "q" and not 0 < bracket[0] < bracket[1] < base.gamma + 1:
         raise ValidationError("sweep bracket for q must satisfy 0 < lo and "
                               "hi < gamma+1 (got %g,%g, gamma=%g)"
                               % (*bracket, base.gamma))
-    probes = _integer(sw.get("probes", "16"), "sweep.probes")
-    bisect_steps = _integer(sw.get("bisect_steps", "8"), "sweep.bisect_steps")
+    probes = _option(cp, "sweep.probes", "16", _integer)
+    bisect_steps = _option(cp, "sweep.bisect_steps", "8", _integer)
     ball = _ball(cp, "sweep")
     ctl = _control(cp)
 
     if parameter == "s":
         def family(s):
-            return ProblemSpec(base.grid, base.operator, base.gamma, base.q,
-                               base.weight.with_negative_scale(s))
+            return replace(base, weight=base.weight.with_negative_scale(s))
     else:
         def family(qv):
-            return ProblemSpec(base.grid, base.operator, base.gamma, qv,
-                               base.weight)
+            return replace(base, q=qv)
 
     rep = estimate_threshold(family, parameter, bracket, ball, ctl=ctl,
                              probes=probes, bisect_steps=bisect_steps)
@@ -344,8 +351,8 @@ def cmd_sweep(cp):
 
 
 def cmd_oracle_check(cp):
-    gamma = _number(cp.get("problem", "gamma", fallback=1.0), "problem.gamma")
-    q = _number(cp.get("problem", "q", fallback=0.8), "problem.q")
+    gamma = _option(cp, "problem.gamma", 1.0)
+    q = _option(cp, "problem.q", 0.8)
     inst = example_instance(gamma, q)
     # pointwise identity
     x = np.linspace(inst.domain[0] + 1e-9, inst.domain[1] - 1e-9, 1000)
@@ -354,17 +361,15 @@ def cmd_oracle_check(cp):
     ident_ok = float(np.max(ident)) <= 1e-10
     # discrete residual refinement
     op = OperatorSpec.linear_trace(np.eye(1))
-    sups = []
-    hs = []
-    n = 149
+    sups, hs = [], []
+    grid = Grid.interval(inst.domain[0], inst.domain[1], 149)
     for _ in range(3):
-        grid = Grid.interval(inst.domain[0], inst.domain[1], n)
         u = inst.solution_on(grid)
         w = inst.weight_on(grid)
         r = residual(ProblemSpec(grid, op, gamma, q, w), u)
         sups.append(float(np.max(np.abs(grid.interior(r.values)))))
         hs.append(grid.h[0])
-        n = 2 * n + 1
+        grid = grid.refine()
     orders = [np.log2(sups[i] / sups[i + 1]) for i in range(2)]
     rows = ["h,residual_sup"] + ["%.17g,%.17g" % row for row in zip(hs, sups)]
     _write_report(_outdir(cp) / "oracle.csv", cp, "\n".join(rows) + "\n")

@@ -20,7 +20,7 @@ inside it.
 from dataclasses import dataclass, field
 import numpy as np
 
-from .grids import GridFunction, Scheme
+from .grids import _FLOAT_TINY, GridFunction, Scheme
 from .dirichlet import IterationControl, solve_rhs
 
 __all__ = ["EigenControl", "EigenPair", "principal_eigenpair"]
@@ -66,9 +66,12 @@ def principal_eigenpair(grid, spec, gamma, ctl=None):
     own.  The step's eigen-residual is the defect g F_h(u) + lambda
     u^(gamma+1) of that fit, over (sup u)^(gamma+1), so every step has
     one and the pair's is its last step's.  Raises RuntimeError if the
-    iterate collapses to zero; returns converged=False on exhaustion and
-    when any inner Dirichlet solve reported converged=False.  Checks
-    Scheme.require_policy before the first step.
+    iterate collapses to zero, and ValueError naming the lambda fit when
+    its denominator sum(u^(2(gamma+1))) is not a positive normal float
+    (it underflows on tiny domains); returns converged=False on
+    exhaustion and when any inner Dirichlet solve reported
+    converged=False.  Checks Scheme.require_policy before the first
+    step.
     """
     ctl = ctl or EigenControl()
     scheme = Scheme(grid, spec, gamma)
@@ -93,6 +96,10 @@ def principal_eigenpair(grid, spec, gamma, ctl=None):
         lhs = -rep.gF
         rhs = grid.interior(u) ** power
         denom = float(rhs @ rhs.ravel() if rhs.ndim == 1 else np.sum(rhs * rhs))
+        if not _FLOAT_TINY <= denom < np.inf:
+            raise ValueError("the lambda fit's denominator sum(u^(2(gamma+1))) = %g "
+                             "is not a positive normal float (gamma = %g on %r)"
+                             % (denom, gamma, grid.bounds))
         lam = float(np.sum(lhs * rhs) / denom)
         phi = u / usup
         # the eigen-residual g F_h(u) + lambda u^(gamma+1) at u's own scale,

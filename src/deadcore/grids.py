@@ -331,16 +331,17 @@ class Scheme:
         self.he2 = tuple([sum([(s * hk) ** 2 for s, hk in zip(step, h)])
                           for _, step in st.directions])
         # the members: the constant-weight stencils whose envelope is F_h,
-        # each a dict of interior weights by stencil direction.  A linear F
-        # is one: a trace, or the p-Laplacian in 1-D and at p = 2, (p - 1)
-        # times the Laplacian.  The 2-D p-Laplacian at p != 2 has none.
+        # each a dict of interior weights by stencil direction: one per
+        # coefficient of a Bellman family, and a trace is the family of its
+        # one coefficient, as evaluate_operator reads it.  The p-Laplacian
+        # in 1-D and at p = 2 is one, (p - 1) times the Laplacian; the 2-D
+        # p-Laplacian at p != 2 has none.
         v, axes = spec.variant, st.axes
-        if v == "linear_trace":
-            members = [dict(zip(axes, self._sample_diag(spec.coeff)))]
+        if v in ("linear_trace", "hjb_inf", "hjb_sup"):
+            members = [dict(zip(axes, self._sample_diag(c)))
+                       for c in spec.family or (spec.coeff,)]
         elif v == "p_laplacian" and (grid.dim == 1 or spec.p == 2.0):
             members = [dict.fromkeys(axes, np.full(tuple(grid.n), spec.p - 1.0))]
-        elif v in ("hjb_inf", "hjb_sup"):
-            members = [dict(zip(axes, self._sample_diag(c))) for c in spec.family]
         elif v in ("pucci_plus", "pucci_minus"):
             if max(h) - min(h) > 1e-12 * max(h):
                 raise ValueError("2-D Pucci wide stencil needs square cells")
@@ -458,15 +459,19 @@ class Scheme:
 
     def F(self, v):
         """Discrete F at all interior nodes (degenerate elliptic form): the
-        envelope of the members' values (_candidates) at the second
-        differences of v.  An operator without members has no grid
-        scheme, and require_policy refuses it.
-        """
-        k = self.second_differences(v)
+        envelope (_envelope_at) at the second differences of v."""
+        return self._envelope_at(self.second_differences(v))[0]
+
+    def _envelope_at(self, k):
+        """(F_h, the stack of the members' values) at curvatures k, the one
+        envelope of F and linearize; a one-member F is that member's value,
+        with no stack (None).  An operator without members has no grid
+        scheme, and require_policy refuses it."""
         if len(self.members) == 1:
-            return _weighted(self.members[0], k)
+            return _weighted(self.members[0], k), None
         self.require_policy()
-        return self._envelope[0].reduce(self._candidates(k))
+        values = np.array(self._candidates(k))
+        return self._envelope[0].reduce(values), values
 
     def _candidates(self, k):
         """sum_d w_d k_d per member at curvatures k, in member order.
@@ -496,14 +501,10 @@ class Scheme:
         zero, gF is F_h(v) itself, and g, cF and the slopes are read-only
         arrays built once per Scheme, the same objects on every call.
         """
-        k = self.second_differences(v)
-        if len(self.members) == 1:
+        F, values = self._envelope_at(self.second_differences(v))
+        if values is None:
             policy = self.members[0]
-            F = _weighted(policy, k)
         else:
-            self.require_policy()
-            values = np.array(self._candidates(k))
-            F = self._envelope[0].reduce(values)
             pick = self._envelope[1](values, axis=0)[None]
             policy = {name: np.take_along_axis(w, pick, axis=0)[0]
                       for name, w in self._stacks.items()}
@@ -535,11 +536,11 @@ class Scheme:
         """The residuals g F_h + a u^q of v, v / 2, v / 4, ... at interior
         nodes, from one stencil pass over v.
 
-        The pass gives F_h(v), the summed upwind_mag2 terms M of v (gamma
-        > 0 only) and the interior values u.  Each rung is
-        g F_h + a u^q with g = (M + delta^2)^(gamma/2) (1 at gamma = 0),
-        the operations of grad_factor and F, and the next rung halves F_h
-        and u and quarters M: F_h and the one-sided quotients are linear
+        The pass gives F_h(v), the upwind_mag2 terms of v (gamma > 0 only)
+        and the interior values u.  Each rung is g F_h + a u^q with
+        g = _s2(terms)^(gamma/2) (1 at gamma = 0), the operations of
+        grad_factor and F, and the next rung halves F_h and u and
+        quarters each term: F_h and the one-sided quotients are linear
         in v, and a product by a power of two is exact.  So rung k is the
         residual of v / 2^k computed by its own stencil pass, bit for bit,
         while no value of that pass leaves the normal float range; a
@@ -549,14 +550,12 @@ class Scheme:
         """
         F, u = self.F(v), self.grid.interior(v)
         mag2 = self.upwind_mag2(v) if self.gamma else None
-        M = None if mag2 is None else sum(mag2[1:], mag2[0])   # as in _s2
         while True:
-            g = 1.0 if M is None else \
-                (M + self.delta * self.delta) ** (self.gamma / 2.0)
+            g = 1.0 if mag2 is None else self._s2(mag2) ** (self.gamma / 2.0)
             yield g * F + a_int * u ** q
             F, u = 0.5 * F, 0.5 * u
-            if M is not None:
-                M = 0.25 * M
+            if mag2 is not None:
+                mag2 = [0.25 * m for m in mag2]
 
 
 def _stencil_all_below(near):

@@ -48,6 +48,15 @@ class ExampleInstance:
     def weight_on(self, grid):
         return WeightField.from_callable(grid, lambda x, y=None: self.a(x))
 
+    def one_component_weight_on(self, grid):
+        """a held at its x = 0 value -r^q (r - 1) for x <= 0.  v still
+        solves the equation exactly (v = 0 there), and {a > 0} is one
+        interval, so v is the maximal solution; with weight_on, {a > 0}
+        has a second component near -pi/2, where the maximal solution is
+        positive and v is 0."""
+        return WeightField.from_callable(
+            grid, lambda x, y=None: self.a(np.maximum(x, 0.0)))
+
     def solution_on(self, grid):
         return GridFunction.from_callable(grid, lambda x, y=None: self.v(x))
 

@@ -290,8 +290,7 @@ def build_supersolution(problem, ctl=None):
 def _is_supersolution(problem, u):
     """The certificate of an upper bracket end: the discrete supersolution
     inequality, residual <= BRACKET_TOL at every interior node."""
-    r = problem.grid.interior(residual(problem, u).values)
-    return _lowest(-r)[0] >= -BRACKET_TOL
+    return problem.grid.interior(residual(problem, u).values).max() <= BRACKET_TOL
 
 
 _FLOAT_MAX = np.finfo(float).max

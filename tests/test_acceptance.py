@@ -154,7 +154,7 @@ def test_criterion_6_barrier(capsys):
     x = g.axis(0)
     a0 = float(np.min(w.values[(x >= BALL[0] - 1e-12) & (x <= BALL[1] + 1e-12)]))
     theta = (a0 / pair.lambda_plus - 1.0) / 2.0
-    res = barrier_check(rep.solution, BALL, pair, p, theta)
+    res = barrier_check(rep.solution, BALL, p, theta)
     ok = rep.converged and res.status == "checked" and res.ok
     _report(capsys, "6 barrier", ok,
             "eps_theta %.3f, worst slack %.2e"

@@ -194,12 +194,12 @@ def test_barrier_eps_theta_values():
     a0 = float(np.min(w.values[(x >= 0.1 - 1e-12) & (x <= 0.9 + 1e-12)]))
     ratio = a0 / pair.lambda_plus
     tall = GridFunction(g, np.full(g.shape, 10.0), dirichlet=False)
-    res = barrier_check(tall, ball, pair, p, theta=0.5)
+    res = barrier_check(tall, ball, p, theta=0.5)
     assert res.status == "checked"
     assert res.eps_theta == pytest.approx((ratio - 0.5) ** 2.0, rel=1e-12)
     assert res.ok   # u = 10 dominates eps_theta * phi (phi <= 1)
     # unit base: ratio - theta = 1 gives eps_theta = 1 for every (gamma, q)
-    res_unit = barrier_check(tall, ball, pair, p, theta=ratio - 1.0 - 1e-9)
+    res_unit = barrier_check(tall, ball, p, theta=ratio - 1.0 - 1e-9)
     assert res_unit.eps_theta == pytest.approx(1.0, abs=1e-8)
     # derived arithmetic of the formula at ratio 2, theta 1/2, gamma=1, q=0.5
     assert (2.0 - 0.5) ** (1.0 / (1.0 + 1.0 - 0.5)) \
@@ -211,8 +211,7 @@ def test_barrier_inapplicable():
     ball = (0.1, 0.9)
     w = WeightField.sinsplit(g, 0.3)   # sup 1, well below lambda+ ~ 15
     p = ProblemSpec(g, SPEC1, 0.0, 0.5, w)
-    pair = ball_eigenpair(p, ball)
-    res = barrier_check(GridFunction.zeros(g), ball, pair, p, theta=0.1)
+    res = barrier_check(GridFunction.zeros(g), ball, p, theta=0.1)
     assert res.status == "inapplicable"
 
 

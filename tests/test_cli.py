@@ -443,6 +443,22 @@ def test_missing_input_file_exit_2(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "eigen", "sweep", "oracle-check"])
+def test_unusable_output_directory_exit_2(tmp_path, monkeypatch, capsys, command):
+    # a directory below a file cannot be created: a validation error that
+    # names output.directory, not an internal error
+    (tmp_path / "afile").write_text("")
+    target = tmp_path / "afile" / "sub"
+    extra = "\n[sweep]\nparameter = s\nbracket = 0,2\nprobes = 2\nbisect_steps = 0\n"
+    cfg = _write(tmp_path / "out.ini", BASE_SOLVE + extra)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", cfg, "--set",
+                 "output.directory=%s" % target]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: output.directory: cannot create %r (Not a directory)\n" % str(target))
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, extra", [
     ("solve", ""),
     ("sweep", "\n[control]\nball = 0.2,0.8\n\n[sweep]\nparameter = s\n"

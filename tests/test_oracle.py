@@ -106,3 +106,62 @@ def test_2d_manufactured_dead_core(bellman, gamma, q, bound):
         errs.append(float(np.max(np.abs(rep.solution.values - exact))))
     assert errs[0] <= bound
     assert errs[0] / errs[1] >= 3.0
+
+
+# the ball of the 1-D example's subsolution, inside (0.886, 2.256)
+EXAMPLE_BALL = (1.15, 1.95)
+
+
+def _example_from_above(inst, grid, weight):
+    """solve from the subsolution (the maximal solution) on the example's
+    problem with the weight given."""
+    p = ProblemSpec(grid, OperatorSpec.linear_trace(np.eye(1)), inst.gamma,
+                    inst.q, weight)
+    rep = solve(p, init="subsolution", ball=EXAMPLE_BALL)
+    assert rep.converged
+    return rep.solution
+
+
+def test_one_component_weight():
+    # a for x > 0 and its x = 0 value for x <= 0: continuous, with one
+    # positive interval, and the closed form still solves the equation
+    inst = example_instance(1.0, 0.8)
+    g = Grid.interval(*inst.domain, 999)
+    x, w = g.axis(0), inst.one_component_weight_on(g).values
+    assert np.array_equal(w[x > 0], inst.a(x[x > 0]))
+    assert np.all(w[x <= 0] == inst.a(0.0)) and inst.a(0.0) == -inst.negative_sup
+    lit = np.flatnonzero(w > 0)
+    assert lit.size and np.all(np.diff(lit) == 1)
+    res = np.abs(np.abs(inst.dv(x)) ** inst.gamma * inst.d2v(x) + w * inst.v(x) ** inst.q)
+    assert float(np.max(res)) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma, q, errors, rate", [
+    pytest.param(0.0, 0.5, (1.40e-4, 3.49e-5), 1.9, id="gamma0"),     # 2.00
+    pytest.param(0.5, 0.6, (1.12e-2, 4.36e-3), 1.3, id="gamma0.5"),   # 1.36
+    pytest.param(1.0, 0.8, (8.81e-3, 2.78e-3), 1.6, id="gamma1")])    # 1.66
+def test_one_component_weight_error_falls(gamma, q, errors, rate):
+    # on the one-component weight the closed form v is the maximal
+    # solution, so the answer from above converges to it: the sup error
+    # falls from n = 199 to n = 399 at the observed order log2(e199 / e399)
+    # (about h^2 at gamma = 0, h^1.4-1.7 at gamma = 0.5 and 1)
+    inst = example_instance(gamma, q)
+    g = Grid.interval(*inst.domain, 199)
+    errs = []
+    for grid in (g, g.refine()):
+        u = _example_from_above(inst, grid, inst.one_component_weight_on(grid))
+        assert classify(u).verdict == "dead_core"
+        errs.append(float(np.max(np.abs(u.values - inst.solution_on(grid).values))))
+    assert errs == pytest.approx(errors, rel=0.01)
+    assert np.log2(errs[0] / errs[1]) >= rate
+
+
+def test_example_weight_lights_its_left_component():
+    # the example weight is positive on (-pi/2, -0.886) too, where v = 0:
+    # the maximal solution is positive there (0.0446 at n = 199; 0.051 at
+    # n = 1599), so the error against v does not fall with h
+    inst = example_instance(1.0, 0.8)
+    g = Grid.interval(*inst.domain, 199)
+    u = _example_from_above(inst, g, inst.weight_on(g))
+    left = g.axis(0) < -np.arccos(inst.r ** -0.5)   # where cos^2 x < 1 / r
+    assert float(u.values[left].max()) == pytest.approx(0.045, abs=0.002)

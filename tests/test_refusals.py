@@ -35,7 +35,7 @@ def _barrier_theta_at_the_ratio(tmp_path):
     # a0 = 1e4 > lam+, and theta = a0 / lam+ leaves no room below it
     p = _problem(WeightField.constant(GRID, 1e4))
     pair = ball_eigenpair(p, (0.2, 0.8))
-    barrier_check(_sine(), (0.2, 0.8), pair, p, 1e4 / pair.lambda_plus)
+    barrier_check(_sine(), (0.2, 0.8), p, 1e4 / pair.lambda_plus)
 
 
 def _nan_right_hand_side(tmp_path):
@@ -103,6 +103,13 @@ ROWS = [
      "sweep command needs a [sweep] section"),
     ("cli-sweep-parameter", _cli("sweep", BASE_SOLVE, "sweep.parameter=foo"), 2,
      "sweep parameter must be 's' or 'q'"),
+    # on a domain this small sum(u^(2(gamma+1))) underflows to 0, and the
+    # fit is refused before lambda = inf is taken
+    ("cli-eigen-fit-underflow",
+     _cli("eigen", EIGEN_CFG, "problem.n=39", "problem.gamma=2",
+          "problem.domain=0,1e-45"), 2,
+     "the lambda fit's denominator sum(u^(2(gamma+1))) = 0 is not a positive "
+     "normal float (gamma = 2 on ((0.0, 1e-45),))"),
     # no step meets a residual of 1e-300, so all 200 run and the pair is
     # written before the exit (control.tolerance = 1e-300 is met: lambda
     # reaches a floating-point fixed point)

@@ -1157,7 +1157,7 @@ def test_ball_is_one_node_set(n):
     # 1e4 (2 - x) is least at the sub-grid's last node
     p = _problem(g, WeightField.from_callable(g, lambda x: 1e4 * (2.0 - x)))
     pair = ball_eigenpair(p, ball)
-    rep = barrier_check(GridFunction.zeros(g), ball, pair, p, 1.0)
+    rep = barrier_check(GridFunction.zeros(g), ball, p, 1.0)
     a0 = 1e4 * (2.0 - edge)
     assert rep.status == "checked"
     assert rep.eps_theta == (a0 / pair.lambda_plus - 1.0) ** (1.0 / 0.5)
